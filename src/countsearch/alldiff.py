@@ -9,7 +9,7 @@ variant bounds the number of matchings of the contracted value graph.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import (
     DOMAIN,
@@ -63,25 +63,6 @@ def alldiff_log_count(domains: Sequence[set[int]]) -> float:
     bm = sum(bm_log_factor(r) for r in rows) - correction
     lb = lb_log_bound(rows) - correction
     return min(bm, lb)
-
-
-def bm_probe_log_bound(
-    domains: Sequence[set[int]], i: int, d: int
-) -> float:
-    """From-scratch Bregman-Minc log bound after the FC probe x_i = d."""
-    rows = []
-    for k, dom in enumerate(domains):
-        if k == i:
-            rows.append(1)
-        elif d in dom:
-            rows.append(len(dom) - 1)
-        else:
-            rows.append(len(dom))
-    _, p, u = padded_rows(domains)
-    rows += [u] * p
-    if any(r == 0 for r in rows):
-        return -math.inf
-    return sum(bm_log_factor(r) for r in rows) - math.lgamma(p + 1)
 
 
 def alldiff_density_table(

@@ -14,11 +14,11 @@ self-describing kind tag on the first line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
-from .engine import DOMAIN, Model
+from .engine import Model
 from .knapsack import Knapsack
 from .regular import Automaton, Regular
 

@@ -11,12 +11,11 @@ import math
 import os
 import random
 import sys
-from typing import Optional
 
 import click
 
 from . import bench as bench_mod
-from .engine import DOMAIN, WIPEOUT, Model
+from .engine import WIPEOUT, Model
 from .heuristics import HEURISTIC_NAMES, make_heuristic
 from .knapsack import EXACT, GAUSSIAN, Knapsack
 from .oracle import OracleCapExceeded, exact_count_densities

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 CONSISTENT = "consistent"
@@ -91,7 +91,6 @@ class Constraint:
 # trail entry tags
 _T_REMOVE = 0
 _T_CACHE = 1
-_T_UNDO = 2
 
 
 class Model:
@@ -205,10 +204,6 @@ class Model:
                     return False
         return True
 
-    def trail_undo(self, fn: Callable[[], None]) -> None:
-        """Register an arbitrary undo closure on the trail."""
-        self._trail.append((_T_UNDO, fn))
-
     def _on_domain_change(self, var: Variable, cause: Optional[Constraint]) -> None:
         for c in self._watchers[var.index]:
             if not c.dirty:
@@ -286,12 +281,10 @@ class Model:
             tag = entry[0]
             if tag == _T_REMOVE:
                 self._domains[entry[1]].add(entry[2])
-            elif tag == _T_CACHE:
+            else:
                 c = entry[1]
                 c.dirty = entry[2]
                 c.cache = entry[3]
-            else:
-                entry[1]()
         del self._level_marks[level + 1 :]
         self.last_wipeout = None
         self._clear_queue()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .alldiff import _tarjan_scc as _scc
+from .alldiff import _log_norm, _tarjan_scc as _scc
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 from .factors import bm_log_factor, lb_log_bound
 
@@ -354,15 +354,6 @@ class GlobalCardinality(Constraint):
             raw: dict[int, float] = {}
             for d in sorted(dom):
                 raw[d] = self.log_count(self._probe_domains(domains, i, d))
-            finite = [v for v in raw.values() if v > -math.inf]
-            if not finite:
-                for d in raw:
-                    densities[(var.index, d)] = 0.0
-                continue
-            top = max(finite)
-            total = sum(math.exp(v - top) for v in finite)
-            for d, v in raw.items():
-                densities[(var.index, d)] = (
-                    math.exp(v - top) / total if v > -math.inf else 0.0
-                )
+            for d, sigma in _log_norm(raw).items():
+                densities[(var.index, d)] = sigma
         return DensityTable(self, log_count, densities)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .engine import BOUNDS, DOMAIN, Constraint, DensityTable, Model, Variable
+from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 
 EXACT = "exact"
 GAUSSIAN = "gaussian"
@@ -171,9 +171,6 @@ class Knapsack(Constraint):
         domains = self._domains(model)
         graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
         if graph.count == 0:
-            var = self.scope[0]
-            for d in list(domains[0]):
-                model.remove_value(var, d, self)
             return False
         for i, var in enumerate(self.scope):
             supported = graph.supported_values(i)
@@ -196,9 +193,6 @@ class Knapsack(Constraint):
         total_min = sum(terms_min)
         total_max = sum(terms_max)
         if total_min > self.upper or total_max < self.lower:
-            var = self.scope[0]
-            for d in list(domains[0]):
-                model.remove_value(var, d, self)
             return False
         for i, var in enumerate(self.scope):
             c = self.coeffs[i]
@@ -268,6 +262,9 @@ class Knapsack(Constraint):
         if len(dom) == 1:
             return {dom[0]: 1.0}
         c = self.coeffs[i]
+        if c == 0:
+            # x_i does not move the sum: every value is equally likely
+            return {d: 1.0 / len(dom) for d in dom}
         big_m, big_v = self.gaussian_cache(domains)
         mu, var = self._moments(domains[i])
         m = (big_m + c * mu) / c

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .engine import Constraint, Model, Variable
+from .engine import Constraint, Model
 
 TUPLE_CAP = 10**6
 

@@ -175,10 +175,6 @@ class Regular(Constraint):
         domains = self._domains(model)
         graph = build_layered_graph(self.automaton, domains)
         if graph.count == 0:
-            # force a wipeout through the normal removal path
-            var = self.scope[0]
-            for d in list(domains[0]):
-                model.remove_value(var, d, self)
             return False
         for i, var in enumerate(self.scope):
             supported = graph.supported_values(i)

@@ -3,14 +3,20 @@
 The search tree is binary: the left child asserts x = d, the right
 child refutes it (x != d).  A backtrack is counted each time a wipeout
 forces a subtree to be abandoned.
+
+All three drivers run one iterative walker, ``_walk``, which keeps the
+untried right branches on an explicit stack, so the depth of the tree
+is not limited by Python's recursion limit.  ``dfs`` walks the whole
+tree once, ``restart_search`` walks it repeatedly under growing
+backtrack cutoffs, and ``lds`` walks it in waves of discrepancy windows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .engine import CONSISTENT, WIPEOUT, Model
 from .heuristics import Heuristic
@@ -32,8 +38,8 @@ class SearchStats:
 
 
 class _Budget:
-    def __init__(self, timeout: Optional[float], backtrack_limit: Optional[int]):
-        self.deadline = None if timeout is None else time.monotonic() + timeout
+    def __init__(self, deadline: Optional[float], backtrack_limit: Optional[int]):
+        self.deadline = deadline  # on the time.monotonic() clock
         self.backtrack_limit = backtrack_limit
         self.backtracks = 0
         self.timed_out = False
@@ -61,41 +67,77 @@ def _observe(heuristic: Heuristic, model, var, value, before, status) -> None:
         heuristic.observe(var, value, 1.0 - math.exp(after - before))
 
 
-def _dfs(
+def _walk(
     model: Model,
     heuristic: Heuristic,
     budget: _Budget,
-    randomized: bool,
+    randomized: bool = False,
+    low: int = 0,
+    high: float = math.inf,
 ) -> Optional[str]:
-    """Returns SAT on success, None on exhaustion, TIMEOUT/cutoff via budget."""
-    if budget.exhausted():
-        return TIMEOUT
-    pick = heuristic.choose(model, randomized)
-    if pick is None:
-        return SAT
-    var, value = pick
-    level = model.level
-    before = model.log_search_space()
-    status = model.push_decision("assign", var, value)
-    _observe(heuristic, model, var, value, before, status)
-    if status == CONSISTENT:
-        result = _dfs(model, heuristic, budget, randomized)
-        if result is not None:
-            return result
-    else:
-        budget.note_backtrack()
-    model.backtrack_to(level)
-    if budget.exhausted():
-        return TIMEOUT
-    status = model.push_decision("refute", var, value)
-    if status == CONSISTENT:
-        result = _dfs(model, heuristic, budget, randomized)
-        if result is not None:
-            return result
-    else:
-        budget.note_backtrack()
-    model.backtrack_to(level)
-    return None
+    """Walk the tree below the current node, visiting the branches whose
+    discrepancy count t (right branches taken) satisfies low <= t <= high.
+
+    Returns SAT with the model at a solution, TIMEOUT when the budget
+    runs out, or None when the window holds no solution; on TIMEOUT and
+    None the model is left wherever the walk stopped.
+    """
+    # untried right branches, deepest last: (var, value, level, low, high)
+    # with the level and window of the node that made the decision
+    open_right: list = []
+    while True:
+        # at a consistent node whose subtree has window [low, high]
+        if budget.exhausted():
+            return TIMEOUT
+        pick = heuristic.choose(model, randomized)
+        if pick is None:
+            if low == 0:
+                return SAT
+        else:
+            var, value = pick
+            open_right.append((var, value, model.level, low, high))
+            before = model.log_search_space()
+            status = model.push_decision("assign", var, value)
+            _observe(heuristic, model, var, value, before, status)
+            if status == CONSISTENT:
+                continue
+            budget.note_backtrack()
+        # the subtree failed: refute the deepest untried decision
+        while open_right:
+            var, value, level, low, high = open_right.pop()
+            model.backtrack_to(level)
+            if budget.exhausted():
+                return TIMEOUT
+            if high == 0:
+                continue
+            status = model.push_decision("refute", var, value)
+            if status == CONSISTENT:
+                low, high = max(0, low - 1), high - 1
+                break
+            budget.note_backtrack()
+        else:
+            return None  # no untried decision left in the window
+
+
+def _search(
+    model: Model,
+    timeout: Optional[float],
+    walks: Callable[[SearchStats, Optional[float]], str],
+) -> SearchStats:
+    """Propagate the root, get the status from ``walks(stats, deadline)``,
+    then keep the solution on SAT or restore the root otherwise."""
+    stats = SearchStats()
+    start = time.perf_counter()
+    deadline = None if timeout is None else time.monotonic() + timeout
+    root = model.level
+    if model.propagate() != WIPEOUT:
+        stats.status = walks(stats, deadline)
+        if stats.status == SAT:
+            stats.solution = model.solution()
+        else:
+            model.backtrack_to(root)
+    stats.time_ms = (time.perf_counter() - start) * 1000.0
+    return stats
 
 
 def dfs(
@@ -105,26 +147,16 @@ def dfs(
     backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
     """Depth-first search; left branch x=d, right branch x!=d."""
-    stats = SearchStats()
-    start = time.perf_counter()
-    budget = _Budget(timeout, backtrack_limit)
-    root = model.level
-    if model.propagate() == WIPEOUT:
-        stats.status = UNSAT
-    else:
-        outcome = _dfs(model, heuristic, budget, randomized=False)
+
+    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
+        budget = _Budget(deadline, backtrack_limit)
+        outcome = _walk(model, heuristic, budget)
+        stats.backtracks = budget.backtracks
         if outcome == SAT:
-            stats.status = SAT
-            stats.solution = model.solution()
-        elif budget.timed_out or budget.cut_off:
-            stats.status = TIMEOUT
-        else:
-            stats.status = UNSAT
-        if stats.status != SAT:
-            model.backtrack_to(root)
-    stats.backtracks = budget.backtracks
-    stats.time_ms = (time.perf_counter() - start) * 1000.0
-    return stats
+            return SAT
+        return TIMEOUT if budget.timed_out or budget.cut_off else UNSAT
+
+    return _search(model, timeout, walks)
 
 
 def restart_search(
@@ -141,96 +173,26 @@ def restart_search(
     its cutoff proves unsat; otherwise only sat or timeout can be
     concluded.
     """
-    stats = SearchStats()
-    start = time.perf_counter()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    root = model.level
-    if model.propagate() == WIPEOUT:
-        stats.status = UNSAT
-        stats.time_ms = (time.perf_counter() - start) * 1000.0
-        return stats
-    run = 0
-    while True:
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            stats.status = TIMEOUT
-            break
-        cutoff = scale * (2 ** run)
-        budget = _Budget(remaining, cutoff)
-        outcome = _dfs(model, heuristic, budget, randomized=True)
-        stats.backtracks += budget.backtracks
-        if outcome == SAT:
-            stats.status = SAT
-            stats.solution = model.solution()
-            break
-        if budget.timed_out:
-            stats.status = TIMEOUT
-            break
-        if outcome is None and not budget.cut_off:
-            stats.status = UNSAT  # exhausted under the cutoff: real proof
-            break
-        model.backtrack_to(root)
-        heuristic.on_restart()
-        run += 1
-        stats.restarts = run
-        if max_restarts is not None and run >= max_restarts:
-            stats.status = TIMEOUT
-            break
-    if stats.status != SAT:
-        model.backtrack_to(root)
-    stats.time_ms = (time.perf_counter() - start) * 1000.0
-    return stats
 
+    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
+        root = model.level
+        while True:
+            budget = _Budget(deadline, scale * (2 ** stats.restarts))
+            outcome = _walk(model, heuristic, budget, randomized=True)
+            stats.backtracks += budget.backtracks
+            if outcome == SAT:
+                return SAT
+            if budget.timed_out:
+                return TIMEOUT
+            if not budget.cut_off:
+                return UNSAT  # exhausted under the cutoff: real proof
+            model.backtrack_to(root)
+            heuristic.on_restart()
+            stats.restarts += 1
+            if max_restarts is not None and stats.restarts >= max_restarts:
+                return TIMEOUT
 
-def _lds_wave(
-    model: Model,
-    heuristic: Heuristic,
-    budget: _Budget,
-    remaining_low: int,
-    remaining_high: int,
-) -> Optional[str]:
-    """Explore branches whose total discrepancy count t satisfies
-    remaining_low <= t <= remaining_high (counts relative to this node)."""
-    if budget.exhausted():
-        return TIMEOUT
-    pick = heuristic.choose(model)
-    if pick is None:
-        return SAT if remaining_low == 0 else None
-    var, value = pick
-    level = model.level
-    # left branch: no discrepancy spent
-    before = model.log_search_space()
-    status = model.push_decision("assign", var, value)
-    _observe(heuristic, model, var, value, before, status)
-    if status == CONSISTENT:
-        result = _lds_wave(
-            model, heuristic, budget, remaining_low, remaining_high
-        )
-        if result is not None:
-            return result
-    else:
-        budget.note_backtrack()
-    model.backtrack_to(level)
-    if budget.exhausted():
-        return TIMEOUT
-    # right branch: one discrepancy
-    if remaining_high == 0:
-        return None
-    status = model.push_decision("refute", var, value)
-    if status == CONSISTENT:
-        result = _lds_wave(
-            model,
-            heuristic,
-            budget,
-            max(0, remaining_low - 1),
-            remaining_high - 1,
-        )
-        if result is not None:
-            return result
-    else:
-        budget.note_backtrack()
-    model.backtrack_to(level)
-    return None
+    return _search(model, timeout, walks)
 
 
 def lds(
@@ -246,36 +208,26 @@ def lds(
     [w*skip, (w+1)*skip - 1]; waves continue until a solution, proof of
     exhaustion, or timeout.
     """
-    stats = SearchStats()
-    start = time.perf_counter()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    root = model.level
-    if model.propagate() == WIPEOUT:
-        stats.status = UNSAT
-        stats.time_ms = (time.perf_counter() - start) * 1000.0
-        return stats
-    max_disc = sum(max(0, model.size(v) - 1) for v in model.variables)
-    wave = 0
-    stats.status = UNSAT
-    while wave * skip <= max_disc:
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            stats.status = TIMEOUT
-            break
-        budget = _Budget(remaining, backtrack_limit)
-        low = wave * skip
-        high = (wave + 1) * skip - 1
-        outcome = _lds_wave(model, heuristic, budget, low, high)
-        stats.backtracks += budget.backtracks
-        stats.max_discrepancy = high
-        if outcome == SAT:
-            stats.status = SAT
-            stats.solution = model.solution()
-            break
-        model.backtrack_to(root)
-        if budget.timed_out or budget.cut_off:
-            stats.status = TIMEOUT
-            break
-        wave += 1
-    stats.time_ms = (time.perf_counter() - start) * 1000.0
-    return stats
+
+    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
+        root = model.level
+        max_disc = sum(max(0, model.size(v) - 1) for v in model.variables)
+        wave = 0
+        while wave * skip <= max_disc:
+            if deadline is not None and time.monotonic() >= deadline:
+                return TIMEOUT
+            budget = _Budget(deadline, backtrack_limit)
+            low = wave * skip
+            high = (wave + 1) * skip - 1
+            outcome = _walk(model, heuristic, budget, low=low, high=high)
+            stats.backtracks += budget.backtracks
+            stats.max_discrepancy = high
+            if outcome == SAT:
+                return SAT
+            if budget.timed_out or budget.cut_off:
+                return TIMEOUT
+            model.backtrack_to(root)
+            wave += 1
+        return UNSAT
+
+    return _search(model, timeout, walks)

@@ -4,6 +4,8 @@ import pytest
 
 from countsearch.alldiff import AllDifferent
 from countsearch.engine import CONSISTENT, WIPEOUT, Constraint, Model
+from countsearch.knapsack import Knapsack
+from countsearch.regular import Automaton, Regular
 
 
 class Forbid(Constraint):
@@ -69,14 +71,22 @@ def test_propagation_runs_to_fixpoint():
 
 
 def test_wipeout_reported_with_cause():
-    m = Model()
-    x = m.new_variable({1})
-    seen = []
-    m.on_wipeout(seen.append)
-    c = m.add(Forbid(x, 1))
-    assert m.propagate() == WIPEOUT
-    assert m.last_wipeout is c
-    assert seen == [c]
+    no_two_ones = Automaton({(0, 0): 0, (0, 1): 1, (1, 0): 0}, 0, [0, 1])
+    posts = [
+        lambda m: Forbid(m.new_variable({1}), 1),
+        # root-infeasible: the only word is 1 1
+        lambda m: Regular([m.new_variable({1}) for _ in range(2)], no_two_ones),
+        # root-infeasible: two 0/1 terms never sum to 5
+        lambda m: Knapsack([m.new_variable({0, 1}) for _ in range(2)], [1, 1], 5, 5),
+    ]
+    for post in posts:
+        m = Model()
+        seen = []
+        m.on_wipeout(seen.append)
+        c = m.add(post(m))
+        assert m.propagate() == WIPEOUT
+        assert m.last_wipeout is c
+        assert seen == [c]
 
 
 def test_push_decision_assign_and_refute():

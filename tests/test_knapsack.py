@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from countsearch.bench import build_model, generate_marketsplit
 from countsearch.engine import BOUNDS, CONSISTENT, WIPEOUT, Model
+from countsearch.heuristics import MaxSD
 from countsearch.knapsack import (
     EXACT,
     GAUSSIAN,
@@ -16,6 +18,7 @@ from countsearch.knapsack import (
     interval_moments,
 )
 from countsearch.oracle import exact_count_densities
+from countsearch.search import dfs
 
 from conftest import random_domains
 
@@ -253,3 +256,20 @@ def test_rejects_bad_arguments():
         Knapsack(xs, [1, 2], 0, 1)
     with pytest.raises(ValueError):
         Knapsack(xs, [1], 0, 1, mode="fuzzy")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gaussian_search_with_zero_coefficients(seed):
+    # both instances have a zero coefficient, which must not be divided by
+    model = build_model(generate_marketsplit(3, seed))
+    knapsacks = [c for c in model.constraints if isinstance(c, Knapsack)]
+    assert any(0 in c.coeffs for c in knapsacks)
+    for c in knapsacks:
+        c.mode, c.consistency = GAUSSIAN, BOUNDS
+    assert model.propagate() == CONSISTENT
+    for c in knapsacks:
+        table = c.count_densities(model)
+        for var in c.scope:
+            total = sum(table.density(var, d) for d in model.domain(var))
+            assert total == pytest.approx(1.0)
+    dfs(model, MaxSD(model), backtrack_limit=50)  # recounts at every node

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import Model
+from countsearch.engine import CONSISTENT, Model
 from countsearch.heuristics import Dom, Heuristic, MaxSD, make_heuristic
 from countsearch.oracle import exact_solve
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
@@ -190,8 +190,40 @@ def test_lds_agrees_with_oracle_on_micro_models():
             _check_solution(model, stats.solution)
 
 
-def test_search_leaves_model_at_root_on_failure():
+DRIVERS = {"dfs": dfs, "lds": lds, "restart": restart_search}
+# arguments that make each driver give up after its first backtrack
+CUTOFFS = {
+    "dfs": {"backtrack_limit": 1},
+    "lds": {"backtrack_limit": 1},
+    "restart": {"scale": 1, "max_restarts": 1},
+}
+
+
+@pytest.mark.parametrize("status", [UNSAT, TIMEOUT])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_search_leaves_model_at_root_on_failure(driver, status):
     m = _pigeonhole()
-    level_before = m.level
-    dfs(m, Dom(m, random.Random(0)))
-    assert m.level == level_before
+    # root propagation removes 3 from x, so the root differs from the
+    # initial domains
+    x, fixed = m.new_variable({1, 2, 3}), m.new_variable({3})
+    m.add(AllDifferent([x, fixed]))
+    assert m.propagate() == CONSISTENT
+    level = m.level
+    domains = [m.domain(v) for v in m.variables]
+    cutoff = CUTOFFS[driver] if status == TIMEOUT else {}
+    stats = DRIVERS[driver](m, Dom(m, random.Random(0)), **cutoff)
+    assert stats.status == status
+    assert m.level == level
+    assert [m.domain(v) for v in m.variables] == domains
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_search_has_no_depth_limit(driver):
+    # one decision per free variable: far deeper than Python's default
+    # recursion limit of 1000
+    m = Model()
+    for i in range(1500):
+        m.new_variable({0, 1}, f"x{i}")
+    stats = DRIVERS[driver](m, Dom(m, random.Random(0)))
+    assert stats.status == SAT
+    assert len(stats.solution) == 1500
