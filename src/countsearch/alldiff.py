@@ -218,9 +218,6 @@ class AllDifferent(Constraint):
     def check(self, values: Sequence[int]) -> bool:
         return len(set(values)) == len(values)
 
-    def _domains(self, model: Model) -> list[set[int]]:
-        return [model._domains[v.index] for v in self.scope]
-
     def propagate(self, model: Model) -> bool:
         if not self._forward_check(model):
             return False
@@ -381,7 +378,7 @@ class SymmetricAllDifferent(Constraint):
         return adj
 
     def count_densities(self, model: Model) -> DensityTable:
-        domains = [model._domains[v.index] for v in self.scope]
+        domains = self._domains(model)
         adj = self._adjacency(domains)
         log_count = sym_matching_log_bound(adj)
         densities: dict[tuple[int, int], float] = {}

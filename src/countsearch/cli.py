@@ -47,7 +47,10 @@ def _apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None
 
 def _run_search(model, heuristic, traversal, timeout, scale, skip, backtracks):
     if traversal == "restart":
-        return restart_search(model, heuristic, scale=scale, timeout=timeout)
+        return restart_search(
+            model, heuristic, scale=scale, timeout=timeout,
+            backtrack_limit=backtracks,
+        )
     if traversal == "lds":
         return lds(
             model, heuristic, skip=skip, timeout=timeout,
@@ -69,14 +72,15 @@ _common = [
                  show_default=True),
     click.option("--traversal", type=click.Choice(["dfs", "restart", "lds"]),
                  default="dfs", show_default=True),
-    click.option("--restart-scale", type=int, default=100, show_default=True,
+    click.option("--restart-scale", type=click.IntRange(min=1), default=100,
+                 show_default=True,
                  help="Backtrack cutoff of the first restart run."),
-    click.option("--lds-skip", type=int, default=1, show_default=True,
-                 help="Discrepancies added per LDS wave."),
+    click.option("--lds-skip", type=click.IntRange(min=1), default=1,
+                 show_default=True, help="Discrepancies added per LDS wave."),
     click.option("--timeout", type=float, default=1200.0, show_default=True,
                  help="Time budget in seconds."),
     click.option("--backtracks", type=int, default=None,
-                 help="Backtrack budget (dfs/lds only)."),
+                 help="Backtrack budget."),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
                  default="domain", show_default=True),
@@ -206,8 +210,10 @@ def _bench_job(args):
               show_default=True, help="May be repeated.")
 @click.option("--traversal", type=click.Choice(["dfs", "restart", "lds"]),
               default="dfs", show_default=True)
-@click.option("--restart-scale", type=int, default=100, show_default=True)
-@click.option("--lds-skip", type=int, default=1, show_default=True)
+@click.option("--restart-scale", type=click.IntRange(min=1), default=100,
+              show_default=True)
+@click.option("--lds-skip", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--timeout", type=float, default=1200.0, show_default=True)
 @click.option("--backtracks", type=int, default=None)
 @click.option("--seeds", default="0", show_default=True,

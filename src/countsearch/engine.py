@@ -84,6 +84,10 @@ class Constraint:
     def count_densities(self, model: "Model") -> DensityTable:
         raise NotImplementedError
 
+    def _domains(self, model: "Model") -> list[set[int]]:
+        """The live domain sets of the scope, in scope order."""
+        return [model._domains[v.index] for v in self.scope]
+
     def name(self) -> str:
         return type(self).__name__
 

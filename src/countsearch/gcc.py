@@ -343,7 +343,7 @@ class GlobalCardinality(Constraint):
         return probed
 
     def count_densities(self, model: Model) -> DensityTable:
-        domains = [model._domains[v.index] for v in self.scope]
+        domains = self._domains(model)
         log_count = self.log_count(domains)
         densities: dict[tuple[int, int], float] = {}
         for i, var in enumerate(self.scope):

@@ -438,48 +438,37 @@ def _random_value(rng: random.Random) -> Callable[[Model, Variable], int]:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
+HEURISTICS: dict[str, Callable[[Model, random.Random], Heuristic]] = {
+    "maxSD": MaxSD,
+    "maxRelSD": MaxRelSD,
+    "maxRelRatio": MaxRelRatio,
+    "aAvgSD": AAvgSD,
+    "wSCAvg": WSCAvg,
+    "minSCMaxSD": MinSCMaxSD,
+    "dom": Dom,
+    "domWDeg": DomWdeg,
+    "ibs": Ibs,
+    "domDeg+maxSD": lambda model, rng: VarThenValue(
+        model, DomDeg(model, rng), _max_density_value, rng
+    ),
+    "maxSD+random": lambda model, rng: VarThenValue(
+        model, MaxSD(model, rng), _random_value(rng), rng
+    ),
+    "ibs+maxSD": lambda model, rng: VarThenValue(
+        model, Ibs(model, rng), _max_density_value, rng
+    ),
+    "domWDeg+maxSD": lambda model, rng: VarThenValue(
+        model, DomWdeg(model, rng), _max_density_value, rng
+    ),
+}
+HEURISTIC_NAMES = tuple(HEURISTICS)
+
+
 def make_heuristic(
     name: str, model: Model, rng: Optional[random.Random] = None
 ) -> Heuristic:
-    rng = rng or random.Random(0)
-    simple = {
-        "maxSD": MaxSD,
-        "maxRelSD": MaxRelSD,
-        "maxRelRatio": MaxRelRatio,
-        "aAvgSD": AAvgSD,
-        "wSCAvg": WSCAvg,
-        "minSCMaxSD": MinSCMaxSD,
-        "dom": Dom,
-        "domWDeg": DomWdeg,
-        "ibs": Ibs,
-    }
-    if name in simple:
-        return simple[name](model, rng)
-    if name == "domDeg+maxSD":
-        return VarThenValue(model, DomDeg(model, rng), _max_density_value, rng)
-    if name == "maxSD+random":
-        return VarThenValue(model, MaxSD(model, rng), _random_value(rng), rng)
-    if name == "ibs+maxSD":
-        return VarThenValue(model, Ibs(model, rng), _max_density_value, rng)
-    if name == "domWDeg+maxSD":
-        return VarThenValue(model, DomWdeg(model, rng), _max_density_value, rng)
-    raise ValueError(
-        f"unknown heuristic {name!r}; valid names: {', '.join(HEURISTIC_NAMES)}"
-    )
-
-
-HEURISTIC_NAMES = (
-    "maxSD",
-    "maxRelSD",
-    "maxRelRatio",
-    "aAvgSD",
-    "wSCAvg",
-    "minSCMaxSD",
-    "dom",
-    "domWDeg",
-    "ibs",
-    "domDeg+maxSD",
-    "maxSD+random",
-    "ibs+maxSD",
-    "domWDeg+maxSD",
-)
+    if name not in HEURISTICS:
+        raise ValueError(
+            f"unknown heuristic {name!r}; valid names: {', '.join(HEURISTIC_NAMES)}"
+        )
+    return HEURISTICS[name](model, rng or random.Random(0))

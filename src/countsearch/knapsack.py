@@ -1,11 +1,12 @@
 """Linear (knapsack) constraint: l <= c.x <= u.
 
 Two counting modes are provided.  The exact mode builds the reduced
-layered graph over reachable partial sums (domain-consistent filtering
-and exact path-count densities, like the regular constraint).  The
-Gaussian mode never builds the graph: it treats the sum of the other
-variables as approximately normal, caching the constraint-wide mean and
-variance so each (variable, value) density costs O(1).
+layered graph over reachable partial sums, the regular constraint's
+``LayeredGraph``, for domain-consistent filtering and exact path-count
+densities.  The Gaussian mode never builds the graph: it treats the sum
+of the other variables as approximately normal, caching the
+constraint-wide mean and variance so each (variable, value) density
+costs O(1).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from typing import Optional, Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
+from .regular import LayeredGraph
 
 EXACT = "exact"
 GAUSSIAN = "gaussian"
@@ -40,40 +42,12 @@ def exact_moments(values: Sequence[int]) -> tuple[float, float]:
     return mean, var
 
 
-class SumGraph:
-    """Layered graph over partial sums b_0=0, b_i = sum c_j x_j (j<=i).
-
-    Sums are kept in shifted coordinates so every layer's vertex keys
-    are nonnegative.  Path counts are exact integers.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.layers: list[dict[int, list[tuple[int, int]]]] = [
-            {} for _ in range(k + 1)
-        ]  # b -> [(value, b_next)]
-        self.ip: list[dict[int, int]] = [{} for _ in range(k + 1)]
-        self.op: list[dict[int, int]] = [{} for _ in range(k + 1)]
-        self.count = 0
-
-    def supported_values(self, i: int) -> set[int]:
-        return {d for arcs in self.layers[i].values() for (d, _) in arcs}
-
-    def arc_weights(self, i: int) -> dict[int, int]:
-        weights: dict[int, int] = {}
-        for b, arcs in self.layers[i].items():
-            inc = self.ip[i][b]
-            for d, b2 in arcs:
-                weights[d] = weights.get(d, 0) + inc * self.op[i + 1][b2]
-        return weights
-
-
 def build_sum_graph(
     coeffs: Sequence[int], domains: Sequence[set[int]], lower: int, upper: int
-) -> SumGraph:
-    """Forward-reachable, backward-completable sum graph (Trick's DP)."""
+) -> LayeredGraph:
+    """Forward-reachable, backward-completable graph over the partial sums
+    b_0 = 0, b_i = sum_{j<=i} c_j x_j (Trick's DP)."""
     k = len(domains)
-    graph = SumGraph(k)
     forward: list[set[int]] = [set() for _ in range(k + 1)]
     forward[0].add(0)
     for i in range(k):
@@ -82,11 +56,11 @@ def build_sum_graph(
         for b in forward[i]:
             for d in domains[i]:
                 nxt.add(b + c * d)
-    alive: list[set[int]] = [set() for _ in range(k + 1)]
-    alive[k] = {b for b in forward[k] if lower <= b <= upper}
+    layers: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(k + 1)]
+    layers[k] = {b: [] for b in forward[k] if lower <= b <= upper}
     for i in range(k - 1, -1, -1):
         c = coeffs[i]
-        keep = alive[i + 1]
+        keep = layers[i + 1]
         for b in forward[i]:
             arcs = []
             for d in domains[i]:
@@ -94,31 +68,8 @@ def build_sum_graph(
                 if b2 in keep:
                     arcs.append((d, b2))
             if arcs:
-                alive[i].add(b)
-                graph.layers[i][b] = arcs
-    for b in alive[k]:
-        graph.layers[k][b] = []
-    if 0 not in alive[0]:
-        graph.count = 0
-        return graph
-    graph.ip[0] = {0: 1}
-    for i in range(k):
-        acc: dict[int, int] = {}
-        for b, arcs in graph.layers[i].items():
-            inc = graph.ip[i].get(b, 0)
-            if inc == 0:
-                continue
-            for _, b2 in arcs:
-                acc[b2] = acc.get(b2, 0) + inc
-        graph.ip[i + 1] = acc
-    graph.op[k] = {b: 1 for b in graph.layers[k]}
-    for i in range(k - 1, -1, -1):
-        acc = {}
-        for b, arcs in graph.layers[i].items():
-            acc[b] = sum(graph.op[i + 1].get(b2, 0) for _, b2 in arcs)
-        graph.op[i] = acc
-    graph.count = graph.op[0].get(0, 0)
-    return graph
+                layers[i][b] = arcs
+    return LayeredGraph(layers, 0)
 
 
 class Knapsack(Constraint):
@@ -156,32 +107,17 @@ class Knapsack(Constraint):
         total = sum(c * v for c, v in zip(self.coeffs, values))
         return self.lower <= total <= self.upper
 
-    def _domains(self, model: Model) -> list[set[int]]:
-        return [model._domains[v.index] for v in self.scope]
-
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
     def propagate(self, model: Model) -> bool:
+        domains = self._domains(model)
         if self.consistency == DOMAIN:
-            return self._graph_filter(model)
-        return self._bounds_filter(model)
+            graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
+            return graph.filter(self, model, domains)
+        return self._bounds_filter(model, domains)
 
-    def _graph_filter(self, model: Model) -> bool:
-        domains = self._domains(model)
-        graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
-        if graph.count == 0:
-            return False
-        for i, var in enumerate(self.scope):
-            supported = graph.supported_values(i)
-            for d in list(domains[i]):
-                if d not in supported:
-                    if not model.remove_value(var, d, self):
-                        return False
-        return True
-
-    def _bounds_filter(self, model: Model) -> bool:
-        domains = self._domains(model)
+    def _bounds_filter(self, model: Model, domains: Sequence[set[int]]) -> bool:
         terms_min = []
         terms_max = []
         for c, dom in zip(self.coeffs, domains):
@@ -204,25 +140,6 @@ class Knapsack(Constraint):
                     if not model.remove_value(var, d, self):
                         return False
         return True
-
-    # ------------------------------------------------------------------
-    # exact counting
-    # ------------------------------------------------------------------
-    def _exact_table(self, domains: Sequence[set[int]]) -> DensityTable:
-        graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
-        densities: dict[tuple[int, int], float] = {}
-        if graph.count == 0:
-            for i, var in enumerate(self.scope):
-                for d in domains[i]:
-                    densities[(var.index, d)] = 0.0
-            return DensityTable(self, -math.inf, densities)
-        for i, var in enumerate(self.scope):
-            weights = graph.arc_weights(i)
-            layer_total = sum(weights.values())
-            for d in domains[i]:
-                w = weights.get(d, 0)
-                densities[(var.index, d)] = w / layer_total if layer_total else 0.0
-        return DensityTable(self, math.log(graph.count), densities)
 
     # ------------------------------------------------------------------
     # Gaussian approximation
@@ -322,4 +239,5 @@ class Knapsack(Constraint):
         domains = self._domains(model)
         if self.mode == GAUSSIAN:
             return self._gaussian_table(domains)
-        return self._exact_table(domains)
+        graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
+        return graph.density_table(self, domains)

@@ -52,22 +52,43 @@ class Automaton:
 
 
 class LayeredGraph:
-    """Pruned layered graph for one regular constraint.
+    """Pruned layered graph shared by ``Regular`` and exact ``Knapsack``.
 
-    ``layers[i]`` maps each surviving state at depth i to the list of
-    outgoing arcs ``(value, next_state)``.  ``ip``/``op`` hold the
+    ``layers[i]`` maps each surviving vertex at depth i to the list of
+    outgoing arcs ``(value, next_vertex)``.  The builders keep only
+    vertices that reach the last layer, and every vertex is reached from
+    ``start`` unless ``start`` itself was pruned.  ``ip``/``op`` hold the
     number of layer-0 to layer-i (resp. layer-i to layer-k) paths per
-    vertex, as exact integers.
+    vertex, as exact integers; ``count`` is the number of paths, each one
+    an accepted tuple.  ``count == 0`` signals wipeout.
     """
 
-    def __init__(self, k: int):
-        self.k = k
-        self.layers: list[dict[object, list[tuple[int, object]]]] = [
-            {} for _ in range(k + 1)
-        ]
+    def __init__(
+        self, layers: list[dict[object, list[tuple[int, object]]]], start: object
+    ):
+        k = len(layers) - 1
+        self.layers = layers
         self.ip: list[dict[object, int]] = [{} for _ in range(k + 1)]
         self.op: list[dict[object, int]] = [{} for _ in range(k + 1)]
         self.count = 0
+        if start not in layers[0]:
+            return
+        self.ip[0] = {start: 1}
+        for i in range(k):
+            acc: dict[object, int] = {}
+            for v, arcs in layers[i].items():
+                inc = self.ip[i][v]
+                for _, nxt in arcs:
+                    acc[nxt] = acc.get(nxt, 0) + inc
+            self.ip[i + 1] = acc
+        self.op[k] = {v: 1 for v in layers[k]}
+        for i in range(k - 1, -1, -1):
+            nxt_op = self.op[i + 1]
+            self.op[i] = {
+                v: sum(nxt_op[nxt] for _, nxt in arcs)
+                for v, arcs in layers[i].items()
+            }
+        self.count = self.op[0][start]
 
     def supported_values(self, i: int) -> set[int]:
         """Values carried by at least one surviving arc at layer i."""
@@ -76,11 +97,45 @@ class LayeredGraph:
     def arc_weights(self, i: int) -> dict[int, int]:
         """For each value at layer i, the number of paths through its arcs."""
         weights: dict[int, int] = {}
-        for state, arcs in self.layers[i].items():
-            inc = self.ip[i][state]
+        for v, arcs in self.layers[i].items():
+            inc = self.ip[i][v]
             for d, nxt in arcs:
                 weights[d] = weights.get(d, 0) + inc * self.op[i + 1][nxt]
         return weights
+
+    def filter(
+        self, constraint: Constraint, model: Model, domains: Sequence[set[int]]
+    ) -> bool:
+        """Remove every scope value no surviving arc carries (domain
+        consistency); False on wipeout."""
+        if self.count == 0:
+            return False
+        for i, var in enumerate(constraint.scope):
+            supported = self.supported_values(i)
+            for d in list(domains[i]):
+                if d not in supported:
+                    if not model.remove_value(var, d, constraint):
+                        return False
+        return True
+
+    def density_table(
+        self, constraint: Constraint, domains: Sequence[set[int]]
+    ) -> DensityTable:
+        """Exact count and per-pair densities.  Every path crosses each
+        layer once, so each layer's arc weights sum to ``count``."""
+        if self.count == 0:
+            zeros = {
+                (var.index, d): 0.0
+                for var, dom in zip(constraint.scope, domains)
+                for d in dom
+            }
+            return DensityTable(constraint, -math.inf, zeros)
+        densities: dict[tuple[int, int], float] = {}
+        for i, var in enumerate(constraint.scope):
+            weights = self.arc_weights(i)
+            for d in domains[i]:
+                densities[(var.index, d)] = weights.get(d, 0) / self.count
+        return DensityTable(constraint, math.log(self.count), densities)
 
 
 def build_layered_graph(
@@ -88,11 +143,10 @@ def build_layered_graph(
 ) -> LayeredGraph:
     """Forward/backward construction of the pruned layered graph.
 
-    Keeps only vertices on at least one accepting path; computes exact
-    path counts.  ``graph.count == 0`` signals wipeout.
+    Keeps only vertices on at least one accepting path.
     """
     k = len(domains)
-    graph = LayeredGraph(k)
+    step = automaton.step
 
     # forward pass: reachable states per layer
     reachable: list[set[object]] = [set() for _ in range(k + 1)]
@@ -100,52 +154,27 @@ def build_layered_graph(
     for i, dom in enumerate(domains):
         for state in reachable[i]:
             for d in dom:
-                nxt = automaton.step(state, d)
+                nxt = step(state, d)
                 if nxt is not None:
                     reachable[i + 1].add(nxt)
 
     # backward pass: keep vertices that reach an accepting final state
-    alive: list[set[object]] = [set() for _ in range(k + 1)]
-    alive[k] = reachable[k] & automaton.accepting
+    layers: list[dict[object, list[tuple[int, object]]]] = [
+        {} for _ in range(k + 1)
+    ]
+    layers[k] = {state: [] for state in reachable[k] & automaton.accepting}
     for i in range(k - 1, -1, -1):
         dom = domains[i]
+        alive = layers[i + 1]
         for state in reachable[i]:
             arcs = []
             for d in dom:
-                nxt = automaton.step(state, d)
-                if nxt is not None and nxt in alive[i + 1]:
+                nxt = step(state, d)
+                if nxt is not None and nxt in alive:
                     arcs.append((d, nxt))
             if arcs:
-                alive[i].add(state)
-                graph.layers[i][state] = arcs
-    for state in alive[k]:
-        graph.layers[k][state] = []
-    if automaton.initial not in alive[0]:
-        graph.count = 0
-        return graph
-
-    # path counts
-    graph.ip[0] = {automaton.initial: 1}
-    for i in range(k):
-        nxt_ip: dict[object, int] = {}
-        for state, arcs in graph.layers[i].items():
-            inc = graph.ip[i].get(state, 0)
-            if inc == 0:
-                continue
-            for _, nxt in arcs:
-                nxt_ip[nxt] = nxt_ip.get(nxt, 0) + inc
-        graph.ip[i + 1] = nxt_ip
-    graph.op[k] = {state: 1 for state in graph.layers[k]}
-    for i in range(k - 1, -1, -1):
-        cur_op: dict[object, int] = {}
-        for state, arcs in graph.layers[i].items():
-            total = 0
-            for _, nxt in arcs:
-                total += graph.op[i + 1].get(nxt, 0)
-            cur_op[state] = total
-        graph.op[i] = cur_op
-    graph.count = graph.op[0].get(automaton.initial, 0)
-    return graph
+                layers[i][state] = arcs
+    return LayeredGraph(layers, automaton.initial)
 
 
 class Regular(Constraint):
@@ -168,36 +197,12 @@ class Regular(Constraint):
     def check(self, values: Sequence[int]) -> bool:
         return self.automaton.accepts(values)
 
-    def _domains(self, model: Model) -> list[set[int]]:
-        return [model._domains[v.index] for v in self.scope]
-
     def propagate(self, model: Model) -> bool:
         domains = self._domains(model)
         graph = build_layered_graph(self.automaton, domains)
-        if graph.count == 0:
-            return False
-        for i, var in enumerate(self.scope):
-            supported = graph.supported_values(i)
-            for d in list(domains[i]):
-                if d not in supported:
-                    if not model.remove_value(var, d, self):
-                        return False
-        return True
+        return graph.filter(self, model, domains)
 
     def count_densities(self, model: Model) -> DensityTable:
         domains = self._domains(model)
         graph = build_layered_graph(self.automaton, domains)
-        densities: dict[tuple[int, int], float] = {}
-        if graph.count == 0:
-            for i, var in enumerate(self.scope):
-                for d in domains[i]:
-                    densities[(var.index, d)] = 0.0
-            return DensityTable(self, -math.inf, densities)
-        total = graph.count
-        for i, var in enumerate(self.scope):
-            weights = graph.arc_weights(i)
-            layer_total = sum(weights.values())
-            for d in domains[i]:
-                w = weights.get(d, 0)
-                densities[(var.index, d)] = w / layer_total if layer_total else 0.0
-        return DensityTable(self, math.log(total), densities)
+        return graph.density_table(self, domains)

@@ -165,19 +165,26 @@ def restart_search(
     scale: int = 100,
     timeout: Optional[float] = None,
     max_restarts: Optional[int] = None,
+    backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
-    """Geometric restarts: run i is cut off after scale * 2^i backtracks.
+    """Geometric restarts: run i is cut off after scale * 2^i backtracks,
+    or after what is left of ``backtrack_limit``, the total over all runs.
 
     The heuristic randomizes between its two best choices; learned
     state persists across runs.  A run that completes without hitting
     its cutoff proves unsat; otherwise only sat or timeout can be
     concluded.
     """
+    if scale < 1:
+        raise ValueError(f"restart scale must be at least 1, got {scale}")
 
     def walks(stats: SearchStats, deadline: Optional[float]) -> str:
         root = model.level
         while True:
-            budget = _Budget(deadline, scale * (2 ** stats.restarts))
+            cutoff = scale * (2 ** stats.restarts)
+            if backtrack_limit is not None:
+                cutoff = min(cutoff, backtrack_limit - stats.backtracks)
+            budget = _Budget(deadline, cutoff)
             outcome = _walk(model, heuristic, budget, randomized=True)
             stats.backtracks += budget.backtracks
             if outcome == SAT:
@@ -186,6 +193,8 @@ def restart_search(
                 return TIMEOUT
             if not budget.cut_off:
                 return UNSAT  # exhausted under the cutoff: real proof
+            if backtrack_limit is not None and stats.backtracks >= backtrack_limit:
+                return TIMEOUT
             model.backtrack_to(root)
             heuristic.on_restart()
             stats.restarts += 1
@@ -206,28 +215,28 @@ def lds(
 
     Wave w visits branches with discrepancy count in
     [w*skip, (w+1)*skip - 1]; waves continue until a solution, proof of
-    exhaustion, or timeout.
+    exhaustion, or timeout.  ``backtrack_limit`` caps the total over all
+    waves.
     """
+    if skip < 1:
+        raise ValueError(f"LDS skip must be at least 1, got {skip}")
 
     def walks(stats: SearchStats, deadline: Optional[float]) -> str:
         root = model.level
         max_disc = sum(max(0, model.size(v) - 1) for v in model.variables)
-        wave = 0
-        while wave * skip <= max_disc:
+        budget = _Budget(deadline, backtrack_limit)
+        for low in range(0, max_disc + 1, skip):
             if deadline is not None and time.monotonic() >= deadline:
                 return TIMEOUT
-            budget = _Budget(deadline, backtrack_limit)
-            low = wave * skip
-            high = (wave + 1) * skip - 1
+            high = low + skip - 1
             outcome = _walk(model, heuristic, budget, low=low, high=high)
-            stats.backtracks += budget.backtracks
+            stats.backtracks = budget.backtracks
             stats.max_discrepancy = high
             if outcome == SAT:
                 return SAT
             if budget.timed_out or budget.cut_off:
                 return TIMEOUT
             model.backtrack_to(root)
-            wave += 1
         return UNSAT
 
     return _search(model, timeout, walks)

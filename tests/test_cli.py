@@ -64,6 +64,18 @@ def test_usage_error_exit_code_is_three(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("option", ["--lds-skip", "--restart-scale"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_lds_skip_and_restart_scale_must_be_positive(
+    runner, tmp_path, command, option
+):
+    path = _write(tmp_path, "full.qwh", FULL_SQUARE)
+    target = path if command == "solve" else str(tmp_path)
+    result = runner.invoke(cli, [command, target, option, "0"])
+    assert result.exit_code == 2
+    assert option in result.output
+
+
 def test_densities_dump_with_exact(runner, tmp_path):
     path = _write(tmp_path, "holed.qwh", HOLED_SQUARE)
     result = runner.invoke(cli, ["densities", path, "--exact"])

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from countsearch.engine import CONSISTENT, WIPEOUT, Model
+from countsearch.knapsack import Knapsack, build_sum_graph
 from countsearch.oracle import exact_count_densities
 from countsearch.regular import Automaton, Regular, build_layered_graph
 
@@ -41,12 +42,43 @@ def test_layered_graph_counts_fibonacci():
         assert graph.count == fib[k + 1]
 
 
-def test_layered_graph_weights_partition_count():
-    a = stretch_dfa()
-    domains = [{0, 1}] * 5
-    graph = build_layered_graph(a, domains)
-    for i in range(5):
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_layered_graph(stretch_dfa(), [{0, 1}] * 5),
+        lambda: build_sum_graph(
+            (3, 1, 2, 1), [{0, 1, 2}, {0, 1, 3}, {0, 1, 2}, {1, 2}], 5, 8
+        ),
+    ],
+    ids=["regular", "knapsack"],
+)
+def test_layered_graph_weights_partition_count(build):
+    # every path crosses each layer once: density_table divides by count
+    graph = build()
+    assert graph.count > 0
+    for i in range(len(graph.layers) - 1):
         assert sum(graph.arc_weights(i).values()) == graph.count
+
+
+@pytest.mark.parametrize(
+    "domains, post",
+    [
+        # the only word is 1 1, which has two consecutive ones
+        ([{1}, {1}], lambda xs: Regular(xs, stretch_dfa())),
+        # two 0/1 terms never sum to 5
+        ([{0, 1}, {0, 1}], lambda xs: Knapsack(xs, [1, 1], 5, 5)),
+    ],
+    ids=["regular", "knapsack"],
+)
+def test_infeasible_domains_give_zero_density_table(domains, post):
+    m = Model()
+    xs = [m.new_variable(set(d)) for d in domains]
+    c = m.add(post(xs))
+    table = c.count_densities(m)
+    assert table.log_count == -math.inf
+    assert table.densities == {
+        (x.index, d): 0.0 for x, dom in zip(xs, domains) for d in dom
+    }
 
 
 def test_filter_reaches_domain_consistency():

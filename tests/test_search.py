@@ -227,3 +227,37 @@ def test_search_has_no_depth_limit(driver):
     stats = DRIVERS[driver](m, Dom(m, random.Random(0)))
     assert stats.status == SAT
     assert len(stats.solution) == 1500
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_backtrack_limit_caps_the_whole_search(driver):
+    # 5 pigeons in 4 holes: dfs needs 24 backtracks, lds 312 over its
+    # waves and restarts from scale 1 need five runs, so a cap of 10 binds
+    # in every driver, and in lds and restarts only across waves or runs
+    m = Model()
+    xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
+    m.add(AllDifferent(xs, consistency="fc"))
+    wipeouts = []  # one per backtrack, counted apart from the driver
+    m.on_wipeout(wipeouts.append)
+    scale = {"scale": 1} if driver == "restart" else {}
+    stats = DRIVERS[driver](
+        m, Dom(m, random.Random(0)), timeout=5.0, backtrack_limit=10, **scale
+    )
+    assert stats.status == TIMEOUT
+    assert stats.backtracks == len(wipeouts) == 10
+
+
+@pytest.mark.parametrize(
+    "driver, bad",
+    [
+        pytest.param("lds", {"skip": 0}, id="lds-skip0"),
+        pytest.param("lds", {"skip": -1}, id="lds-skip-1"),
+        pytest.param("restart", {"scale": 0}, id="restart-scale0"),
+    ],
+)
+def test_rejects_window_or_cutoff_that_never_proves_unsat(driver, bad):
+    # skip 0 repeats the empty window [0, -1] and scale 0 cuts every run
+    # off before it can finish, so neither could ever answer unsat
+    m = _pigeonhole()
+    with pytest.raises(ValueError):
+        DRIVERS[driver](m, Dom(m, random.Random(0)), timeout=1.0, **bad)
