@@ -18,7 +18,15 @@ from .engine import (
     Model,
     Variable,
 )
-from .factors import bm_log_factor, lb_log_bound
+from .factors import (
+    BM_TABLE_SIZE,
+    LB_TABLE_SIZE,
+    bm_log_factor,
+    bm_table,
+    lb_log_bound,
+    lb_log_bound_hist,
+    lb_table,
+)
 
 
 def _log_norm(raw: dict[int, float]) -> dict[int, float]:
@@ -70,21 +78,28 @@ def alldiff_density_table(
 ) -> DensityTable:
     """Bound-based densities via FC probes, normalized per variable.
 
-    The Bregman-Minc side reuses the root bound through incremental
-    per-row factor ratios over the rows a probe touches; the Liang-Bai
-    side is recomputed from the probed row sums (its factors depend on
-    the sorted position, which a probe can shuffle).
+    A probe (i, d) binds variable i to d and removes d from the other
+    domains holding it.  Neither bound is rebuilt per probe; both start
+    from the root rows.  The Bregman-Minc side adds the per-row factor
+    changes of the rows the probe touches.  The Liang-Bai side copies a
+    histogram of the root row sums, moves the touched rows between its
+    buckets and reads the bound off it with ``lb_log_bound_hist``, which
+    gives the same float as ``lb_log_bound`` on the probe's rows.
     """
     rows, p, u = padded_rows(domains)
-    n = len(domains)
-    pad_log = math.lgamma(p + 1)
     if any(r == 0 for r in rows):
         return DensityTable(constraint, -math.inf, {})
+    pad_log = math.lgamma(p + 1)
+    bm = bm_table(max(u, BM_TABLE_SIZE))
+    lb = lb_table(max(len(rows), LB_TABLE_SIZE))
+    bm_root = sum(bm[r] for r in rows) - pad_log
+    log_count = min(bm_root, lb_log_bound(rows) - pad_log)
+    root_hist = [0] * (max(rows, default=1) + 1)
+    for r in rows:
+        root_hist[r] += 1
 
-    bm_root = sum(bm_log_factor(r) for r in rows) - pad_log
     densities: dict[tuple[int, int], float] = {}
     scope = constraint.scope
-    log_count = alldiff_log_count(domains)
 
     # index values to the rows containing them, for probe deltas
     holders: dict[int, list[int]] = {}
@@ -93,32 +108,32 @@ def alldiff_density_table(
             holders.setdefault(d, []).append(k)
 
     for i, dom in enumerate(domains):
-        if len(dom) == 1:
+        size_i = rows[i]
+        if size_i == 1:
             densities[(scope[i].index, next(iter(dom)))] = 1.0
             continue
-        var_ub = bm_root + bm_log_factor(1) - bm_log_factor(len(dom))
+        var_ub = bm_root + bm[1] - bm[size_i]
         raw: dict[int, float] = {}
         for d in sorted(dom):
+            hist = root_hist.copy()
+            hist[size_i] -= 1
+            hist[1] += 1
             wipe = False
             delta = 0.0
             for k in holders[d]:
                 if k == i:
                     continue
-                size = len(domains[k])
+                size = rows[k]
                 if size == 1:
                     wipe = True
                     break
-                delta += bm_log_factor(size - 1) - bm_log_factor(size)
+                delta += bm[size - 1] - bm[size]
+                hist[size] -= 1
+                hist[size - 1] += 1
             if wipe:
                 raw[d] = -math.inf
                 continue
-            bm_probe = var_ub + delta
-            probe_rows = [
-                1 if k == i else (len(dk) - 1 if d in dk else len(dk))
-                for k, dk in enumerate(domains)
-            ] + [u] * p
-            lb_probe = lb_log_bound(probe_rows) - pad_log
-            raw[d] = min(bm_probe, lb_probe)
+            raw[d] = min(var_ub + delta, lb_log_bound_hist(hist, lb) - pad_log)
         for d, sigma in _log_norm(raw).items():
             densities[(scope[i].index, d)] = sigma
     return DensityTable(constraint, log_count, densities)

@@ -79,7 +79,7 @@ _common = [
                  show_default=True, help="Discrepancies added per LDS wave."),
     click.option("--timeout", type=float, default=1200.0, show_default=True,
                  help="Time budget in seconds."),
-    click.option("--backtracks", type=int, default=None,
+    click.option("--backtracks", type=click.IntRange(min=0), default=None,
                  help="Backtrack budget."),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
@@ -215,7 +215,7 @@ def _bench_job(args):
 @click.option("--lds-skip", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("--timeout", type=float, default=1200.0, show_default=True)
-@click.option("--backtracks", type=int, default=None)
+@click.option("--backtracks", type=click.IntRange(min=0), default=None)
 @click.option("--seeds", default="0", show_default=True,
               help="Comma-separated seed list.")
 @click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),

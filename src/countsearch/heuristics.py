@@ -24,7 +24,10 @@ Pair = tuple[Variable, int]
 class Heuristic:
     """Base class; concrete selectors override ``choose``."""
 
-    #: set by the search driver so stateful heuristics can learn
+    #: whether ``observe`` wants impacts; the search drivers measure the
+    #: search space around each left branch only for heuristics that do
+    uses_impact = False
+
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         self.model = model
         self.rng = rng or random.Random(0)
@@ -91,12 +94,16 @@ def _pair_densities(
 ) -> list[tuple[DensityTable, int, int, float]]:
     """All (table, var_index, value, density) entries for unbound vars."""
     out = []
+    domains = model._domains
     for table in tables:
+        density = table.densities.get
         for var in table.constraint.scope:
-            if model.is_bound(var):
+            vi = var.index
+            dom = domains[vi]
+            if len(dom) == 1:
                 continue
-            for d in model.domain_sorted(var):
-                out.append((table, var.index, d, table.density(var, d)))
+            for d in sorted(dom):
+                out.append((table, vi, d, density((vi, d), 0.0)))
     return out
 
 
@@ -306,6 +313,7 @@ class Ibs(Heuristic):
     """Impact-based search with root probing and top-5 re-probing."""
 
     RE_PROBE = 5
+    uses_impact = True
 
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         super().__init__(model, rng)
@@ -412,6 +420,7 @@ class VarThenValue(Heuristic):
         super().__init__(model, rng)
         self.var_rule = var_rule
         self.value_rule = value_rule
+        self.uses_impact = var_rule.uses_impact
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
         pick = self.var_rule.choose(model, randomized)

@@ -46,17 +46,28 @@ class _Budget:
         self.cut_off = False
 
     def note_backtrack(self) -> None:
-        self.backtracks += 1
-        if (
-            self.backtrack_limit is not None
-            and self.backtracks >= self.backtrack_limit
-        ):
+        """Count a failure as a backtrack; cut off at the limit.
+
+        A failure that the limit leaves no backtrack for is not counted,
+        so a limit of 0 stops the search at its first failure.
+        """
+        limit = self.backtrack_limit
+        if limit is None or self.backtracks < limit:
+            self.backtracks += 1
+        if limit is not None and self.backtracks >= limit:
             self.cut_off = True
 
     def exhausted(self) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
         return self.timed_out or self.cut_off
+
+
+def _check_backtrack_limit(backtrack_limit: Optional[int]) -> None:
+    if backtrack_limit is not None and backtrack_limit < 0:
+        raise ValueError(
+            f"backtrack limit must be nonnegative, got {backtrack_limit}"
+        )
 
 
 def _observe(heuristic: Heuristic, model, var, value, before, status) -> None:
@@ -85,6 +96,7 @@ def _walk(
     # untried right branches, deepest last: (var, value, level, low, high)
     # with the level and window of the node that made the decision
     open_right: list = []
+    learns = heuristic.uses_impact
     while True:
         # at a consistent node whose subtree has window [low, high]
         if budget.exhausted():
@@ -96,9 +108,10 @@ def _walk(
         else:
             var, value = pick
             open_right.append((var, value, model.level, low, high))
-            before = model.log_search_space()
+            before = model.log_search_space() if learns else None
             status = model.push_decision("assign", var, value)
-            _observe(heuristic, model, var, value, before, status)
+            if learns:
+                _observe(heuristic, model, var, value, before, status)
             if status == CONSISTENT:
                 continue
             budget.note_backtrack()
@@ -147,6 +160,7 @@ def dfs(
     backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
     """Depth-first search; left branch x=d, right branch x!=d."""
+    _check_backtrack_limit(backtrack_limit)
 
     def walks(stats: SearchStats, deadline: Optional[float]) -> str:
         budget = _Budget(deadline, backtrack_limit)
@@ -177,6 +191,7 @@ def restart_search(
     """
     if scale < 1:
         raise ValueError(f"restart scale must be at least 1, got {scale}")
+    _check_backtrack_limit(backtrack_limit)
 
     def walks(stats: SearchStats, deadline: Optional[float]) -> str:
         root = model.level
@@ -220,6 +235,7 @@ def lds(
     """
     if skip < 1:
         raise ValueError(f"LDS skip must be at least 1, got {skip}")
+    _check_backtrack_limit(backtrack_limit)
 
     def walks(stats: SearchStats, deadline: Optional[float]) -> str:
         root = model.level

@@ -4,16 +4,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countsearch.alldiff import (
     AllDifferent,
     SymmetricAllDifferent,
+    _log_norm,
+    alldiff_density_table,
     alldiff_log_count,
+    padded_rows,
     sym_matching_log_bound,
 )
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
+from countsearch.factors import bm_log_factor, lb_log_bound
 from countsearch.oracle import (
     count_perfect_matchings,
     exact_count_densities,
@@ -130,6 +134,67 @@ def test_counting_is_sound_property(seed):
     count, _ = exact_count_densities(c, domains)
     bound = math.exp(alldiff_log_count(domains))
     assert count == 0 or bound + 1e-9 >= count
+
+
+def _reference_density_table(domains):
+    """(log count, densities) computed probe by probe from rebuilt rows:
+    each probe's row sums are listed in full and bounded by
+    ``lb_log_bound``, the Bregman-Minc bound is updated from the root by
+    the touched rows' factors, and the two are combined by min."""
+    rows, p, u = padded_rows(domains)
+    if any(r == 0 for r in rows):
+        return -math.inf, {}
+    pad_log = math.lgamma(p + 1)
+    bm_root = sum(bm_log_factor(r) for r in rows) - pad_log
+    log_count = min(bm_root, lb_log_bound(rows) - pad_log)
+    densities = {}
+    for i, dom in enumerate(domains):
+        if len(dom) == 1:
+            densities[(i, next(iter(dom)))] = 1.0
+            continue
+        var_ub = bm_root + bm_log_factor(1) - bm_log_factor(len(dom))
+        raw = {}
+        for d in sorted(dom):
+            others = [k for k, dk in enumerate(domains) if k != i and d in dk]
+            if any(len(domains[k]) == 1 for k in others):
+                raw[d] = -math.inf
+                continue
+            delta = 0.0
+            for k in others:
+                size = len(domains[k])
+                delta += bm_log_factor(size - 1) - bm_log_factor(size)
+            probe_rows = [
+                1 if k == i else (len(dk) - 1 if d in dk else len(dk))
+                for k, dk in enumerate(domains)
+            ] + [u] * p
+            raw[d] = min(var_ub + delta, lb_log_bound(probe_rows) - pad_log)
+        for d, sigma in _log_norm(raw).items():
+            densities[(i, d)] = sigma
+    return log_count, densities
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(1, 12), min_size=0, max_size=12),
+        min_size=0,
+        max_size=10,
+    )
+)
+@example([{1, 2, 3, 4, 5}, {1, 2}, {2, 3}])  # union 5 > 3 variables: padded
+@example([{1}, {1, 2}, {1, 2, 3}])  # probing x1 = 1 or x2 = 1 wipes out x0
+@example([{1, 2}, set()])  # an empty domain: no probes at all
+@example([])  # an empty scope
+@example([set(range(1, 70)), {1, 2}, {2, 3}])  # 69 rows: past the shared table
+def test_density_table_equals_rebuilt_row_reference(domains):
+    m = Model()
+    xs = [m.new_variable(d or {0}) for d in domains]
+    c = AllDifferent(xs)
+    table = alldiff_density_table(c, domains)
+    log_count, densities = _reference_density_table(domains)
+    # exact equality: a last-bit change can flip an exact tie in maxSD
+    assert table.log_count == log_count
+    assert table.densities == densities
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,9 @@ from countsearch.cli import CSV_HEADER, cli
 FULL_SQUARE = "3\n1 2 3\n2 3 1\n3 1 2\n"
 HOLED_SQUARE = "3\n1 0 3\n0 3 1\n3 1 0\n"
 UNSAT_SQUARE = "2\n0 0\n1 1\n"  # repeated value in the bottom row
+# row 1 has no column left for value 1, which forward checking only finds
+# by search: uncapped, maxSD proves unsat after 2 backtracks
+NO_FIT_SQUARE = "4\n0 0 1 0\n0 4 0 0\n0 0 0 1\n1 0 0 0\n"
 
 
 @pytest.fixture
@@ -74,6 +77,25 @@ def test_lds_skip_and_restart_scale_must_be_positive(
     result = runner.invoke(cli, [command, target, option, "0"])
     assert result.exit_code == 2
     assert option in result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_backtracks_must_be_nonnegative(runner, tmp_path, command):
+    path = _write(tmp_path, "full.qwh", FULL_SQUARE)
+    target = path if command == "solve" else str(tmp_path)
+    result = runner.invoke(cli, [command, target, "--backtracks", "-1"])
+    assert result.exit_code == 2
+    assert "--backtracks" in result.output
+
+
+def test_solve_with_zero_backtracks_stops_at_first_failure(runner, tmp_path):
+    path = _write(tmp_path, "nofit.qwh", NO_FIT_SQUARE)
+    args = ["solve", path, "--consistency", "fc"]
+    assert "backtracks: 2" in runner.invoke(cli, args).output
+    result = runner.invoke(cli, args + ["--backtracks", "0"])
+    assert result.exit_code == 2
+    assert "status:     timeout" in result.output
+    assert "backtracks: 0" in result.output
 
 
 def test_densities_dump_with_exact(runner, tmp_path):

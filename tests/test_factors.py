@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countsearch.factors import (
+    LB_TABLE_SIZE,
     bm_log_bound,
     bm_log_factor,
     lb_log_bound,
+    lb_log_bound_hist,
     lb_log_factor,
+    lb_table,
     lb_q,
     min_log_bound,
 )
@@ -26,6 +29,11 @@ def test_bm_factor_small_values():
 def test_bm_factor_rejects_negative():
     with pytest.raises(ValueError):
         bm_log_factor(-1)
+
+
+def test_lb_bound_rejects_negative():
+    with pytest.raises(ValueError):
+        lb_log_bound([2, -1])
 
 
 def test_lb_q_definition():
@@ -74,3 +82,26 @@ def test_min_bound_never_above_components(rows):
     m = min_log_bound(rows)
     assert m <= bm_log_bound(rows) + 1e-12
     assert m <= lb_log_bound(rows) + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 80), max_size=12))
+def test_lb_bound_equals_factor_loop(rows):
+    # row sums may exceed the row count, as in GCC's value graphs, and
+    # the shared table's size
+    expected = 0.0
+    for i, r in enumerate(sorted(rows), start=1):
+        if r == 0:
+            expected = -math.inf
+            break
+        expected += lb_log_factor(r, i)
+    assert lb_log_bound(rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, LB_TABLE_SIZE), max_size=LB_TABLE_SIZE))
+def test_lb_bound_from_histogram_equals_sorted_bound(rows):
+    hist = [0] * (max(rows, default=1) + 1)
+    for r in rows:
+        hist[r] += 1
+    assert lb_log_bound_hist(hist, lb_table(LB_TABLE_SIZE)) == lb_log_bound(rows)

@@ -23,6 +23,7 @@ from countsearch.heuristics import (
     make_heuristic,
 )
 from countsearch.knapsack import Knapsack
+from countsearch.search import SAT, dfs
 
 
 def golden_knapsack_model():
@@ -242,6 +243,34 @@ def test_ibs_observe_feeds_averages():
     h.observe(x, 1, 0.25)
     h.observe(x, 1, 0.75)
     assert h._avg(x.index, 1) == pytest.approx(0.5)
+
+
+def _free_alldiff(n=4):
+    m = Model()
+    xs = [m.new_variable(set(range(1, n + 1)), f"x{i}") for i in range(n)]
+    m.add(AllDifferent(xs))
+    return m
+
+
+@pytest.mark.parametrize("name", ["ibs", "ibs+maxSD"])
+def test_search_feeds_impacts_to_ibs(name):
+    m = _free_alldiff()
+    h = make_heuristic(name, m)
+    ibs = h if name == "ibs" else h.var_rule
+    impacts = []
+    ibs.observe = lambda var, value, impact: impacts.append(impact)
+    assert dfs(m, h).status == SAT
+    assert impacts
+    assert all(0.0 < impact <= 1.0 for impact in impacts)
+
+
+@pytest.mark.parametrize("name", [n for n in HEURISTIC_NAMES if "ibs" not in n])
+def test_search_skips_the_impact_scan_for_other_heuristics(name):
+    m = _free_alldiff()
+    scans = []
+    m.log_search_space = lambda: scans.append(m.level) or 0.0
+    assert dfs(m, make_heuristic(name, m)).status == SAT
+    assert scans == []
 
 
 def test_hybrid_var_and_value_split():

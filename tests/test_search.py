@@ -247,6 +247,39 @@ def test_backtrack_limit_caps_the_whole_search(driver):
     assert stats.backtracks == len(wipeouts) == 10
 
 
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_backtrack_limit_zero_stops_at_first_failure(driver):
+    m = Model()
+    xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
+    m.add(AllDifferent(xs, consistency="fc"))
+    wipeouts = []
+    m.on_wipeout(wipeouts.append)
+    scale = {"scale": 1} if driver == "restart" else {}
+    stats = DRIVERS[driver](
+        m, Dom(m, random.Random(0)), timeout=5.0, backtrack_limit=0, **scale
+    )
+    assert stats.status == TIMEOUT
+    assert stats.backtracks == 0
+    assert len(wipeouts) == 1
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_backtrack_limit_zero_allows_a_search_without_failures(driver):
+    m = Model()
+    xs = [m.new_variable({1, 2, 3}, f"x{i}") for i in range(3)]
+    m.add(AllDifferent(xs))
+    stats = DRIVERS[driver](m, MaxSD(m), backtrack_limit=0)
+    assert stats.status == SAT
+    assert stats.backtracks == 0
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_rejects_negative_backtrack_limit(driver):
+    m = _pigeonhole()
+    with pytest.raises(ValueError):
+        DRIVERS[driver](m, Dom(m, random.Random(0)), backtrack_limit=-1)
+
+
 @pytest.mark.parametrize(
     "driver, bad",
     [
