@@ -1,10 +1,11 @@
 """Benchmark problems: instances, file formats, generators, models.
 
-Eight problem kinds are supported: quasigroup-with-holes (qwh), magic
+Eight problem families are supported: quasigroup-with-holes (qwh), magic
 square completion (magic), nonograms, multi-dimensional knapsack
 (multiknap), market split (marketsplit), shift rostering (rostering),
 cost-constrained rostering (kprostering) and the travelling tournament
-problem with predefined venues (ttppv).
+problem with predefined venues (ttppv).  Each is one ``Family`` record in
+``FAMILIES``.
 
 All file formats are line-oriented text; ``#`` starts a comment.  The
 first five kinds are recognized by file extension, the last three by a
@@ -13,33 +14,17 @@ self-describing kind tag on the first line.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
-from .engine import Model
-from .knapsack import Knapsack
+from .engine import BOUNDS, Model
+from .heuristics import make_heuristic
+from .knapsack import GAUSSIAN, Knapsack
 from .regular import Automaton, Regular
-
-KINDS = (
-    "qwh",
-    "magic",
-    "nonogram",
-    "multiknap",
-    "marketsplit",
-    "rostering",
-    "kprostering",
-    "ttppv",
-)
-
-_EXTENSIONS = {
-    ".qwh": "qwh",
-    ".magic": "magic",
-    ".nonogram": "nonogram",
-    ".mknap": "multiknap",
-    ".msplit": "marketsplit",
-}
+from .search import SearchStats, dfs, lds, restart_search
 
 
 @dataclass
@@ -50,18 +35,52 @@ class Instance:
     status: Optional[str] = None  # "sat" when satisfiable by construction
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown instance kind {self.kind!r}")
-        _VALIDATORS[self.kind](self.payload)
+        FAMILIES[self.kind].validate(self.payload)
 
 
 class ParseError(ValueError):
     """Malformed instance file."""
 
 
+@dataclass(frozen=True)
+class Family:
+    """One problem family.  ``parse`` reads a file's data lines into a
+    payload and ``write`` returns them.  A ``tagged`` family's files start
+    with its kind, which ``parse`` and ``write`` leave out; other files
+    are recognized by ``ext``, which ``generate`` gives every file."""
+
+    kind: str
+    ext: str
+    tagged: bool
+    validate: Callable[[dict], None]
+    parse: Callable[[list[str]], dict]
+    write: Callable[[dict], list[str]]
+    build: Callable[[dict], Model]
+    generate: Callable[..., Instance]
+
+
 # ----------------------------------------------------------------------
-# payload validation
+# files
 # ----------------------------------------------------------------------
+def _data_lines(text: str) -> list[str]:
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
+def _ints(line: str) -> list[int]:
+    return [int(tok) for tok in line.split()]
+
+
+def _row(values) -> str:
+    return " ".join(map(str, values))
+
+
 def _check_grid(grid, rows, cols, low, high, what):
     if len(grid) != rows:
         raise ParseError(f"{what}: expected {rows} rows, got {len(grid)}")
@@ -73,6 +92,107 @@ def _check_grid(grid, rows, cols, low, high, what):
                 raise ParseError(f"{what} row {r}: value {v} out of range")
 
 
+def infer_kind(path: str, text: str) -> str:
+    for family in FAMILIES.values():
+        if not family.tagged and path.endswith(family.ext):
+            return family.kind
+    first = _data_lines(text)
+    if first:
+        family = FAMILIES.get(first[0].split()[0])
+        if family is not None and family.tagged:
+            return family.kind
+    raise ParseError(
+        f"cannot infer instance kind for {path!r}; use a known extension "
+        "or a tagged first line"
+    )
+
+
+def parse_instance(text: str, kind: str, name: str = "") -> Instance:
+    """Read an instance of ``kind``; any malformed text raises ParseError."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError("empty instance")
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ParseError(f"unknown kind {kind!r}")
+    if family.tagged:
+        tag, *rest = lines[0].split(None, 1)
+        if tag != kind:
+            raise ParseError(f"first line must start with {kind!r}")
+        lines[0] = rest[0] if rest else ""
+    try:
+        return Instance(kind, name or kind, family.parse(lines))
+    except ParseError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"malformed {kind} instance: {exc}") from None
+
+
+def load_instance(path: str, kind: Optional[str] = None) -> Instance:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a text file: {exc}") from None
+    kind = kind or infer_kind(path, text)
+    return parse_instance(text, kind, os.path.basename(path))
+
+
+def write_instance(instance: Instance) -> str:
+    family = FAMILIES[instance.kind]
+    lines = family.write(instance.payload)
+    if family.tagged:
+        lines[0] = f"{family.kind} {lines[0]}"
+    return "\n".join(lines) + "\n"
+
+
+def save_instance(instance: Instance, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(write_instance(instance))
+
+
+# ----------------------------------------------------------------------
+# models and jobs
+# ----------------------------------------------------------------------
+def build_model(instance: Instance) -> Model:
+    return FAMILIES[instance.kind].build(instance.payload)
+
+
+def apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None:
+    """Set every constraint's consistency, and every Knapsack's mode (the
+    Gaussian mode filters bounds only)."""
+    for c in model.constraints:
+        c.consistency = consistency
+        if isinstance(c, Knapsack):
+            c.mode = knapsack_mode
+            if knapsack_mode == GAUSSIAN:
+                c.consistency = BOUNDS
+
+
+def run_job(
+    instance: Instance, heuristic_name: str, seed: int, *, traversal: str,
+    restart_scale: int, lds_skip: int, timeout: float,
+    backtracks: Optional[int], consistency: str, knapsack_mode: str,
+) -> SearchStats:
+    """Model ``instance`` under the given consistency settings and search
+    it with ``heuristic_name`` (randomized by ``seed``) under
+    ``traversal``: "dfs", "restart" or "lds"."""
+    model = build_model(instance)
+    apply_overrides(model, consistency, knapsack_mode)
+    heuristic = make_heuristic(heuristic_name, model, random.Random(seed))
+    budget = {"timeout": timeout, "backtrack_limit": backtracks}
+    if traversal == "dfs":
+        return dfs(model, heuristic, **budget)
+    if traversal == "restart":
+        return restart_search(model, heuristic, scale=restart_scale, **budget)
+    if traversal == "lds":
+        return lds(model, heuristic, skip=lds_skip, **budget)
+    raise ValueError(f"unknown traversal {traversal!r}")
+
+
+# ----------------------------------------------------------------------
+# qwh and magic: an order line, then the grid (0 = empty)
+# ----------------------------------------------------------------------
 def _validate_square(payload):
     n = payload["n"]
     _check_grid(payload["grid"], n, n, 0, n, "grid")
@@ -86,389 +206,28 @@ def _validate_magic(payload):
         raise ParseError("magic square presets repeat a value")
 
 
-def _validate_nonogram(payload):
-    rows, cols = payload["rows"], payload["cols"]
-    if len(payload["row_clues"]) != rows or len(payload["col_clues"]) != cols:
-        raise ParseError("clue count does not match dimensions")
-    for clue, limit in [(c, cols) for c in payload["row_clues"]] + [
-        (c, rows) for c in payload["col_clues"]
-    ]:
-        need = sum(clue) + max(0, len(clue) - 1) if clue != [0] else 0
-        if need > limit:
-            raise ParseError(f"clue {clue} cannot fit in {limit} cells")
+def _parse_square(lines: list[str]) -> dict:
+    n = _ints(lines[0])[0]
+    return {"n": n, "grid": [_ints(line) for line in lines[1 : 1 + n]]}
 
 
-def _validate_multiknap(payload):
-    n, m = payload["n"], payload["m"]
-    if len(payload["objective"]) != n:
-        raise ParseError("objective length mismatch")
-    if len(payload["constraints"]) != m:
-        raise ParseError("constraint count mismatch")
-    for coeffs, cap in payload["constraints"]:
-        if len(coeffs) != n:
-            raise ParseError("constraint coefficient length mismatch")
-        if cap < 0:
-            raise ParseError("negative capacity")
+def _write_square(p: dict) -> list[str]:
+    return [str(p["n"])] + [_row(row) for row in p["grid"]]
 
 
-def _validate_marketsplit(payload):
-    m, n = payload["m"], payload["n"]
-    if len(payload["rows"]) != m:
-        raise ParseError("row count mismatch")
-    for coeffs, rhs in payload["rows"]:
-        if len(coeffs) != n:
-            raise ParseError("row length mismatch")
-
-
-def _validate_rostering(payload):
-    e, p, t = payload["employees"], payload["periods"], payload["tasks"]
-    if t < 1:
-        raise ParseError("need at least one task")
-    _check_grid(payload["grid"], e, p, -1, t, "grid")
-
-
-def _validate_kprostering(payload):
-    m, n, s = payload["employees"], payload["days"], payload["shifts"]
-    _check_grid(payload["costs"], m, n, 0, 10 ** 9, "costs")
-    if len(payload["targets"]) != m:
-        raise ParseError("target count mismatch")
-    for e, d, shift in payload["forbidden"]:
-        if not (0 <= e < m and 0 <= d < n and 0 <= shift < s):
-            raise ParseError(f"forbidden triple ({e},{d},{shift}) out of range")
-
-
-def _validate_ttppv(payload):
-    n = payload["n"]
-    if n % 2 or n < 4:
-        raise ParseError("team count must be even and at least 4")
-    venues = payload["venues"]
-    _check_grid(venues, n, n, 0, 1, "venues")
-    for i in range(n):
-        for j in range(n):
-            if i != j and venues[i][j] == venues[j][i]:
-                raise ParseError("venue table must be antisymmetric")
-
-
-_VALIDATORS = {
-    "qwh": _validate_square,
-    "magic": _validate_magic,
-    "nonogram": _validate_nonogram,
-    "multiknap": _validate_multiknap,
-    "marketsplit": _validate_marketsplit,
-    "rostering": _validate_rostering,
-    "kprostering": _validate_kprostering,
-    "ttppv": _validate_ttppv,
-}
-
-
-# ----------------------------------------------------------------------
-# parsing / writing
-# ----------------------------------------------------------------------
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
-def _ints(line: str, where: str) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-
-
-def infer_kind(path: str, text: str) -> str:
-    for ext, kind in _EXTENSIONS.items():
-        if path.endswith(ext):
-            return kind
-    first = _data_lines(text)
-    if first:
-        tag = first[0].split()[0]
-        if tag in ("rostering", "kprostering", "ttppv"):
-            return tag
-    raise ParseError(
-        f"cannot infer instance kind for {path!r}; use a known extension "
-        "or a tagged first line"
-    )
-
-
-def parse_instance(text: str, kind: str, name: str = "") -> Instance:
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty instance")
-    try:
-        parser = _PARSERS[kind]
-    except KeyError:
-        raise ParseError(f"unknown kind {kind!r}") from None
-    return parser(lines, name or kind)
-
-
-def load_instance(path: str, kind: Optional[str] = None) -> Instance:
-    with open(path) as fh:
-        text = fh.read()
-    kind = kind or infer_kind(path, text)
-    import os
-
-    return parse_instance(text, kind, os.path.basename(path))
-
-
-def _parse_square(kind):
-    def parse(lines: list[str], name: str) -> Instance:
-        n = _ints(lines[0], "line 1")[0]
-        if len(lines) < 1 + n:
-            raise ParseError(f"expected {n} grid rows")
-        grid = [_ints(lines[1 + i], f"row {i + 1}") for i in range(n)]
-        return Instance(kind, name, {"n": n, "grid": grid})
-
-    return parse
-
-
-def _parse_nonogram(lines: list[str], name: str) -> Instance:
-    rows, cols = _ints(lines[0], "line 1")[:2]
-    if len(lines) < 1 + rows + cols:
-        raise ParseError(f"expected {rows}+{cols} clue lines")
-    row_clues = [_ints(lines[1 + i], f"row clue {i}") for i in range(rows)]
-    col_clues = [
-        _ints(lines[1 + rows + j], f"col clue {j}") for j in range(cols)
+def _cells(m: Model, grid, values) -> list[list]:
+    """One variable per grid cell: its preset value, or else ``values``."""
+    return [
+        [m.new_variable({v} if v else values, f"x{r}_{c}")
+         for c, v in enumerate(row)]
+        for r, row in enumerate(grid)
     ]
-    payload = {
-        "rows": rows,
-        "cols": cols,
-        "row_clues": [c or [0] for c in row_clues],
-        "col_clues": [c or [0] for c in col_clues],
-    }
-    return Instance("nonogram", name, payload)
-
-
-def _parse_multiknap(lines: list[str], name: str) -> Instance:
-    n, m, optimum = _ints(lines[0], "line 1")[:3]
-    objective = _ints(lines[1], "objective")
-    constraints = []
-    for i in range(m):
-        row = _ints(lines[2 + i], f"constraint {i}")
-        constraints.append((row[:-1], row[-1]))
-    payload = {
-        "n": n,
-        "m": m,
-        "optimum": optimum,
-        "objective": objective,
-        "constraints": constraints,
-    }
-    return Instance("multiknap", name, payload)
-
-
-def _parse_marketsplit(lines: list[str], name: str) -> Instance:
-    m, n = _ints(lines[0], "line 1")[:2]
-    rows = []
-    for i in range(m):
-        row = _ints(lines[1 + i], f"row {i}")
-        rows.append((row[:-1], row[-1]))
-    return Instance("marketsplit", name, {"m": m, "n": n, "rows": rows})
-
-
-def _parse_rostering(lines: list[str], name: str) -> Instance:
-    head = lines[0].split()
-    e, p, t = int(head[1]), int(head[2]), int(head[3])
-    grid = [_ints(lines[1 + i], f"row {i}") for i in range(e)]
-    payload = {"employees": e, "periods": p, "tasks": t, "grid": grid}
-    return Instance("rostering", name, payload)
-
-
-def _parse_kprostering(lines: list[str], name: str) -> Instance:
-    head = lines[0].split()
-    m, n, s = int(head[1]), int(head[2]), int(head[3])
-    costs = [_ints(lines[1 + i], f"costs {i}") for i in range(m)]
-    targets = _ints(lines[1 + m], "targets")
-    forbidden = [tuple(_ints(l, "forbidden")) for l in lines[2 + m :]]
-    payload = {
-        "employees": m,
-        "days": n,
-        "shifts": s,
-        "costs": costs,
-        "targets": targets,
-        "forbidden": forbidden,
-    }
-    return Instance("kprostering", name, payload)
-
-
-def _parse_ttppv(lines: list[str], name: str) -> Instance:
-    n = int(lines[0].split()[1])
-    venues = [_ints(lines[1 + i], f"venues {i}") for i in range(n)]
-    return Instance("ttppv", name, {"n": n, "venues": venues})
-
-
-_PARSERS = {
-    "qwh": _parse_square("qwh"),
-    "magic": _parse_square("magic"),
-    "nonogram": _parse_nonogram,
-    "multiknap": _parse_multiknap,
-    "marketsplit": _parse_marketsplit,
-    "rostering": _parse_rostering,
-    "kprostering": _parse_kprostering,
-    "ttppv": _parse_ttppv,
-}
-
-
-def write_instance(instance: Instance) -> str:
-    p = instance.payload
-    lines: list[str] = []
-    if instance.kind in ("qwh", "magic"):
-        lines.append(str(p["n"]))
-        lines.extend(" ".join(map(str, row)) for row in p["grid"])
-    elif instance.kind == "nonogram":
-        lines.append(f"{p['rows']} {p['cols']}")
-        lines.extend(" ".join(map(str, c)) for c in p["row_clues"])
-        lines.extend(" ".join(map(str, c)) for c in p["col_clues"])
-    elif instance.kind == "multiknap":
-        lines.append(f"{p['n']} {p['m']} {p['optimum']}")
-        lines.append(" ".join(map(str, p["objective"])))
-        for coeffs, cap in p["constraints"]:
-            lines.append(" ".join(map(str, list(coeffs) + [cap])))
-    elif instance.kind == "marketsplit":
-        lines.append(f"{p['m']} {p['n']}")
-        for coeffs, rhs in p["rows"]:
-            lines.append(" ".join(map(str, list(coeffs) + [rhs])))
-    elif instance.kind == "rostering":
-        lines.append(
-            f"rostering {p['employees']} {p['periods']} {p['tasks']}"
-        )
-        lines.extend(" ".join(map(str, row)) for row in p["grid"])
-    elif instance.kind == "kprostering":
-        lines.append(
-            f"kprostering {p['employees']} {p['days']} {p['shifts']}"
-        )
-        lines.extend(" ".join(map(str, row)) for row in p["costs"])
-        lines.append(" ".join(map(str, p["targets"])))
-        lines.extend(" ".join(map(str, t)) for t in p["forbidden"])
-    elif instance.kind == "ttppv":
-        lines.append(f"ttppv {p['n']}")
-        lines.extend(" ".join(map(str, row)) for row in p["venues"])
-    return "\n".join(lines) + "\n"
-
-
-def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(write_instance(instance))
-
-
-# ----------------------------------------------------------------------
-# DFA compilers
-# ----------------------------------------------------------------------
-def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
-    """DFA over {0,1} accepting exactly the placements of the clue's
-    blocks (run lengths in order, separated by at least one blank)."""
-    blocks = [b for b in clue if b > 0]
-    if not blocks:
-        trans = {("z", 0): "z"}
-        return Automaton(trans, "z", ["z"])
-    trans: dict[tuple[object, int], object] = {}
-    start = ("gap", 0)
-    trans[(start, 0)] = start
-    trans[(start, 1)] = ("blk", 0, 1)
-    last = len(blocks) - 1
-    for j, length in enumerate(blocks):
-        for i in range(1, length + 1):
-            state = ("blk", j, i)
-            if i < length:
-                trans[(state, 1)] = ("blk", j, i + 1)
-            else:
-                if j == last:
-                    trans[(state, 0)] = ("done",)
-                else:
-                    trans[(state, 0)] = ("gap", j + 1)
-        if j > 0:
-            gap = ("gap", j)
-            trans[(gap, 0)] = gap
-            trans[(gap, 1)] = ("blk", j, 1)
-    trans[(("done",), 0)] = ("done",)
-    accepting = [("blk", last, blocks[last]), ("done",)]
-    return Automaton(trans, start, accepting)
-
-
-BREAK = 0
-
-
-def rostering_dfa(n_tasks: int) -> Automaton:
-    """Rostering rules over symbols 0 (break) and 1..n_tasks.
-
-    Consecutive periods must carry equal or adjacent task numbers, a
-    break may follow any task, and immediately after a break run the
-    task preceding the break's predecessor task is forbidden.
-    """
-    trans: dict[tuple[object, int], object] = {}
-    start = ("start",)
-    trans[(start, BREAK)] = ("brk", 0)
-    for a in range(1, n_tasks + 1):
-        trans[(start, a)] = ("task", a)
-        trans[(("task", a), BREAK)] = ("brk", a)
-        for b in range(1, n_tasks + 1):
-            if b == a or abs(b - a) == 1:
-                trans[(("task", a), b)] = ("task", b)
-    for t in range(0, n_tasks + 1):
-        brk = ("brk", t)
-        trans[(brk, BREAK)] = brk
-        for b in range(1, n_tasks + 1):
-            if t > 0 and b == t - 1:
-                continue
-            trans[(brk, b)] = ("task", b)
-    states = {start, ("brk", 0)}
-    for (q, _), q2 in trans.items():
-        states.add(q)
-        states.add(q2)
-    return Automaton(trans, start, list(states))
-
-
-def ttppv_pattern_dfa(
-    team: int, venues: Sequence[Sequence[int]], max_run: int = 3
-) -> Automaton:
-    """DFA over opponent ids forbidding more than ``max_run`` consecutive
-    home (or away) rounds for ``team`` under the predefined venues."""
-    n = len(venues)
-    opponents = [o for o in range(n) if o != team]
-    # symbols are 1-based team numbers, matching the model variables
-    trans: dict[tuple[object, int], object] = {}
-    start = ("start",)
-    states = {start}
-    for o in opponents:
-        home = venues[team][o]
-        trans[(start, o + 1)] = (home, 1)
-        states.add((home, 1))
-    for home in (0, 1):
-        for run in range(1, max_run + 1):
-            state = (home, run)
-            states.add(state)
-            for o in opponents:
-                v = venues[team][o]
-                if v == home:
-                    if run < max_run:
-                        trans[(state, o + 1)] = (home, run + 1)
-                else:
-                    trans[(state, o + 1)] = (v, 1)
-    return Automaton(trans, start, list(states))
-
-
-# ----------------------------------------------------------------------
-# model builders
-# ----------------------------------------------------------------------
-def build_model(instance: Instance) -> Model:
-    return _BUILDERS[instance.kind](instance.payload)
 
 
 def _build_qwh(payload: dict) -> Model:
-    n, grid = payload["n"], payload["grid"]
+    n = payload["n"]
     m = Model()
-    cells = [
-        [
-            m.new_variable(
-                {grid[r][c]} if grid[r][c] else range(1, n + 1), f"x{r}_{c}"
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
+    cells = _cells(m, payload["grid"], range(1, n + 1))
     for r in range(n):
         m.add(AllDifferent(cells[r]))
     for c in range(n):
@@ -477,19 +236,10 @@ def _build_qwh(payload: dict) -> Model:
 
 
 def _build_magic(payload: dict) -> Model:
-    n, grid = payload["n"], payload["grid"]
+    n = payload["n"]
     target = n * (n * n + 1) // 2
     m = Model()
-    cells = [
-        [
-            m.new_variable(
-                {grid[r][c]} if grid[r][c] else range(1, n * n + 1),
-                f"x{r}_{c}",
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
+    cells = _cells(m, payload["grid"], range(1, n * n + 1))
     flat = [v for row in cells for v in row]
     m.add(AllDifferent(flat))
     ones = [1] * n
@@ -506,116 +256,6 @@ def _build_magic(payload: dict) -> Model:
     return m
 
 
-def _build_nonogram(payload: dict) -> Model:
-    rows, cols = payload["rows"], payload["cols"]
-    m = Model()
-    cells = [
-        [m.new_variable({0, 1}, f"x{r}_{c}") for c in range(cols)]
-        for r in range(rows)
-    ]
-    for r, clue in enumerate(payload["row_clues"]):
-        m.add(Regular(cells[r], nonogram_clue_dfa(clue)))
-    for c, clue in enumerate(payload["col_clues"]):
-        m.add(Regular([cells[r][c] for r in range(rows)], nonogram_clue_dfa(clue)))
-    return m
-
-
-def _build_multiknap(payload: dict) -> Model:
-    n = payload["n"]
-    m = Model()
-    xs = [m.new_variable({0, 1}, f"x{j}") for j in range(n)]
-    opt = payload["optimum"]
-    m.add(Knapsack(xs, payload["objective"], opt, opt))
-    for coeffs, cap in payload["constraints"]:
-        m.add(Knapsack(xs, coeffs, 0, cap))
-    return m
-
-
-def _build_marketsplit(payload: dict) -> Model:
-    n = payload["n"]
-    m = Model()
-    xs = [m.new_variable({0, 1}, f"x{j}") for j in range(n)]
-    for coeffs, rhs in payload["rows"]:
-        m.add(Knapsack(xs, coeffs, rhs, rhs))
-    return m
-
-
-def _build_rostering(payload: dict) -> Model:
-    e, p, t = payload["employees"], payload["periods"], payload["tasks"]
-    grid = payload["grid"]
-    m = Model()
-    values = set(range(0, t + 1))  # 0 = break
-    vars_ = [
-        [
-            m.new_variable(
-                {grid[i][j]} if grid[i][j] >= 0 else values, f"e{i}_p{j}"
-            )
-            for j in range(p)
-        ]
-        for i in range(e)
-    ]
-    dfa = rostering_dfa(t)
-    for i in range(e):
-        m.add(Regular(vars_[i], dfa))
-    for j in range(p):
-        m.add(AllDifferent([vars_[i][j] for i in range(e)]))
-    return m
-
-
-def _build_kprostering(payload: dict) -> Model:
-    emp, days, shifts = payload["employees"], payload["days"], payload["shifts"]
-    forbidden = {(e, d): set() for e in range(emp) for d in range(days)}
-    for e, d, s in payload["forbidden"]:
-        forbidden[(e, d)].add(s)
-    m = Model()
-    for e in range(emp):
-        xs = []
-        for d in range(days):
-            dom = set(range(shifts)) - forbidden[(e, d)]
-            xs.append(m.new_variable(dom, f"e{e}_d{d}"))
-        target = payload["targets"][e]
-        m.add(Knapsack(xs, payload["costs"][e], target, target))
-    return m
-
-
-def _build_ttppv(payload: dict) -> Model:
-    n = payload["n"]
-    venues = payload["venues"]
-    rounds = n - 1
-    m = Model()
-    opp = [
-        [
-            m.new_variable(
-                [o + 1 for o in range(n) if o != t], f"t{t}_r{r}"
-            )
-            for r in range(rounds)
-        ]
-        for t in range(n)
-    ]
-    for t in range(n):
-        m.add(AllDifferent(opp[t]))
-        m.add(Regular(opp[t], ttppv_pattern_dfa(t, venues)))
-    for r in range(rounds):
-        # scope position i stands for team i+1 in the pairing constraint
-        m.add(SymmetricAllDifferent([opp[t][r] for t in range(n)]))
-    return m
-
-
-_BUILDERS = {
-    "qwh": _build_qwh,
-    "magic": _build_magic,
-    "nonogram": _build_nonogram,
-    "multiknap": _build_multiknap,
-    "marketsplit": _build_marketsplit,
-    "rostering": _build_rostering,
-    "kprostering": _build_kprostering,
-    "ttppv": _build_ttppv,
-}
-
-
-# ----------------------------------------------------------------------
-# generators
-# ----------------------------------------------------------------------
 def _random_latin_square(n: int, rng: random.Random) -> list[list[int]]:
     base = [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
     rows = list(range(n))
@@ -686,6 +326,82 @@ def generate_magic(
     )
 
 
+# ----------------------------------------------------------------------
+# nonogram: "rows cols", then one clue line per row and per column
+# ----------------------------------------------------------------------
+def _validate_nonogram(payload):
+    rows, cols = payload["rows"], payload["cols"]
+    if len(payload["row_clues"]) != rows or len(payload["col_clues"]) != cols:
+        raise ParseError("clue count does not match dimensions")
+    for clue, limit in [(c, cols) for c in payload["row_clues"]] + [
+        (c, rows) for c in payload["col_clues"]
+    ]:
+        need = sum(clue) + max(0, len(clue) - 1) if clue != [0] else 0
+        if need > limit:
+            raise ParseError(f"clue {clue} cannot fit in {limit} cells")
+
+
+def _parse_nonogram(lines: list[str]) -> dict:
+    rows, cols = _ints(lines[0])[:2]
+    clues = [_ints(line) for line in lines[1 : 1 + rows + cols]]
+    return {
+        "rows": rows,
+        "cols": cols,
+        "row_clues": clues[:rows],
+        "col_clues": clues[rows:],
+    }
+
+
+def _write_nonogram(p: dict) -> list[str]:
+    clues = p["row_clues"] + p["col_clues"]
+    return [f"{p['rows']} {p['cols']}"] + [_row(c) for c in clues]
+
+
+def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
+    """DFA over {0,1} accepting exactly the placements of the clue's
+    blocks (run lengths in order, separated by at least one blank)."""
+    blocks = [b for b in clue if b > 0]
+    if not blocks:
+        trans = {("z", 0): "z"}
+        return Automaton(trans, "z", ["z"])
+    trans: dict[tuple[object, int], object] = {}
+    start = ("gap", 0)
+    trans[(start, 0)] = start
+    trans[(start, 1)] = ("blk", 0, 1)
+    last = len(blocks) - 1
+    for j, length in enumerate(blocks):
+        for i in range(1, length + 1):
+            state = ("blk", j, i)
+            if i < length:
+                trans[(state, 1)] = ("blk", j, i + 1)
+            else:
+                if j == last:
+                    trans[(state, 0)] = ("done",)
+                else:
+                    trans[(state, 0)] = ("gap", j + 1)
+        if j > 0:
+            gap = ("gap", j)
+            trans[(gap, 0)] = gap
+            trans[(gap, 1)] = ("blk", j, 1)
+    trans[(("done",), 0)] = ("done",)
+    accepting = [("blk", last, blocks[last]), ("done",)]
+    return Automaton(trans, start, accepting)
+
+
+def _build_nonogram(payload: dict) -> Model:
+    rows, cols = payload["rows"], payload["cols"]
+    m = Model()
+    cells = [
+        [m.new_variable({0, 1}, f"x{r}_{c}") for c in range(cols)]
+        for r in range(rows)
+    ]
+    for r, clue in enumerate(payload["row_clues"]):
+        m.add(Regular(cells[r], nonogram_clue_dfa(clue)))
+    for c, clue in enumerate(payload["col_clues"]):
+        m.add(Regular([cells[r][c] for r in range(rows)], nonogram_clue_dfa(clue)))
+    return m
+
+
 def _clues_of(cells: Sequence[int]) -> list[int]:
     clue = []
     run = 0
@@ -721,6 +437,51 @@ def generate_nonogram(
     )
 
 
+# ----------------------------------------------------------------------
+# multiknap: "n m optimum", the objective, then m "coefficients capacity"
+# ----------------------------------------------------------------------
+def _validate_multiknap(payload):
+    n, m = payload["n"], payload["m"]
+    if len(payload["objective"]) != n:
+        raise ParseError("objective length mismatch")
+    if len(payload["constraints"]) != m:
+        raise ParseError("constraint count mismatch")
+    for coeffs, cap in payload["constraints"]:
+        if len(coeffs) != n:
+            raise ParseError("constraint coefficient length mismatch")
+        if cap < 0:
+            raise ParseError("negative capacity")
+
+
+def _parse_multiknap(lines: list[str]) -> dict:
+    n, m, optimum = _ints(lines[0])[:3]
+    rows = [_ints(line) for line in lines[2 : 2 + m]]
+    return {
+        "n": n,
+        "m": m,
+        "optimum": optimum,
+        "objective": _ints(lines[1]),
+        "constraints": [(row[:-1], row[-1]) for row in rows],
+    }
+
+
+def _write_multiknap(p: dict) -> list[str]:
+    return [f"{p['n']} {p['m']} {p['optimum']}", _row(p["objective"])] + [
+        _row([*coeffs, cap]) for coeffs, cap in p["constraints"]
+    ]
+
+
+def _build_multiknap(payload: dict) -> Model:
+    n = payload["n"]
+    m = Model()
+    xs = [m.new_variable({0, 1}, f"x{j}") for j in range(n)]
+    opt = payload["optimum"]
+    m.add(Knapsack(xs, payload["objective"], opt, opt))
+    for coeffs, cap in payload["constraints"]:
+        m.add(Knapsack(xs, coeffs, 0, cap))
+    return m
+
+
 def generate_multiknap(
     n: int = 20, m: int = 3, seed: int = 0
 ) -> Instance:
@@ -744,6 +505,39 @@ def generate_multiknap(
     )
 
 
+# ----------------------------------------------------------------------
+# marketsplit: "m n", then m "coefficients right-hand-side"
+# ----------------------------------------------------------------------
+def _validate_marketsplit(payload):
+    m, n = payload["m"], payload["n"]
+    if len(payload["rows"]) != m:
+        raise ParseError("row count mismatch")
+    for coeffs, rhs in payload["rows"]:
+        if len(coeffs) != n:
+            raise ParseError("row length mismatch")
+
+
+def _parse_marketsplit(lines: list[str]) -> dict:
+    m, n = _ints(lines[0])[:2]
+    rows = [_ints(line) for line in lines[1 : 1 + m]]
+    return {"m": m, "n": n, "rows": [(row[:-1], row[-1]) for row in rows]}
+
+
+def _write_marketsplit(p: dict) -> list[str]:
+    return [f"{p['m']} {p['n']}"] + [
+        _row([*coeffs, rhs]) for coeffs, rhs in p["rows"]
+    ]
+
+
+def _build_marketsplit(payload: dict) -> Model:
+    n = payload["n"]
+    m = Model()
+    xs = [m.new_variable({0, 1}, f"x{j}") for j in range(n)]
+    for coeffs, rhs in payload["rows"]:
+        m.add(Knapsack(xs, coeffs, rhs, rhs))
+    return m
+
+
 def generate_marketsplit(m: int = 4, seed: int = 0) -> Instance:
     rng = random.Random(seed)
     n = 10 * (m - 1)
@@ -754,6 +548,84 @@ def generate_marketsplit(m: int = 4, seed: int = 0) -> Instance:
     return Instance(
         "marketsplit", f"marketsplit-{m}-s{seed}", {"m": m, "n": n, "rows": rows}
     )
+
+
+# ----------------------------------------------------------------------
+# rostering: "rostering employees periods tasks", then the preset grid
+# (-1 = free, 0 = break)
+# ----------------------------------------------------------------------
+def _validate_rostering(payload):
+    e, p, t = payload["employees"], payload["periods"], payload["tasks"]
+    if t < 1:
+        raise ParseError("need at least one task")
+    _check_grid(payload["grid"], e, p, -1, t, "grid")
+
+
+def _parse_rostering(lines: list[str]) -> dict:
+    e, p, t = _ints(lines[0])[:3]
+    grid = [_ints(line) for line in lines[1 : 1 + e]]
+    return {"employees": e, "periods": p, "tasks": t, "grid": grid}
+
+
+def _write_rostering(p: dict) -> list[str]:
+    return [f"{p['employees']} {p['periods']} {p['tasks']}"] + [
+        _row(row) for row in p["grid"]
+    ]
+
+
+BREAK = 0
+
+
+def rostering_dfa(n_tasks: int) -> Automaton:
+    """Rostering rules over symbols 0 (break) and 1..n_tasks.
+
+    Consecutive periods must carry equal or adjacent task numbers, a
+    break may follow any task, and immediately after a break run the
+    task preceding the break's predecessor task is forbidden.
+    """
+    trans: dict[tuple[object, int], object] = {}
+    start = ("start",)
+    trans[(start, BREAK)] = ("brk", 0)
+    for a in range(1, n_tasks + 1):
+        trans[(start, a)] = ("task", a)
+        trans[(("task", a), BREAK)] = ("brk", a)
+        for b in range(1, n_tasks + 1):
+            if b == a or abs(b - a) == 1:
+                trans[(("task", a), b)] = ("task", b)
+    for t in range(0, n_tasks + 1):
+        brk = ("brk", t)
+        trans[(brk, BREAK)] = brk
+        for b in range(1, n_tasks + 1):
+            if t > 0 and b == t - 1:
+                continue
+            trans[(brk, b)] = ("task", b)
+    states = {start, ("brk", 0)}
+    for (q, _), q2 in trans.items():
+        states.add(q)
+        states.add(q2)
+    return Automaton(trans, start, list(states))
+
+
+def _build_rostering(payload: dict) -> Model:
+    e, p, t = payload["employees"], payload["periods"], payload["tasks"]
+    grid = payload["grid"]
+    m = Model()
+    values = set(range(0, t + 1))  # 0 = break
+    vars_ = [
+        [
+            m.new_variable(
+                {grid[i][j]} if grid[i][j] >= 0 else values, f"e{i}_p{j}"
+            )
+            for j in range(p)
+        ]
+        for i in range(e)
+    ]
+    dfa = rostering_dfa(t)
+    for i in range(e):
+        m.add(Regular(vars_[i], dfa))
+    for j in range(p):
+        m.add(AllDifferent([vars_[i][j] for i in range(e)]))
+    return m
 
 
 def generate_rostering(
@@ -788,6 +660,57 @@ def generate_rostering(
     )
 
 
+# ----------------------------------------------------------------------
+# kprostering: "kprostering employees days shifts", one cost row per
+# employee, the targets, then forbidden "employee day shift" triples
+# ----------------------------------------------------------------------
+def _validate_kprostering(payload):
+    m, n, s = payload["employees"], payload["days"], payload["shifts"]
+    _check_grid(payload["costs"], m, n, 0, 10 ** 9, "costs")
+    if len(payload["targets"]) != m:
+        raise ParseError("target count mismatch")
+    for e, d, shift in payload["forbidden"]:
+        if not (0 <= e < m and 0 <= d < n and 0 <= shift < s):
+            raise ParseError(f"forbidden triple ({e},{d},{shift}) out of range")
+
+
+def _parse_kprostering(lines: list[str]) -> dict:
+    m, n, s = _ints(lines[0])[:3]
+    return {
+        "employees": m,
+        "days": n,
+        "shifts": s,
+        "costs": [_ints(line) for line in lines[1 : 1 + m]],
+        "targets": _ints(lines[1 + m]),
+        "forbidden": [tuple(_ints(line)) for line in lines[2 + m :]],
+    }
+
+
+def _write_kprostering(p: dict) -> list[str]:
+    return (
+        [f"{p['employees']} {p['days']} {p['shifts']}"]
+        + [_row(row) for row in p["costs"]]
+        + [_row(p["targets"])]
+        + [_row(t) for t in p["forbidden"]]
+    )
+
+
+def _build_kprostering(payload: dict) -> Model:
+    emp, days, shifts = payload["employees"], payload["days"], payload["shifts"]
+    forbidden = {(e, d): set() for e in range(emp) for d in range(days)}
+    for e, d, s in payload["forbidden"]:
+        forbidden[(e, d)].add(s)
+    m = Model()
+    for e in range(emp):
+        xs = []
+        for d in range(days):
+            dom = set(range(shifts)) - forbidden[(e, d)]
+            xs.append(m.new_variable(dom, f"e{e}_d{d}"))
+        target = payload["targets"][e]
+        m.add(Knapsack(xs, payload["costs"][e], target, target))
+    return m
+
+
 def generate_kprostering(
     employees: int = 4,
     days: int = 25,
@@ -795,6 +718,12 @@ def generate_kprostering(
     n_forbidden: int = 10,
     seed: int = 0,
 ) -> Instance:
+    # each cell keeps its witness shift, so only shifts - 1 per cell can go
+    if n_forbidden > employees * days * (shifts - 1):
+        raise ValueError(
+            f"cannot forbid {n_forbidden} shifts: at most "
+            f"employees*days*(shifts-1) = {employees * days * (shifts - 1)}"
+        )
     rng = random.Random(seed)
     costs = [
         [rng.randrange(1, 10) for _ in range(days)] for _ in range(employees)
@@ -832,6 +761,82 @@ def generate_kprostering(
     )
 
 
+# ----------------------------------------------------------------------
+# ttppv: "ttppv teams", then the venue table (1 = row team at home)
+# ----------------------------------------------------------------------
+def _validate_ttppv(payload):
+    n = payload["n"]
+    if n % 2 or n < 4:
+        raise ParseError("team count must be even and at least 4")
+    venues = payload["venues"]
+    _check_grid(venues, n, n, 0, 1, "venues")
+    for i in range(n):
+        for j in range(n):
+            if i != j and venues[i][j] == venues[j][i]:
+                raise ParseError("venue table must be antisymmetric")
+
+
+def _parse_ttppv(lines: list[str]) -> dict:
+    n = _ints(lines[0])[0]
+    return {"n": n, "venues": [_ints(line) for line in lines[1 : 1 + n]]}
+
+
+def _write_ttppv(p: dict) -> list[str]:
+    return [str(p["n"])] + [_row(row) for row in p["venues"]]
+
+
+def ttppv_pattern_dfa(
+    team: int, venues: Sequence[Sequence[int]], max_run: int = 3
+) -> Automaton:
+    """DFA over opponent ids forbidding more than ``max_run`` consecutive
+    home (or away) rounds for ``team`` under the predefined venues."""
+    n = len(venues)
+    opponents = [o for o in range(n) if o != team]
+    # symbols are 1-based team numbers, matching the model variables
+    trans: dict[tuple[object, int], object] = {}
+    start = ("start",)
+    states = {start}
+    for o in opponents:
+        home = venues[team][o]
+        trans[(start, o + 1)] = (home, 1)
+        states.add((home, 1))
+    for home in (0, 1):
+        for run in range(1, max_run + 1):
+            state = (home, run)
+            states.add(state)
+            for o in opponents:
+                v = venues[team][o]
+                if v == home:
+                    if run < max_run:
+                        trans[(state, o + 1)] = (home, run + 1)
+                else:
+                    trans[(state, o + 1)] = (v, 1)
+    return Automaton(trans, start, list(states))
+
+
+def _build_ttppv(payload: dict) -> Model:
+    n = payload["n"]
+    venues = payload["venues"]
+    rounds = n - 1
+    m = Model()
+    opp = [
+        [
+            m.new_variable(
+                [o + 1 for o in range(n) if o != t], f"t{t}_r{r}"
+            )
+            for r in range(rounds)
+        ]
+        for t in range(n)
+    ]
+    for t in range(n):
+        m.add(AllDifferent(opp[t]))
+        m.add(Regular(opp[t], ttppv_pattern_dfa(t, venues)))
+    for r in range(rounds):
+        # scope position i stands for team i+1 in the pairing constraint
+        m.add(SymmetricAllDifferent([opp[t][r] for t in range(n)]))
+    return m
+
+
 def generate_ttppv(teams: int = 4, seed: int = 0) -> Instance:
     rng = random.Random(seed)
     venues = [[0] * teams for _ in range(teams)]
@@ -845,13 +850,30 @@ def generate_ttppv(teams: int = 4, seed: int = 0) -> Instance:
     )
 
 
-GENERATORS = {
-    "qwh": generate_qwh,
-    "magic": generate_magic,
-    "nonogram": generate_nonogram,
-    "multiknap": generate_multiknap,
-    "marketsplit": generate_marketsplit,
-    "rostering": generate_rostering,
-    "kprostering": generate_kprostering,
-    "ttppv": generate_ttppv,
+# kind -> Family; the order is the order of the CLI's KIND choices
+FAMILIES = {
+    f.kind: f
+    for f in (
+        Family("qwh", ".qwh", False, _validate_square, _parse_square,
+               _write_square, _build_qwh, generate_qwh),
+        Family("magic", ".magic", False, _validate_magic, _parse_square,
+               _write_square, _build_magic, generate_magic),
+        Family("nonogram", ".nonogram", False, _validate_nonogram,
+               _parse_nonogram, _write_nonogram, _build_nonogram,
+               generate_nonogram),
+        Family("multiknap", ".mknap", False, _validate_multiknap,
+               _parse_multiknap, _write_multiknap, _build_multiknap,
+               generate_multiknap),
+        Family("marketsplit", ".msplit", False, _validate_marketsplit,
+               _parse_marketsplit, _write_marketsplit, _build_marketsplit,
+               generate_marketsplit),
+        Family("rostering", ".txt", True, _validate_rostering,
+               _parse_rostering, _write_rostering, _build_rostering,
+               generate_rostering),
+        Family("kprostering", ".txt", True, _validate_kprostering,
+               _parse_kprostering, _write_kprostering, _build_kprostering,
+               generate_kprostering),
+        Family("ttppv", ".txt", True, _validate_ttppv, _parse_ttppv,
+               _write_ttppv, _build_ttppv, generate_ttppv),
+    )
 }

@@ -1,6 +1,7 @@
 """Command-line front end: solve, densities, bench, generate.
 
-Exit codes for ``solve``: 0 sat, 1 unsat, 2 timeout, 3+ usage errors.
+Exit codes for ``solve``: 0 sat, 1 unsat, 2 timeout, 3+ usage errors
+(a malformed instance file among them).
 """
 
 from __future__ import annotations
@@ -9,17 +10,17 @@ import concurrent.futures
 import csv
 import math
 import os
-import random
 import sys
+import traceback
 
 import click
 
 from . import bench as bench_mod
-from .engine import WIPEOUT, Model
-from .heuristics import HEURISTIC_NAMES, make_heuristic
-from .knapsack import EXACT, GAUSSIAN, Knapsack
+from .engine import WIPEOUT
+from .heuristics import HEURISTIC_NAMES
+from .knapsack import EXACT, GAUSSIAN
 from .oracle import OracleCapExceeded, exact_count_densities
-from .search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
+from .search import SAT, TIMEOUT, UNSAT
 
 CSV_HEADER = [
     "instance",
@@ -36,40 +37,32 @@ CSV_HEADER = [
 _EXIT = {SAT: 0, UNSAT: 1, TIMEOUT: 2}
 
 
-def _apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None:
-    for c in model.constraints:
-        c.consistency = consistency
-        if isinstance(c, Knapsack):
-            c.mode = knapsack_mode
-            if knapsack_mode == GAUSSIAN:
-                c.consistency = "bounds"
+def _options(*options):
+    """Apply click option decorators, the first listed shown first."""
+
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return decorate
 
 
-def _run_search(model, heuristic, traversal, timeout, scale, skip, backtracks):
-    if traversal == "restart":
-        return restart_search(
-            model, heuristic, scale=scale, timeout=timeout,
-            backtrack_limit=backtracks,
-        )
-    if traversal == "lds":
-        return lds(
-            model, heuristic, skip=skip, timeout=timeout,
-            backtrack_limit=backtracks,
-        )
-    return dfs(model, heuristic, timeout=timeout, backtrack_limit=backtracks)
+_kind_option = click.option(
+    "--kind", type=click.Choice(list(bench_mod.FAMILIES)), default=None,
+    help="Instance kind (default: inferred from the file).",
+)
 
+# keyword arguments of bench.apply_overrides
+_model_options = _options(
+    click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
+                 default="domain", show_default=True),
+    click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
+                 default=EXACT, show_default=True),
+)
 
-@click.group()
-def cli():
-    """Constraint solver with counting-based branching heuristics."""
-
-
-_common = [
-    click.option("--kind", type=click.Choice(bench_mod.KINDS), default=None,
-                 help="Instance kind (default: inferred from the file)."),
-    click.option("--heuristic", "heuristic_name",
-                 type=click.Choice(HEURISTIC_NAMES), default="maxSD",
-                 show_default=True),
+# keyword arguments of bench.run_job
+_search_options = _options(
     click.option("--traversal", type=click.Choice(["dfs", "restart", "lds"]),
                  default="dfs", show_default=True),
     click.option("--restart-scale", type=click.IntRange(min=1), default=100,
@@ -81,34 +74,35 @@ _common = [
                  help="Time budget in seconds."),
     click.option("--backtracks", type=click.IntRange(min=0), default=None,
                  help="Backtrack budget."),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
-                 default="domain", show_default=True),
-    click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
-                 default=EXACT, show_default=True),
-]
+    _model_options,
+)
 
 
-def _with_common(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
+def _load(path: str, kind):
+    """Read an instance file; a malformed one is a usage error."""
+    try:
+        return bench_mod.load_instance(path, kind)
+    except bench_mod.ParseError as exc:
+        raise click.UsageError(f"{path}: {exc}") from None
+
+
+@click.group()
+def cli():
+    """Constraint solver with counting-based branching heuristics."""
 
 
 @cli.command()
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@_with_common
-def solve(instance_file, kind, heuristic_name, traversal, restart_scale,
-          lds_skip, timeout, backtracks, seed, consistency, knapsack_mode):
+@_kind_option
+@click.option("--heuristic", "heuristic_name",
+              type=click.Choice(HEURISTIC_NAMES), default="maxSD",
+              show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
+@_search_options
+def solve(instance_file, kind, heuristic_name, seed, **settings):
     """Solve one instance and print a short report."""
-    instance = bench_mod.load_instance(instance_file, kind)
-    model = bench_mod.build_model(instance)
-    _apply_overrides(model, consistency, knapsack_mode)
-    heuristic = make_heuristic(heuristic_name, model, random.Random(seed))
-    stats = _run_search(
-        model, heuristic, traversal, timeout, restart_scale, lds_skip,
-        backtracks,
-    )
+    instance = _load(instance_file, kind)
+    stats = bench_mod.run_job(instance, heuristic_name, seed, **settings)
     click.echo(f"instance:   {instance.name}")
     click.echo(f"status:     {stats.status}")
     click.echo(f"backtracks: {stats.backtracks}")
@@ -123,18 +117,15 @@ def solve(instance_file, kind, heuristic_name, traversal, restart_scale,
 
 @cli.command()
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(bench_mod.KINDS), default=None)
+@_kind_option
 @click.option("--exact", is_flag=True,
               help="Print brute-force densities next to the estimates.")
-@click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
-              default="domain", show_default=True)
-@click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
-              default=EXACT, show_default=True)
+@_model_options
 def densities(instance_file, kind, exact, consistency, knapsack_mode):
     """Propagate the root node and dump every density table."""
-    instance = bench_mod.load_instance(instance_file, kind)
+    instance = _load(instance_file, kind)
     model = bench_mod.build_model(instance)
-    _apply_overrides(model, consistency, knapsack_mode)
+    bench_mod.apply_overrides(model, consistency, knapsack_mode)
     if model.propagate() == WIPEOUT:
         click.echo("root propagation wiped out: instance is unsatisfiable")
         sys.exit(1)
@@ -170,37 +161,31 @@ def densities(instance_file, kind, exact, consistency, knapsack_mode):
 
 
 def _bench_job(args):
-    (instance, heuristic_name, traversal, scale, skip, timeout, backtracks,
-     seed, consistency, knapsack_mode) = args
-    params = f"scale={scale}" if traversal == "restart" else (
-        f"skip={skip}" if traversal == "lds" else ""
-    )
+    """Run one sweep job: its CSV row, and the traceback text of a job
+    that raised (None otherwise)."""
+    instance, heuristic_name, seed, settings = args
+    traversal = settings["traversal"]
+    params = {
+        "restart": f"scale={settings['restart_scale']}",
+        "lds": f"skip={settings['lds_skip']}",
+    }.get(traversal, "")
     row = {
         "instance": instance.name,
         "heuristic": heuristic_name,
         "traversal": traversal,
         "params": params,
         "seed": seed,
-        "status": "error",
-        "backtracks": 0,
-        "time_ms": 0,
-        "restarts": 0,
     }
     try:
-        model = bench_mod.build_model(instance)
-        _apply_overrides(model, consistency, knapsack_mode)
-        heuristic = make_heuristic(heuristic_name, model, random.Random(seed))
-        stats = _run_search(
-            model, heuristic, traversal, timeout, scale, skip, backtracks
-        )
-        row["status"] = stats.status
-        row["backtracks"] = stats.backtracks
-        row["time_ms"] = f"{stats.time_ms:.1f}"
-        row["restarts"] = stats.restarts
+        stats = bench_mod.run_job(instance, heuristic_name, seed, **settings)
     except Exception as exc:  # partial failures become rows, sweep continues
-        row["params"] = params
-        row["status"] = f"error:{type(exc).__name__}"
-    return row
+        row.update(status=f"error:{type(exc).__name__}", backtracks=0,
+                   time_ms=0, restarts=0)
+        header = f"# {instance.name} {heuristic_name} seed {seed} failed:\n"
+        return row, header + traceback.format_exc()
+    row.update(status=stats.status, backtracks=stats.backtracks,
+               time_ms=f"{stats.time_ms:.1f}", restarts=stats.restarts)
+    return row, None
 
 
 @cli.command("bench")
@@ -208,26 +193,14 @@ def _bench_job(args):
 @click.option("--heuristic", "heuristics", multiple=True,
               type=click.Choice(HEURISTIC_NAMES), default=("maxSD",),
               show_default=True, help="May be repeated.")
-@click.option("--traversal", type=click.Choice(["dfs", "restart", "lds"]),
-              default="dfs", show_default=True)
-@click.option("--restart-scale", type=click.IntRange(min=1), default=100,
-              show_default=True)
-@click.option("--lds-skip", type=click.IntRange(min=1), default=1,
-              show_default=True)
-@click.option("--timeout", type=float, default=1200.0, show_default=True)
-@click.option("--backtracks", type=click.IntRange(min=0), default=None)
 @click.option("--seeds", default="0", show_default=True,
               help="Comma-separated seed list.")
-@click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
-              default="domain", show_default=True)
-@click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
-              default=EXACT, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@_search_options
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="CSV output path (default: stdout).")
-def bench_cmd(instance_dir, heuristics, traversal, restart_scale, lds_skip,
-              timeout, backtracks, seeds, consistency, knapsack_mode, jobs,
-              output):
+def bench_cmd(instance_dir, heuristics, seeds, jobs, output, **settings):
     """Sweep instances x heuristics x seeds; emit one CSV row per job."""
     try:
         seed_list = [int(s) for s in seeds.split(",") if s.strip()]
@@ -242,22 +215,25 @@ def bench_cmd(instance_dir, heuristics, traversal, restart_scale, lds_skip,
     for path in files:
         try:
             instances.append(bench_mod.load_instance(path))
-        except (bench_mod.ParseError, OSError):
-            continue
+        except (bench_mod.ParseError, OSError) as exc:
+            click.echo(f"# skipped {path}: {exc}", err=True)
     if not instances:
         raise click.UsageError(f"no readable instances in {instance_dir}")
     job_args = [
-        (inst, h, traversal, restart_scale, lds_skip, timeout, backtracks,
-         seed, consistency, knapsack_mode)
+        (inst, h, seed, settings)
         for inst in instances
         for h in heuristics
         for seed in seed_list
     ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_job, job_args))
+            results = list(pool.map(_bench_job, job_args))
     else:
-        rows = [_bench_job(a) for a in job_args]
+        results = [_bench_job(a) for a in job_args]
+    rows = [row for row, _ in results]
+    for _, error in results:
+        if error:
+            click.echo(error, err=True, nl=False)
     out = open(output, "w", newline="") if output else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=CSV_HEADER)
@@ -276,9 +252,10 @@ def bench_cmd(instance_dir, heuristics, traversal, restart_scale, lds_skip,
 
 
 @cli.command()
-@click.argument("kind", type=click.Choice(bench_mod.KINDS))
+@click.argument("kind", type=click.Choice(list(bench_mod.FAMILIES)))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--param", "-p", "params", multiple=True,
               help="Generator keyword, e.g. -p order=12 -p holes=0.42")
@@ -296,15 +273,16 @@ def generate(kind, out_dir, count, seed, params):
                 kwargs[key] = float(value)
             except ValueError:
                 raise click.UsageError(f"bad value in -p {item!r}")
+    family = bench_mod.FAMILIES[kind]
+    try:
+        instances = [
+            family.generate(seed=seed + i, **kwargs) for i in range(count)
+        ]
+    except (TypeError, ValueError) as exc:  # unknown key or rejected value
+        raise click.UsageError(f"cannot generate {kind}: {exc}") from None
     os.makedirs(out_dir, exist_ok=True)
-    ext = {
-        "qwh": ".qwh", "magic": ".magic", "nonogram": ".nonogram",
-        "multiknap": ".mknap", "marketsplit": ".msplit",
-        "rostering": ".txt", "kprostering": ".txt", "ttppv": ".txt",
-    }[kind]
-    for i in range(count):
-        inst = bench_mod.GENERATORS[kind](seed=seed + i, **kwargs)
-        path = os.path.join(out_dir, inst.name + ext)
+    for inst in instances:
+        path = os.path.join(out_dir, inst.name + family.ext)
         bench_mod.save_instance(inst, path)
         click.echo(path)
 

@@ -167,9 +167,6 @@ class Model:
     def unbound_variables(self) -> list[Variable]:
         return [v for v in self.variables if len(self._domains[v.index]) > 1]
 
-    def all_bound(self) -> bool:
-        return all(len(d) == 1 for d in self._domains)
-
     def solution(self) -> dict[str, int]:
         return {v.name: self.value_of(v) for v in self.variables}
 

@@ -6,8 +6,7 @@ import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.bench import (
-    GENERATORS,
-    KINDS,
+    FAMILIES,
     Instance,
     ParseError,
     build_model,
@@ -47,9 +46,9 @@ _GEN_ARGS = {
 # ----------------------------------------------------------------------
 # formats
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", FAMILIES)
 def test_round_trip_is_byte_identical(kind, tmp_path):
-    inst = GENERATORS[kind](seed=3, **_GEN_ARGS[kind])
+    inst = FAMILIES[kind].generate(seed=3, **_GEN_ARGS[kind])
     text = write_instance(inst)
     again = parse_instance(text, kind, inst.name)
     assert write_instance(again) == text
@@ -89,6 +88,21 @@ def test_malformed_instances_rejected():
         parse_instance("1 2\n3\n1\n1\n", "nonogram")
     with pytest.raises(ValueError):
         Instance("mystery", "m", {})
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("nonogram", "2 2\n1\n"),  # too few clue lines
+    ("multiknap", "3 2 5\n1 2 3\n1 1 1 2\n"),  # a constraint line missing
+    ("marketsplit", "2\n1 2 3\n"),  # no column count
+    ("rostering", "rostering 3\n1 2\n"),  # no periods or tasks
+    ("kprostering", "kprostering 1 2 3\n1 1\n"),  # no targets line
+    ("ttppv", "ttppv 4\n0 1 0 1\n"),  # too few venue rows
+    ("ttppv", "rostering 4\n0 1 0 1\n"),  # another family's tag
+], ids=["nonogram-clues", "multiknap-rows", "marketsplit-header",
+        "rostering-header", "kprostering-targets", "ttppv-rows", "ttppv-tag"])
+def test_truncated_instances_raise_parse_error(kind, text):
+    with pytest.raises(ParseError):
+        parse_instance(text, kind)
 
 
 def test_ttppv_validator_requires_antisymmetry():
@@ -192,7 +206,7 @@ def test_ttppv_model_structure():
              "kprostering"]
 )
 def test_generated_instances_are_satisfiable(kind):
-    inst = GENERATORS[kind](seed=5, **_GEN_ARGS[kind])
+    inst = FAMILIES[kind].generate(seed=5, **_GEN_ARGS[kind])
     assert inst.status == "sat"
     model = build_model(inst)
     stats = dfs(model, MaxSD(model), backtrack_limit=50_000)
@@ -208,9 +222,9 @@ def test_marketsplit_round_trips_and_builds():
 
 
 def test_generators_are_seed_deterministic():
-    for kind in KINDS:
-        a = GENERATORS[kind](seed=9, **_GEN_ARGS[kind])
-        b = GENERATORS[kind](seed=9, **_GEN_ARGS[kind])
-        c = GENERATORS[kind](seed=10, **_GEN_ARGS[kind])
+    for kind in FAMILIES:
+        a = FAMILIES[kind].generate(seed=9, **_GEN_ARGS[kind])
+        b = FAMILIES[kind].generate(seed=9, **_GEN_ARGS[kind])
+        c = FAMILIES[kind].generate(seed=10, **_GEN_ARGS[kind])
         assert a.payload == b.payload
         assert a.payload != c.payload

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, reports, CSV sweeps."""
 
 import csv
+import io
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from countsearch.cli import CSV_HEADER, cli
+from countsearch.cli import CSV_HEADER, cli, main
 
 FULL_SQUARE = "3\n1 2 3\n2 3 1\n3 1 2\n"
 HOLED_SQUARE = "3\n1 0 3\n0 3 1\n3 1 0\n"
@@ -15,6 +16,11 @@ UNSAT_SQUARE = "2\n0 0\n1 1\n"  # repeated value in the bottom row
 # row 1 has no column left for value 1, which forward checking only finds
 # by search: uncapped, maxSD proves unsat after 2 backtracks
 NO_FIT_SQUARE = "4\n0 0 1 0\n0 4 0 0\n0 0 0 1\n1 0 0 0\n"
+# malformed files: a rostering header without periods and tasks, and a
+# square with too few rows
+MALFORMED = {"bad.txt": "rostering 3\n1 2\n", "short.qwh": "3\n1 2 3\n"}
+# valid, but its one cell has every shift forbidden, so modelling it fails
+NO_SHIFT_ROSTER = "kprostering 1 1 1\n5\n0\n0 0 0\n"
 
 
 @pytest.fixture
@@ -57,6 +63,15 @@ def test_solve_every_traversal(runner, tmp_path):
         assert result.exit_code == 0, result.output
 
 
+def _main(monkeypatch, capsys, *args):
+    """Run the console entry point in-process: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["countsearch", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 def test_usage_error_exit_code_is_three(tmp_path):
     path = _write(tmp_path, "full.qwh", FULL_SQUARE)
     proc = subprocess.run(
@@ -65,6 +80,50 @@ def test_usage_error_exit_code_is_three(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["solve", "densities"])
+def test_malformed_file_is_usage_error(monkeypatch, capsys, tmp_path,
+                                       command, name):
+    path = _write(tmp_path, name, MALFORMED[name])
+    code, out, err = _main(monkeypatch, capsys, command, path)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["qwh", "-p", "foo=1"],  # unknown keyword
+    ["magic", "-p", "order=6"],  # singly even order
+    ["kprostering", "-p", "shifts=1"],  # no shift left to forbid
+    ["kprostering", "-p", "employees=1", "-p", "days=2", "-p", "n_forbidden=5"],
+], ids=["unknown-key", "magic-order-6", "kprostering-shifts-1",
+        "kprostering-too-many-forbidden"])
+def test_generate_rejected_params_are_usage_errors(tmp_path, args):
+    out_dir = tmp_path / "gen"
+    proc = subprocess.run(
+        [sys.executable, "-m", "countsearch.cli", "generate", args[0],
+         str(out_dir), *args[1:]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: cannot generate {args[0]}: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "{dir}", "--jobs", "0"],
+    ["bench", "{dir}", "--jobs", "-2"],
+    ["generate", "qwh", "{dir}", "--count", "0"],
+    ["generate", "qwh", "{dir}", "--count", "-1"],
+], ids=["jobs-0", "jobs-negative", "count-0", "count-negative"])
+def test_counts_must_be_positive(runner, tmp_path, args):
+    _write(tmp_path, "full.qwh", FULL_SQUARE)
+    args = [a.format(dir=tmp_path) for a in args]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert args[-2] in result.output
 
 
 @pytest.mark.parametrize("option", ["--lds-skip", "--restart-scale"])
@@ -146,6 +205,42 @@ def test_bench_sweep_schema_and_determinism(runner, tmp_path):
     assert strip(rows1) == strip(rows2)
     for row in rows1[1:]:
         assert row[CSV_HEADER.index("status")] == "sat"
+
+
+def test_bench_skips_and_names_malformed_files(runner, tmp_path):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ok.qwh").write_text(FULL_SQUARE)
+    for name, text in MALFORMED.items():
+        (inst_dir / name).write_text(text)
+    (inst_dir / "binary.qwh").write_bytes(b"\xff\xfe\x00\x01")
+    result = runner.invoke(cli, ["bench", str(inst_dir)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(io.StringIO(result.stdout)))
+    assert [row[0] for row in rows[1:]] == ["ok.qwh"]
+    for name in ["bad.txt", "binary.qwh", "short.qwh"]:
+        assert f"# skipped {inst_dir / name}: " in result.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_failed_job_prints_its_traceback(runner, tmp_path, jobs):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ok.qwh").write_text(FULL_SQUARE)
+    (inst_dir / "noshift.txt").write_text(NO_SHIFT_ROSTER)
+    result = runner.invoke(cli, ["bench", str(inst_dir), "--jobs", jobs])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(io.StringIO(result.stdout)))
+    assert rows == [
+        CSV_HEADER,
+        ["noshift.txt", "maxSD", "dfs", "", "0", "error:ValueError", "0", "0",
+         "0"],
+        ["ok.qwh", "maxSD", "dfs", "", "0", "sat", "0", rows[2][7], "0"],
+    ]
+    assert "# noshift.txt maxSD seed 0 failed:\nTraceback" in result.stderr
+    assert "ValueError: variable e0_d0 has an empty initial domain" in (
+        result.stderr
+    )
 
 
 def test_bench_empty_dir_is_usage_error(runner, tmp_path):
