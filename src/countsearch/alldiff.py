@@ -9,7 +9,9 @@ variant bounds the number of matchings of the contracted value graph.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from itertools import chain
+from typing import Optional, Sequence
 
 from .engine import (
     DOMAIN,
@@ -223,6 +225,9 @@ class AllDifferent(Constraint):
     """Pairwise-distinct values over the scope."""
 
     supports_counting = True
+    # forward checking loops to its fixpoint, and Regin filtering after it
+    # leaves every remaining value in some maximum matching
+    idempotent = True
 
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         super().__init__(scope, consistency)
@@ -234,22 +239,34 @@ class AllDifferent(Constraint):
         return len(set(values)) == len(values)
 
     def propagate(self, model: Model) -> bool:
-        if not self._forward_check(model):
+        counts = self._forward_check(model)
+        if counts is None:
             return False
         if self.consistency == DOMAIN:
-            return self._regin_filter(model)
+            return self._regin_filter(model, counts)
         return True
 
-    def _forward_check(self, model: Model) -> bool:
-        # remove each bound value from the other scoped domains
+    def _forward_check(self, model: Model) -> Optional[Counter[int]]:
+        """Remove each bound value from the other scoped domains, to
+        fixpoint; None on wipeout.
+
+        Each pass counts the values over the scope's domains first and
+        skips a bound variable whose value no other domain holds: removals
+        only lower the counts, so its loop would remove nothing.  Returns
+        the counts taken at the start of the last pass, which may only
+        over-count the domains it leaves.
+        """
+        doms = self._domains(model)
         changed = True
         while changed:
             changed = False
-            for var in self.scope:
-                dom = model._domains[var.index]
+            counts = Counter(chain.from_iterable(doms))
+            for var, dom in zip(self.scope, doms):
                 if len(dom) != 1:
                     continue
                 value = next(iter(dom))
+                if counts[value] == 1:
+                    continue
                 for other in self.scope:
                     if other is var:
                         continue
@@ -257,13 +274,25 @@ class AllDifferent(Constraint):
                     if value in odom:
                         was_unbound = len(odom) > 1
                         if not model.remove_value(other, value, self):
-                            return False
+                            return None
                         if was_unbound and len(odom) == 1:
                             changed = True
-        return True
+        return counts
 
-    def _regin_filter(self, model: Model) -> bool:
-        doms = self._domains(model)
+    def _regin_filter(self, model: Model, counts: Counter[int]) -> bool:
+        """Remove every value that no maximum matching uses.
+
+        A bound variable whose value no other domain holds (by ``counts``
+        from ``_forward_check``) shares no edge with the rest of the value
+        graph and cannot lose its value, so the graph leaves it out.
+        """
+        scope = []
+        doms = []
+        for var, dom in zip(self.scope, self._domains(model)):
+            if len(dom) == 1 and counts[next(iter(dom))] == 1:
+                continue
+            scope.append(var)
+            doms.append(dom)
         values = sorted(set().union(*doms))
         if len(values) < len(doms):
             return False
@@ -297,7 +326,7 @@ class AllDifferent(Constraint):
                     frontier.append(w)
 
         comp = _tarjan_scc(n_nodes, out)
-        for x, var in enumerate(self.scope):
+        for x, var in enumerate(scope):
             for v in list(adj[x]):
                 if match_var[x] == v:
                     continue

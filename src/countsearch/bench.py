@@ -666,12 +666,19 @@ def generate_rostering(
 # ----------------------------------------------------------------------
 def _validate_kprostering(payload):
     m, n, s = payload["employees"], payload["days"], payload["shifts"]
+    if s < 1:
+        raise ParseError(f"shift count {s} is below 1")
     _check_grid(payload["costs"], m, n, 0, 10 ** 9, "costs")
     if len(payload["targets"]) != m:
         raise ParseError("target count mismatch")
+    forbidden: dict[tuple[int, int], set[int]] = {}
     for e, d, shift in payload["forbidden"]:
         if not (0 <= e < m and 0 <= d < n and 0 <= shift < s):
             raise ParseError(f"forbidden triple ({e},{d},{shift}) out of range")
+        forbidden.setdefault((e, d), set()).add(shift)
+    for (e, d), shifts in forbidden.items():
+        if len(shifts) == s:
+            raise ParseError(f"employee {e} day {d}: every shift is forbidden")
 
 
 def _parse_kprostering(lines: list[str]) -> dict:

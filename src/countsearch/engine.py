@@ -64,6 +64,10 @@ class Constraint:
     """
 
     supports_counting = False
+    #: whether one ``propagate`` call reaches its own fixpoint, so that a
+    #: second call on the domains it leaves removes nothing; the queue then
+    #: skips a wakeup caused only by the constraint's own removals
+    idempotent = False
 
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         self.scope: tuple[Variable, ...] = tuple(scope)
@@ -71,6 +75,9 @@ class Constraint:
         self.dirty = True
         self.cache: Optional[DensityTable] = None
         self._queued = False
+        # a domain in the scope changed since the last propagate call,
+        # other than by that call's own removals
+        self._stale = True
         self.cid = -1  # set when posted
 
     def propagate(self, model: "Model") -> bool:
@@ -207,6 +214,8 @@ class Model:
 
     def _on_domain_change(self, var: Variable, cause: Optional[Constraint]) -> None:
         for c in self._watchers[var.index]:
+            if c is not cause:
+                c._stale = True
             if not c.dirty:
                 self._trail.append((_T_CACHE, c, c.dirty, c.cache))
                 c.dirty = True
@@ -224,10 +233,17 @@ class Model:
     # propagation
     # ------------------------------------------------------------------
     def propagate(self) -> str:
-        """Run the FIFO queue to fixpoint; returns CONSISTENT or WIPEOUT."""
+        """Run the FIFO queue to fixpoint; returns CONSISTENT or WIPEOUT.
+
+        An idempotent constraint whose scope changed only by its own
+        removals since its last call is dequeued without being called.
+        """
         while self._queue:
             c = self._queue.popleft()
             c._queued = False
+            if c.idempotent and not c._stale:
+                continue
+            c._stale = False
             if not c.propagate(self):
                 if self.last_wipeout is None:
                     self.last_wipeout = c

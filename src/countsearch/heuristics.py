@@ -250,15 +250,31 @@ class WdegState:
         return 1 + self.weights.get(constraint.cid, 0)
 
 
-def _wdeg_sum(model: Model, state: WdegState, var: Variable) -> int:
-    total = 0
-    for c in model._watchers[var.index]:
-        others = sum(
-            1 for v in c.scope if v.index != var.index and not model.is_bound(v)
-        )
-        if others:
-            total += state.weight(c)
-    return total
+def _wdeg_sums(model: Model, state: WdegState) -> list[int]:
+    """Weighted degree of every variable, indexed by variable index.
+
+    A constraint counts towards a variable once per occurrence in its
+    scope, and only while the scope holds another unbound variable (by
+    index).  That is the case for every variable of the scope exactly
+    when the scope holds two distinct unbound variables; the entries of
+    bound variables are not meaningful.
+    """
+    domains = model._domains
+    sums = [0] * len(domains)
+    for c in model.constraints:
+        first = -1
+        for v in c.scope:
+            vi = v.index
+            if len(domains[vi]) > 1 and vi != first:
+                if first >= 0:
+                    break
+                first = vi
+        else:
+            continue
+        weight = state.weight(c)
+        for v in c.scope:
+            sums[v.index] += weight
+    return sums
 
 
 class DomWdeg(Heuristic):
@@ -272,9 +288,10 @@ class DomWdeg(Heuristic):
         unbound = model.unbound_variables()
         if not unbound:
             return None
+        sums = _wdeg_sums(model, self.state)
 
         def key(v: Variable):
-            w = _wdeg_sum(model, self.state, v)
+            w = sums[v.index]
             ratio = model.size(v) / w if w else math.inf
             return (ratio, v.index)
 

@@ -68,6 +68,42 @@ def test_pigeonhole_wipeout():
     assert m.propagate() == WIPEOUT
 
 
+def test_bound_variable_twice_in_scope_wipes_out():
+    # the value graph keeps both occurrences of a bound variable whose
+    # value another domain holds, here its own second occurrence
+    m = Model()
+    x = m.new_variable({1})
+    y = m.new_variable({1, 2})
+    m.add(AllDifferent([x, y, x]))
+    assert m.propagate() == WIPEOUT
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=8),
+             min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), max_size=2),
+    st.sampled_from([FORWARD_CHECKING, "domain"]),
+)
+@example([{1}, {1, 2}, {1, 2, 3}], [], FORWARD_CHECKING)  # cascading binds
+@example([{1, 2}, {1, 2}, {2, 3}, {3, 4, 5}], [], "domain")
+@example([{1, 2}, {2, 3}], [0], "domain")  # a variable twice in the scope
+def test_propagate_is_idempotent(domains, repeats, consistency):
+    """After a call that returns True, a second call removes nothing: the
+    engine relies on this to skip a wakeup by the call's own removals."""
+    m = Model()
+    xs = [m.new_variable(d) for d in domains]
+    scope = xs + [xs[i % len(xs)] for i in repeats]
+    c = AllDifferent(scope, consistency)
+    if not c.propagate(m):
+        return
+    after = [m.domain(x) for x in xs]
+    trail = len(m._trail)
+    assert c.propagate(m)
+    assert [m.domain(x) for x in xs] == after
+    assert len(m._trail) == trail
+
+
 # ----------------------------------------------------------------------
 # counting
 # ----------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_truncated_instances_raise_parse_error(kind, text):
         parse_instance(text, kind)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("kprostering 1 2 2\n5 5\n0\n0 1 0\n0 1 1\n",
+     "employee 0 day 1: every shift is forbidden"),
+    ("kprostering 1 1 0\n5\n0\n", "shift count 0 is below 1"),
+], ids=["every-shift-forbidden", "no-shifts"])
+def test_kprostering_cell_without_shifts_raises_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_instance(text, "kprostering")
+
+
 def test_ttppv_validator_requires_antisymmetry():
     with pytest.raises(ParseError):
         Instance(

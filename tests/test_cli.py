@@ -8,6 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from countsearch import bench as bench_mod
 from countsearch.cli import CSV_HEADER, cli, main
 
 FULL_SQUARE = "3\n1 2 3\n2 3 1\n3 1 2\n"
@@ -16,11 +17,15 @@ UNSAT_SQUARE = "2\n0 0\n1 1\n"  # repeated value in the bottom row
 # row 1 has no column left for value 1, which forward checking only finds
 # by search: uncapped, maxSD proves unsat after 2 backtracks
 NO_FIT_SQUARE = "4\n0 0 1 0\n0 4 0 0\n0 0 0 1\n1 0 0 0\n"
-# malformed files: a rostering header without periods and tasks, and a
-# square with too few rows
-MALFORMED = {"bad.txt": "rostering 3\n1 2\n", "short.qwh": "3\n1 2 3\n"}
-# valid, but its one cell has every shift forbidden, so modelling it fails
-NO_SHIFT_ROSTER = "kprostering 1 1 1\n5\n0\n0 0 0\n"
+# malformed files: a rostering header without periods and tasks, a square
+# with too few rows, and rosters whose one cell has no shift left to take,
+# because every shift is forbidden or there are none
+MALFORMED = {
+    "bad.txt": "rostering 3\n1 2\n",
+    "short.qwh": "3\n1 2 3\n",
+    "noshift.txt": "kprostering 1 1 1\n5\n0\n0 0 0\n",
+    "zeroshifts.txt": "kprostering 1 1 0\n5\n0\n",
+}
 
 
 @pytest.fixture
@@ -218,29 +223,39 @@ def test_bench_skips_and_names_malformed_files(runner, tmp_path):
     assert result.exit_code == 0, result.output
     rows = list(csv.reader(io.StringIO(result.stdout)))
     assert [row[0] for row in rows[1:]] == ["ok.qwh"]
-    for name in ["bad.txt", "binary.qwh", "short.qwh"]:
+    for name in ["bad.txt", "binary.qwh", "noshift.txt", "short.qwh",
+                 "zeroshifts.txt"]:
         assert f"# skipped {inst_dir / name}: " in result.stderr
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_bench_failed_job_prints_its_traceback(runner, tmp_path, jobs):
+def test_bench_failed_job_prints_its_traceback(monkeypatch, runner, tmp_path,
+                                               jobs):
+    # no valid instance is known to crash a job, so one is made to; the
+    # worker processes of --jobs 2 are forked and inherit the patch
+    run_job = bench_mod.run_job
+
+    def failing(instance, *args, **kwargs):
+        if instance.name == "fail.qwh":
+            raise RuntimeError("modelling failed")
+        return run_job(instance, *args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "run_job", failing)
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
     (inst_dir / "ok.qwh").write_text(FULL_SQUARE)
-    (inst_dir / "noshift.txt").write_text(NO_SHIFT_ROSTER)
+    (inst_dir / "fail.qwh").write_text(FULL_SQUARE)
     result = runner.invoke(cli, ["bench", str(inst_dir), "--jobs", jobs])
     assert result.exit_code == 0, result.output
     rows = list(csv.reader(io.StringIO(result.stdout)))
     assert rows == [
         CSV_HEADER,
-        ["noshift.txt", "maxSD", "dfs", "", "0", "error:ValueError", "0", "0",
+        ["fail.qwh", "maxSD", "dfs", "", "0", "error:RuntimeError", "0", "0",
          "0"],
         ["ok.qwh", "maxSD", "dfs", "", "0", "sat", "0", rows[2][7], "0"],
     ]
-    assert "# noshift.txt maxSD seed 0 failed:\nTraceback" in result.stderr
-    assert "ValueError: variable e0_d0 has an empty initial domain" in (
-        result.stderr
-    )
+    assert "# fail.qwh maxSD seed 0 failed:\nTraceback" in result.stderr
+    assert "RuntimeError: modelling failed" in result.stderr
 
 
 def test_bench_empty_dir_is_usage_error(runner, tmp_path):

@@ -1,4 +1,5 @@
-"""Golden maxSD decisions: the exact picks dfs makes on fixed instances.
+"""Golden maxSD and domWDeg decisions: the exact picks dfs makes on fixed
+instances.
 
 maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  These sequences pin
@@ -7,12 +8,19 @@ every (variable index, value) decision, and the backtrack count, that
 counting) and one roster whose columns are ``GlobalCardinality``
 constraints (GCC and Regular counting).  A speed-up of the counting
 kernels must reproduce them unchanged.
+
+domWDeg learns its weights from the constraint each wipeout is blamed on,
+so which propagator runs first, and which one empties a domain, steers it.
+Its pins add the ``cid`` of every wipeout's cause, on the same quasigroup
+completions and on one propagated by forward checking only.  A change to
+the propagation queue or to AllDifferent filtering must reproduce them.
 """
 
 import pytest
 
 from countsearch.bench import (
     BREAK,
+    apply_overrides,
     build_model,
     generate_qwh,
     generate_rostering,
@@ -20,13 +28,17 @@ from countsearch.bench import (
 )
 from countsearch.engine import Model
 from countsearch.gcc import GlobalCardinality
-from countsearch.heuristics import MaxSD
+from countsearch.engine import FORWARD_CHECKING
+from countsearch.heuristics import DomWdeg, MaxSD
 from countsearch.regular import Regular
-from countsearch.search import SAT, dfs
+from countsearch.search import SAT, TIMEOUT, dfs
 
 
-def _qwh(order, seed):
-    return build_model(generate_qwh(order, 0.42, seed))
+def _qwh(order, seed, consistency=None):
+    model = build_model(generate_qwh(order, 0.42, seed))
+    if consistency is not None:
+        apply_overrides(model, consistency, "exact")
+    return model
 
 
 def _roster_gcc(employees, periods, seed):
@@ -56,6 +68,7 @@ BUILDERS = {
     "qwh-18-s2": lambda: _qwh(18, 2),
     "qwh-20-s0": lambda: _qwh(20, 0),
     "roster-6x10-s2": lambda: _roster_gcc(6, 10, 2),
+    "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
 }
 
 #: instance -> (backtracks, decisions), all found sat under a cap of 30
@@ -127,3 +140,90 @@ def test_maxsd_dfs_decisions_are_pinned(name):
     assert stats.status == SAT
     assert stats.backtracks == backtracks
     assert heuristic.picks == decisions
+
+
+#: instance -> (status, backtracks, decisions, wipeout cause cids) under a
+#: cap of 30
+GOLDEN_DOMWDEG = {
+    "qwh-17-s2": (
+        SAT,
+        0,
+        [
+            (13, 2), (42, 6),
+        ],
+        [
+        ],
+    ),
+    "qwh-18-s2": (
+        SAT,
+        0,
+        [
+            (13, 13), (3, 9), (19, 3), (37, 8), (45, 3), (51, 13), (48, 12),
+            (50, 7), (56, 6),
+        ],
+        [
+        ],
+    ),
+    "qwh-20-s0": (
+        SAT,
+        14,
+        [
+            (17, 6), (137, 12), (142, 4), (146, 8), (93, 8), (88, 13), (58, 3),
+            (56, 7), (53, 5), (54, 1), (14, 9), (43, 16), (47, 8), (44, 12),
+            (103, 1), (72, 3), (68, 6), (115, 6), (132, 8), (32, 4), (160, 2),
+            (130, 2), (10, 4), (155, 3), (335, 8), (10, 4), (4, 17), (324, 6),
+            (324, 6), (348, 3), (335, 8), (173, 2), (320, 18), (168, 5),
+            (348, 3), (333, 17), (324, 6), (359, 2), (24, 17), (22, 2),
+        ],
+        [
+            8, 30, 35, 16, 9, 24, 28, 17, 28, 17, 16, 33, 39, 1,
+        ],
+    ),
+    "qwh-20-s0-fc": (
+        TIMEOUT,
+        30,
+        [
+            (17, 6), (137, 12), (146, 8), (93, 8), (84, 1), (88, 13), (58, 3),
+            (56, 7), (142, 4), (144, 3), (186, 16), (26, 6), (100, 2),
+            (109, 9), (111, 1), (103, 16), (43, 1), (50, 8), (47, 16),
+            (44, 12), (101, 10), (115, 6), (75, 3), (221, 13), (222, 8),
+            (225, 11), (15, 1), (115, 6), (115, 6), (115, 6), (235, 8),
+            (221, 10), (221, 10), (235, 8), (115, 6), (221, 10), (221, 10),
+            (235, 8), (222, 2), (225, 11), (101, 10), (105, 8), (108, 11),
+            (75, 3), (75, 3), (75, 3), (101, 10), (116, 11), (105, 8), (75, 3),
+            (75, 3),
+        ],
+        [
+            11, 11, 11, 11, 35, 5, 5, 35, 5, 5, 11, 5, 11, 5, 11, 11, 5, 11, 5,
+            11, 35, 35, 35, 35, 35, 35, 5, 35, 35, 35,
+        ],
+    ),
+}
+
+
+class _RecordingDomWdeg(DomWdeg):
+    def __init__(self, model):
+        super().__init__(model)
+        self.picks = []
+        self.causes = []
+        model.on_wipeout(
+            lambda c: self.causes.append(None if c is None else c.cid)
+        )
+
+    def choose(self, model, randomized=False):
+        pick = super().choose(model, randomized)
+        if pick is not None:
+            self.picks.append((pick[0].index, pick[1]))
+        return pick
+
+
+@pytest.mark.parametrize("name", GOLDEN_DOMWDEG)
+def test_domwdeg_dfs_decisions_are_pinned(name):
+    status, backtracks, decisions, causes = GOLDEN_DOMWDEG[name]
+    model = BUILDERS[name]()
+    heuristic = _RecordingDomWdeg(model)
+    stats = dfs(model, heuristic, backtrack_limit=30)
+    assert stats.status == status
+    assert stats.backtracks == backtracks
+    assert heuristic.picks == decisions
+    assert heuristic.causes == causes

@@ -22,6 +22,68 @@ class Forbid(Constraint):
         return values[0] != self.value
 
 
+class LoggedForbid(Forbid):
+    def __init__(self, var, value, log, tag):
+        super().__init__(var, value)
+        self.log, self.tag = log, tag
+
+    def propagate(self, model):
+        self.log.append(self.tag)
+        return super().propagate(model)
+
+
+class LoggedAllDifferent(AllDifferent):
+    def __init__(self, scope, log, tag):
+        super().__init__(scope)
+        self.log, self.tag = log, tag
+
+    def propagate(self, model):
+        self.log.append(self.tag)
+        return super().propagate(model)
+
+
+class RerunAllDifferent(LoggedAllDifferent):
+    """The same propagator, called again after its own removals."""
+
+    idempotent = False
+
+
+def _logged_calls(alldiff):
+    """propagate calls at the root and after a decision, and the domains
+    left, for x in {1, 2}, y and z in {1, 2, 3}, AllDifferent(x, y),
+    Forbid(x, 1) and AllDifferent(y, z), posted in that order."""
+    m = Model()
+    log = []
+    x = m.new_variable({1, 2})
+    y = m.new_variable({1, 2, 3})
+    z = m.new_variable({1, 2, 3})
+    m.add(alldiff([x, y], log, "xy"))
+    m.add(LoggedForbid(x, 1, log, "f"))
+    m.add(alldiff([y, z], log, "yz"))
+    assert m.propagate() == CONSISTENT
+    root = log[:]
+    del log[:]
+    assert m.push_decision("assign", y, 1) == CONSISTENT
+    return root, log, [m.domain(v) for v in (x, y, z)]
+
+
+def test_idempotent_constraint_skips_only_its_own_wakeups():
+    root, decision, domains = _logged_calls(LoggedAllDifferent)
+    # Forbid's removal from x wakes xy and Forbid itself, which is not
+    # idempotent and so is called again; xy's removal from y wakes xy
+    # itself (skipped) and yz (called)
+    assert root == ["xy", "f", "yz", "xy", "f", "yz"]
+    # the decision on y calls both; yz's removal from z wakes only yz
+    assert decision == ["xy", "yz"]
+    assert domains == [{2}, {1}, {2, 3}]
+    # called again after their own removals, the constraints remove
+    # nothing more, and every other call keeps its place
+    rerun_root, rerun_decision, rerun_domains = _logged_calls(RerunAllDifferent)
+    assert rerun_root == ["xy", "f", "yz", "xy", "f", "xy", "yz"]
+    assert rerun_decision == ["xy", "yz", "yz"]
+    assert rerun_domains == domains
+
+
 def test_empty_initial_domain_rejected():
     m = Model()
     with pytest.raises(ValueError):

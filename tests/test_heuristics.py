@@ -6,7 +6,7 @@ import random
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import CONSISTENT, WIPEOUT, Model
+from countsearch.engine import CONSISTENT, WIPEOUT, Constraint, Model
 from countsearch.heuristics import (
     HEURISTIC_NAMES,
     AAvgSD,
@@ -19,7 +19,9 @@ from countsearch.heuristics import (
     MaxSD,
     MinSCMaxSD,
     VarThenValue,
+    WdegState,
     WSCAvg,
+    _wdeg_sums,
     make_heuristic,
 )
 from countsearch.knapsack import Knapsack
@@ -207,6 +209,46 @@ def test_domwdeg_ranking_follows_weights():
     var, value = h.choose(m)
     assert var is y
     assert value == m.min(var)
+
+
+class _Inert(Constraint):
+    """A scope and nothing else."""
+
+    def propagate(self, model):
+        return True
+
+
+def _reference_wdeg_sum(model, state, var):
+    """Weighted degree of one variable, scanned from its watchers."""
+    total = 0
+    for c in model._watchers[var.index]:
+        others = sum(
+            1 for v in c.scope if v.index != var.index and not model.is_bound(v)
+        )
+        if others:
+            total += state.weight(c)
+    return total
+
+
+def test_wdeg_sums_match_per_variable_scan():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = Model()
+        xs = [m.new_variable(range(rng.randint(1, 3))) for _ in range(6)]
+        state = WdegState(m)
+        for _ in range(rng.randint(1, 6)):
+            # sampled with replacement, so a scope may repeat a variable
+            scope = [rng.choice(xs) for _ in range(rng.randint(1, 4))]
+            c = m.add(_Inert(scope))
+            for _ in range(rng.randint(0, 3)):
+                state._bump(c)
+        m.add(_Inert([xs[0], xs[0]]))
+        for x in xs:
+            if rng.random() < 0.4:
+                m.assign(x, m.min(x))
+        sums = _wdeg_sums(m, state)
+        for x in m.unbound_variables():
+            assert sums[x.index] == _reference_wdeg_sum(m, state, x)
 
 
 def test_domdeg_uses_static_degree():
