@@ -23,7 +23,6 @@ from .engine import (
 from .factors import (
     BM_TABLE_SIZE,
     LB_TABLE_SIZE,
-    bm_log_factor,
     bm_table,
     lb_log_bound,
     lb_log_bound_hist,
@@ -62,17 +61,6 @@ def padded_rows(domains: Sequence[set[int]]) -> tuple[list[int], int, int]:
     p = max(0, u - n)
     rows = [len(d) for d in domains] + [u] * p
     return rows, p, u
-
-
-def alldiff_log_count(domains: Sequence[set[int]]) -> float:
-    """log of min(Bregman-Minc, Liang-Bai) bound, padding-corrected."""
-    rows, p, _ = padded_rows(domains)
-    if any(r == 0 for r in rows):
-        return -math.inf
-    correction = math.lgamma(p + 1)
-    bm = sum(bm_log_factor(r) for r in rows) - correction
-    lb = lb_log_bound(rows) - correction
-    return min(bm, lb)
 
 
 def alldiff_density_table(

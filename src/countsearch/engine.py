@@ -49,7 +49,6 @@ class DensityTable:
     constraint: "Constraint"
     log_count: float
     densities: dict[tuple[int, int], float]
-    normalized: bool = True
 
     def density(self, var: Variable, value: int) -> float:
         return self.densities.get((var.index, value), 0.0)

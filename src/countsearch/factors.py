@@ -133,7 +133,3 @@ def lb_log_bound_hist(
             pos += count
     return total
 
-
-def min_log_bound(row_sums) -> float:
-    """min of the Bregman-Minc and Liang-Bai log bounds."""
-    return min(bm_log_bound(row_sums), lb_log_bound(row_sums))

@@ -9,11 +9,11 @@ the factorials of the duplicated and fake vertices.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .alldiff import _log_norm, _tarjan_scc as _scc
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
-from .factors import bm_log_factor, lb_log_bound
+from .factors import bm_log_bound, lb_log_bound
 
 
 # ----------------------------------------------------------------------
@@ -64,29 +64,6 @@ class _Dinic:
                 if not pushed:
                     break
                 flow += pushed
-
-
-class ResidualBounds:
-    """Residual cardinality state after accounting for bound variables."""
-
-    def __init__(
-        self,
-        unbound: list[int],
-        values: list[int],
-        low: dict[int, int],
-        high: dict[int, int],
-        feasible: bool,
-    ):
-        self.unbound = unbound  # indices into the scope
-        self.values = values
-        self.low = low  # residual l'
-        self.high = high  # residual u'
-        self.feasible = feasible
-
-    @property
-    def remaining(self) -> int:
-        """Variables left over once all residual lower bounds are met."""
-        return len(self.unbound) - sum(self.low.values())
 
 
 class GlobalCardinality(Constraint):
@@ -228,7 +205,21 @@ class GlobalCardinality(Constraint):
     # ------------------------------------------------------------------
     # counting
     # ------------------------------------------------------------------
-    def residual_state(self, domains: Sequence[set[int]]) -> ResidualBounds:
+    def bound_parts(self, domains: Sequence[set[int]]) -> tuple[float, float, float]:
+        """(log lower-graph bound, log residual bound, log denominator).
+
+        Bound variables are taken out first: each uses up one occurrence
+        of its value, leaving residual bounds l'_d and u'_d for the
+        unbound ones.  The lower-graph term already includes its
+        fake-column scaling; the residual term its fake-row scaling.
+        The denominator is the product of l'_d! over values: each
+        partial assignment meeting the lower bounds corresponds to
+        exactly that many maximum matchings of the lower graph.  The
+        residual copies are *not* divided out: an extension need not
+        use every copy of a value, so that division would break the
+        upper-bound guarantee (the fake-row factorial inside the
+        residual term is the exact multiplicity that is always present).
+        """
         values = sorted(set().union(*domains) | {d for d, l in self.lower.items() if l > 0})
         counts: dict[int, int] = {}
         unbound: list[int] = []
@@ -239,86 +230,47 @@ class GlobalCardinality(Constraint):
             else:
                 unbound.append(i)
         low: dict[int, int] = {}
-        high: dict[int, int] = {}
-        feasible = True
+        caps: dict[int, int] = {}  # u'_d - l'_d
         for d in values:
             c = counts.get(d, 0)
-            if c > self.high(d):
-                feasible = False
+            high = self.high(d) - c
             low[d] = max(0, self.low(d) - c)
-            high[d] = self.high(d) - c
-            if high[d] < low[d]:
-                feasible = False
-            high[d] = max(0, high[d])
-        if sum(low.values()) > len(unbound):
-            feasible = False
-        return ResidualBounds(unbound, values, low, high, feasible)
-
-    def bound_parts(
-        self, domains: Sequence[set[int]], state: Optional[ResidualBounds] = None
-    ) -> tuple[float, float, float]:
-        """(log lower-graph bound, log residual bound, log denominator).
-
-        The lower-graph term already includes its fake-column scaling;
-        the residual term its fake-row scaling.  The denominator is the
-        product of l'_d! over values: each partial assignment meeting
-        the lower bounds corresponds to exactly that many maximum
-        matchings of the lower graph.  The residual copies are *not*
-        divided out: an extension need not use every copy of a value,
-        so that division would break the upper-bound guarantee (the
-        fake-row factorial inside the residual term is the exact
-        multiplicity that is always present).
-        """
-        if state is None:
-            state = self.residual_state(domains)
-        if not state.feasible:
-            return -math.inf, -math.inf, 0.0
-        low, high = state.low, state.high
-        unbound = state.unbound
-        K = state.remaining
+            if high < low[d]:
+                return -math.inf, -math.inf, 0.0
+            caps[d] = high - low[d]
+        total_low = sum(low.values())
+        # variables left over once all residual lower bounds are met
+        K = len(unbound) - total_low
         if K < 0:
             return -math.inf, -math.inf, 0.0
 
-        denom = sum(math.lgamma(low[d] + 1) for d in state.values)
+        denom = sum(math.lgamma(low[d] + 1) for d in values)
 
         # lower graph: one column per required occurrence + K fake columns
-        total_low = sum(low.values())
         if total_low == 0:
             lower_log = 0.0
         else:
-            rows = []
-            for i in unbound:
-                r = sum(low[d] for d in domains[i] if d in low) + K
-                rows.append(r)
+            rows = [sum(low[d] for d in domains[i] if d in low) + K for i in unbound]
             if any(r == 0 for r in rows):
                 return -math.inf, -math.inf, denom
-            correction = math.lgamma(K + 1)
-            bm = sum(bm_log_factor(r) for r in rows) - correction
-            lb = lb_log_bound(rows) - correction
-            lower_log = min(bm, lb)
+            lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
 
         # residual graph: u'-l' copies per value; K best variables kept
-        caps = {d: high[d] - low[d] for d in state.values}
         n_cols = sum(caps.values())
         if K == 0:
             upper_log = 0.0
         elif n_cols < K:
             return lower_log, -math.inf, denom
         else:
-            rho = []
-            for i in unbound:
-                rho.append((sum(caps.get(d, 0) for d in domains[i]), i))
+            rho = [(sum(caps.get(d, 0) for d in domains[i]), i) for i in unbound]
             # K variables with the largest per-row factor, ties by index
             rho.sort(key=lambda t: (-t[0], t[1]))
             chosen = [r for r, _ in rho[:K]]
             if any(r == 0 for r in chosen):
                 return lower_log, -math.inf, denom
-            fakes = n_cols - K
-            rows = chosen + [n_cols] * fakes
-            correction = math.lgamma(fakes + 1)
-            bm = sum(bm_log_factor(r) for r in rows) - correction
-            lb = lb_log_bound(rows) - correction
-            upper_log = min(bm, lb)
+            pad = n_cols - K  # fake rows
+            rows = chosen + [n_cols] * pad
+            upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
         return lower_log, upper_log, denom
 
     def log_count(self, domains: Sequence[set[int]]) -> float:

@@ -62,37 +62,41 @@ def _argmax(scores: Sequence[tuple[float, int, int]]) -> Optional[tuple[int, int
 
 def _top2(
     scores: Sequence[tuple[float, int, int]], rng: random.Random
-) -> Optional[tuple[int, int]]:
-    """Uniform pick between the two best-scoring pairs."""
-    ordered = sorted(scores, key=lambda t: (-t[0], t[1], t[2]))
-    if not ordered:
-        return None
-    pool = ordered[:2]
+) -> tuple[int, int]:
+    """Uniform pick between the two best-scoring pairs (``scores`` is not
+    empty)."""
+    pool = sorted(scores, key=lambda t: (-t[0], t[1], t[2]))[:2]
     _, vi, val = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
     return vi, val
 
 
 class ScoreHeuristic(Heuristic):
-    """Common machinery for heuristics that rank (variable, value) pairs."""
+    """Common machinery for heuristics that rank (variable, value) pairs.
+
+    When the scores are empty although a variable is unbound (no
+    counting constraint watches the unbound variables, say), the first
+    unbound variable by index is tried with its smallest value.
+    """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         raise NotImplementedError
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
-        if not model.unbound_variables():
+        unbound = model.unbound_variables()
+        if not unbound:
             return None
         scored = self.scores(model)
-        pick = _top2(scored, self.rng) if randomized else _argmax(scored)
-        if pick is None:
-            return None
-        vi, val = pick
+        if not scored:
+            return unbound[0], model.min(unbound[0])
+        vi, val = _top2(scored, self.rng) if randomized else _argmax(scored)
         return model.variables[vi], val
 
 
 def _pair_densities(
     model: Model, tables: Sequence[DensityTable]
-) -> list[tuple[DensityTable, int, int, float]]:
-    """All (table, var_index, value, density) entries for unbound vars."""
+) -> list[tuple[float, int, int]]:
+    """(density, var_index, value) of every value of every unbound
+    variable in the tables' scopes."""
     out = []
     domains = model._domains
     for table in tables:
@@ -103,7 +107,35 @@ def _pair_densities(
             if len(dom) == 1:
                 continue
             for d in sorted(dom):
-                out.append((table, vi, d, density((vi, d), 0.0)))
+                out.append((density((vi, d), 0.0), vi, d))
+    return out
+
+
+def _weighted_average(
+    model: Model, weighted: Sequence[tuple[DensityTable, float]]
+) -> list[tuple[float, int, int]]:
+    """(score, var_index, value) for every value of every unbound variable
+    in the tables' scopes: the average of its densities over those
+    tables, each weighted by exp of its log weight.
+
+    Per variable the weights are rescaled by the largest participating
+    log weight before exponentiation, so vastly different magnitudes
+    stay finite.
+    """
+    per_var: dict[int, list[tuple[DensityTable, float]]] = {}
+    for table, log_weight in weighted:
+        for var in table.constraint.scope:
+            if not model.is_bound(var):
+                per_var.setdefault(var.index, []).append((table, log_weight))
+    out = []
+    for vi, entries in per_var.items():
+        top = max(lw for _, lw in entries)
+        weights = [(t, math.exp(lw - top)) for t, lw in entries]
+        denom = sum(w for _, w in weights)
+        var = model.variables[vi]
+        for d in model.domain_sorted(var):
+            num = sum(w * t.density(var, d) for t, w in weights)
+            out.append((num / denom, vi, d))
     return out
 
 
@@ -111,96 +143,61 @@ class MaxSD(ScoreHeuristic):
     """Maximum solution density over all counting constraints."""
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        tables = model.collect_densities()
-        return [
-            (sigma, vi, d) for _, vi, d, sigma in _pair_densities(model, tables)
-        ]
+        return _pair_densities(model, model.collect_densities())
 
 
 class MaxRelSD(ScoreHeuristic):
     """Density minus the uniform density 1/|D_i|."""
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        tables = model.collect_densities()
-        out = []
-        for _, vi, d, sigma in _pair_densities(model, tables):
-            size = len(model._domains[vi])
-            out.append((sigma - 1.0 / size, vi, d))
-        return out
+        domains = model._domains
+        return [
+            (sigma - 1.0 / len(domains[vi]), vi, d)
+            for sigma, vi, d in _pair_densities(model, model.collect_densities())
+        ]
 
 
 class MaxRelRatio(ScoreHeuristic):
     """Density relative to the uniform density (sigma * |D_i|)."""
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        tables = model.collect_densities()
-        out = []
-        for _, vi, d, sigma in _pair_densities(model, tables):
-            size = len(model._domains[vi])
-            out.append((sigma * size, vi, d))
-        return out
+        domains = model._domains
+        return [
+            (sigma * len(domains[vi]), vi, d)
+            for sigma, vi, d in _pair_densities(model, model.collect_densities())
+        ]
 
 
 class AAvgSD(ScoreHeuristic):
-    """Arithmetic average of a pair's densities over its constraints."""
+    """Arithmetic average of a pair's densities over its constraints
+    (every table has log weight 0)."""
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         tables = model.collect_densities()
-        sums: dict[tuple[int, int], float] = {}
-        counts: dict[int, int] = {}
-        for table in tables:
-            for var in table.constraint.scope:
-                if model.is_bound(var):
-                    continue
-                counts[var.index] = counts.get(var.index, 0) + 1
-                for d in model.domain_sorted(var):
-                    key = (var.index, d)
-                    sums[key] = sums.get(key, 0.0) + table.density(var, d)
-        return [
-            (total / counts[vi], vi, d) for (vi, d), total in sums.items()
-        ]
+        return _weighted_average(model, [(t, 0.0) for t in tables])
 
 
 class WSCAvg(ScoreHeuristic):
     """Average density weighted by each constraint's solution count.
 
-    Counts are carried in log space; per variable the weights are
-    rescaled by the largest participating log count before
-    exponentiation so vastly different magnitudes stay finite.
+    Counts are carried in log space; a constraint without a count
+    estimate (``-inf``) takes no part.
     """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         tables = model.collect_densities()
-        per_var: dict[int, list[tuple[DensityTable, float]]] = {}
-        for table in tables:
-            if table.log_count == -math.inf:
-                continue
-            for var in table.constraint.scope:
-                if model.is_bound(var):
-                    continue
-                per_var.setdefault(var.index, []).append(
-                    (table, table.log_count)
-                )
-        out = []
-        for vi, entries in per_var.items():
-            top = max(lc for _, lc in entries)
-            weights = [(t, math.exp(lc - top)) for t, lc in entries]
-            denom = sum(w for _, w in weights)
-            var = model.variables[vi]
-            for d in model.domain_sorted(var):
-                num = sum(w * t.density(var, d) for t, w in weights)
-                out.append((num / denom, vi, d))
-        return out
+        return _weighted_average(
+            model, [(t, t.log_count) for t in tables if t.log_count != -math.inf]
+        )
 
 
 class MinSCMaxSD(ScoreHeuristic):
     """Max density within the constraint with the fewest solutions."""
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        tables = model.collect_densities()
         candidates = [
             t
-            for t in tables
+            for t in model.collect_densities()
             if any(not model.is_bound(v) for v in t.constraint.scope)
         ]
         if not candidates:
@@ -208,13 +205,7 @@ class MinSCMaxSD(ScoreHeuristic):
         chosen = min(
             candidates, key=lambda t: (t.log_count, t.constraint.cid)
         )
-        out = []
-        for var in chosen.constraint.scope:
-            if model.is_bound(var):
-                continue
-            for d in model.domain_sorted(var):
-                out.append((chosen.density(var, d), var.index, d))
-        return out
+        return _pair_densities(model, [chosen])
 
 
 # ----------------------------------------------------------------------
@@ -410,18 +401,19 @@ class Ibs(Heuristic):
 # hybrids: variable by one rule, value by another
 # ----------------------------------------------------------------------
 def _max_density_value(model: Model, var: Variable) -> int:
-    tables = model.collect_densities()
-    best = None
-    for table in tables:
-        if var not in table.constraint.scope:
-            continue
-        for d in model.domain_sorted(var):
-            sigma = table.density(var, d)
-            if best is None or sigma > best[0] or (sigma == best[0] and d < best[1]):
-                best = (sigma, d)
-    if best is None:
-        return model.min(var)
-    return best[1]
+    """The value of ``var`` with the highest density in any table, the
+    smallest on ties; the smallest value when no table holds ``var``."""
+    vi = var.index
+    values = model.domain_sorted(var)
+    pick = _argmax(
+        [
+            (table.densities.get((vi, d), 0.0), vi, d)
+            for table in model.collect_densities()
+            if var in table.constraint.scope
+            for d in values
+        ]
+    )
+    return values[0] if pick is None else pick[1]
 
 
 class VarThenValue(Heuristic):

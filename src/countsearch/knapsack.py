@@ -4,15 +4,15 @@ Two counting modes are provided.  The exact mode builds the reduced
 layered graph over reachable partial sums, the regular constraint's
 ``LayeredGraph``, for domain-consistent filtering and exact path-count
 densities.  The Gaussian mode never builds the graph: it treats the sum
-of the other variables as approximately normal, caching the
-constraint-wide mean and variance so each (variable, value) density
-costs O(1).
+of the other variables as approximately normal, computing the
+constraint-wide mean and variance once per table so each (variable,
+value) density costs O(1).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 from .regular import LayeredGraph
@@ -32,14 +32,6 @@ def interval_moments(values: Sequence[int]) -> tuple[float, float]:
     mean = (lo + hi) / 2.0
     width = hi - lo + 1
     return mean, (width * width - 1) / 12.0
-
-
-def exact_moments(values: Sequence[int]) -> tuple[float, float]:
-    """Mean and variance of the uniform distribution on the actual values."""
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return mean, var
 
 
 def build_sum_graph(
@@ -85,7 +77,6 @@ class Knapsack(Constraint):
         upper: int,
         consistency: str = DOMAIN,
         mode: str = EXACT,
-        use_exact_moments: bool = False,
     ):
         super().__init__(scope, consistency)
         if len(coeffs) != len(scope):
@@ -96,9 +87,6 @@ class Knapsack(Constraint):
         if mode not in (EXACT, GAUSSIAN):
             raise ValueError(f"unknown counting mode {mode!r}")
         self.mode = mode
-        self.use_exact_moments = use_exact_moments
-        self._gauss_cache: Optional[tuple[float, float]] = None
-        self._gauss_stamp: Optional[tuple[int, ...]] = None
 
     def name(self) -> str:
         return "knapsack"
@@ -144,37 +132,26 @@ class Knapsack(Constraint):
     # ------------------------------------------------------------------
     # Gaussian approximation
     # ------------------------------------------------------------------
-    def _moments(self, dom: set[int]) -> tuple[float, float]:
-        if self.use_exact_moments:
-            return exact_moments(sorted(dom))
-        return interval_moments(dom)
-
-    def gaussian_cache(self, domains: Sequence[set[int]]) -> tuple[float, float]:
+    def gaussian_moments(self, domains: Sequence[set[int]]) -> tuple[float, float]:
         """Constraint-wide centered mean M and variance V.
 
         M = (l+u)/2 - sum_j c_j mu_j and V = ((u-l+1)^2 - 1)/12 +
         sum_j c_j^2 sigma_j^2; both depend only on the current domains.
         """
-        stamp = tuple(len(d) for d in domains) + tuple(
-            min(d) + max(d) for d in domains
-        )
-        if self._gauss_cache is not None and self._gauss_stamp == stamp:
-            return self._gauss_cache
         m_total = (self.lower + self.upper) / 2.0
         width = self.upper - self.lower + 1
         v_total = (width * width - 1) / 12.0
         for c, dom in zip(self.coeffs, domains):
-            mu, var = self._moments(dom)
+            mu, var = interval_moments(dom)
             m_total -= c * mu
             v_total += c * c * var
-        self._gauss_cache = (m_total, v_total)
-        self._gauss_stamp = stamp
-        return self._gauss_cache
+        return m_total, v_total
 
     def gaussian_masses(
-        self, domains: Sequence[set[int]], i: int
+        self, domains: Sequence[set[int]], i: int, moments: tuple[float, float]
     ) -> dict[int, float]:
-        """Normalized Gaussian density estimate for every value of x_i."""
+        """Normalized Gaussian density estimate for every value of x_i,
+        given the constraint's ``gaussian_moments(domains)``."""
         dom = sorted(domains[i])
         if len(dom) == 1:
             return {dom[0]: 1.0}
@@ -182,8 +159,8 @@ class Knapsack(Constraint):
         if c == 0:
             # x_i does not move the sum: every value is equally likely
             return {d: 1.0 / len(dom) for d in dom}
-        big_m, big_v = self.gaussian_cache(domains)
-        mu, var = self._moments(domains[i])
+        big_m, big_v = moments
+        mu, var = interval_moments(domains[i])
         m = (big_m + c * mu) / c
         v = (big_v - c * c * var) / (c * c)
         if v <= 0:
@@ -219,18 +196,11 @@ class Knapsack(Constraint):
             d: (w if d in feasible else 0.0) for d in sorted(domains[i])
         }
 
-    def gaussian_best(
-        self, domains: Sequence[set[int]], i: int
-    ) -> tuple[int, float]:
-        """Highest-density (value, density) pair for x_i in Gaussian mode."""
-        masses = self.gaussian_masses(domains, i)
-        best = max(masses.items(), key=lambda kv: (kv[1], -kv[0]))
-        return best[0], best[1]
-
     def _gaussian_table(self, domains: Sequence[set[int]]) -> DensityTable:
         densities: dict[tuple[int, int], float] = {}
+        moments = self.gaussian_moments(domains)
         for i, var in enumerate(self.scope):
-            for d, w in self.gaussian_masses(domains, i).items():
+            for d, w in self.gaussian_masses(domains, i, moments).items():
                 densities[(var.index, d)] = w
         # no count estimate is defined for the Gaussian approximation
         return DensityTable(self, -math.inf, densities)

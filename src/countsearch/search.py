@@ -33,7 +33,6 @@ class SearchStats:
     time_ms: float = 0.0
     restarts: int = 0
     max_discrepancy: int = 0
-    seed: Optional[int] = None
     solution: Optional[dict[str, int]] = None
 
 

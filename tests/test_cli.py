@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,13 @@ from click.testing import CliRunner
 
 from countsearch import bench as bench_mod
 from countsearch.cli import CSV_HEADER, cli, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# a child interpreter finds the package in src/ whether or not it is installed
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 FULL_SQUARE = "3\n1 2 3\n2 3 1\n3 1 2\n"
 HOLED_SQUARE = "3\n1 0 3\n0 3 1\n3 1 0\n"
@@ -68,6 +76,20 @@ def test_solve_every_traversal(runner, tmp_path):
         assert result.exit_code == 0, result.output
 
 
+def test_solve_wscavg_under_gaussian_knapsacks(runner, tmp_path):
+    # Gaussian tables have no count, so wSCAvg scores no pair at all
+    path = _write(tmp_path, "ms.msplit",
+                  bench_mod.write_instance(bench_mod.generate_marketsplit(3, 0)))
+    result = runner.invoke(cli, [
+        "solve", path, "--heuristic", "wSCAvg", "--knapsack-mode", "gaussian",
+        "--backtracks", "20",
+    ])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code == 2, result.output
+    assert "status:     timeout" in result.output
+    assert "backtracks: 20" in result.output
+
+
 def _main(monkeypatch, capsys, *args):
     """Run the console entry point in-process: (exit code, stdout, stderr)."""
     monkeypatch.setattr(sys, "argv", ["countsearch", *args])
@@ -82,7 +104,7 @@ def test_usage_error_exit_code_is_three(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "countsearch.cli",
          "solve", path, "--heuristic", "bogus"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 3
 
@@ -110,7 +132,7 @@ def test_generate_rejected_params_are_usage_errors(tmp_path, args):
     proc = subprocess.run(
         [sys.executable, "-m", "countsearch.cli", "generate", args[0],
          str(out_dir), *args[1:]],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"error: cannot generate {args[0]}: ")

@@ -14,7 +14,15 @@ so which propagator runs first, and which one empties a domain, steers it.
 Its pins add the ``cid`` of every wipeout's cause, on the same quasigroup
 completions and on one propagated by forward checking only.  A change to
 the propagation queue or to AllDifferent filtering must reproduce them.
+
+The other counting rules (maxRelSD, maxRelRatio, aAvgSD, wSCAvg,
+minSCMaxSD) and the domWDeg+maxSD hybrid read the same density tables
+and score them differently.  Their pins hold a digest of the decisions,
+on a quasigroup completion, the GCC roster and a magic square whose sums
+are exact ``Knapsack`` constraints.
 """
+
+import hashlib
 
 import pytest
 
@@ -22,6 +30,7 @@ from countsearch.bench import (
     BREAK,
     apply_overrides,
     build_model,
+    generate_magic,
     generate_qwh,
     generate_rostering,
     rostering_dfa,
@@ -29,7 +38,7 @@ from countsearch.bench import (
 from countsearch.engine import Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.engine import FORWARD_CHECKING
-from countsearch.heuristics import DomWdeg, MaxSD
+from countsearch.heuristics import DomWdeg, MaxSD, make_heuristic
 from countsearch.regular import Regular
 from countsearch.search import SAT, TIMEOUT, dfs
 
@@ -69,6 +78,7 @@ BUILDERS = {
     "qwh-20-s0": lambda: _qwh(20, 0),
     "roster-6x10-s2": lambda: _roster_gcc(6, 10, 2),
     "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
+    "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
 }
 
 #: instance -> (backtracks, decisions), all found sat under a cap of 30
@@ -227,3 +237,49 @@ def test_domwdeg_dfs_decisions_are_pinned(name):
     assert stats.backtracks == backtracks
     assert heuristic.picks == decisions
     assert heuristic.causes == causes
+
+
+#: (instance, heuristic) -> (status, backtracks, decision count, first 16
+#: hex digits of the SHA-256 of the repr of the (variable index, value)
+#: decision list) under a cap of 30
+GOLDEN_SCORED = {
+    ("qwh-20-s0", "maxRelSD"): (SAT, 0, 32, "ab884bc3b9a85e51"),
+    ("qwh-20-s0", "maxRelRatio"): (SAT, 1, 25, "3fc03f931c7a2659"),
+    ("qwh-20-s0", "aAvgSD"): (SAT, 9, 40, "4198f5b00dfe6e9a"),
+    ("qwh-20-s0", "wSCAvg"): (SAT, 0, 34, "3fe6b5213861c899"),
+    ("qwh-20-s0", "minSCMaxSD"): (SAT, 1, 28, "8eb6e04e62b1c7cd"),
+    ("qwh-20-s0", "domWDeg+maxSD"): (SAT, 0, 36, "47b6ee311cc8539e"),
+    ("roster-6x10-s2", "maxRelSD"): (SAT, 0, 57, "bf1c27b333c1ee40"),
+    ("roster-6x10-s2", "maxRelRatio"): (SAT, 0, 57, "8ce047c45d5cb368"),
+    ("roster-6x10-s2", "aAvgSD"): (SAT, 0, 57, "a56690a867c95c7d"),
+    ("roster-6x10-s2", "wSCAvg"): (SAT, 0, 57, "591d93d584def6dd"),
+    ("roster-6x10-s2", "minSCMaxSD"): (SAT, 0, 57, "c23e9e6d09435e62"),
+    ("roster-6x10-s2", "domWDeg+maxSD"): (SAT, 0, 57, "3b596583c388c1e0"),
+    ("magic-4-s1", "maxRelSD"): (SAT, 19, 23, "86976669ed2273cc"),
+    ("magic-4-s1", "maxRelRatio"): (SAT, 19, 23, "caa12362e3dfba6a"),
+    ("magic-4-s1", "aAvgSD"): (TIMEOUT, 30, 33, "7d9f6ee5b0662f00"),
+    ("magic-4-s1", "wSCAvg"): (SAT, 4, 9, "bea8ac0185d10884"),
+    ("magic-4-s1", "minSCMaxSD"): (SAT, 5, 9, "4a1430a629b7b5ca"),
+    ("magic-4-s1", "domWDeg+maxSD"): (SAT, 15, 19, "1e27c9adab30dd6e"),
+}
+
+
+@pytest.mark.parametrize("instance,name", GOLDEN_SCORED)
+def test_scored_dfs_decisions_are_pinned(instance, name):
+    status, backtracks, count, digest = GOLDEN_SCORED[instance, name]
+    model = BUILDERS[instance]()
+    heuristic = make_heuristic(name, model)
+    choose, picks = heuristic.choose, []
+
+    def recorded(model, randomized=False):
+        pick = choose(model, randomized)
+        if pick is not None:
+            picks.append((pick[0].index, pick[1]))
+        return pick
+
+    heuristic.choose = recorded
+    stats = dfs(model, heuristic, backtrack_limit=30)
+    assert stats.status == status
+    assert stats.backtracks == backtracks
+    assert len(picks) == count
+    assert hashlib.sha256(repr(picks).encode()).hexdigest()[:16] == digest

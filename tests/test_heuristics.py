@@ -25,7 +25,7 @@ from countsearch.heuristics import (
     make_heuristic,
 )
 from countsearch.knapsack import Knapsack
-from countsearch.search import SAT, dfs
+from countsearch.search import SAT, dfs, lds, restart_search
 
 
 def golden_knapsack_model():
@@ -55,6 +55,46 @@ def test_all_bound_returns_none():
     for name in HEURISTIC_NAMES:
         h = make_heuristic(name, m, random.Random(0))
         assert h.choose(m) is None
+
+
+#: heuristics that score pairs from density tables (``maxSD+random``
+#: takes its variable from ``maxSD``)
+SCORING = ["maxSD", "maxRelSD", "maxRelRatio", "aAvgSD", "wSCAvg", "minSCMaxSD"]
+
+
+def _alldiff_and_free_vars():
+    """Free a, then AllDifferent(x, y), then free b: no table scores a or b."""
+    m = Model()
+    a = m.new_variable({4, 3}, "a")
+    x = m.new_variable({0, 1, 2}, "x")
+    y = m.new_variable({0, 1, 2}, "y")
+    b = m.new_variable({5, 6}, "b")
+    m.add(AllDifferent([x, y]))
+    return m, (a, x, y, b)
+
+
+@pytest.mark.parametrize("name", SCORING)
+def test_unscored_variable_is_tried_by_index_with_its_smallest_value(name):
+    m, (a, x, y, b) = _alldiff_and_free_vars()
+    h = make_heuristic(name, m)
+    var, _ = h.choose(m)
+    assert var in (x, y)  # scored pairs come first
+    m.push_decision("assign", x, 0)
+    m.push_decision("assign", y, 1)
+    assert h.choose(m) == (a, 3)
+    m.push_decision("assign", a, 4)
+    assert h.choose(m) == (b, 5)
+
+
+@pytest.mark.parametrize("driver", [dfs, lds, restart_search])
+@pytest.mark.parametrize("name", [*SCORING, "maxSD+random"])
+def test_search_solves_a_model_with_unscored_variables(driver, name):
+    m, (a, x, y, b) = _alldiff_and_free_vars()
+    stats = driver(m, make_heuristic(name, m))
+    assert stats.status == SAT
+    sol = stats.solution
+    assert sol["x"] != sol["y"]
+    assert sol["a"] in (3, 4) and sol["b"] in (5, 6)
 
 
 def test_aavgsd_equals_maxsd_with_single_constraint():

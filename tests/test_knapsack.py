@@ -14,7 +14,6 @@ from countsearch.knapsack import (
     GAUSSIAN,
     Knapsack,
     build_sum_graph,
-    exact_moments,
     interval_moments,
 )
 from countsearch.oracle import exact_count_densities
@@ -157,10 +156,7 @@ def test_interval_moments_full_range():
     assert var == pytest.approx(35 / 12)
 
 
-def test_exact_moments_sparse_domain():
-    mean, var = exact_moments([0, 4])
-    assert mean == pytest.approx(2.0)
-    assert var == pytest.approx(4.0)
+def test_interval_moments_sparse_domain():
     # interval moments over [0, 4] see the holes as present
     imean, ivar = interval_moments([0, 4])
     assert imean == pytest.approx(2.0)
@@ -173,7 +169,7 @@ def test_gaussian_cache_centered_moments():
     xs = [m.new_variable(set(range(6))) for _ in range(3)]
     c = Knapsack(xs, [3, 4, 2], 20, 25, mode=GAUSSIAN)
     domains = [m.domain(x) for x in xs]
-    big_m, big_v = c.gaussian_cache(domains)
+    big_m, big_v = c.gaussian_moments(domains)
     assert big_m == pytest.approx((20 + 25) / 2 - 22.5)
     assert big_v == pytest.approx((6 * 6 - 1) / 12 + 84.583, abs=1e-3)
 
@@ -183,8 +179,9 @@ def test_gaussian_masses_normalized_and_peaked():
     xs = [m.new_variable(set(range(6))) for _ in range(3)]
     c = Knapsack(xs, [3, 4, 2], 22, 23, mode=GAUSSIAN)
     domains = [m.domain(x) for x in xs]
+    moments = c.gaussian_moments(domains)
     for i in range(3):
-        masses = c.gaussian_masses(domains, i)
+        masses = c.gaussian_masses(domains, i, moments)
         assert sum(masses.values()) == pytest.approx(1.0, abs=1e-9)
         # a tight central sum prefers central values over extremes
         assert masses[2] > masses[0]
@@ -212,9 +209,11 @@ def test_gaussian_best_pair_tracks_exact_mode():
         if exact.propagate() == WIPEOUT:
             continue
         table = exact.collect_densities()[0]
+        moments = gc.gaussian_moments(domains)
         for i in range(n):
             trials += 1
-            gbest, _ = gc.gaussian_best(domains, i)
+            masses = gc.gaussian_masses(domains, i, moments)
+            gbest = max(masses.items(), key=lambda kv: (kv[1], -kv[0]))[0]
             ebest = max(
                 sorted(domains[i]), key=lambda d: (table.density(exs[i], d), -d)
             )
@@ -226,6 +225,27 @@ def test_gaussian_best_pair_tracks_exact_mode():
     assert agreements / trials > 0.55
 
 
+def test_gaussian_densities_follow_every_domain_change():
+    # {1,2,5} and {2,3,4} have the same size and the same min + max, but
+    # not the same interval variance: V is 38/3 on the first domains and
+    # 34/3 on the second, so x1 and x2 get other densities
+    m = Model()
+    xs = [m.new_variable(range(1, 6)), m.new_variable({1, 2, 3}),
+          m.new_variable({1, 2, 3})]
+    c = Knapsack(xs, [1, 2, 3], 10, 14, mode=GAUSSIAN)
+    for keep in ({1, 2, 5}, {2, 3, 4}):
+        level = m.push_level()
+        for d in set(range(1, 6)) - keep:
+            m.remove_value(xs[0], d)
+        table = c.count_densities(m)
+        fresh = Knapsack(xs, [1, 2, 3], 10, 14, mode=GAUSSIAN)
+        assert table.densities == fresh.count_densities(m).densities
+        m.backtrack_to(level - 1)
+    domains = [{2, 3, 4}, {1, 2, 3}, {1, 2, 3}]
+    assert c.gaussian_moments(domains)[1] == pytest.approx(34 / 3)
+    assert c.gaussian_moments([{1, 2, 5}, *domains[1:]])[1] == pytest.approx(38 / 3)
+
+
 def test_gaussian_residual_fallback_is_exact():
     # all variables bound but one: fallback enumerates feasible values
     # equality constraint with every other variable bound drives the
@@ -233,7 +253,8 @@ def test_gaussian_residual_fallback_is_exact():
     m = Model()
     xs = [m.new_variable({2}), m.new_variable({0, 1, 2, 3})]
     c = Knapsack(xs, [1, 1], 3, 3, mode=GAUSSIAN)
-    masses = c.gaussian_masses([m.domain(x) for x in xs], 1)
+    domains = [m.domain(x) for x in xs]
+    masses = c.gaussian_masses(domains, 1, c.gaussian_moments(domains))
     assert masses == {0: 0.0, 1: 1.0, 2: 0.0, 3: 0.0}
 
 
