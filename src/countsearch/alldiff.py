@@ -209,6 +209,56 @@ def _tarjan_scc(n_nodes: int, out_arcs: list[list[int]]) -> list[int]:
     return comp
 
 
+def regin_dead_arcs(
+    adj: list[list[int]], n_vals: int
+) -> Optional[list[tuple[int, int]]]:
+    """Arcs (x, v) of the variable/value graph ``adj`` that no matching
+    covering every variable uses (Regin, AAAI 1994), in scan order: by
+    x, then in ``adj[x]`` order.  None when no such matching exists.
+    """
+    n_vars = len(adj)
+    if n_vals < n_vars:
+        return None
+    match_var, match_val = _kuhn_matching(adj, n_vals)
+    if -1 in match_var:
+        return None
+
+    # digraph: matched edge var->val, unmatched val->var
+    n_nodes = n_vars + n_vals
+    out: list[list[int]] = [[] for _ in range(n_nodes)]
+    for x, vs in enumerate(adj):
+        for v in vs:
+            if match_var[x] == v:
+                out[x].append(n_vars + v)
+            else:
+                out[n_vars + v].append(x)
+
+    # nodes reachable from values left unmatched
+    reached = [False] * n_nodes
+    frontier = [n_vars + v for v in range(n_vals) if match_val[v] == -1]
+    for node in frontier:
+        reached[node] = True
+    while frontier:
+        node = frontier.pop()
+        for w in out[node]:
+            if not reached[w]:
+                reached[w] = True
+                frontier.append(w)
+
+    comp = _tarjan_scc(n_nodes, out)
+    dead = []
+    for x, vs in enumerate(adj):
+        for v in vs:
+            if match_var[x] == v:
+                continue
+            if reached[n_vars + v]:
+                continue
+            if comp[x] == comp[n_vars + v]:
+                continue
+            dead.append((x, v))
+    return dead
+
+
 class AllDifferent(Constraint):
     """Pairwise-distinct values over the scope."""
 
@@ -282,48 +332,13 @@ class AllDifferent(Constraint):
             scope.append(var)
             doms.append(dom)
         values = sorted(set().union(*doms))
-        if len(values) < len(doms):
-            return False
         val_idx = {v: i for i, v in enumerate(values)}
-        adj = [[val_idx[d] for d in dom] for dom in doms]
-        match_var, match_val = _kuhn_matching(adj, len(values))
-        if any(m == -1 for m in match_var):
+        dead = regin_dead_arcs([[val_idx[d] for d in dom] for dom in doms], len(values))
+        if dead is None:
             return False
-
-        # digraph: matched edge var->val, unmatched val->var
-        n_vars = len(doms)
-        n_nodes = n_vars + len(values)
-        out: list[list[int]] = [[] for _ in range(n_nodes)]
-        for x, vs in enumerate(adj):
-            for v in vs:
-                if match_var[x] == v:
-                    out[x].append(n_vars + v)
-                else:
-                    out[n_vars + v].append(x)
-
-        # nodes reachable from values left unmatched
-        reached = [False] * n_nodes
-        frontier = [n_vars + v for v in range(len(values)) if match_val[v] == -1]
-        for node in frontier:
-            reached[node] = True
-        while frontier:
-            node = frontier.pop()
-            for w in out[node]:
-                if not reached[w]:
-                    reached[w] = True
-                    frontier.append(w)
-
-        comp = _tarjan_scc(n_nodes, out)
-        for x, var in enumerate(scope):
-            for v in list(adj[x]):
-                if match_var[x] == v:
-                    continue
-                if reached[n_vars + v]:
-                    continue
-                if comp[x] == comp[n_vars + v]:
-                    continue
-                if not model.remove_value(var, values[v], self):
-                    return False
+        for x, v in dead:
+            if not model.remove_value(scope[x], values[v], self):
+                return False
         return True
 
     def count_densities(self, model: Model) -> DensityTable:

@@ -308,21 +308,22 @@ class Model:
     # ------------------------------------------------------------------
     # counting
     # ------------------------------------------------------------------
-    def collect_densities(self) -> list[DensityTable]:
-        """Density tables for all counting constraints, using caches.
+    def density_table(self, c: Constraint) -> DensityTable:
+        """``c``'s density table, using its cache.
 
-        Dirty constraints are recounted and their caches refreshed (the
-        refresh is trailed so backtracking restores the earlier table);
-        clean constraints return the cached table unchanged.
+        A dirty constraint is recounted and its cache refreshed (the
+        refresh is trailed so backtracking restores the earlier table); a
+        clean one returns the cached table unchanged.
         """
-        tables = []
-        for c in self.constraints:
-            if not c.supports_counting:
-                continue
-            if c.dirty or c.cache is None:
-                table = c.count_densities(self)
-                self._trail.append((_T_CACHE, c, c.dirty, c.cache))
-                c.dirty = False
-                c.cache = table
-            tables.append(c.cache)
-        return tables
+        if c.dirty or c.cache is None:
+            table = c.count_densities(self)
+            self._trail.append((_T_CACHE, c, c.dirty, c.cache))
+            c.dirty = False
+            c.cache = table
+        return c.cache
+
+    def collect_densities(self) -> list[DensityTable]:
+        """Density tables for all counting constraints, using caches."""
+        return [
+            self.density_table(c) for c in self.constraints if c.supports_counting
+        ]

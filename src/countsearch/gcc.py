@@ -1,4 +1,7 @@
-"""Global cardinality constraint: flow-based filtering and counting.
+"""Global cardinality constraint: matching-based filtering and counting.
+
+Filtering runs AllDifferent's Regin filter on a value graph with one
+vertex per allowed occurrence of each value (Regin, AAAI 1996).
 
 Counting decomposes the constraint into a lower-bound graph (duplicated
 value vertices for required occurrences) and a residual upper-bound
@@ -9,61 +12,13 @@ the factorials of the duplicated and fake vertices.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 from typing import Sequence
 
-from .alldiff import _log_norm, _tarjan_scc as _scc
+from .alldiff import _log_norm, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 from .factors import bm_log_bound, lb_log_bound
-
-
-# ----------------------------------------------------------------------
-# minimal max-flow (Dinic) for the feasible-flow computation
-# ----------------------------------------------------------------------
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
-
-    def add_edge(self, u: int, v: int, cap: int) -> tuple[int, int]:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-        return (u, len(self.graph[u]) - 1)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.graph[u]:
-                    if e[1] > 0 and level[e[0]] == -1:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[t] == -1:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.graph[u]):
-                    e = self.graph[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, e[1]))
-                        if got:
-                            e[1] -= got
-                            self.graph[v][e[2]][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
 
 
 class GlobalCardinality(Constraint):
@@ -107,7 +62,7 @@ class GlobalCardinality(Constraint):
         if not self._counting_checks(model):
             return False
         if self.consistency == DOMAIN:
-            return self._flow_filter(model)
+            return self._matching_filter(model)
         return True
 
     def _counting_checks(self, model: Model) -> bool:
@@ -141,65 +96,57 @@ class GlobalCardinality(Constraint):
                 return False
         return True
 
-    def _flow_filter(self, model: Model) -> bool:
-        scope = self.scope
-        n = len(scope)
-        doms = [model._domains[v.index] for v in scope]
-        values = sorted(set().union(*doms))
-        vid = {d: i for i, d in enumerate(values)}
-        # nodes: S, values, variables, T, plus S*/T* for lower bounds
-        S = 0
-        val0 = 1
-        var0 = 1 + len(values)
-        T = var0 + n
-        Sx = T + 1
-        Tx = T + 2
-        net = _Dinic(T + 3)
-        excess = [0] * (T + 3)
-        arc_refs: dict[tuple[int, int], tuple[int, int]] = {}
-        for d in values:
-            l, u = self.low(d), self.high(d)
-            if l > u:
-                return False
-            # S -> value with bounds [l, u]
-            net.add_edge(S, val0 + vid[d], u - l)
-            excess[val0 + vid[d]] += l
-            excess[S] -= l
-        for i, dom in enumerate(doms):
-            for d in dom:
-                arc_refs[(i, d)] = net.add_edge(val0 + vid[d], var0 + i, 1)
-            # var -> T with bounds [1, 1]
-            excess[T] += 1
-            excess[var0 + i] -= 1
-        net.add_edge(T, S, 1 << 60)
-        need = 0
-        for node in range(T + 1):
-            if excess[node] > 0:
-                net.add_edge(Sx, node, excess[node])
-                need += excess[node]
-            elif excess[node] < 0:
-                net.add_edge(node, Tx, -excess[node])
-        if net.max_flow(Sx, Tx) < need:
-            return False
+    def _matching_filter(self, model: Model) -> bool:
+        """Remove every value that no assignment meeting the bounds uses.
 
-        # residual SCCs decide which unused value-variable arcs survive
-        n_nodes = T + 1
-        out: list[list[int]] = [[] for _ in range(n_nodes)]
-        for u in range(n_nodes):
-            for e in net.graph[u]:
-                if e[0] <= T and e[1] > 0:
-                    out[u].append(e[0])
-        comp = _scc(n_nodes, out)
-        for i, var in enumerate(scope):
-            for d in list(doms[i]):
-                u, k = arc_refs[(i, d)]
-                edge = net.graph[u][k]
-                has_flow = edge[1] == 0  # unit arc fully used
-                if has_flow:
-                    continue
-                if comp[val0 + vid[d]] != comp[var0 + i]:
-                    if not model.remove_value(var, d, self):
-                        return False
+        Value d gets min(u_d, holders of d) copies, the first l_d of them
+        required, and each variable an arc to every copy of each value in
+        its domain.  When some copy is required, copies - n dummy
+        variables, each joined to every optional copy, make the perfect
+        matchings exactly the assignments meeting every bound: a solution
+        puts each value's users on its required copies first, and the
+        dummies take the optional copies left over.  Without required
+        copies no dummies are needed: the copies a matching leaves free
+        keep alive what the dummies would.  (x, d) goes when every arc
+        from x to a copy of d is dead, so a value without copies goes at
+        once.
+        """
+        doms = self._domains(model)
+        holders = Counter(chain.from_iterable(doms))
+        copies: dict[int, range] = {}
+        val_of: list[int] = []  # value of each copy
+        optional: list[int] = []
+        for d in sorted(holders):
+            low = self.low(d)
+            k = min(self.high(d), holders[d])
+            if k < low:
+                return False
+            start = len(val_of)
+            copies[d] = range(start, start + k)
+            val_of.extend([d] * k)
+            optional.extend(range(start + low, start + k))
+        adj = [[c for d in dom for c in copies[d]] for dom in doms]
+        if len(optional) < len(val_of):
+            adj.extend([optional] * (len(val_of) - len(doms)))
+        dead = regin_dead_arcs(adj, len(val_of))
+        if dead is None:
+            return False
+        # the dead arcs of (x, d) are one run of the scan order, which
+        # follows the scope and each domain's iteration order; removing
+        # only after the walk keeps a repeated variable's domain intact
+        dead.append((-1, -1))
+        gone = []
+        pos = 0
+        for x, dom in enumerate(doms):
+            for d in dom:
+                run = pos
+                while dead[pos][0] == x and val_of[dead[pos][1]] == d:
+                    pos += 1
+                if pos - run == len(copies[d]):
+                    gone.append((self.scope[x], d))
+        for var, d in gone:
+            if not model.remove_value(var, d, self):
+                return False
         return True
 
     # ------------------------------------------------------------------

@@ -268,53 +268,37 @@ def _wdeg_sums(model: Model, state: WdegState) -> list[int]:
     return sums
 
 
-class DomWdeg(Heuristic):
+class DomDeg(Heuristic):
+    """dom/degree variable order (static degree), lexicographic value."""
+
+    def _degrees(self, model: Model) -> list[int]:
+        """Degree of every variable, indexed by variable index."""
+        return [len(watchers) for watchers in model._watchers]
+
+    def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
+        unbound = model.unbound_variables()
+        if not unbound:
+            return None
+        degrees = self._degrees(model)
+
+        def key(v: Variable):
+            deg = degrees[v.index]
+            ratio = model.size(v) / deg if deg else math.inf
+            return (ratio, v.index)
+
+        var = min(unbound, key=key)
+        return var, model.min(var)
+
+
+class DomWdeg(DomDeg):
     """dom/wdeg variable order, first value in lexicographic order."""
 
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         super().__init__(model, rng)
         self.state = WdegState(model)
 
-    def _var(self, model: Model) -> Optional[Variable]:
-        unbound = model.unbound_variables()
-        if not unbound:
-            return None
-        sums = _wdeg_sums(model, self.state)
-
-        def key(v: Variable):
-            w = sums[v.index]
-            ratio = model.size(v) / w if w else math.inf
-            return (ratio, v.index)
-
-        return min(unbound, key=key)
-
-    def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
-        var = self._var(model)
-        if var is None:
-            return None
-        return var, model.min(var)
-
-
-class DomDeg(Heuristic):
-    """dom/degree variable order (static degree), lexicographic value."""
-
-    def _var(self, model: Model) -> Optional[Variable]:
-        unbound = model.unbound_variables()
-        if not unbound:
-            return None
-
-        def key(v: Variable):
-            deg = len(model._watchers[v.index])
-            ratio = model.size(v) / deg if deg else math.inf
-            return (ratio, v.index)
-
-        return min(unbound, key=key)
-
-    def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
-        var = self._var(model)
-        if var is None:
-            return None
-        return var, model.min(var)
+    def _degrees(self, model: Model) -> list[int]:
+        return _wdeg_sums(model, self.state)
 
 
 class Ibs(Heuristic):
@@ -405,13 +389,11 @@ def _max_density_value(model: Model, var: Variable) -> int:
     smallest on ties; the smallest value when no table holds ``var``."""
     vi = var.index
     values = model.domain_sorted(var)
+    tables = [
+        model.density_table(c) for c in model._watchers[vi] if c.supports_counting
+    ]
     pick = _argmax(
-        [
-            (table.densities.get((vi, d), 0.0), vi, d)
-            for table in model.collect_densities()
-            if var in table.constraint.scope
-            for d in values
-        ]
+        [(t.densities.get((vi, d), 0.0), vi, d) for t in tables for d in values]
     )
     return values[0] if pick is None else pick[1]
 

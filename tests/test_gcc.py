@@ -7,9 +7,11 @@ import pytest
 
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.gcc import GlobalCardinality
+from countsearch.heuristics import Dom
 from countsearch.oracle import exact_count_densities
+from countsearch.search import SAT, dfs
 
-from conftest import random_gcc
+from conftest import random_domains, random_gcc
 
 
 def _post(domains, lower, upper, consistency="domain"):
@@ -26,11 +28,35 @@ def test_check_counts_occurrences():
     assert not c.check([2, 2, 2])  # value 1 below lower bound
 
 
+def _bounded_gcc(rng: random.Random):
+    """Lower bounds up to 3, upper bounds below the holder count and
+    preset bound variables."""
+    n = rng.randint(2, 6)
+    n_values = rng.randint(2, 4)
+    domains = random_domains(rng, n, n_values)
+    for dom in domains:
+        if rng.random() < 0.2:
+            value = rng.choice(sorted(dom))
+            dom.intersection_update({value})
+    lower = {}
+    upper = {}
+    for d in range(1, n_values + 1):
+        holders = sum(1 for dom in domains if d in dom)
+        lower[d] = rng.choice([0, 0, 1, 2, 3])
+        upper[d] = rng.randint(max(lower[d], 1), max(holders, lower[d], 1))
+        if holders > 1 and rng.random() < 0.5:
+            upper[d] = rng.randint(0, holders - 1)
+    m = Model()
+    xs = [m.new_variable(dom) for dom in domains]
+    return GlobalCardinality(xs, lower, upper), domains
+
+
 def test_domain_filtering_matches_oracle_supports():
     rng = random.Random(11)
-    for _ in range(60):
-        c, domains = random_gcc(rng)
-        model = c.scope[0]  # scope vars belong to a fresh model
+    instances = [random_gcc(rng) for _ in range(60)]
+    instances += [_bounded_gcc(rng) for _ in range(400)]
+    consistent = 0
+    for c, domains in instances:
         m = Model()
         xs = [m.new_variable(set(d)) for d in domains]
         cc = m.add(GlobalCardinality(xs, c.lower, c.upper))
@@ -40,9 +66,27 @@ def test_domain_filtering_matches_oracle_supports():
             assert status == WIPEOUT
             continue
         assert status == CONSISTENT
+        consistent += 1
         for i, x in enumerate(xs):
             supported = {d for (vi, d) in dens if vi == x.index}
             assert m.domain(x) == supported
+    assert consistent > 120
+
+
+def test_long_augmenting_path_does_not_overflow_the_stack():
+    # x_i in {8i, 8i+8} plus two variables over {0, 8n+8}, each value at
+    # most once: the spacing makes each domain iterate its smaller value
+    # first, so the greedy matching leaves one augmenting path through
+    # the whole chain
+    n = 900
+    m = Model()
+    xs = [m.new_variable({8 * i, 8 * i + 8}) for i in range(n - 1)]
+    xs += [m.new_variable({0, 8 * n + 8}) for _ in range(2)]
+    values = set().union(*(m.domain(x) for x in xs))
+    c = m.add(GlobalCardinality(xs, {}, {d: 1 for d in values}))
+    stats = dfs(m, Dom(m, random.Random(0)))
+    assert stats.status == SAT
+    assert c.check([stats.solution[x.name] for x in xs])
 
 
 def test_fc_level_saturation():

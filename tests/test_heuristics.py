@@ -375,6 +375,24 @@ def test_hybrid_var_and_value_split():
     assert calls == ["var", "value"]
 
 
+def test_max_density_value_counts_only_the_variables_tables():
+    m = Model()
+    x = m.new_variable({1, 2, 3})
+    y = m.new_variable({1, 2})
+    z = m.new_variable({1, 2, 3, 4})
+    u, v = (m.new_variable({1, 2}) for _ in range(2))
+    own = m.add(AllDifferent([x, y, z]))
+    other = m.add(AllDifferent([u, v]))
+    m.propagate()
+    h = make_heuristic("domWDeg+maxSD", m)
+    value = h.value_rule(m, x)
+    assert not own.dirty
+    assert other.dirty and other.cache is None
+    # the same value as a scan of every table
+    table = m.collect_densities()[0]
+    assert value == max(m.domain_sorted(x), key=lambda d: table.density(x, d)) == 3
+
+
 def test_registry_covers_all_names():
     for name in HEURISTIC_NAMES:
         m, _ = golden_knapsack_model()
