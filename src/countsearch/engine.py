@@ -4,7 +4,11 @@ The model owns all mutable state.  Domains are sets of integers with a
 removal trail tagged by decision level, so any earlier level can be
 restored bit-exactly.  Constraints register a consistency level and a
 dirty flag; per-constraint density tables are cached and the cache is
-trailed together with the domains.
+trailed together with the domains.  Constraints may trail changes to
+state of their own (``Model.trail_undo``): the layered graphs of
+``Regular`` and exact ``Knapsack`` trail their arc deletions and their
+creation, so backtracking revives the arcs and drops a graph built
+below the level it returns to.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ class Constraint:
 # trail entry tags
 _T_REMOVE = 0
 _T_CACHE = 1
+_T_UNDO = 2
 
 
 class Model:
@@ -211,6 +216,12 @@ class Model:
                     return False
         return True
 
+    def trail_undo(self, undo: Callable[[object], None], arg: object) -> None:
+        """Trail a change to state outside the model: backtracking past
+        this point calls ``undo(arg)``, in LIFO order with the rest of the
+        trail."""
+        self._trail.append((_T_UNDO, undo, arg))
+
     def _on_domain_change(self, var: Variable, cause: Optional[Constraint]) -> None:
         for c in self._watchers[var.index]:
             if c is not cause:
@@ -297,6 +308,8 @@ class Model:
             tag = entry[0]
             if tag == _T_REMOVE:
                 self._domains[entry[1]].add(entry[2])
+            elif tag == _T_UNDO:
+                entry[1](entry[2])
             else:
                 c = entry[1]
                 c.dirty = entry[2]

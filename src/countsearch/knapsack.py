@@ -3,10 +3,11 @@
 Two counting modes are provided.  The exact mode builds the reduced
 layered graph over reachable partial sums, the regular constraint's
 ``LayeredGraph``, for domain-consistent filtering and exact path-count
-densities.  The Gaussian mode never builds the graph: it treats the sum
-of the other variables as approximately normal, computing the
-constraint-wide mean and variance once per table so each (variable,
-value) density costs O(1).
+densities; it builds the graph once per model and then deletes arcs as
+values leave the domains (Trick, CPAIOR 2003).  The Gaussian mode never
+builds the graph: it treats the sum of the other variables as
+approximately normal, computing the constraint-wide mean and variance
+once per table so each (variable, value) density costs O(1).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
-from .regular import LayeredGraph
+from .engine import DOMAIN, DensityTable, Model, Variable
+from .regular import GraphConstraint, LayeredGraph
 
 EXACT = "exact"
 GAUSSIAN = "gaussian"
@@ -64,10 +65,8 @@ def build_sum_graph(
     return LayeredGraph(layers, 0)
 
 
-class Knapsack(Constraint):
+class Knapsack(GraphConstraint):
     """lower <= sum_i coeffs[i] * x_i <= upper."""
-
-    supports_counting = True
 
     def __init__(
         self,
@@ -88,6 +87,11 @@ class Knapsack(Constraint):
             raise ValueError(f"unknown counting mode {mode!r}")
         self.mode = mode
 
+    @property
+    def idempotent(self) -> bool:
+        # bounds filtering may need a second call to reach its fixpoint
+        return self.consistency == DOMAIN and self._distinct
+
     def name(self) -> str:
         return "knapsack"
 
@@ -98,12 +102,13 @@ class Knapsack(Constraint):
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
+    def build_graph(self, domains: Sequence[set[int]]) -> LayeredGraph:
+        return build_sum_graph(self.coeffs, domains, self.lower, self.upper)
+
     def propagate(self, model: Model) -> bool:
-        domains = self._domains(model)
         if self.consistency == DOMAIN:
-            graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
-            return graph.filter(self, model, domains)
-        return self._bounds_filter(model, domains)
+            return self.graph_filter(model)
+        return self._bounds_filter(model, self._domains(model))
 
     def _bounds_filter(self, model: Model, domains: Sequence[set[int]]) -> bool:
         terms_min = []
@@ -206,8 +211,6 @@ class Knapsack(Constraint):
         return DensityTable(self, -math.inf, densities)
 
     def count_densities(self, model: Model) -> DensityTable:
-        domains = self._domains(model)
         if self.mode == GAUSSIAN:
-            return self._gaussian_table(domains)
-        graph = build_sum_graph(self.coeffs, domains, self.lower, self.upper)
-        return graph.density_table(self, domains)
+            return self._gaussian_table(self._domains(model))
+        return self.graph_densities(model)

@@ -6,8 +6,10 @@ the last bit of a density can change the search.  These sequences pin
 every (variable index, value) decision, and the backtrack count, that
 ``dfs`` with ``maxSD`` makes on three quasigroup completions (AllDifferent
 counting) and one roster whose columns are ``GlobalCardinality``
-constraints (GCC and Regular counting).  A speed-up of the counting
-kernels must reproduce them unchanged.
+constraints (GCC and Regular counting), and every decision up to a cap
+of 60 backtracks on two market splits, whose searches backtrack through
+exact ``Knapsack`` graphs.  A speed-up of the counting kernels must
+reproduce them unchanged.
 
 domWDeg learns its weights from the constraint each wipeout is blamed on,
 so which propagator runs first, and which one empties a domain, steers it.
@@ -31,6 +33,7 @@ from countsearch.bench import (
     apply_overrides,
     build_model,
     generate_magic,
+    generate_marketsplit,
     generate_qwh,
     generate_rostering,
     rostering_dfa,
@@ -148,6 +151,52 @@ def test_maxsd_dfs_decisions_are_pinned(name):
     heuristic = _Recording(model)
     stats = dfs(model, heuristic, backtrack_limit=30)
     assert stats.status == SAT
+    assert stats.backtracks == backtracks
+    assert heuristic.picks == decisions
+
+
+#: market split instance -> (backtracks, decisions) under a cap of 60;
+#: each search stops at the cap, after many backtracks through the rows'
+#: exact ``Knapsack`` graphs
+GOLDEN_MARKETSPLIT = {
+    "marketsplit-3-s0": (
+        60,
+        [
+            (16, 0), (19, 1), (15, 1), (1, 0), (0, 1), (3, 0), (2, 0), (4, 0),
+            (14, 1), (5, 0), (2, 0), (8, 1), (5, 0), (5, 0), (11, 0), (2, 1),
+            (9, 0), (4, 0), (17, 0), (0, 0), (9, 0), (11, 1), (13, 0), (6, 1),
+            (4, 0), (7, 0), (3, 1), (7, 0), (3, 0), (2, 1), (7, 0), (11, 0),
+            (13, 0), (2, 0), (6, 0), (5, 0), (9, 0), (4, 1), (0, 0), (2, 1),
+            (1, 0), (9, 1), (13, 0), (11, 1), (4, 0), (17, 1), (5, 1), (11, 0),
+            (3, 1), (9, 1), (17, 1), (1, 0), (3, 1), (5, 0), (1, 1), (8, 0),
+            (4, 1), (1, 0), (4, 0), (8, 0), (9, 1), (15, 0), (0, 1), (3, 0),
+            (6, 1), (7, 0), (18, 1), (10, 0), (1, 0),
+        ],
+    ),
+    "marketsplit-3-s1": (
+        60,
+        [
+            (0, 0), (17, 1), (14, 1), (6, 0), (15, 0), (4, 0), (2, 1), (18, 0),
+            (11, 1), (18, 1), (1, 0), (13, 1), (10, 0), (2, 1), (3, 0), (5, 1),
+            (1, 1), (2, 0), (5, 0), (13, 1), (3, 1), (8, 0), (11, 1), (9, 1),
+            (9, 1), (5, 0), (19, 0), (11, 0), (2, 0), (18, 1), (8, 0), (9, 0),
+            (15, 1), (11, 0), (19, 1), (3, 0), (5, 0), (1, 0), (8, 0), (13, 0),
+            (1, 1), (19, 0), (4, 1), (2, 0), (15, 0), (1, 1), (13, 0), (7, 0),
+            (1, 0), (4, 0), (5, 0), (2, 1), (4, 0), (13, 1), (1, 0), (6, 1),
+            (18, 0), (11, 1), (3, 1), (6, 0), (6, 1), (1, 0), (6, 1), (18, 1),
+            (13, 0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_MARKETSPLIT)
+def test_maxsd_dfs_decisions_on_market_split_are_pinned(name):
+    backtracks, decisions = GOLDEN_MARKETSPLIT[name]
+    model = build_model(generate_marketsplit(3, int(name.rsplit("-s", 1)[1])))
+    heuristic = _Recording(model)
+    stats = dfs(model, heuristic, backtrack_limit=60)
+    assert stats.status == TIMEOUT
     assert stats.backtracks == backtracks
     assert heuristic.picks == decisions
 

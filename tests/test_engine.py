@@ -3,7 +3,7 @@
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import CONSISTENT, WIPEOUT, Constraint, Model
+from countsearch.engine import BOUNDS, CONSISTENT, WIPEOUT, Constraint, Model
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
 
@@ -82,6 +82,170 @@ def test_idempotent_constraint_skips_only_its_own_wakeups():
     assert rerun_root == ["xy", "f", "yz", "xy", "f", "xy", "yz"]
     assert rerun_decision == ["xy", "yz", "yz"]
     assert rerun_domains == domains
+
+
+#: x != y over 1..3 as an automaton: the same filtering as AllDifferent
+NEQ = Automaton(
+    {**{("s", a): a for a in (1, 2, 3)},
+     **{(a, b): "ok" for a in (1, 2, 3) for b in (1, 2, 3) if a != b}},
+    "s",
+    ["ok"],
+)
+
+
+class LoggedRegular(Regular):
+    def __init__(self, scope, log, tag):
+        super().__init__(scope, NEQ)
+        self.log, self.tag = log, tag
+
+    def propagate(self, model):
+        self.log.append(self.tag)
+        return super().propagate(model)
+
+
+class RerunRegular(LoggedRegular):
+    def __init__(self, scope, log, tag):
+        super().__init__(scope, log, tag)
+        self.idempotent = False
+
+
+class LoggedSumIsTwo(Knapsack):
+    def __init__(self, scope, log, tag):
+        super().__init__(scope, [1, 1], 2, 2)
+        self.log, self.tag = log, tag
+
+    def propagate(self, model):
+        self.log.append(self.tag)
+        return super().propagate(model)
+
+
+class RerunSumIsTwo(LoggedSumIsTwo):
+    idempotent = False
+
+
+def test_idempotent_regular_skips_only_its_own_wakeups():
+    # Regular(x != y) filters as AllDifferent does, so the calls are the
+    # same as in the AllDifferent test above
+    root, decision, domains = _logged_calls(LoggedRegular)
+    assert root == ["xy", "f", "yz", "xy", "f", "yz"]
+    assert decision == ["xy", "yz"]
+    assert domains == [{2}, {1}, {2, 3}]
+    rerun_root, rerun_decision, rerun_domains = _logged_calls(RerunRegular)
+    assert rerun_root == ["xy", "f", "yz", "xy", "f", "xy", "yz"]
+    assert rerun_decision == ["xy", "yz", "yz"]
+    assert rerun_domains == domains
+
+
+def _logged_sum_calls(knapsack):
+    """propagate calls at the root and after y = 1, and the domains left,
+    for x, y and z in {0, 1, 2}, x + y = 2, Forbid(x, 0) and y + z = 2,
+    posted in that order."""
+    m = Model()
+    log = []
+    x, y, z = (m.new_variable({0, 1, 2}) for _ in range(3))
+    m.add(knapsack([x, y], log, "xy"))
+    m.add(LoggedForbid(x, 0, log, "f"))
+    m.add(knapsack([y, z], log, "yz"))
+    assert m.propagate() == CONSISTENT
+    root = log[:]
+    del log[:]
+    assert m.push_decision("assign", y, 1) == CONSISTENT
+    return root, log, [m.domain(v) for v in (x, y, z)]
+
+
+def test_idempotent_knapsack_skips_only_its_own_wakeups():
+    root, decision, domains = _logged_sum_calls(LoggedSumIsTwo)
+    # Forbid's removal from x wakes xy, whose removal of 2 from y wakes
+    # yz but not xy; yz's removal of 0 from z wakes only yz (skipped)
+    assert root == ["xy", "f", "yz", "xy", "f", "yz"]
+    # y = 1: xy binds x, which wakes Forbid; yz binds z
+    assert decision == ["xy", "yz", "f"]
+    assert domains == [{1}, {1}, {1}]
+    rerun_root, rerun_decision, rerun_domains = _logged_sum_calls(RerunSumIsTwo)
+    assert rerun_root == ["xy", "f", "yz", "xy", "f", "xy", "yz", "yz"]
+    assert rerun_decision == ["xy", "yz", "xy", "f", "yz"]
+    assert rerun_domains == domains
+
+
+def test_bounds_knapsack_and_repeated_scope_are_not_idempotent():
+    m = Model()
+    x, y = m.new_variable({0, 1}), m.new_variable({0, 1})
+    assert Regular([x, y], NEQ).idempotent
+    assert not Regular([x, y, x], NEQ).idempotent
+    knapsack = Knapsack([x, y], [1, 1], 1, 1)
+    assert knapsack.idempotent
+    knapsack.consistency = BOUNDS
+    assert not knapsack.idempotent
+    assert not Knapsack([x, x], [1, 1], 1, 1).idempotent
+
+
+def test_repeated_variable_regular_reaches_the_fixpoint():
+    # words 0 0 2 and 1 1 1 over (x, y, x): the first call removes 2
+    # from x (layer 0) and 0 from x (layer 2), leaving x = 1; only a
+    # second call sees that y = 0 has lost its support
+    dfa = Automaton(
+        {("s", 0): "a", ("a", 0): "b", ("b", 2): "acc",
+         ("s", 1): "c", ("c", 1): "d", ("d", 1): "acc"},
+        "s",
+        ["acc"],
+    )
+    m = Model()
+    x, y = m.new_variable({0, 1, 2}), m.new_variable({0, 1})
+    c = m.add(Regular([x, y, x], dfa))
+    assert m.propagate() == CONSISTENT
+    assert (m.domain(x), m.domain(y)) == ({1}, {1})
+    assert c.check([1, 1, 1])
+
+
+def test_trail_undo_runs_last_in_first_out_with_the_domains():
+    m = Model()
+    x = m.new_variable({1, 2, 3})
+    seen = []
+
+    def undo(tag):
+        seen.append((tag, m.domain(x)))
+
+    m.push_level()
+    m.trail_undo(undo, "a")
+    m.remove_value(x, 1)
+    m.trail_undo(undo, "b")
+    m.push_level()
+    m.remove_value(x, 2)
+    m.trail_undo(undo, "c")
+    m.backtrack_to(1)
+    assert seen == [("c", {3})]
+    m.backtrack_to(0)
+    # "b" runs before x gets 1 back, "a" after
+    assert seen == [("c", {3}), ("b", {2, 3}), ("a", {1, 2, 3})]
+    assert m.domain(x) == {1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda xs: Regular(xs, NEQ),
+        lambda xs: Knapsack(xs, [1, 2], 3, 5),
+    ],
+    ids=["regular", "knapsack"],
+)
+def test_graph_built_at_level_two_is_dropped_by_backtrack(make):
+    m = Model()
+    xs = [m.new_variable({1, 2, 3}) for _ in range(2)]
+    c = make(xs)  # not posted: nothing builds its graph at the root
+    m.push_level()
+    m.remove_value(xs[0], 1)
+    m.push_level()
+    m.remove_value(xs[1], 2)
+    c.count_densities(m)  # built here, from the level-2 domains
+    m.remove_value(xs[0], 3)
+    narrowed = c.count_densities(m)
+    m.backtrack_to(1)
+    assert c._graph is None
+    m.backtrack_to(0)
+    table = c.count_densities(m)
+    fresh = make(xs).count_densities(m)
+    assert (table.log_count, table.densities) == (fresh.log_count, fresh.densities)
+    assert table.log_count > narrowed.log_count
 
 
 def test_empty_initial_domain_rejected():

@@ -55,9 +55,10 @@ def test_layered_graph_counts_fibonacci():
 def test_layered_graph_weights_partition_count(build):
     # every path crosses each layer once: density_table divides by count
     graph = build()
-    assert graph.count > 0
-    for i in range(len(graph.layers) - 1):
-        assert sum(graph.arc_weights(i).values()) == graph.count
+    count, weights = graph.path_counts()
+    assert count > 0
+    for i in range(graph.k):
+        assert sum(weights[graph.layer_slot[i] : graph.layer_slot[i + 1]]) == count
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,17 @@
 import importlib.util
 import os
 
+import pytest
+
 from countsearch import alldiff, engine, gcc, knapsack, regular
 from countsearch.alldiff import AllDifferent
+from countsearch.bench import build_model, generate_marketsplit, generate_rostering
 from countsearch.engine import CONSISTENT, Model
 from countsearch.gcc import GlobalCardinality
+from countsearch.heuristics import MaxSD
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Regular
+from countsearch.search import dfs
 
 TRACER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
@@ -62,3 +67,27 @@ def test_install_patches_entry_points_and_restores_them():
     after = _snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is fn for key, fn in before.items())
+
+
+@pytest.mark.parametrize(
+    "instance, kind, build, backtracks",
+    [
+        # a dive with no backtrack
+        (generate_rostering(4, 8, seed=0), Regular, "regular.build_layered_graph", 0),
+        # stops at the cap of 10 backtracks
+        (generate_marketsplit(3, 0), Knapsack, "knapsack.build_sum_graph", 10),
+    ],
+    ids=["roster", "marketsplit"],
+)
+def test_traced_dfs_builds_each_graph_once(instance, kind, build, backtracks):
+    """The tracer sees the layered-graph builds, one per graph constraint
+    however long the search runs."""
+    tracer = _load_tracer().Tracer()
+    with tracer.install():
+        model = build_model(instance)
+        stats = dfs(model, MaxSD(model), backtrack_limit=10)
+    graphs = sum(isinstance(c, kind) for c in model.constraints)
+    calls = tracer.calls()
+    assert stats.backtracks == backtracks
+    assert graphs > 0 and calls[build] == graphs
+    assert calls[f"{kind.__name__.lower()}.propagate"] > 10 * graphs
