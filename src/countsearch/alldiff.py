@@ -1,8 +1,9 @@
 """Alldifferent and symmetric pairing constraints: filtering and counting.
 
-Counting uses permanent upper bounds (Bregman-Minc and Liang-Bai) on the
-0-1 variable/value matrix; densities come from forward-checking local
-probes per Algorithm 1's incremental factor updates.  The pairing
+Counting uses permanent upper bounds on the 0-1 variable/value matrix:
+the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
+come from forward-checking local probes bounded by Bregman-Minc alone,
+per Algorithm 1's incremental factor updates.  The pairing
 variant bounds the number of matchings of the contracted value graph.
 """
 
@@ -20,14 +21,7 @@ from .engine import (
     Model,
     Variable,
 )
-from .factors import (
-    BM_TABLE_SIZE,
-    LB_TABLE_SIZE,
-    bm_table,
-    lb_log_bound,
-    lb_log_bound_hist,
-    lb_table,
-)
+from .factors import BM_TABLE_SIZE, bm_table, lb_log_bound
 
 
 def _log_norm(raw: dict[int, float]) -> dict[int, float]:
@@ -69,24 +63,20 @@ def alldiff_density_table(
     """Bound-based densities via FC probes, normalized per variable.
 
     A probe (i, d) binds variable i to d and removes d from the other
-    domains holding it.  Neither bound is rebuilt per probe; both start
-    from the root rows.  The Bregman-Minc side adds the per-row factor
-    changes of the rows the probe touches.  The Liang-Bai side copies a
-    histogram of the root row sums, moves the touched rows between its
-    buckets and reads the bound off it with ``lb_log_bound_hist``, which
-    gives the same float as ``lb_log_bound`` on the probe's rows.
+    domains holding it.  Its score is the Bregman-Minc bound of its rows,
+    updated from the root by the per-row factor changes of the rows it
+    touches.  The table's count takes the tighter of Bregman-Minc and
+    Liang-Bai on the root rows; probes skip Liang-Bai, which never comes
+    out below Bregman-Minc on a square matrix with no row sum above its
+    size (``tests/test_factors.py`` certifies this up to 64 rows).
     """
     rows, p, u = padded_rows(domains)
     if any(r == 0 for r in rows):
         return DensityTable(constraint, -math.inf, {})
     pad_log = math.lgamma(p + 1)
     bm = bm_table(max(u, BM_TABLE_SIZE))
-    lb = lb_table(max(len(rows), LB_TABLE_SIZE))
     bm_root = sum(bm[r] for r in rows) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
-    root_hist = [0] * (max(rows, default=1) + 1)
-    for r in rows:
-        root_hist[r] += 1
 
     densities: dict[tuple[int, int], float] = {}
     scope = constraint.scope
@@ -105,25 +95,16 @@ def alldiff_density_table(
         var_ub = bm_root + bm[1] - bm[size_i]
         raw: dict[int, float] = {}
         for d in sorted(dom):
-            hist = root_hist.copy()
-            hist[size_i] -= 1
-            hist[1] += 1
-            wipe = False
             delta = 0.0
             for k in holders[d]:
                 if k == i:
                     continue
                 size = rows[k]
-                if size == 1:
-                    wipe = True
+                if size == 1:  # the probe empties row k
+                    delta = -math.inf
                     break
                 delta += bm[size - 1] - bm[size]
-                hist[size] -= 1
-                hist[size - 1] += 1
-            if wipe:
-                raw[d] = -math.inf
-                continue
-            raw[d] = min(var_ub + delta, lb_log_bound_hist(hist, lb) - pad_log)
+            raw[d] = var_ub + delta
         for d, sigma in _log_norm(raw).items():
             densities[(scope[i].index, d)] = sigma
     return DensityTable(constraint, log_count, densities)

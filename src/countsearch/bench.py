@@ -485,6 +485,8 @@ def _build_multiknap(payload: dict) -> Model:
 def generate_multiknap(
     n: int = 20, m: int = 3, seed: int = 0
 ) -> Instance:
+    if n < 1:
+        raise ValueError("need at least one item")
     rng = random.Random(seed)
     objective = [rng.randrange(1, 50) for _ in range(n)]
     witness = [rng.randrange(2) for _ in range(n)]
@@ -635,6 +637,8 @@ def generate_rostering(
     preset: float = 0.05,
     seed: int = 0,
 ) -> Instance:
+    if periods < 1:
+        raise ValueError("need at least one period")
     rng = random.Random(seed)
     tasks = tasks if tasks is not None else employees + 1
     if tasks < employees:

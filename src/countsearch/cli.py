@@ -115,6 +115,21 @@ def solve(instance_file, kind, heuristic_name, seed, **settings):
     sys.exit(_EXIT[stats.status])
 
 
+def _count_text(log_count: float) -> str:
+    """``.6g`` text of exp(log_count), also for counts past float range."""
+    if log_count == -math.inf:
+        return "-inf"
+    try:
+        return f"{math.exp(log_count):.6g}"
+    except OverflowError:
+        exponent = math.floor(log_count / math.log(10))
+        mantissa = round(math.exp(log_count - exponent * math.log(10)), 5)
+        if mantissa >= 10:
+            mantissa /= 10
+            exponent += 1
+        return f"{mantissa:.6g}e+{exponent}"
+
+
 @cli.command()
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
 @_kind_option
@@ -132,11 +147,7 @@ def densities(instance_file, kind, exact, consistency, knapsack_mode):
     tables = model.collect_densities()
     for table in tables:
         c = table.constraint
-        count = (
-            "-inf" if table.log_count == -math.inf
-            else f"{math.exp(table.log_count):.6g}"
-        )
-        click.echo(f"[{c.cid}] {c.name()} count~{count}")
+        click.echo(f"[{c.cid}] {c.name()} count~{_count_text(table.log_count)}")
         exact_table = None
         if exact:
             doms = [model.domain(v) for v in c.scope]

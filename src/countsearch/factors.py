@@ -1,18 +1,20 @@
 """Precomputed log-space factor tables for permanent upper bounds.
 
-Two classical upper bounds on the permanent of a 0-1 matrix are used
-throughout: the Bregman-Minc bound, a product of per-row factors
-(r!)^(1/r), and the Liang-Bai bound, whose per-row factors depend on
-both the row sum and the row's position in a fixed ordering.  Both are
-carried as sums of logarithms so that products over hundreds of rows
-cannot overflow.
+Two classical upper bounds on the permanent of a 0-1 matrix are used:
+the Bregman-Minc bound, a product of per-row factors (r!)^(1/r), and the
+Liang-Bai bound, whose per-row factors depend on both the row sum and
+the row's position in ascending row-sum order.  Both are carried as sums
+of logarithms so that products over hundreds of rows cannot overflow.
+On a square matrix with no row sum above its size Liang-Bai never comes
+out below Bregman-Minc (certified up to ``LB_TABLE_SIZE`` rows by
+``tests/test_factors.py``), so AllDifferent's density probes use
+Bregman-Minc alone and take Liang-Bai only for the table's count.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 
 #: row sum up to which ``bm_log_factor`` reads one shared factor table
@@ -88,8 +90,7 @@ def lb_log_bound(row_sums) -> float:
 
     The bound is valid for any row ordering because the permanent is
     invariant under row permutations; ascending order empirically gives
-    the tightest product.  The factors are added left to right in that
-    order, as ``lb_log_bound_hist`` adds them.
+    the tightest product.
     """
     rows = sorted(row_sums)
     if not rows:
@@ -107,29 +108,3 @@ def lb_log_bound(row_sums) -> float:
         for i, r in enumerate(rows, start=1):
             total += lb_log_factor(r, i)
     return total
-
-
-def lb_log_bound_hist(
-    hist: Sequence[int], table: Sequence[Sequence[float]]
-) -> float:
-    """``lb_log_bound`` of the rows tallied in ``hist``, without sorting.
-
-    ``hist[r]`` counts the rows of sum r (``len(hist) >= 2``); ``table``
-    is ``lb_table(n)`` for an n at least the row count and the largest
-    row sum.  Walking the buckets in ascending order visits the rows in
-    sorted order, so the factors are added as ``lb_log_bound`` adds them
-    and the result is the same float.
-    """
-    if hist[0]:
-        return -math.inf
-    total = 0.0
-    # rows of sum 1 sort first, and their factors are exactly 0.0
-    pos = hist[1] + 1
-    for r in range(2, len(hist)):
-        count = hist[r]
-        if count:
-            for factor in table[r][pos : pos + count]:
-                total += factor
-            pos += count
-    return total
-

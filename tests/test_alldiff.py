@@ -172,11 +172,11 @@ def test_counting_is_sound_property(seed):
 
 
 def _reference_density_table(domains):
-    """(log count, densities) computed probe by probe from rebuilt rows:
-    each probe's row sums are listed in full and bounded by
-    ``lb_log_bound``, the Bregman-Minc bound is updated from the root by
-    the touched rows' factors, and the two are combined by min."""
-    rows, p, u = padded_rows(domains)
+    """(log count, densities) computed probe by probe: the count takes the
+    tighter of Bregman-Minc and ``lb_log_bound`` on the root rows, and
+    each probe's Bregman-Minc bound is updated from the root by the
+    touched rows' factors."""
+    rows, p, _ = padded_rows(domains)
     if any(r == 0 for r in rows):
         return -math.inf, {}
     pad_log = math.lgamma(p + 1)
@@ -198,11 +198,7 @@ def _reference_density_table(domains):
             for k in others:
                 size = len(domains[k])
                 delta += bm_log_factor(size - 1) - bm_log_factor(size)
-            probe_rows = [
-                1 if k == i else (len(dk) - 1 if d in dk else len(dk))
-                for k, dk in enumerate(domains)
-            ] + [u] * p
-            raw[d] = min(var_ub + delta, lb_log_bound(probe_rows) - pad_log)
+            raw[d] = var_ub + delta
         for d, sigma in _log_norm(raw).items():
             densities[(i, d)] = sigma
     return log_count, densities

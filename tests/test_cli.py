@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -125,8 +126,10 @@ def test_malformed_file_is_usage_error(monkeypatch, capsys, tmp_path,
     ["magic", "-p", "order=6"],  # singly even order
     ["kprostering", "-p", "shifts=1"],  # no shift left to forbid
     ["kprostering", "-p", "employees=1", "-p", "days=2", "-p", "n_forbidden=5"],
+    ["multiknap", "-p", "n=0"],  # no items: an empty data line
+    ["rostering", "-p", "periods=0"],  # no periods: empty grid rows
 ], ids=["unknown-key", "magic-order-6", "kprostering-shifts-1",
-        "kprostering-too-many-forbidden"])
+        "kprostering-too-many-forbidden", "multiknap-n-0", "rostering-periods-0"])
 def test_generate_rejected_params_are_usage_errors(tmp_path, args):
     out_dir = tmp_path / "gen"
     proc = subprocess.run(
@@ -190,6 +193,25 @@ def test_densities_dump_with_exact(runner, tmp_path):
     assert result.exit_code == 0
     assert "alldifferent" in result.output
     assert "exact count:" in result.output
+
+
+def test_densities_prints_counts_past_float_range(runner, tmp_path):
+    # 172 employees on one period: the AllDifferent column has a count
+    # bound near 172!, about e^722, past the largest float
+    path = _write(tmp_path, "wide.txt", "rostering 172 1 172\n" + "-1\n" * 172)
+    result = runner.invoke(cli, ["densities", path])
+    assert result.exit_code == 0, result.output
+    model = bench_mod.build_model(bench_mod.load_instance(path))
+    model.propagate()
+    (table,) = [
+        t for t in model.collect_densities() if t.constraint.name() == "alldifferent"
+    ]
+    assert table.log_count > math.log(sys.float_info.max)
+    line = next(l for l in result.output.splitlines() if " alldifferent count~" in l)
+    mantissa, exponent = line.split("count~")[1].split("e+")
+    assert 1 <= float(mantissa) < 10
+    assert math.log10(float(mantissa)) + int(exponent) == pytest.approx(
+        table.log_count / math.log(10), abs=1e-5)
 
 
 def test_densities_unsat_instance(runner, tmp_path):

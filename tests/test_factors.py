@@ -1,6 +1,7 @@
 """Permanent upper-bound factor tables."""
 
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from countsearch.factors import (
     bm_log_bound,
     bm_log_factor,
     lb_log_bound,
-    lb_log_bound_hist,
     lb_log_factor,
-    lb_table,
     lb_q,
 )
 from countsearch.oracle import exact_permanent
@@ -97,10 +96,38 @@ def test_lb_bound_equals_factor_loop(rows):
     assert lb_log_bound(rows) == expected
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, LB_TABLE_SIZE), max_size=LB_TABLE_SIZE))
-def test_lb_bound_from_histogram_equals_sorted_bound(rows):
-    hist = [0] * (max(rows, default=1) + 1)
-    for r in rows:
-        hist[r] += 1
-    assert lb_log_bound_hist(hist, lb_table(LB_TABLE_SIZE)) == lb_log_bound(rows)
+def _least_lb_minus_bm(size):
+    """Least ``lb_log_bound(rows) - bm_log_bound(rows)`` over every row-sum
+    vector of a size x size 0-1 matrix with no empty row.
+
+    ``lb_log_bound`` reads the rows in ascending order, so a dynamic
+    program over (position, row sum) covers every nondecreasing vector:
+    after position i, ``least[r]`` is the least sum of per-row gaps over
+    the first i sorted rows, ending at a row sum of at most r.
+    """
+    least = [0.0] * (size + 1)
+    for i in range(1, size + 1):
+        running = math.inf
+        for r in range(1, size + 1):
+            gap = lb_log_factor(r, i) - bm_log_factor(r)
+            running = min(running, least[r] + gap)
+            least[r] = running
+    return least[size]
+
+
+def test_least_gap_program_matches_enumeration():
+    for size in range(1, 7):
+        gaps = [
+            lb_log_bound(rows) - bm_log_bound(rows)
+            for rows in combinations_with_replacement(range(1, size + 1), size)
+        ]
+        assert _least_lb_minus_bm(size) == pytest.approx(min(gaps), abs=1e-12)
+
+
+def test_liang_bai_never_below_bregman_minc_on_square_rows():
+    """AllDifferent's padded matrices (and GCC's lower and residual
+    graphs) are square with no row sum above their size; there Liang-Bai
+    is never tighter than Bregman-Minc, so density probes may skip it.
+    Exact ties, such as all rows equal, differ only by float rounding."""
+    for size in range(1, LB_TABLE_SIZE + 1):
+        assert _least_lb_minus_bm(size) >= -1e-9, size

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from countsearch import gcc
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
+from countsearch.factors import bm_log_bound, lb_log_bound
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import Dom
 from countsearch.oracle import exact_count_densities
@@ -128,6 +130,32 @@ def test_count_bound_dominates_exact_randomized():
         checked += 1
         assert math.exp(bound) + 1e-9 >= count
     assert checked > 50
+
+
+def test_bounded_matrices_have_no_row_sum_above_their_size(monkeypatch):
+    """The lower graph (one column per required occurrence plus K fake
+    columns) and the residual graph (K chosen rows plus fake rows) are
+    square, so no row sum exceeds the row count: the rows on which
+    ``tests/test_factors.py`` certifies Liang-Bai never below
+    Bregman-Minc."""
+    seen = []
+
+    def recording(rows):
+        seen.append(list(rows))
+        return bm_log_bound(rows)
+
+    monkeypatch.setattr(gcc, "bm_log_bound", recording)
+    rng = random.Random(29)
+    instances = [random_gcc(rng, n_vars=rng.randint(2, 7)) for _ in range(200)]
+    instances += [_bounded_gcc(rng) for _ in range(400)]
+    for c, domains in instances:
+        m = Model()
+        xs = [m.new_variable(set(d)) for d in domains]
+        m.add(GlobalCardinality(xs, c.lower, c.upper)).count_densities(m)
+    assert len(seen) > 1000
+    for rows in seen:
+        assert max(rows) <= len(rows)
+        assert lb_log_bound(rows) >= bm_log_bound(rows) - 1e-9
 
 
 def test_densities_normalized():

@@ -7,7 +7,12 @@ import pytest
 
 from countsearch import alldiff, engine, gcc, knapsack, regular
 from countsearch.alldiff import AllDifferent
-from countsearch.bench import build_model, generate_marketsplit, generate_rostering
+from countsearch.bench import (
+    build_model,
+    generate_marketsplit,
+    generate_qwh,
+    generate_rostering,
+)
 from countsearch.engine import CONSISTENT, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import MaxSD
@@ -91,3 +96,16 @@ def test_traced_dfs_builds_each_graph_once(instance, kind, build, backtracks):
     assert stats.backtracks == backtracks
     assert graphs > 0 and calls[build] == graphs
     assert calls[f"{kind.__name__.lower()}.propagate"] > 10 * graphs
+
+
+def test_alldiff_tables_take_liang_bai_once_each():
+    """AllDifferent density probes use Bregman-Minc alone: the tracer's
+    ``factors.lb_log_bound`` sees one call per table, for its count."""
+    tracer = _load_tracer().Tracer()
+    with tracer.install():
+        model = build_model(generate_qwh(12, seed=0))
+        dfs(model, MaxSD(model), backtrack_limit=5)
+    assert all(isinstance(c, AllDifferent) for c in model.constraints)
+    calls = tracer.calls()
+    assert calls["alldiff.count"] > 10
+    assert calls["factors.lb_log_bound"] == calls["alldiff.count"]
