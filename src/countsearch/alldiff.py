@@ -5,6 +5,8 @@ the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
 come from forward-checking local probes bounded by Bregman-Minc alone,
 per Algorithm 1's incremental factor updates.  The pairing
 variant bounds the number of matchings of the contracted value graph.
+``probe_table`` turns probe bounds into per-variable densities for this
+module's constraints and for ``GlobalCardinality``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import (
     DOMAIN,
@@ -35,6 +37,31 @@ def _log_norm(raw: dict[int, float]) -> dict[int, float]:
         d: (math.exp(v - top) / total if v > -math.inf else 0.0)
         for d, v in raw.items()
     }
+
+
+def probe_table(
+    constraint: Constraint,
+    domains: Sequence[set[int]],
+    log_count: float,
+    probe: Callable[[int, int], float],
+) -> DensityTable:
+    """Densities from forward-checking probes, normalized per variable.
+
+    ``probe(i, d)`` is the log count bound once scope position i takes
+    value d.  A bound variable has density 1 on its value; every value
+    of an unbound one is probed, in sorted order, and its probes are
+    normalized with ``_log_norm``.
+    """
+    densities: dict[tuple[int, int], float] = {}
+    for i, (var, dom) in enumerate(zip(constraint.scope, domains)):
+        vi = var.index
+        if len(dom) == 1:
+            densities[(vi, next(iter(dom)))] = 1.0
+            continue
+        raw = {d: probe(i, d) for d in sorted(dom)}
+        for d, sigma in _log_norm(raw).items():
+            densities[(vi, d)] = sigma
+    return DensityTable(constraint, log_count, densities)
 
 
 # ----------------------------------------------------------------------
@@ -78,36 +105,24 @@ def alldiff_density_table(
     bm_root = sum(bm[r] for r in rows) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
 
-    densities: dict[tuple[int, int], float] = {}
-    scope = constraint.scope
-
     # index values to the rows containing them, for probe deltas
     holders: dict[int, list[int]] = {}
     for k, dom in enumerate(domains):
         for d in dom:
             holders.setdefault(d, []).append(k)
 
-    for i, dom in enumerate(domains):
-        size_i = rows[i]
-        if size_i == 1:
-            densities[(scope[i].index, next(iter(dom)))] = 1.0
-            continue
-        var_ub = bm_root + bm[1] - bm[size_i]
-        raw: dict[int, float] = {}
-        for d in sorted(dom):
-            delta = 0.0
-            for k in holders[d]:
-                if k == i:
-                    continue
-                size = rows[k]
-                if size == 1:  # the probe empties row k
-                    delta = -math.inf
-                    break
-                delta += bm[size - 1] - bm[size]
-            raw[d] = var_ub + delta
-        for d, sigma in _log_norm(raw).items():
-            densities[(scope[i].index, d)] = sigma
-    return DensityTable(constraint, log_count, densities)
+    def probe(i: int, d: int) -> float:
+        delta = 0.0
+        for k in holders[d]:
+            if k == i:
+                continue
+            size = rows[k]
+            if size == 1:  # the probe empties row k
+                return -math.inf
+            delta += bm[size - 1] - bm[size]
+        return bm_root + bm[1] - bm[rows[i]] + delta
+
+    return probe_table(constraint, domains, log_count, probe)
 
 
 # ----------------------------------------------------------------------
@@ -408,19 +423,10 @@ class SymmetricAllDifferent(Constraint):
     def count_densities(self, model: Model) -> DensityTable:
         domains = self._domains(model)
         adj = self._adjacency(domains)
-        log_count = sym_matching_log_bound(adj)
-        densities: dict[tuple[int, int], float] = {}
-        for i, var in enumerate(self.scope):
-            dom = domains[i]
-            if len(dom) == 1:
-                densities[(var.index, next(iter(dom)))] = 1.0
-                continue
-            raw: dict[int, float] = {}
-            for j in sorted(dom):
-                raw[j] = sym_probe_log_bound(adj, i, j - 1)
-            for j, sigma in _log_norm(raw).items():
-                densities[(var.index, j)] = sigma
-        return DensityTable(self, log_count, densities)
+        return probe_table(
+            self, domains, sym_matching_log_bound(adj),
+            lambda i, j: sym_probe_log_bound(adj, i, j - 1),
+        )
 
 
 def sym_matching_log_bound(adj: Sequence[set[int]]) -> float:

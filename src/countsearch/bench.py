@@ -512,6 +512,8 @@ def generate_multiknap(
 # ----------------------------------------------------------------------
 def _validate_marketsplit(payload):
     m, n = payload["m"], payload["n"]
+    if n < 0:
+        raise ParseError("negative variable count")
     if len(payload["rows"]) != m:
         raise ParseError("row count mismatch")
     for coeffs, rhs in payload["rows"]:
@@ -541,6 +543,8 @@ def _build_marketsplit(payload: dict) -> Model:
 
 
 def generate_marketsplit(m: int = 4, seed: int = 0) -> Instance:
+    if m < 1:
+        raise ValueError("need at least one row")
     rng = random.Random(seed)
     n = 10 * (m - 1)
     rows = []

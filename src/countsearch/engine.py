@@ -2,13 +2,13 @@
 
 The model owns all mutable state.  Domains are sets of integers with a
 removal trail tagged by decision level, so any earlier level can be
-restored bit-exactly.  Constraints register a consistency level and a
-dirty flag; per-constraint density tables are cached and the cache is
-trailed together with the domains.  Constraints may trail changes to
-state of their own (``Model.trail_undo``): the layered graphs of
-``Regular`` and exact ``Knapsack`` trail their arc deletions and their
-creation, so backtracking revives the arcs and drops a graph built
-below the level it returns to.
+restored bit-exactly.  Constraints register a consistency level;
+per-constraint density tables are cached, a domain change empties the
+cache, and the cache is trailed together with the domains.  Constraints
+may trail changes to state of their own (``Model.trail_undo``): the
+layered graphs of ``Regular`` and exact ``Knapsack`` trail their arc
+deletions and their creation, so backtracking revives the arcs and drops
+a graph built below the level it returns to.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Constraint:
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         self.scope: tuple[Variable, ...] = tuple(scope)
         self.consistency = consistency
-        self.dirty = True
+        # the density table of the current domains; None when stale
         self.cache: Optional[DensityTable] = None
         self._queued = False
         # a domain in the scope changed since the last propagate call,
@@ -226,9 +226,9 @@ class Model:
         for c in self._watchers[var.index]:
             if c is not cause:
                 c._stale = True
-            if not c.dirty:
-                self._trail.append((_T_CACHE, c, c.dirty, c.cache))
-                c.dirty = True
+            if c.cache is not None:
+                self._trail.append((_T_CACHE, c, c.cache))
+                c.cache = None
             self._enqueue(c)
 
     def _enqueue(self, c: Constraint) -> None:
@@ -311,9 +311,7 @@ class Model:
             elif tag == _T_UNDO:
                 entry[1](entry[2])
             else:
-                c = entry[1]
-                c.dirty = entry[2]
-                c.cache = entry[3]
+                entry[1].cache = entry[2]
         del self._level_marks[level + 1 :]
         self.last_wipeout = None
         self._clear_queue()
@@ -324,14 +322,13 @@ class Model:
     def density_table(self, c: Constraint) -> DensityTable:
         """``c``'s density table, using its cache.
 
-        A dirty constraint is recounted and its cache refreshed (the
-        refresh is trailed so backtracking restores the earlier table); a
-        clean one returns the cached table unchanged.
+        A stale constraint is recounted and its cache filled (trailed, so
+        backtracking empties it again); a fresh one returns the cached
+        table unchanged.
         """
-        if c.dirty or c.cache is None:
+        if c.cache is None:
             table = c.count_densities(self)
-            self._trail.append((_T_CACHE, c, c.dirty, c.cache))
-            c.dirty = False
+            self._trail.append((_T_CACHE, c, None))
             c.cache = table
         return c.cache
 

@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import chain
 from typing import Sequence
 
-from .alldiff import _log_norm, regin_dead_arcs
+from .alldiff import probe_table, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 from .factors import bm_log_bound, lb_log_bound
 
@@ -243,16 +243,7 @@ class GlobalCardinality(Constraint):
 
     def count_densities(self, model: Model) -> DensityTable:
         domains = self._domains(model)
-        log_count = self.log_count(domains)
-        densities: dict[tuple[int, int], float] = {}
-        for i, var in enumerate(self.scope):
-            dom = domains[i]
-            if len(dom) == 1:
-                densities[(var.index, next(iter(dom)))] = 1.0
-                continue
-            raw: dict[int, float] = {}
-            for d in sorted(dom):
-                raw[d] = self.log_count(self._probe_domains(domains, i, d))
-            for d, sigma in _log_norm(raw).items():
-                densities[(var.index, d)] = sigma
-        return DensityTable(self, log_count, densities)
+        return probe_table(
+            self, domains, self.log_count(domains),
+            lambda i, d: self.log_count(self._probe_domains(domains, i, d)),
+        )

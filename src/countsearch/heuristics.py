@@ -2,9 +2,11 @@
 
 Every heuristic exposes ``choose(model, randomized=False)`` returning a
 ``(variable, value)`` pair or ``None`` when all variables are bound.
-Ties are broken lexicographically by (variable index, value); with
-``randomized=True`` score-based heuristics pick uniformly between their
-two best pairs (used by the restart driver).
+Ties are broken lexicographically by (variable index, value).
+Score-based heuristics rank pairs by the keys ``(-score, variable index,
+value)``, so the least key is the pick; with ``randomized=True`` they
+pick uniformly between their two least keys (used by the restart
+driver).
 
 Learned state (constraint weights, impacts) lives on the heuristic
 object and survives restarts.
@@ -12,6 +14,7 @@ object and survives restarts.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Callable, Optional, Sequence
@@ -45,37 +48,14 @@ class Heuristic:
 # ----------------------------------------------------------------------
 # score-based (counting) heuristics
 # ----------------------------------------------------------------------
-def _argmax(scores: Sequence[tuple[float, int, int]]) -> Optional[tuple[int, int]]:
-    """Best (var_index, value) by score; lexicographic tie-break."""
-    best = None
-    for score, vi, val in scores:
-        if (
-            best is None
-            or score > best[0]
-            or (score == best[0] and (vi, val) < (best[1], best[2]))
-        ):
-            best = (score, vi, val)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _top2(
-    scores: Sequence[tuple[float, int, int]], rng: random.Random
-) -> tuple[int, int]:
-    """Uniform pick between the two best-scoring pairs (``scores`` is not
-    empty)."""
-    pool = sorted(scores, key=lambda t: (-t[0], t[1], t[2]))[:2]
-    _, vi, val = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
-    return vi, val
-
-
 class ScoreHeuristic(Heuristic):
     """Common machinery for heuristics that rank (variable, value) pairs.
 
-    When the scores are empty although a variable is unbound (no
-    counting constraint watches the unbound variables, say), the first
-    unbound variable by index is tried with its smallest value.
+    ``scores`` returns one rank key ``(-score, var_index, value)`` per
+    scored pair, so the least key is the best pair with the lexicographic
+    tie-break.  When the scores are empty although a variable is unbound
+    (no counting constraint watches the unbound variables, say), the
+    first unbound variable by index is tried with its smallest value.
     """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
@@ -85,18 +65,22 @@ class ScoreHeuristic(Heuristic):
         unbound = model.unbound_variables()
         if not unbound:
             return None
-        scored = self.scores(model)
-        if not scored:
+        keys = self.scores(model)
+        if not keys:
             return unbound[0], model.min(unbound[0])
-        vi, val = _top2(scored, self.rng) if randomized else _argmax(scored)
+        if randomized:
+            pool = heapq.nsmallest(2, keys)
+            _, vi, val = pool[self.rng.randrange(2)] if len(pool) == 2 else pool[0]
+        else:
+            _, vi, val = min(keys)
         return model.variables[vi], val
 
 
 def _pair_densities(
     model: Model, tables: Sequence[DensityTable]
 ) -> list[tuple[float, int, int]]:
-    """(density, var_index, value) of every value of every unbound
-    variable in the tables' scopes."""
+    """Rank keys (-density, var_index, value) of every value of every
+    unbound variable in the tables' scopes."""
     out = []
     domains = model._domains
     for table in tables:
@@ -104,19 +88,17 @@ def _pair_densities(
         for var in table.constraint.scope:
             vi = var.index
             dom = domains[vi]
-            if len(dom) == 1:
-                continue
-            for d in sorted(dom):
-                out.append((density((vi, d), 0.0), vi, d))
+            if len(dom) > 1:
+                out.extend((-density((vi, d), 0.0), vi, d) for d in dom)
     return out
 
 
 def _weighted_average(
     model: Model, weighted: Sequence[tuple[DensityTable, float]]
 ) -> list[tuple[float, int, int]]:
-    """(score, var_index, value) for every value of every unbound variable
-    in the tables' scopes: the average of its densities over those
-    tables, each weighted by exp of its log weight.
+    """Rank keys (-score, var_index, value) for every value of every
+    unbound variable in the tables' scopes, scored by the average of its
+    densities over those tables, each weighted by exp of its log weight.
 
     Per variable the weights are rescaled by the largest participating
     log weight before exponentiation, so vastly different magnitudes
@@ -135,7 +117,7 @@ def _weighted_average(
         var = model.variables[vi]
         for d in model.domain_sorted(var):
             num = sum(w * t.density(var, d) for t, w in weights)
-            out.append((num / denom, vi, d))
+            out.append((-num / denom, vi, d))
     return out
 
 
@@ -152,8 +134,8 @@ class MaxRelSD(ScoreHeuristic):
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         domains = model._domains
         return [
-            (sigma - 1.0 / len(domains[vi]), vi, d)
-            for sigma, vi, d in _pair_densities(model, model.collect_densities())
+            (neg + 1.0 / len(domains[vi]), vi, d)
+            for neg, vi, d in _pair_densities(model, model.collect_densities())
         ]
 
 
@@ -163,8 +145,8 @@ class MaxRelRatio(ScoreHeuristic):
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         domains = model._domains
         return [
-            (sigma * len(domains[vi]), vi, d)
-            for sigma, vi, d in _pair_densities(model, model.collect_densities())
+            (neg * len(domains[vi]), vi, d)
+            for neg, vi, d in _pair_densities(model, model.collect_densities())
         ]
 
 
@@ -192,13 +174,17 @@ class WSCAvg(ScoreHeuristic):
 
 
 class MinSCMaxSD(ScoreHeuristic):
-    """Max density within the constraint with the fewest solutions."""
+    """Max density within the constraint with the fewest solutions.
+
+    A constraint without a count estimate (``-inf``) takes no part.
+    """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         candidates = [
             t
             for t in model.collect_densities()
-            if any(not model.is_bound(v) for v in t.constraint.scope)
+            if t.log_count != -math.inf
+            and any(not model.is_bound(v) for v in t.constraint.scope)
         ]
         if not candidates:
             return []
@@ -388,14 +374,12 @@ def _max_density_value(model: Model, var: Variable) -> int:
     """The value of ``var`` with the highest density in any table, the
     smallest on ties; the smallest value when no table holds ``var``."""
     vi = var.index
-    values = model.domain_sorted(var)
+    dom = model._domains[vi]
     tables = [
         model.density_table(c) for c in model._watchers[vi] if c.supports_counting
     ]
-    pick = _argmax(
-        [(t.densities.get((vi, d), 0.0), vi, d) for t in tables for d in values]
-    )
-    return values[0] if pick is None else pick[1]
+    keys = [(-t.densities.get((vi, d), 0.0), d) for t in tables for d in dom]
+    return min(keys)[1] if keys else min(dom)
 
 
 class VarThenValue(Heuristic):

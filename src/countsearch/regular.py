@@ -36,11 +36,6 @@ class Automaton:
         self.transitions = dict(transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
-        states = {initial} | self.accepting
-        for (q, _), q2 in self.transitions.items():
-            states.add(q)
-            states.add(q2)
-        self.states = frozenset(states)
 
     def step(self, state: object, symbol: int) -> Optional[object]:
         return self.transitions.get((state, symbol))

@@ -34,6 +34,7 @@ MALFORMED = {
     "short.qwh": "3\n1 2 3\n",
     "noshift.txt": "kprostering 1 1 1\n5\n0\n0 0 0\n",
     "zeroshifts.txt": "kprostering 1 1 0\n5\n0\n",
+    "negative.msplit": "0 -10\n",  # a negative variable count
 }
 
 
@@ -128,8 +129,11 @@ def test_malformed_file_is_usage_error(monkeypatch, capsys, tmp_path,
     ["kprostering", "-p", "employees=1", "-p", "days=2", "-p", "n_forbidden=5"],
     ["multiknap", "-p", "n=0"],  # no items: an empty data line
     ["rostering", "-p", "periods=0"],  # no periods: empty grid rows
+    ["marketsplit", "-p", "m=0"],  # no rows: a negative variable count
+    ["marketsplit", "-p", "m=-2"],
 ], ids=["unknown-key", "magic-order-6", "kprostering-shifts-1",
-        "kprostering-too-many-forbidden", "multiknap-n-0", "rostering-periods-0"])
+        "kprostering-too-many-forbidden", "multiknap-n-0", "rostering-periods-0",
+        "marketsplit-m-0", "marketsplit-m-negative"])
 def test_generate_rejected_params_are_usage_errors(tmp_path, args):
     out_dir = tmp_path / "gen"
     proc = subprocess.run(

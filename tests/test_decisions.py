@@ -22,6 +22,11 @@ minSCMaxSD) and the domWDeg+maxSD hybrid read the same density tables
 and score them differently.  Their pins hold a digest of the decisions,
 on a quasigroup completion, the GCC roster and a magic square whose sums
 are exact ``Knapsack`` constraints.
+
+``restart_search`` asks for randomized picks, which draw uniformly
+between a score heuristic's two best pairs, and ``lds`` branches off the
+best pair in discrepancy waves.  Digest pins of both under maxSD,
+maxRelSD and minSCMaxSD fix that draw and the order of the pairs.
 """
 
 import hashlib
@@ -43,7 +48,7 @@ from countsearch.gcc import GlobalCardinality
 from countsearch.engine import FORWARD_CHECKING
 from countsearch.heuristics import DomWdeg, MaxSD, make_heuristic
 from countsearch.regular import Regular
-from countsearch.search import SAT, TIMEOUT, dfs
+from countsearch.search import SAT, TIMEOUT, dfs, lds, restart_search
 
 
 def _qwh(order, seed, consistency=None):
@@ -82,6 +87,8 @@ BUILDERS = {
     "roster-6x10-s2": lambda: _roster_gcc(6, 10, 2),
     "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
     "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
+    "qwh-15-s0": lambda: _qwh(15, 0),
+    "magic-4-s0": lambda: build_model(generate_magic(4, seed=0)),
 }
 
 #: instance -> (backtracks, decisions), all found sat under a cap of 30
@@ -313,9 +320,9 @@ GOLDEN_SCORED = {
 }
 
 
-@pytest.mark.parametrize("instance,name", GOLDEN_SCORED)
-def test_scored_dfs_decisions_are_pinned(instance, name):
-    status, backtracks, count, digest = GOLDEN_SCORED[instance, name]
+def _search_recorded(instance, name, search):
+    """(status, backtracks, decision count, digest) of ``search`` with
+    heuristic ``name`` on a fresh ``instance``."""
     model = BUILDERS[instance]()
     heuristic = make_heuristic(name, model)
     choose, picks = heuristic.choose, []
@@ -327,8 +334,50 @@ def test_scored_dfs_decisions_are_pinned(instance, name):
         return pick
 
     heuristic.choose = recorded
-    stats = dfs(model, heuristic, backtrack_limit=30)
-    assert stats.status == status
-    assert stats.backtracks == backtracks
-    assert len(picks) == count
-    assert hashlib.sha256(repr(picks).encode()).hexdigest()[:16] == digest
+    stats = search(model, heuristic)
+    digest = hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+    return stats.status, stats.backtracks, len(picks), digest
+
+
+@pytest.mark.parametrize("instance,name", GOLDEN_SCORED)
+def test_scored_dfs_decisions_are_pinned(instance, name):
+    assert _search_recorded(
+        instance, name, lambda m, h: dfs(m, h, backtrack_limit=30)
+    ) == GOLDEN_SCORED[instance, name]
+
+
+SEARCHES = {
+    "restart": lambda m, h: restart_search(m, h, scale=3, backtrack_limit=40),
+    "lds": lambda m, h: lds(m, h, backtrack_limit=40),
+}
+
+#: (instance, search, heuristic) -> (status, backtracks, decision count,
+#: digest as above) under a cap of 40; the restart searches start over
+#: after 3, 6, 12, ... backtracks
+GOLDEN_RANDOMIZED = {
+    ("qwh-15-s0", "restart", "maxSD"): (SAT, 0, 10, "dbb403ece3e3be70"),
+    ("qwh-15-s0", "restart", "maxRelSD"): (SAT, 0, 10, "f6543e3bdd87eb74"),
+    ("qwh-15-s0", "restart", "minSCMaxSD"): (SAT, 1, 4, "71809a5c5e701e6b"),
+    ("qwh-15-s0", "lds", "maxSD"): (SAT, 0, 10, "1849f23e28bfa3a6"),
+    ("qwh-15-s0", "lds", "maxRelSD"): (SAT, 0, 8, "34420e91acb0f4ec"),
+    ("qwh-15-s0", "lds", "minSCMaxSD"): (SAT, 0, 5, "8f8c9972d210ffb2"),
+    ("magic-4-s0", "restart", "maxSD"): (SAT, 6, 14, "0446b1eb10ec1337"),
+    ("magic-4-s0", "restart", "maxRelSD"): (TIMEOUT, 40, 54, "71448aff26a44fd9"),
+    ("magic-4-s0", "restart", "minSCMaxSD"): (SAT, 1, 5, "e26f4fa36f1cd111"),
+    ("magic-4-s0", "lds", "maxSD"): (TIMEOUT, 40, 92, "958047272815ee09"),
+    ("magic-4-s0", "lds", "maxRelSD"): (TIMEOUT, 40, 92, "ba1481f55478906b"),
+    ("magic-4-s0", "lds", "minSCMaxSD"): (SAT, 2, 7, "3b0264f65cd3b568"),
+    ("magic-4-s1", "restart", "maxSD"): (TIMEOUT, 40, 59, "741e7ed32a94d842"),
+    ("magic-4-s1", "restart", "maxRelSD"): (SAT, 10, 24, "29365e791b31769b"),
+    ("magic-4-s1", "restart", "minSCMaxSD"): (SAT, 0, 6, "dec99e495fbd4625"),
+    ("magic-4-s1", "lds", "maxSD"): (SAT, 3, 12, "6c7dd853ae4df216"),
+    ("magic-4-s1", "lds", "maxRelSD"): (SAT, 6, 21, "63f2b57cc34a7625"),
+    ("magic-4-s1", "lds", "minSCMaxSD"): (TIMEOUT, 40, 85, "088a58768d43d5f4"),
+}
+
+
+@pytest.mark.parametrize("instance,search,name", GOLDEN_RANDOMIZED)
+def test_randomized_decisions_are_pinned(instance, search, name):
+    assert _search_recorded(
+        instance, name, SEARCHES[search]
+    ) == GOLDEN_RANDOMIZED[instance, search, name]

@@ -340,11 +340,11 @@ def test_density_cache_trailed_across_levels():
     m.propagate()
     tables = m.collect_densities()
     assert len(tables) == 1
-    assert not c.dirty
     cached = c.cache
+    assert cached is not None
     m.push_level()
     m.push_decision("assign", x, 1)
-    assert c.dirty  # domain change marked the table stale
+    assert c.cache is None  # domain change marked the table stale
     m.collect_densities()
     assert c.cache is not cached
     m.backtrack_to(0)

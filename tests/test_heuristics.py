@@ -6,7 +6,8 @@ import random
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import CONSISTENT, WIPEOUT, Constraint, Model
+from countsearch.bench import apply_overrides, build_model, generate_magic
+from countsearch.engine import CONSISTENT, DOMAIN, WIPEOUT, Constraint, Model
 from countsearch.heuristics import (
     HEURISTIC_NAMES,
     AAvgSD,
@@ -24,7 +25,7 @@ from countsearch.heuristics import (
     _wdeg_sums,
     make_heuristic,
 )
-from countsearch.knapsack import Knapsack
+from countsearch.knapsack import GAUSSIAN, Knapsack
 from countsearch.search import SAT, dfs, lds, restart_search
 
 
@@ -168,7 +169,7 @@ def test_wscavg_weights_by_solution_count():
     m.add(Big([x, y]))
     m.add(Small([x, z]))
     h = WSCAvg(m)
-    scores = {(vi, d): s for s, vi, d in h.scores(m)}
+    scores = {(vi, d): -neg for neg, vi, d in h.scores(m)}
     # weighted: (100*0.9 + 10*0.2) / 110
     assert scores[(x.index, 1)] == pytest.approx((90 + 2) / 110)
     assert scores[(x.index, 2)] == pytest.approx((10 + 8) / 110)
@@ -206,6 +207,23 @@ def test_minscmaxsd_uses_tightest_constraint():
     m.add(Tight([x, z]))
     var, value = MinSCMaxSD(m).choose(m)
     assert (var, value) == (z, 3)  # best pair inside the tight constraint
+
+
+def test_minscmaxsd_skips_tables_without_a_count():
+    # a Gaussian Knapsack has no count estimate (-inf), which must not
+    # read as the fewest solutions: the AllDifferent is left to choose in
+    m = build_model(generate_magic(4, 0.1, 1))
+    apply_overrides(m, DOMAIN, GAUSSIAN)
+    assert m.propagate() == CONSISTENT
+    alldiff = m.density_table(m.constraints[0])
+    assert isinstance(alldiff.constraint, AllDifferent)
+    assert [t.log_count for t in m.collect_densities()[1:]] == [-math.inf] * 10
+    _, vi, d = min(
+        (-sigma, vi, d)
+        for (vi, d), sigma in alldiff.densities.items()
+        if m.size(m.variables[vi]) > 1
+    )
+    assert MinSCMaxSD(m).choose(m) == (m.variables[vi], d)
 
 
 def test_dom_prefers_smallest_domain():
@@ -386,8 +404,8 @@ def test_max_density_value_counts_only_the_variables_tables():
     m.propagate()
     h = make_heuristic("domWDeg+maxSD", m)
     value = h.value_rule(m, x)
-    assert not own.dirty
-    assert other.dirty and other.cache is None
+    assert own.cache is not None
+    assert other.cache is None
     # the same value as a scan of every table
     table = m.collect_densities()[0]
     assert value == max(m.domain_sorted(x), key=lambda d: table.density(x, d)) == 3
