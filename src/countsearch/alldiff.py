@@ -43,24 +43,27 @@ def probe_table(
     constraint: Constraint,
     domains: Sequence[set[int]],
     log_count: float,
-    probe: Callable[[int, int], float],
+    probe_for: Callable[[int], Callable[[int], float]],
 ) -> DensityTable:
     """Densities from forward-checking probes, normalized per variable.
 
-    ``probe(i, d)`` is the log count bound once scope position i takes
-    value d.  A bound variable has density 1 on its value; every value
-    of an unbound one is probed, in sorted order, and its probes are
-    normalized with ``_log_norm``.
+    ``probe_for(i)(d)`` is the log count bound once scope position i
+    takes value d; ``probe_for`` is called once per unbound position, so
+    it can work out what the position's probes share.  A bound variable
+    has density 1 on its value; every value of an unbound one is probed,
+    in sorted order, and its probes are normalized with ``_log_norm``.
+    The tables share their keys (``Constraint.density_keys``).
     """
     densities: dict[tuple[int, int], float] = {}
-    for i, (var, dom) in enumerate(zip(constraint.scope, domains)):
-        vi = var.index
+    keys = constraint.density_keys(domains)
+    for i, (key, dom) in enumerate(zip(keys, domains)):
         if len(dom) == 1:
-            densities[(vi, next(iter(dom)))] = 1.0
+            densities[key[next(iter(dom))]] = 1.0
             continue
-        raw = {d: probe(i, d) for d in sorted(dom)}
+        probe = probe_for(i)
+        raw = {d: probe(d) for d in sorted(dom)}
         for d, sigma in _log_norm(raw).items():
-            densities[(vi, d)] = sigma
+            densities[key[d]] = sigma
     return DensityTable(constraint, log_count, densities)
 
 
@@ -111,18 +114,24 @@ def alldiff_density_table(
         for d in dom:
             holders.setdefault(d, []).append(k)
 
-    def probe(i: int, d: int) -> float:
-        delta = 0.0
-        for k in holders[d]:
-            if k == i:
-                continue
-            size = rows[k]
-            if size == 1:  # the probe empties row k
-                return -math.inf
-            delta += bm[size - 1] - bm[size]
-        return bm_root + bm[1] - bm[rows[i]] + delta
+    def probe_for(i: int) -> Callable[[int], float]:
+        # the root bound with row i's factor replaced by a bound row's
+        base = bm_root + bm[1] - bm[rows[i]]
 
-    return probe_table(constraint, domains, log_count, probe)
+        def probe(d: int) -> float:
+            delta = 0.0
+            for k in holders[d]:
+                if k == i:
+                    continue
+                size = rows[k]
+                if size == 1:  # the probe empties row k
+                    return -math.inf
+                delta += bm[size - 1] - bm[size]
+            return base + delta
+
+        return probe
+
+    return probe_table(constraint, domains, log_count, probe_for)
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +434,7 @@ class SymmetricAllDifferent(Constraint):
         adj = self._adjacency(domains)
         return probe_table(
             self, domains, sym_matching_log_bound(adj),
-            lambda i, j: sym_probe_log_bound(adj, i, j - 1),
+            lambda i: lambda j: sym_probe_log_bound(adj, i, j - 1),
         )
 
 

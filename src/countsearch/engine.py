@@ -4,7 +4,11 @@ The model owns all mutable state.  Domains are sets of integers with a
 removal trail tagged by decision level, so any earlier level can be
 restored bit-exactly.  Constraints register a consistency level;
 per-constraint density tables are cached, a domain change empties the
-cache, and the cache is trailed together with the domains.  Constraints
+cache, and the cache is trailed together with the domains, so a cached
+table always describes the live domains of its scope; a table memoizes
+what a heuristic derives from it (``DensityTable.least_keys``) for that
+reason.  ``release_tables`` lets a finished search drop the superseded
+tables its trail holds.  Constraints
 may trail changes to state of their own (``Model.trail_undo``): the
 layered graphs of ``Regular`` and exact ``Knapsack`` trail their arc
 deletions and their creation, so backtracking revives the arcs and drops
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 CONSISTENT = "consistent"
@@ -53,9 +57,39 @@ class DensityTable:
     constraint: "Constraint"
     log_count: float
     densities: dict[tuple[int, int], float]
+    # (rank rule, its two least keys), set by ``least_keys``
+    _least: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def density(self, var: Variable, value: int) -> float:
         return self.densities.get((var.index, value), 0.0)
+
+    def least_keys(
+        self,
+        rule: Callable[["DensityTable", list[set[int]]], list],
+        domains: list[set[int]],
+    ) -> tuple:
+        """The two least of the rank keys ``rule(self, domains)`` lists
+        (with repeats; fewer when it lists fewer), in ascending order.
+
+        ``domains`` are the live domains of the model whose cache holds
+        this table.  The keys of the last rule asked for are kept: the
+        model drops the table from its constraint's cache as soon as a
+        domain in the scope changes, and a table restored from the trail
+        comes back with the domains it was counted on, so while the
+        table is read its scope's domains never change.
+        """
+        memo = self._least
+        if memo is not None and memo[0] is rule:
+            return memo[1]
+        keys = rule(self, domains)
+        if len(keys) > 2:
+            first = min(keys)
+            keys.remove(first)
+            least = (first, min(keys))
+        else:
+            least = tuple(sorted(keys))
+        self._least = (rule, least)
+        return least
 
 
 class Constraint:
@@ -82,6 +116,8 @@ class Constraint:
         # other than by that call's own removals
         self._stale = True
         self.cid = -1  # set when posted
+        # per scope position, value -> its shared density key
+        self._keys: list[dict[int, tuple[int, int]]] = []
 
     def propagate(self, model: "Model") -> bool:
         """Filter domains; return False on wipeout."""
@@ -93,6 +129,28 @@ class Constraint:
 
     def count_densities(self, model: "Model") -> DensityTable:
         raise NotImplementedError
+
+    def density_keys(
+        self, domains: Sequence[set[int]]
+    ) -> list[dict[int, tuple[int, int]]]:
+        """Per scope position, a map from each value in its domain to one
+        ``(variable index, value)`` tuple that all of this constraint's
+        density tables share as their key.
+
+        A value gets its key the first time a table holds it; domains
+        only shrink from the initial ones, so that happens once per
+        position and value.
+        """
+        keys = self._keys
+        if not keys:
+            keys = self._keys = [{} for _ in self.scope]
+        for var, key, dom in zip(self.scope, keys, domains):
+            if not key.keys() >= dom:
+                vi = var.index
+                for d in dom:
+                    if d not in key:
+                        key[d] = (vi, d)
+        return keys
 
     def _domains(self, model: "Model") -> list[set[int]]:
         """The live domain sets of the scope, in scope order."""
@@ -221,6 +279,20 @@ class Model:
         this point calls ``undo(arg)``, in LIFO order with the rest of the
         trail."""
         self._trail.append((_T_UNDO, undo, arg))
+
+    def release_tables(self) -> None:
+        """Empty the density table of every cache entry on the trail.
+
+        Backtracking past such an entry then leaves the cache empty, and
+        the constraint recounts on demand, on the same domains, since the
+        removals stay on the trail.  A search that ends on a solution
+        calls this: the tables it superseded are most of what its trail
+        holds.
+        """
+        trail = self._trail
+        for i, entry in enumerate(trail):
+            if entry[0] == _T_CACHE and entry[2] is not None:
+                trail[i] = (_T_CACHE, entry[1], None)
 
     def _on_domain_change(self, var: Variable, cause: Optional[Constraint]) -> None:
         for c in self._watchers[var.index]:

@@ -245,5 +245,5 @@ class GlobalCardinality(Constraint):
         domains = self._domains(model)
         return probe_table(
             self, domains, self.log_count(domains),
-            lambda i, d: self.log_count(self._probe_domains(domains, i, d)),
+            lambda i: lambda d: self.log_count(self._probe_domains(domains, i, d)),
         )

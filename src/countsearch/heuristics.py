@@ -6,7 +6,12 @@ Ties are broken lexicographically by (variable index, value).
 Score-based heuristics rank pairs by the keys ``(-score, variable index,
 value)``, so the least key is the pick; with ``randomized=True`` they
 pick uniformly between their two least keys (used by the restart
-driver).
+driver).  The rules that score a pair from one table alone (``maxSD``,
+``maxRelSD``, ``maxRelRatio``, ``minSCMaxSD``) pick from each table's
+two least keys, which the table keeps (``DensityTable.least_keys``), so
+a ``choose`` scans only the tables recounted since the last one;
+``aAvgSD`` and ``wSCAvg`` average a pair over its tables and scan them
+all.
 
 Learned state (constraint weights, impacts) lives on the heuristic
 object and survives restarts.
@@ -51,23 +56,26 @@ class Heuristic:
 class ScoreHeuristic(Heuristic):
     """Common machinery for heuristics that rank (variable, value) pairs.
 
-    ``scores`` returns one rank key ``(-score, var_index, value)`` per
-    scored pair, so the least key is the best pair with the lexicographic
-    tie-break.  When the scores are empty although a variable is unbound
-    (no counting constraint watches the unbound variables, say), the
-    first unbound variable by index is tried with its smallest value.
+    ``scores`` returns rank keys ``(-score, var_index, value)`` that
+    include the two least keys over all scored pairs, repeats counted,
+    so the least key is the best pair with the lexicographic tie-break.
+    When the scores are empty although a variable is unbound (no
+    counting constraint watches the unbound variables, say), the first
+    unbound variable by index is tried with its smallest value.
     """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
         raise NotImplementedError
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
-        unbound = model.unbound_variables()
-        if not unbound:
+        for var, dom in zip(model.variables, model._domains):
+            if len(dom) > 1:
+                break
+        else:
             return None
         keys = self.scores(model)
         if not keys:
-            return unbound[0], model.min(unbound[0])
+            return var, min(dom)
         if randomized:
             pool = heapq.nsmallest(2, keys)
             _, vi, val = pool[self.rng.randrange(2)] if len(pool) == 2 else pool[0]
@@ -76,21 +84,37 @@ class ScoreHeuristic(Heuristic):
         return model.variables[vi], val
 
 
-def _pair_densities(
-    model: Model, tables: Sequence[DensityTable]
+def _sd_keys(
+    table: DensityTable, domains: Sequence[set[int]]
 ) -> list[tuple[float, int, int]]:
     """Rank keys (-density, var_index, value) of every value of every
-    unbound variable in the tables' scopes."""
+    unbound variable in the table's scope (maxSD)."""
     out = []
-    domains = model._domains
-    for table in tables:
-        density = table.densities.get
-        for var in table.constraint.scope:
-            vi = var.index
-            dom = domains[vi]
-            if len(dom) > 1:
-                out.extend((-density((vi, d), 0.0), vi, d) for d in dom)
+    density = table.densities.get
+    for var in table.constraint.scope:
+        vi = var.index
+        dom = domains[vi]
+        if len(dom) > 1:
+            out.extend((-density((vi, d), 0.0), vi, d) for d in dom)
     return out
+
+
+def _rel_sd_keys(
+    table: DensityTable, domains: Sequence[set[int]]
+) -> list[tuple[float, int, int]]:
+    """``_sd_keys`` less the uniform density 1/|D_i| (maxRelSD)."""
+    return [
+        (neg + 1.0 / len(domains[vi]), vi, d) for neg, vi, d in _sd_keys(table, domains)
+    ]
+
+
+def _rel_ratio_keys(
+    table: DensityTable, domains: Sequence[set[int]]
+) -> list[tuple[float, int, int]]:
+    """``_sd_keys`` times the domain size |D_i| (maxRelRatio)."""
+    return [
+        (neg * len(domains[vi]), vi, d) for neg, vi, d in _sd_keys(table, domains)
+    ]
 
 
 def _weighted_average(
@@ -121,33 +145,36 @@ def _weighted_average(
     return out
 
 
-class MaxSD(ScoreHeuristic):
+class TableRankHeuristic(ScoreHeuristic):
+    """A rule that scores each pair of each table from that table and the
+    domain sizes alone; its scores are the two least keys of each table.
+    """
+
+    #: the rank keys of one table's pairs: ``_sd_keys`` or a rescaling
+    rule = staticmethod(_sd_keys)
+
+    def scores(self, model: Model) -> list[tuple[float, int, int]]:
+        rule, domains = self.rule, model._domains
+        out = []
+        for table in model.collect_densities():
+            out += table.least_keys(rule, domains)
+        return out
+
+
+class MaxSD(TableRankHeuristic):
     """Maximum solution density over all counting constraints."""
 
-    def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        return _pair_densities(model, model.collect_densities())
 
-
-class MaxRelSD(ScoreHeuristic):
+class MaxRelSD(TableRankHeuristic):
     """Density minus the uniform density 1/|D_i|."""
 
-    def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        domains = model._domains
-        return [
-            (neg + 1.0 / len(domains[vi]), vi, d)
-            for neg, vi, d in _pair_densities(model, model.collect_densities())
-        ]
+    rule = staticmethod(_rel_sd_keys)
 
 
-class MaxRelRatio(ScoreHeuristic):
+class MaxRelRatio(TableRankHeuristic):
     """Density relative to the uniform density (sigma * |D_i|)."""
 
-    def scores(self, model: Model) -> list[tuple[float, int, int]]:
-        domains = model._domains
-        return [
-            (neg * len(domains[vi]), vi, d)
-            for neg, vi, d in _pair_densities(model, model.collect_densities())
-        ]
+    rule = staticmethod(_rel_ratio_keys)
 
 
 class AAvgSD(ScoreHeuristic):
@@ -176,22 +203,22 @@ class WSCAvg(ScoreHeuristic):
 class MinSCMaxSD(ScoreHeuristic):
     """Max density within the constraint with the fewest solutions.
 
-    A constraint without a count estimate (``-inf``) takes no part.
+    Only tables with an unbound variable in their scope, which are those
+    with ``_sd_keys``, are candidates; a constraint without a count
+    estimate (``-inf``) takes no part.
     """
 
     def scores(self, model: Model) -> list[tuple[float, int, int]]:
+        domains = model._domains
         candidates = [
             t
             for t in model.collect_densities()
-            if t.log_count != -math.inf
-            and any(not model.is_bound(v) for v in t.constraint.scope)
+            if t.log_count != -math.inf and t.least_keys(_sd_keys, domains)
         ]
         if not candidates:
             return []
-        chosen = min(
-            candidates, key=lambda t: (t.log_count, t.constraint.cid)
-        )
-        return _pair_densities(model, [chosen])
+        chosen = min(candidates, key=lambda t: (t.log_count, t.constraint.cid))
+        return list(chosen.least_keys(_sd_keys, domains))
 
 
 # ----------------------------------------------------------------------

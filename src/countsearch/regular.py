@@ -234,7 +234,6 @@ class GraphConstraint(Constraint):
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         super().__init__(scope, consistency)
         self._graph: Optional[LayeredGraph] = None
-        self._keys: list[dict[int, tuple[int, int]]] = []
         # filtering is idempotent only when no variable fills two layers:
         # removing its value at one layer changes the other layer
         self._distinct = len(set(self.scope)) == len(self.scope)
@@ -248,12 +247,6 @@ class GraphConstraint(Constraint):
         graph = self._graph
         if graph is None:
             graph = self._graph = self.build_graph(domains)
-            # while the graph lives the domains stay within these, so every
-            # density table can share one key tuple per (variable, value)
-            self._keys = [
-                {d: (var.index, d) for d in dom}
-                for var, dom in zip(self.scope, domains)
-            ]
             model.trail_undo(self._drop_graph, graph)
         else:
             mark = len(graph.log)
@@ -286,11 +279,12 @@ class GraphConstraint(Constraint):
         the count."""
         graph, domains = self.synced_graph(model)
         count, weights = graph.path_counts()
+        keys = self.density_keys(domains)
         if count == 0:
-            zeros = {key[d]: 0.0 for key, dom in zip(self._keys, domains) for d in dom}
+            zeros = {key[d]: 0.0 for key, dom in zip(keys, domains) for d in dom}
             return DensityTable(self, -math.inf, zeros)
         densities: dict[tuple[int, int], float] = {}
-        for index, key, dom in zip(graph.slot_index, self._keys, domains):
+        for index, key, dom in zip(graph.slot_index, keys, domains):
             for d in dom:
                 s = index.get(d)
                 densities[key[d]] = (0 if s is None else weights[s]) / count

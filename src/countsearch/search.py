@@ -9,6 +9,10 @@ untried right branches on an explicit stack, so the depth of the tree
 is not limited by Python's recursion limit.  ``dfs`` walks the whole
 tree once, ``restart_search`` walks it repeatedly under growing
 backtrack cutoffs, and ``lds`` walks it in waves of discrepancy windows.
+
+A search that ends on a solution leaves the model there, with the
+density tables on its trail released (``Model.release_tables``): a
+later backtrack restores every domain and recounts on demand.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def _search(
     walks: Callable[[SearchStats, Optional[float]], str],
 ) -> SearchStats:
     """Propagate the root, get the status from ``walks(stats, deadline)``,
-    then keep the solution on SAT or restore the root otherwise."""
+    then keep the solution on SAT, releasing the trailed density tables,
+    or restore the root otherwise."""
     stats = SearchStats()
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -146,6 +151,7 @@ def _search(
         stats.status = walks(stats, deadline)
         if stats.status == SAT:
             stats.solution = model.solution()
+            model.release_tables()
         else:
             model.backtrack_to(root)
     stats.time_ms = (time.perf_counter() - start) * 1000.0

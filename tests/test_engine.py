@@ -2,8 +2,9 @@
 
 import pytest
 
-from countsearch.alldiff import AllDifferent
+from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.engine import BOUNDS, CONSISTENT, WIPEOUT, Constraint, Model
+from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
 
@@ -358,3 +359,31 @@ def test_log_search_space_tracks_domain_product():
     m.new_variable({1, 2})
     m.new_variable({1, 2, 3})
     assert m.log_search_space() == pytest.approx(math.log(6))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(AllDifferent, id="alldiff"),
+        pytest.param(SymmetricAllDifferent, id="symmetric"),
+        pytest.param(lambda xs: GlobalCardinality(xs, {}, {1: 1, 2: 2}), id="gcc"),
+        pytest.param(
+            lambda xs: Regular(xs, Automaton({(0, d): 0 for d in range(5)}, 0, [0])),
+            id="regular",
+        ),
+    ],
+)
+def test_density_tables_share_their_key_tuples(make):
+    m = Model()
+    xs = [m.new_variable({1, 2, 3, 4}) for _ in range(4)]
+    c = m.add(make(xs))
+    m.push_decision("refute", xs[0], 2)
+    # first counted on narrowed domains: the root's extra keys come later
+    low = c.count_densities(m)
+    m.backtrack_to(0)
+    root = c.count_densities(m)
+    assert len(root.densities) > len(low.densities)
+    keys = {k: k for k in root.densities}
+    assert all(keys[k] is k for k in low.densities)
+    fresh = make(xs)
+    assert fresh.count_densities(m).densities == root.densities

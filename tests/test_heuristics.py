@@ -1,9 +1,12 @@
 """Branching heuristics: selection rules, tie-breaking, learned state."""
 
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from countsearch.alldiff import AllDifferent
 from countsearch.bench import apply_overrides, build_model, generate_magic
@@ -27,6 +30,8 @@ from countsearch.heuristics import (
 )
 from countsearch.knapsack import GAUSSIAN, Knapsack
 from countsearch.search import SAT, dfs, lds, restart_search
+
+from conftest import random_micro_model
 
 
 def golden_knapsack_model():
@@ -460,3 +465,92 @@ def test_fail_first_tendency_on_forced_value():
     # exact densities: sigma(x2, 4) = 3/5 is the unique maximum
     assert var is xs[2]
     assert value == 4
+
+
+# ----------------------------------------------------------------------
+# per-table least keys against a scan of every key
+# ----------------------------------------------------------------------
+def _all_keys(name, model):
+    """Every rank key the rule gives, scanned from the live tables."""
+    domains = model._domains
+    tables = model.collect_densities()
+    if name == "minSCMaxSD":
+        live = [
+            t
+            for t in tables
+            if t.log_count != -math.inf
+            and any(len(domains[v.index]) > 1 for v in t.constraint.scope)
+        ]
+        if not live:
+            return []
+        tables = [min(live, key=lambda t: (t.log_count, t.constraint.cid))]
+    keys = []
+    for table in tables:
+        for var in table.constraint.scope:
+            vi, dom = var.index, domains[var.index]
+            if len(dom) < 2:
+                continue
+            for d in dom:
+                neg = -table.densities.get((vi, d), 0.0)
+                if name == "maxRelSD":
+                    neg = neg + 1.0 / len(dom)
+                elif name == "maxRelRatio":
+                    neg = neg * len(dom)
+                keys.append((neg, vi, d))
+    return keys
+
+
+class _Forced(random.Random):
+    """A generator whose ``randrange`` returns ``index`` and counts calls."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.index = 0
+        self.calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return self.index
+
+
+SEARCHES = {
+    "dfs": lambda m, h: dfs(m, h, backtrack_limit=40),
+    "restart": lambda m, h: restart_search(m, h, scale=2, backtrack_limit=40),
+    "lds": lambda m, h: lds(m, h, backtrack_limit=40),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["maxSD", "maxRelSD", "maxRelRatio", "minSCMaxSD"]),
+    search=st.sampled_from(sorted(SEARCHES)),
+)
+def test_table_least_keys_give_the_full_scan_pick(seed, name, search):
+    """At every ``choose`` of a search, the pick (or, randomized, the pool
+    drawn from) is the least (two least) of every key of the live tables."""
+    model = random_micro_model(random.Random(seed))
+    assume(model.propagate() == CONSISTENT)
+    rng = _Forced()
+    h = make_heuristic(name, model, rng)
+    choose = h.choose
+    def checking(m, randomized=False):
+        keys = _all_keys(name, m)
+        rng.index, rng.calls = 0, 0
+        pick = choose(m, randomized)
+        picks = [pick]
+        if rng.calls:
+            rng.index = 1
+            picks.append(choose(m, randomized))
+        unbound = [v for v in m.variables if m.size(v) > 1]
+        if not unbound:
+            assert pick is None
+        elif not keys:
+            assert picks == [(unbound[0], m.min(unbound[0]))]
+        else:
+            pool = heapq.nsmallest(2, keys) if randomized else [min(keys)]
+            assert [(v.index, d) for v, d in picks] == [(vi, d) for _, vi, d in pool]
+        return pick
+
+    h.choose = checking
+    SEARCHES[search](model, h)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import CONSISTENT, Model
+from countsearch.bench import build_model, generate_qwh
+from countsearch.engine import _T_CACHE, CONSISTENT, Model
 from countsearch.heuristics import Dom, Heuristic, MaxSD, make_heuristic
 from countsearch.oracle import exact_solve
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
@@ -294,3 +295,45 @@ def test_rejects_window_or_cutoff_that_never_proves_unsat(driver, bad):
     m = _pigeonhole()
     with pytest.raises(ValueError):
         DRIVERS[driver](m, Dom(m, random.Random(0)), timeout=1.0, **bad)
+
+
+def _qwh():
+    m = build_model(generate_qwh(7, 0.6, seed=1))
+    assert m.propagate() == CONSISTENT
+    return m
+
+
+def _tables(model):
+    return [(t.log_count, t.densities) for t in model.collect_densities()]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_sat_search_releases_its_trailed_tables(driver):
+    m = _qwh()
+    stats = DRIVERS[driver](m, MaxSD(m, random.Random(0)))
+    assert stats.status == SAT
+    cached = [entry for entry in m._trail if entry[0] == _T_CACHE]
+    assert cached and all(entry[2] is None for entry in cached)
+    # the removals stay on the trail, so the root comes back, and its
+    # tables are recounted
+    m.backtrack_to(0)
+    fresh = _qwh()
+    assert m._domains == fresh._domains
+    assert _tables(m) == _tables(fresh)
+
+
+@pytest.mark.parametrize("status", [UNSAT, TIMEOUT])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_failed_search_restores_the_root_tables(driver, status):
+    m = Model()
+    xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
+    m.add(AllDifferent(xs, consistency="fc"))
+    m.add(AllDifferent(xs[:3]))
+    assert m.propagate() == CONSISTENT
+    root = _tables(m)
+    cutoff = CUTOFFS[driver] if status == TIMEOUT else {}
+    stats = DRIVERS[driver](m, MaxSD(m, random.Random(0)), **cutoff)
+    assert stats.status == status
+    assert m.level == 0
+    assert all(c.cache is not None for c in m.constraints)
+    assert _tables(m) == root
