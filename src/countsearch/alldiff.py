@@ -55,7 +55,7 @@ def probe_table(
     The tables share their keys (``Constraint.density_keys``).
     """
     densities: dict[tuple[int, int], float] = {}
-    keys = constraint.density_keys(domains)
+    keys = constraint.density_keys()
     for i, (key, dom) in enumerate(zip(keys, domains)):
         if len(dom) == 1:
             densities[key[next(iter(dom))]] = 1.0
@@ -290,8 +290,9 @@ class AllDifferent(Constraint):
         return True
 
     def _forward_check(self, model: Model) -> Optional[Counter[int]]:
-        """Remove each bound value from the other scoped domains, to
-        fixpoint; None on wipeout.
+        """Remove each bound value from the domains at the other scope
+        positions, to fixpoint; None on wipeout.  A variable that fills
+        two positions is bound to two equal values, so it wipes out.
 
         Each pass counts the values over the scope's domains first and
         skips a bound variable whose value no other domain holds: removals
@@ -304,19 +305,16 @@ class AllDifferent(Constraint):
         while changed:
             changed = False
             counts = Counter(chain.from_iterable(doms))
-            for var, dom in zip(self.scope, doms):
+            for i, dom in enumerate(doms):
                 if len(dom) != 1:
                     continue
                 value = next(iter(dom))
                 if counts[value] == 1:
                     continue
-                for other in self.scope:
-                    if other is var:
-                        continue
-                    odom = model._domains[other.index]
-                    if value in odom:
+                for k, odom in enumerate(doms):
+                    if k != i and value in odom:
                         was_unbound = len(odom) > 1
-                        if not model.remove_value(other, value, self):
+                        if not model.remove_value(self.scope[k], value, self):
                             return None
                         if was_unbound and len(odom) == 1:
                             changed = True
@@ -355,8 +353,8 @@ class SymmetricAllDifferent(Constraint):
 
     Scope position i (0-based) corresponds to entity i+1; domains hold
     entity numbers.  Filtering enforces the channeling (edge mutuality)
-    plus forward checking on bound pairs; counting bounds the number of
-    matchings of the contracted value graph.
+    and binds the partner of each bound variable; counting bounds the
+    number of matchings of the contracted value graph.
     """
 
     supports_counting = True
@@ -397,26 +395,17 @@ class SymmetricAllDifferent(Constraint):
                         if not model.remove_value(var, j, self):
                             return False
                         changed = True
-            # bound pairs exclude both entities elsewhere
+            # a bound pair binds its partner; the next mutuality pass then
+            # removes both entities from every other domain
             for i, var in enumerate(scope):
                 dom = model._domains[var.index]
                 if len(dom) != 1:
                     continue
-                j = next(iter(dom))
-                partner = scope[j - 1]
+                partner = scope[next(iter(dom)) - 1]
                 if not model.is_bound(partner):
                     if not model.assign(partner, i + 1, self):
                         return False
                     changed = True
-                for k, other in enumerate(scope):
-                    if k == i or k == j - 1:
-                        continue
-                    odom = model._domains[other.index]
-                    for used in (j, i + 1):
-                        if used in odom:
-                            if not model.remove_value(other, used, self):
-                                return False
-                            changed = True
         return True
 
     # -- counting ------------------------------------------------------

@@ -92,6 +92,23 @@ class DensityTable:
         return least
 
 
+class DensityKeys(dict):
+    """Value -> the ``(variable index, value)`` key of one scope position.
+
+    A value gets its key the first time it is looked up, so a count never
+    checks which values of its domains have one.
+    """
+
+    __slots__ = ("vi",)
+
+    def __init__(self, vi: int):
+        self.vi = vi
+
+    def __missing__(self, value: int) -> tuple[int, int]:
+        key = self[value] = (self.vi, value)
+        return key
+
+
 class Constraint:
     """Base class for all constraints.
 
@@ -117,7 +134,7 @@ class Constraint:
         self._stale = True
         self.cid = -1  # set when posted
         # per scope position, value -> its shared density key
-        self._keys: list[dict[int, tuple[int, int]]] = []
+        self._keys: list[DensityKeys] = []
 
     def propagate(self, model: "Model") -> bool:
         """Filter domains; return False on wipeout."""
@@ -130,26 +147,13 @@ class Constraint:
     def count_densities(self, model: "Model") -> DensityTable:
         raise NotImplementedError
 
-    def density_keys(
-        self, domains: Sequence[set[int]]
-    ) -> list[dict[int, tuple[int, int]]]:
-        """Per scope position, a map from each value in its domain to one
-        ``(variable index, value)`` tuple that all of this constraint's
-        density tables share as their key.
-
-        A value gets its key the first time a table holds it; domains
-        only shrink from the initial ones, so that happens once per
-        position and value.
-        """
+    def density_keys(self) -> list[DensityKeys]:
+        """Per scope position, a map from each value to one ``(variable
+        index, value)`` tuple that all of this constraint's density tables
+        share as their key."""
         keys = self._keys
         if not keys:
-            keys = self._keys = [{} for _ in self.scope]
-        for var, key, dom in zip(self.scope, keys, domains):
-            if not key.keys() >= dom:
-                vi = var.index
-                for d in dom:
-                    if d not in key:
-                        key[d] = (vi, d)
+            keys = self._keys = [DensityKeys(var.index) for var in self.scope]
         return keys
 
     def _domains(self, model: "Model") -> list[set[int]]:

@@ -5,16 +5,18 @@ Every heuristic exposes ``choose(model, randomized=False)`` returning a
 Ties are broken lexicographically by (variable index, value).
 Score-based heuristics rank pairs by the keys ``(-score, variable index,
 value)``, so the least key is the pick; with ``randomized=True`` they
-pick uniformly between their two least keys (used by the restart
-driver).  The rules that score a pair from one table alone (``maxSD``,
+pick uniformly between their two least keys (restart runs ask for
+this).  The rules that score a pair from one table alone (``maxSD``,
 ``maxRelSD``, ``maxRelRatio``, ``minSCMaxSD``) pick from each table's
 two least keys, which the table keeps (``DensityTable.least_keys``), so
 a ``choose`` scans only the tables recounted since the last one;
 ``aAvgSD`` and ``wSCAvg`` average a pair over its tables and scan them
 all.
 
-Learned state (constraint weights, impacts) lives on the heuristic
-object and survives restarts.
+Learned state (constraint weights, impacts) and the random generator
+live on the heuristic object, so they carry over from one run of a
+search to the next (restarts, LDS waves): the picks may differ between
+runs, and the search drivers stay sound when they do.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class Heuristic:
 
     def observe(self, var: Variable, value: int, impact: float) -> None:
         """Called after each left branch with the observed impact."""
-
-    def on_restart(self) -> None:
-        """Called when the restart driver goes back to the root."""
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +432,6 @@ class VarThenValue(Heuristic):
 
     def observe(self, var: Variable, value: int, impact: float) -> None:
         self.var_rule.observe(var, value, impact)
-
-    def on_restart(self) -> None:
-        self.var_rule.on_restart()
 
 
 def _random_value(rng: random.Random) -> Callable[[Model, Variable], int]:

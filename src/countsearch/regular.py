@@ -279,7 +279,7 @@ class GraphConstraint(Constraint):
         the count."""
         graph, domains = self.synced_graph(model)
         count, weights = graph.path_counts()
-        keys = self.density_keys(domains)
+        keys = self.density_keys()
         if count == 0:
             zeros = {key[d]: 0.0 for key, dom in zip(keys, domains) for d in dom}
             return DensityTable(self, -math.inf, zeros)

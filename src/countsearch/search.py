@@ -4,11 +4,18 @@ The search tree is binary: the left child asserts x = d, the right
 child refutes it (x != d).  A backtrack is counted each time a wipeout
 forces a subtree to be abandoned.
 
-All three drivers run one iterative walker, ``_walk``, which keeps the
-untried right branches on an explicit stack, so the depth of the tree
-is not limited by Python's recursion limit.  ``dfs`` walks the whole
-tree once, ``restart_search`` walks it repeatedly under growing
-backtrack cutoffs, and ``lds`` walks it in waves of discrepancy windows.
+Each driver is a schedule of runs ``(randomized, cap, cutoff)``: whether
+the heuristic randomizes its picks, the most right branches (the
+discrepancies) a path may take, and the most backtracks the run may
+make.  ``dfs`` makes one uncapped run, ``restart_search`` randomized
+runs cut off after scale * 2^i backtracks, and ``lds`` waves capped at
+skip - 1, 2 * skip - 1, ... (Harvey & Ginsberg, IJCAI 1995).  One loop,
+in ``_search``, walks the runs from the root in turn, under one deadline
+and one backtrack limit.  Every leaf a run reaches is a solution, and a
+run that neither its cap nor its cutoff cut short proves unsat.  A run
+is one call of ``_walk``, which keeps the untried right branches on an
+explicit stack, so the depth of the tree is not limited by Python's
+recursion limit.
 
 A search that ends on a solution leaves the model there, with the
 density tables on its trail released (``Model.release_tables``): a
@@ -20,7 +27,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import count, islice
+from typing import Iterable, Optional
 
 from .engine import CONSISTENT, WIPEOUT, Model
 from .heuristics import Heuristic
@@ -29,14 +37,16 @@ SAT = "sat"
 UNSAT = "unsat"
 TIMEOUT = "timeout"
 
+Run = tuple[bool, float, Optional[int]]  # (randomized, cap, cutoff)
+
 
 @dataclass
 class SearchStats:
     status: str = UNSAT
     backtracks: int = 0
     time_ms: float = 0.0
-    restarts: int = 0
-    max_discrepancy: int = 0
+    restarts: int = 0  # runs stopped by their own cutoff
+    max_discrepancy: int = 0  # the cap of the last capped run
     solution: Optional[dict[str, int]] = None
 
 
@@ -66,13 +76,6 @@ class _Budget:
         return self.timed_out or self.cut_off
 
 
-def _check_backtrack_limit(backtrack_limit: Optional[int]) -> None:
-    if backtrack_limit is not None and backtrack_limit < 0:
-        raise ValueError(
-            f"backtrack limit must be nonnegative, got {backtrack_limit}"
-        )
-
-
 def _observe(heuristic: Heuristic, model, var, value, before, status) -> None:
     if status == WIPEOUT:
         heuristic.observe(var, value, 1.0)
@@ -85,70 +88,100 @@ def _walk(
     model: Model,
     heuristic: Heuristic,
     budget: _Budget,
-    randomized: bool = False,
-    low: int = 0,
-    high: float = math.inf,
+    randomized: bool,
+    cap: float,
 ) -> Optional[str]:
-    """Walk the tree below the current node, visiting the branches whose
-    discrepancy count t (right branches taken) satisfies low <= t <= high.
+    """Walk the tree below the current node, taking at most ``cap`` right
+    branches on any path.
 
-    Returns SAT with the model at a solution, TIMEOUT when the budget
-    runs out, or None when the window holds no solution; on TIMEOUT and
-    None the model is left wherever the walk stopped.
+    Returns SAT with the model at a solution, UNSAT when the walk covered
+    the whole tree (the cap left out no right branch and the budget cut
+    off no backtrack), or None otherwise, with the model left wherever
+    the walk stopped.
     """
-    # untried right branches, deepest last: (var, value, level, low, high)
-    # with the level and window of the node that made the decision
+    # untried right branches, deepest last: (var, value, level, left)
+    # with the level of the node that made the decision and the
+    # discrepancies left below that node
     open_right: list = []
     learns = heuristic.uses_impact
+    capped = False
+    left = cap
     while True:
-        # at a consistent node whose subtree has window [low, high]
+        # at a consistent node with `left` discrepancies left below it
         if budget.exhausted():
-            return TIMEOUT
+            return None
         pick = heuristic.choose(model, randomized)
         if pick is None:
-            if low == 0:
-                return SAT
-        else:
-            var, value = pick
-            open_right.append((var, value, model.level, low, high))
-            before = model.log_search_space() if learns else None
-            status = model.push_decision("assign", var, value)
-            if learns:
-                _observe(heuristic, model, var, value, before, status)
-            if status == CONSISTENT:
-                continue
-            budget.note_backtrack()
+            return SAT
+        var, value = pick
+        open_right.append((var, value, model.level, left))
+        before = model.log_search_space() if learns else None
+        status = model.push_decision("assign", var, value)
+        if learns:
+            _observe(heuristic, model, var, value, before, status)
+        if status == CONSISTENT:
+            continue
+        budget.note_backtrack()
         # the subtree failed: refute the deepest untried decision
         while open_right:
-            var, value, level, low, high = open_right.pop()
+            var, value, level, left = open_right.pop()
             model.backtrack_to(level)
             if budget.exhausted():
-                return TIMEOUT
-            if high == 0:
+                return None
+            if not left:
+                capped = True
                 continue
             status = model.push_decision("refute", var, value)
             if status == CONSISTENT:
-                low, high = max(0, low - 1), high - 1
+                left -= 1
                 break
             budget.note_backtrack()
         else:
-            return None  # no untried decision left in the window
+            return None if capped or budget.cut_off else UNSAT
 
 
 def _search(
     model: Model,
+    heuristic: Heuristic,
     timeout: Optional[float],
-    walks: Callable[[SearchStats, Optional[float]], str],
+    backtrack_limit: Optional[int],
+    runs: Iterable[Run],
 ) -> SearchStats:
-    """Propagate the root, get the status from ``walks(stats, deadline)``,
-    then keep the solution on SAT, releasing the trailed density tables,
-    or restore the root otherwise."""
+    """Propagate the root, then walk ``runs`` from it in turn until one
+    finds a solution or proves unsat, the time runs out, the backtracks
+    reach ``backtrack_limit`` (the total over all runs) or the runs do
+    (TIMEOUT).  Keep the solution on SAT, releasing the trailed density
+    tables, or restore the root otherwise."""
+    if backtrack_limit is not None and backtrack_limit < 0:
+        raise ValueError(
+            f"backtrack limit must be nonnegative, got {backtrack_limit}"
+        )
     stats = SearchStats()
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     root = model.level
     if model.propagate() != WIPEOUT:
-        stats.status = walks(stats, deadline)
+        stats.status = TIMEOUT
+        for randomized, cap, cutoff in runs:
+            model.backtrack_to(root)
+            limit = cutoff
+            if backtrack_limit is not None:
+                remaining = backtrack_limit - stats.backtracks
+                limit = remaining if cutoff is None else min(cutoff, remaining)
+            budget = _Budget(deadline, limit)
+            outcome = _walk(model, heuristic, budget, randomized, cap)
+            stats.backtracks += budget.backtracks
+            if cap < math.inf:
+                stats.max_discrepancy = cap
+            if outcome is not None:
+                stats.status = outcome
+                break
+            if budget.timed_out or (
+                backtrack_limit is not None and stats.backtracks >= backtrack_limit
+            ):
+                break
+            if budget.cut_off:
+                stats.restarts += 1
         if stats.status == SAT:
             stats.solution = model.solution()
             model.release_tables()
@@ -165,17 +198,8 @@ def dfs(
     backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
     """Depth-first search; left branch x=d, right branch x!=d."""
-    _check_backtrack_limit(backtrack_limit)
-
-    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
-        budget = _Budget(deadline, backtrack_limit)
-        outcome = _walk(model, heuristic, budget)
-        stats.backtracks = budget.backtracks
-        if outcome == SAT:
-            return SAT
-        return TIMEOUT if budget.timed_out or budget.cut_off else UNSAT
-
-    return _search(model, timeout, walks)
+    runs = [(False, math.inf, None)]
+    return _search(model, heuristic, timeout, backtrack_limit, runs)
 
 
 def restart_search(
@@ -187,7 +211,8 @@ def restart_search(
     backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
     """Geometric restarts: run i is cut off after scale * 2^i backtracks,
-    or after what is left of ``backtrack_limit``, the total over all runs.
+    or after what is left of ``backtrack_limit``, the total over all runs;
+    there are at most ``max_restarts`` runs (one at least).
 
     The heuristic randomizes between its two best choices; learned
     state persists across runs.  A run that completes without hitting
@@ -196,32 +221,10 @@ def restart_search(
     """
     if scale < 1:
         raise ValueError(f"restart scale must be at least 1, got {scale}")
-    _check_backtrack_limit(backtrack_limit)
-
-    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
-        root = model.level
-        while True:
-            cutoff = scale * (2 ** stats.restarts)
-            if backtrack_limit is not None:
-                cutoff = min(cutoff, backtrack_limit - stats.backtracks)
-            budget = _Budget(deadline, cutoff)
-            outcome = _walk(model, heuristic, budget, randomized=True)
-            stats.backtracks += budget.backtracks
-            if outcome == SAT:
-                return SAT
-            if budget.timed_out:
-                return TIMEOUT
-            if not budget.cut_off:
-                return UNSAT  # exhausted under the cutoff: real proof
-            if backtrack_limit is not None and stats.backtracks >= backtrack_limit:
-                return TIMEOUT
-            model.backtrack_to(root)
-            heuristic.on_restart()
-            stats.restarts += 1
-            if max_restarts is not None and stats.restarts >= max_restarts:
-                return TIMEOUT
-
-    return _search(model, timeout, walks)
+    runs: Iterable[Run] = ((True, math.inf, scale * 2**i) for i in count())
+    if max_restarts is not None:
+        runs = islice(runs, max(max_restarts, 1))
+    return _search(model, heuristic, timeout, backtrack_limit, runs)
 
 
 def lds(
@@ -233,31 +236,12 @@ def lds(
 ) -> SearchStats:
     """Limited discrepancy search in waves of ``skip`` discrepancies.
 
-    Wave w visits branches with discrepancy count in
-    [w*skip, (w+1)*skip - 1]; waves continue until a solution, proof of
-    exhaustion, or timeout.  ``backtrack_limit`` caps the total over all
-    waves.
+    Wave w walks every path with at most (w + 1) * skip - 1 right
+    branches and takes any solution it reaches; the first wave whose cap
+    leaves out no right branch proves unsat.  ``backtrack_limit`` caps
+    the total over all waves.
     """
     if skip < 1:
         raise ValueError(f"LDS skip must be at least 1, got {skip}")
-    _check_backtrack_limit(backtrack_limit)
-
-    def walks(stats: SearchStats, deadline: Optional[float]) -> str:
-        root = model.level
-        max_disc = sum(max(0, model.size(v) - 1) for v in model.variables)
-        budget = _Budget(deadline, backtrack_limit)
-        for low in range(0, max_disc + 1, skip):
-            if deadline is not None and time.monotonic() >= deadline:
-                return TIMEOUT
-            high = low + skip - 1
-            outcome = _walk(model, heuristic, budget, low=low, high=high)
-            stats.backtracks = budget.backtracks
-            stats.max_discrepancy = high
-            if outcome == SAT:
-                return SAT
-            if budget.timed_out or budget.cut_off:
-                return TIMEOUT
-            model.backtrack_to(root)
-        return UNSAT
-
-    return _search(model, timeout, walks)
+    runs = ((False, w * skip - 1, None) for w in count(1))
+    return _search(model, heuristic, timeout, backtrack_limit, runs)

@@ -1,0 +1,109 @@
+"""Differential test: every heuristic under every driver against the oracle.
+
+Each seed builds one small model: at most five variables and one or two
+constraints, each of a random kind (AllDifferent, GlobalCardinality,
+exact or Gaussian Knapsack, Regular, SymmetricAllDifferent) at a random
+consistency level, over a scope that may hold a variable twice.  Every
+name in ``HEURISTIC_NAMES`` then searches a fresh copy of the model under
+``dfs``, ``lds`` and ``restart_search``; the status must agree with
+``oracle.exact_solve``, and a solution must pass every constraint's
+``check``.
+"""
+
+import random
+
+import pytest
+
+from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
+from countsearch.engine import BOUNDS, DOMAIN, FORWARD_CHECKING, Model
+from countsearch.gcc import GlobalCardinality
+from countsearch.heuristics import HEURISTIC_NAMES, make_heuristic
+from countsearch.knapsack import EXACT, GAUSSIAN, Knapsack
+from countsearch.oracle import exact_solve
+from countsearch.regular import Regular
+from countsearch.search import SAT, UNSAT, dfs, lds, restart_search
+
+from conftest import random_automaton
+
+VALUES = range(1, 5)
+CONSISTENCIES = (FORWARD_CHECKING, BOUNDS, DOMAIN)
+
+
+def _gcc(rng, scope, consistency):
+    lower = {d: rng.randint(0, 1) for d in VALUES}
+    upper = {d: rng.randint(max(lower[d], 1), len(scope)) for d in VALUES}
+    return GlobalCardinality(scope, lower, upper, consistency)
+
+
+def _knapsack(mode):
+    def make(rng, scope, consistency):
+        coeffs = [rng.randint(0, 4) for _ in scope]
+        top = sum(coeffs) * max(VALUES)
+        lower = rng.randint(0, top)
+        upper = rng.randint(lower, top)
+        return Knapsack(scope, coeffs, lower, upper, consistency, mode)
+
+    return make
+
+
+def _regular(rng, scope, consistency):
+    return Regular(scope, random_automaton(rng, 3, VALUES), consistency)
+
+
+def _symmetric(rng, scope, consistency):
+    # an even scope, so that a pairing can exist
+    return SymmetricAllDifferent(scope[: len(scope) // 2 * 2], consistency)
+
+
+KINDS = (
+    lambda rng, scope, consistency: AllDifferent(scope, consistency),
+    _gcc,
+    _knapsack(EXACT),
+    _knapsack(GAUSSIAN),
+    _regular,
+    _symmetric,
+)
+
+
+def _random_model(seed: int) -> Model:
+    rng = random.Random(seed)
+    model = Model()
+    xs = [
+        model.new_variable(rng.sample(VALUES, rng.randint(1, len(VALUES))), f"x{i}")
+        for i in range(rng.randint(2, 5))
+    ]
+    for _ in range(rng.randint(1, 2)):
+        scope = [rng.choice(xs) for _ in range(rng.randint(2, 4))]
+        make = rng.choice(KINDS)
+        model.add(make(rng, scope, rng.choice(CONSISTENCIES)))
+    return model
+
+
+def _passes_every_check(model, solution):
+    return all(
+        c.check([solution[v.name] for v in c.scope]) for c in model.constraints
+    )
+
+
+DRIVERS = {
+    "dfs": dfs,
+    "lds": lds,
+    "restart": lambda m, h: restart_search(m, h, scale=1),
+}
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_every_heuristic_agrees_with_the_oracle(driver, seed):
+    sat, _ = exact_solve(_random_model(seed))
+    wrong = []
+    for name in HEURISTIC_NAMES:
+        model = _random_model(seed)
+        stats = DRIVERS[driver](
+            model, make_heuristic(name, model, random.Random(seed))
+        )
+        if stats.status != (SAT if sat else UNSAT) or (
+            sat and not _passes_every_check(model, stats.solution)
+        ):
+            wrong.append((name, stats.status, stats.solution))
+    assert not wrong, f"oracle says {'sat' if sat else 'unsat'}"

@@ -101,7 +101,7 @@ ttppv-8-s1.txt,maxSD,restart,scale=3,0,sat,0,0
     "lds": """\
 kprostering-3x12-s1.txt,maxSD,lds,skip=1,0,sat,0,0
 magic-4-s1.magic,maxSD,lds,skip=1,0,sat,3,0
-marketsplit-2-s1.msplit,maxSD,lds,skip=1,0,timeout,20,0
+marketsplit-2-s1.msplit,maxSD,lds,skip=1,0,unsat,3,0
 multiknap-16x3-s1.mknap,maxSD,lds,skip=1,0,sat,0,0
 nonogram-12x12-s1.nonogram,maxSD,lds,skip=1,0,sat,0,0
 qwh-15-s1.qwh,maxSD,lds,skip=1,0,sat,0,0
