@@ -1,5 +1,10 @@
 """Alldifferent and symmetric pairing constraints: filtering and counting.
 
+AllDifferent filters by forward checking and, at domain consistency,
+by Regin's matching filter (``regin_dead_arcs``, shared with
+``GlobalCardinality``), which works on the variables alone, each merged
+with its matched value.
+
 Counting uses permanent upper bounds on the 0-1 variable/value matrix:
 the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
 come from forward-checking local probes bounded by Bregman-Minc alone,
@@ -165,61 +170,25 @@ def _kuhn_matching(adj: list[list[int]], n_vals: int) -> tuple[list[int], list[i
     return match_var, match_val
 
 
-def _tarjan_scc(n_nodes: int, out_arcs: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns component id per node."""
-    index = [-1] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    comp = [-1] * n_nodes
-    stack: list[int] = []
-    counter = 0
-    n_comp = 0
-    for root in range(n_nodes):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            succ = out_arcs[node]
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (node, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == node:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp
-
-
 def regin_dead_arcs(
     adj: list[list[int]], n_vals: int
 ) -> Optional[list[tuple[int, int]]]:
     """Arcs (x, v) of the variable/value graph ``adj`` that no matching
     covering every variable uses (Regin, AAAI 1994), in scan order: by
     x, then in ``adj[x]`` order.  None when no such matching exists.
+
+    Given one such matching, each variable is merged with its matched
+    value (Gent, Miguel & Nightingale, AIJ 2008): one node per variable,
+    and an arc x -> y when x can take y's value v.  x can switch to v iff
+    y can then move on, along a path to a variable that can take a free
+    value or around a cycle back to x.  So (x, v) is dead iff y reaches
+    no free value (y is not *reached*) and y is not in x's strongly
+    connected component.  Each node keeps its successors and
+    predecessors as Python int bitmasks.  The reached set is one search
+    from the free values along predecessors; the components come from
+    one Kosaraju pass over the unreached variables, since a component of
+    an unreached variable holds only unreached ones.  Each search pushes
+    a variable once.
     """
     n_vars = len(adj)
     if n_vals < n_vars:
@@ -228,40 +197,87 @@ def regin_dead_arcs(
     if -1 in match_var:
         return None
 
-    # digraph: matched edge var->val, unmatched val->var
-    n_nodes = n_vars + n_vals
-    out: list[list[int]] = [[] for _ in range(n_nodes)]
-    for x, vs in enumerate(adj):
+    # holders[v]: the variables that can take v; succ[x]: the variables
+    # whose value x can take, x itself included (a free value adds no
+    # bit); pred[y]: the variables that can take y's value
+    owner = [0 if y == -1 else 1 << y for y in match_val]
+    holders = [0] * n_vals
+    succ = []
+    bit = 1
+    for vs in adj:
+        mask = 0
         for v in vs:
-            if match_var[x] == v:
-                out[x].append(n_vars + v)
-            else:
-                out[n_vars + v].append(x)
+            holders[v] |= bit
+            mask |= owner[v]
+        succ.append(mask)
+        bit <<= 1
+    pred = [holders[v] for v in match_var]
 
-    # nodes reachable from values left unmatched
-    reached = [False] * n_nodes
-    frontier = [n_vars + v for v in range(n_vals) if match_val[v] == -1]
-    for node in frontier:
-        reached[node] = True
+    # the variables that can reach a free value
+    reached = 0
+    for v, y in enumerate(match_val):
+        if y == -1:
+            reached |= holders[v]
+    frontier = reached
     while frontier:
-        node = frontier.pop()
-        for w in out[node]:
-            if not reached[w]:
-                reached[w] = True
-                frontier.append(w)
+        low = frontier & -frontier
+        frontier ^= low
+        grown = pred[low.bit_length() - 1] & ~reached
+        reached |= grown
+        frontier |= grown
+    rest = (1 << n_vars) - 1 & ~reached
 
-    comp = _tarjan_scc(n_nodes, out)
-    dead = []
-    for x, vs in enumerate(adj):
-        for v in vs:
-            if match_var[x] == v:
-                continue
-            if reached[n_vars + v]:
-                continue
-            if comp[x] == comp[n_vars + v]:
-                continue
-            dead.append((x, v))
-    return dead
+    # Kosaraju over the unreached variables: finish order along succ,
+    # then components along pred in reverse finish order
+    finished = []
+    unvisited = rest
+    while unvisited:
+        low = unvisited & -unvisited
+        unvisited ^= low
+        stack = [low.bit_length() - 1]
+        while stack:
+            nxt = succ[stack[-1]] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+
+    # comp[y]: y's component, or -1 for a reached y
+    comp = [-1] * n_vars
+    dying = 0  # the variables with an arc into another component
+    unvisited = rest
+    for root in reversed(finished):
+        if comp[root] != -1:
+            continue
+        comp[root] = root
+        members = 1 << root
+        unvisited ^= members
+        into = 0
+        stack = [root]
+        while stack:
+            into |= pred[stack.pop()]
+            grown = into & unvisited
+            unvisited ^= grown
+            members |= grown
+            while grown:
+                low = grown & -grown
+                grown ^= low
+                y = low.bit_length() - 1
+                comp[y] = root
+                stack.append(y)
+        dying |= into ^ members  # into holds every member
+    if not dying:
+        return []
+
+    # no arc leads from an unreached variable to a reached one, and only
+    # reached variables can take a free value: (x, v) is dead iff x and
+    # the owner of v lie in different classes of comp
+    val_comp = [-1 if y == -1 else comp[y] for y in match_val]
+    return [
+        (x, v) for x, vs in enumerate(adj) for v in vs if val_comp[v] != comp[x]
+    ]
 
 
 class AllDifferent(Constraint):
@@ -326,6 +342,13 @@ class AllDifferent(Constraint):
         A bound variable whose value no other domain holds (by ``counts``
         from ``_forward_check``) shares no edge with the rest of the value
         graph and cannot lose its value, so the graph leaves it out.
+
+        The values are indexed as ``counts`` lists them.  A value that no
+        domain left in the graph holds (its count fell to 0 in the last
+        forward-checking pass, or only a left-out variable holds it) is a
+        free value with no arc: no matching uses it and no variable can
+        reach it, so the dead arcs, and the order they are removed in
+        (``regin_dead_arcs``' scan order), stay the same.
         """
         scope = []
         doms = []
@@ -334,7 +357,7 @@ class AllDifferent(Constraint):
                 continue
             scope.append(var)
             doms.append(dom)
-        values = sorted(set().union(*doms))
+        values = list(counts)
         val_idx = {v: i for i, v in enumerate(values)}
         dead = regin_dead_arcs([[val_idx[d] for d in dom] for dom in doms], len(values))
         if dead is None:

@@ -56,7 +56,12 @@ _kind_option = click.option(
 # keyword arguments of bench.apply_overrides
 _model_options = _options(
     click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
-                 default="domain", show_default=True),
+                 default="domain", show_default=True,
+                 help="Filtering level of every constraint.  'fc' and "
+                      "'bounds' run the same filtering on every family: "
+                      "forward checking for AllDifferent and "
+                      "GlobalCardinality, bounds for Knapsack; Regular and "
+                      "SymmetricAllDifferent filter alike at every level."),
     click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
                  default=EXACT, show_default=True),
 )

@@ -1,7 +1,8 @@
 """Global cardinality constraint: matching-based filtering and counting.
 
-Filtering runs AllDifferent's Regin filter on a value graph with one
-vertex per allowed occurrence of each value (Regin, AAAI 1996).
+Filtering runs forward checking on the upper bounds, then AllDifferent's
+Regin filter (``regin_dead_arcs``) on a value graph with one vertex per
+allowed occurrence of each value (Regin, AAAI 1996).
 
 Counting decomposes the constraint into a lower-bound graph (duplicated
 value vertices for required occurrences) and a residual upper-bound
@@ -66,35 +67,38 @@ class GlobalCardinality(Constraint):
         return True
 
     def _counting_checks(self, model: Model) -> bool:
-        # forward-checking level: saturate upper bounds from bound vars
+        """Forward checking: a value bound as often as its upper bound
+        allows leaves every unbound domain, to fixpoint.  False when a
+        value is bound more often, or fewer domains hold it than its lower
+        bound.  Once a value's removals have run no unbound domain holds
+        it, so its count stays at the bound and later passes skip it.
+        """
+        doms = self._domains(model)
+        saturated: set[int] = set()
         changed = True
         while changed:
             changed = False
-            counts: dict[int, int] = {}
-            for var in self.scope:
-                if model.is_bound(var):
-                    v = model.value_of(var)
-                    counts[v] = counts.get(v, 0) + 1
+            counts = Counter(next(iter(dom)) for dom in doms if len(dom) == 1)
             for d, c in counts.items():
-                if c > self.high(d):
+                if d in saturated:
+                    continue
+                high = self.high(d)
+                if c > high:
                     return False
-                if c == self.high(d):
-                    for var in self.scope:
-                        if model.is_bound(var):
-                            continue
-                        if model.contains(var, d):
-                            if not model.remove_value(var, d, self):
-                                return False
-                            if model.is_bound(var):
-                                changed = True
-        # unreachable lower bounds fail early
-        for d, l in self.lower.items():
-            if l <= 0:
-                continue
-            possible = sum(1 for var in self.scope if model.contains(var, d))
-            if possible < l:
-                return False
-        return True
+                if c < high:
+                    continue
+                saturated.add(d)
+                for var, dom in zip(self.scope, doms):
+                    if len(dom) > 1 and d in dom:
+                        if not model.remove_value(var, d, self):
+                            return False
+                        if len(dom) == 1:
+                            changed = True
+        return all(
+            sum(d in dom for dom in doms) >= low
+            for d, low in self.lower.items()
+            if low > 0
+        )
 
     def _matching_filter(self, model: Model) -> bool:
         """Remove every value that no assignment meeting the bounds uses.
@@ -107,9 +111,12 @@ class GlobalCardinality(Constraint):
         puts each value's users on its required copies first, and the
         dummies take the optional copies left over.  Without required
         copies no dummies are needed: the copies a matching leaves free
-        keep alive what the dummies would.  (x, d) goes when every arc
-        from x to a copy of d is dead, so a value without copies goes at
-        once.
+        keep alive what the dummies would.  The dummies share one row, so
+        ``regin_dead_arcs`` sees repeated rows; it merges each variable
+        and dummy with its matched copy and finds the dead arcs from the
+        strongly connected components of that graph.  (x, d) goes when
+        every arc from x to a copy of d is dead, so a value without copies
+        goes at once.
         """
         doms = self._domains(model)
         holders = Counter(chain.from_iterable(doms))

@@ -45,7 +45,7 @@ class SearchStats:
     status: str = UNSAT
     backtracks: int = 0
     time_ms: float = 0.0
-    restarts: int = 0  # runs stopped by their own cutoff
+    restarts: int = 0  # runs begun because the last one hit its cutoff
     max_discrepancy: int = 0  # the cap of the last capped run
     solution: Optional[dict[str, int]] = None
 
@@ -162,7 +162,9 @@ def _search(
     root = model.level
     if model.propagate() != WIPEOUT:
         stats.status = TIMEOUT
+        restart = False  # whether the last run stopped at its own cutoff
         for randomized, cap, cutoff in runs:
+            stats.restarts += restart
             model.backtrack_to(root)
             limit = cutoff
             if backtrack_limit is not None:
@@ -180,8 +182,7 @@ def _search(
                 backtrack_limit is not None and stats.backtracks >= backtrack_limit
             ):
                 break
-            if budget.cut_off:
-                stats.restarts += 1
+            restart = budget.cut_off
         if stats.status == SAT:
             stats.solution = model.solution()
             model.release_tables()

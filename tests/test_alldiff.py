@@ -13,10 +13,12 @@ from countsearch.alldiff import (
     _log_norm,
     alldiff_density_table,
     padded_rows,
+    regin_dead_arcs,
     sym_matching_log_bound,
 )
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.factors import bm_log_factor, lb_log_bound
+from countsearch.gcc import GlobalCardinality
 from countsearch.oracle import (
     count_perfect_matchings,
     exact_count_densities,
@@ -101,6 +103,81 @@ def test_propagate_is_idempotent(domains, repeats, consistency):
     assert c.propagate(m)
     assert [m.domain(x) for x in xs] == after
     assert len(m._trail) == trail
+
+
+def _covering_matchings(adj):
+    """Every matching of the rows of ``adj`` that covers all of them, as
+    the tuple of values the rows take."""
+    def extend(x, taken):
+        if x == len(adj):
+            yield ()
+            return
+        for v in adj[x]:
+            if v not in taken:
+                for rest in extend(x + 1, taken | {v}):
+                    yield (v,) + rest
+
+    return extend(0, frozenset())
+
+
+@st.composite
+def _value_graphs(draw):
+    """Up to 7 rows over up to 9 values, some rows repeated (the same
+    list), as GCC's dummy variables are."""
+    n_vals = draw(st.integers(0, 9))
+    row = st.lists(st.integers(0, max(n_vals - 1, 0)), unique=True,
+                   max_size=n_vals)
+    rows = draw(st.lists(row, max_size=7))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=7 - len(rows)))
+    return rows, n_vals
+
+
+@settings(max_examples=400, deadline=None)
+@given(_value_graphs())
+@example(([[0, 1], [1, 2], [2]], 3))  # a chain: every non-diagonal arc dies
+@example(([[0, 1], [1, 2], [2, 3]], 4))  # a free value at the end keeps all
+@example(([[0, 1], [0, 1], [1, 2, 3], [3, 4]], 5))  # a cycle and a path
+@example(([[0, 1], [0, 1], [0, 1]], 2))  # too few values
+@example(([[1, 2, 3], [0], [0]], 4))  # enough values, no covering matching
+@example(([], 0))
+def test_regin_dead_arcs_are_the_arcs_no_matching_uses(graph):
+    adj, n_vals = graph
+    arcs = [(x, v) for x, vs in enumerate(adj) for v in vs]
+    used = set()
+    found = False
+    for values in _covering_matchings(adj):
+        found = True
+        used.update(enumerate(values))
+        if len(used) == len(arcs):
+            break
+    expected = [a for a in arcs if a not in used] if found else None
+    assert regin_dead_arcs(adj, n_vals) == expected
+
+
+def test_regin_dead_arcs_on_long_chains():
+    # no free value: x_i -> x_{i+1} is never on a cycle; one free value
+    # past the end: every variable reaches it
+    n = 3000
+    chain = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
+    assert regin_dead_arcs(chain, n) == [(i, i + 1) for i in range(n - 1)]
+    assert regin_dead_arcs([[i, i + 1] for i in range(n)], n + 1) == []
+
+
+@pytest.mark.parametrize("kind", ["alldifferent", "gcc"])
+def test_long_chain_binds_every_variable_in_one_propagate(kind):
+    # x_i in {i, i+1} for i < n - 1 and x_{n-1} in {n - 1}: a greedy
+    # matching solves it, and x_i = i is the only solution
+    n = 3000
+    m = Model()
+    xs = [m.new_variable({i, i + 1}) for i in range(n - 1)]
+    xs.append(m.new_variable({n - 1}))
+    if kind == "alldifferent":
+        m.add(AllDifferent(xs, "domain"))
+    else:
+        m.add(GlobalCardinality(xs, {}, {d: 1 for d in range(n)}))
+    assert m.propagate() == CONSISTENT
+    assert [m.domain(x) for x in xs] == [{i} for i in range(n)]
 
 
 # ----------------------------------------------------------------------

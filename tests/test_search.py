@@ -101,8 +101,20 @@ def test_restart_cutoff_grows_geometrically():
     m.add(AllDifferent(xs, consistency="fc"))
     stats = restart_search(m, Failing(m), scale=1, max_restarts=3)
     assert stats.status == TIMEOUT
-    assert stats.restarts == 3
+    assert stats.restarts == 2  # three runs: the first and two restarts
     assert stats.backtracks == 1 + 2 + 4
+
+
+@pytest.mark.parametrize("limits", [{"max_restarts": 3}, {"backtrack_limit": 7}])
+def test_restarts_count_the_runs_after_the_first(limits):
+    # runs of 1, 2 and 4 backtracks, ended by either limit, are 2 restarts
+    m = Model()
+    xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
+    m.add(AllDifferent(xs, consistency="fc"))
+    stats = restart_search(m, Dom(m, random.Random(0)), scale=1, **limits)
+    assert stats.status == TIMEOUT
+    assert stats.backtracks == 7
+    assert stats.restarts == 2
 
 
 def test_restart_determinism_same_seed():
