@@ -55,12 +55,17 @@ def bm_log_bound(row_sums) -> float:
     """Bregman-Minc log upper bound for given row sums.
 
     Returns ``-inf`` when some row is empty (no assignment exists).
+    Row sums up to ``BM_TABLE_SIZE`` read the shared factor table.
     """
+    table = bm_table(BM_TABLE_SIZE)
     total = 0.0
     for r in row_sums:
-        if r == 0:
+        if 0 < r <= BM_TABLE_SIZE:
+            total += table[r]
+        elif r == 0:
             return -math.inf
-        total += bm_log_factor(r)
+        else:
+            total += bm_log_factor(r)
     return total
 
 

@@ -7,7 +7,13 @@ allowed occurrence of each value (Regin, AAAI 1996).
 Counting decomposes the constraint into a lower-bound graph (duplicated
 value vertices for required occurrences) and a residual upper-bound
 graph, bounds each side with the permanent upper bounds, and rescales by
-the factorials of the duplicated and fake vertices.
+the factorials of the duplicated and fake vertices.  ``bound_parts`` is
+the definition, on any list of domains.  Density probes (Zanarini &
+Pesant, Constraints 14(3), 2009) do not rebuild the probed domains: one
+pass over the root records the per-value residual bounds and the
+per-variable row sums of both graphs, and each probe moves only the rows
+its forward-checking step changes, giving the same rows, and so the same
+floats, as ``bound_parts`` on the probed domains.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .alldiff import probe_table, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
@@ -186,12 +192,9 @@ class GlobalCardinality(Constraint):
         low: dict[int, int] = {}
         caps: dict[int, int] = {}  # u'_d - l'_d
         for d in values:
-            c = counts.get(d, 0)
-            high = self.high(d) - c
-            low[d] = max(0, self.low(d) - c)
-            if high < low[d]:
+            low[d], caps[d] = self._residual(d, counts.get(d, 0))
+            if caps[d] < 0:
                 return -math.inf, -math.inf, 0.0
-            caps[d] = high - low[d]
         total_low = sum(low.values())
         # variables left over once all residual lower bounds are met
         K = len(unbound) - total_low
@@ -227,6 +230,11 @@ class GlobalCardinality(Constraint):
             upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
         return lower_log, upper_log, denom
 
+    def _residual(self, d: int, bound: int) -> tuple[int, int]:
+        """(l'_d, u'_d - l'_d) once ``bound`` variables are bound to d."""
+        low = max(0, self.low(d) - bound)
+        return low, self.high(d) - bound - low
+
     def log_count(self, domains: Sequence[set[int]]) -> float:
         lower_log, upper_log, denom = self.bound_parts(domains)
         if lower_log == -math.inf or upper_log == -math.inf:
@@ -249,8 +257,119 @@ class GlobalCardinality(Constraint):
         return probed
 
     def count_densities(self, model: Model) -> DensityTable:
+        """Densities from forward-checking probes, each bounded by
+        ``log_count`` of ``_probe_domains`` without building it.
+
+        One pass over the root records, per value, its bound count, its
+        holders and its residual l'_d and u'_d - l'_d, and per unbound
+        position its lower-graph row sum (sum of l') and residual row sum
+        (sum of u' - l').  A probe (i, d) then applies only what the
+        forward-checking step changes: position i leaves the rows and d's
+        count rises by one; when d reaches its upper bound it leaves the
+        other unbound domains, binding those with one other value; values
+        only position i held drop out.  The rows holding a changed value
+        move by its change in l' and u' - l'.  The probe builds the same
+        integer rows in the same order as ``bound_parts`` and makes the
+        same bound calls, so every float is the one ``log_count`` gives.
+        """
         domains = self._domains(model)
-        return probe_table(
-            self, domains, self.log_count(domains),
-            lambda i: lambda d: self.log_count(self._probe_domains(domains, i, d)),
-        )
+        counts: Counter[int] = Counter()  # bound positions per value
+        holders: Counter[int] = Counter()  # positions per value
+        held_by: dict[int, list[int]] = {}  # row indices of the unbound holders
+        unbound: list[int] = []
+        for k, dom in enumerate(domains):
+            holders.update(dom)
+            if len(dom) == 1:
+                counts.update(dom)
+                continue
+            for d in dom:
+                held_by.setdefault(d, []).append(len(unbound))
+            unbound.append(k)
+        required = {d for d, l in self.lower.items() if l > 0}
+        low: dict[int, int] = {}
+        cap: dict[int, int] = {}  # u'_d - l'_d
+        for d in set(holders) | required:
+            low[d], cap[d] = self._residual(d, counts[d])
+        bad = [d for d, c in cap.items() if c < 0]  # residual bounds cross
+        total_low = sum(low.values())
+        n_cols = sum(cap.values())
+        # values whose term of the log denominator can be nonzero, sorted
+        heavy = sorted(d for d, l in low.items() if l > 1)
+        low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
+        cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
+
+        def probe_for(i: int) -> Callable[[int], float]:
+            row_i = unbound.index(i)
+            # values only position i holds and no lower bound keeps: they
+            # drop out when i is bound to another value
+            alone = {d for d in domains[i] if holders[d] == 1} - required
+            alone_cols = sum(cap[d] for d in alone)
+
+            def probe(d: int) -> float:
+                if bad and any(e == d or e not in alone for e in bad):
+                    return -math.inf
+                c = counts[d] + 1
+                changed = {d: self._residual(d, c)}
+                if changed[d][1] < 0:
+                    return -math.inf
+                gone = [row_i]
+                if c == self.high(d):
+                    # d saturates and leaves the other unbound domains
+                    binds: dict[int, int] = {}  # value -> positions bound to it
+                    for r in held_by[d]:
+                        dom = domains[unbound[r]]
+                        if r != row_i and len(dom) == 2:
+                            gone.append(r)
+                            for e in dom:
+                                if e != d:
+                                    binds[e] = binds.get(e, 0) + 1
+                    for e, n in binds.items():
+                        changed[e] = self._residual(e, counts[e] + n)
+                        if changed[e][1] < 0:
+                            return -math.inf
+                sum_low = total_low
+                cols = n_cols - alone_cols + (cap[d] if d in alone else 0)
+                lows = low_rows.copy()
+                caps = cap_rows.copy()
+                for e, (l, u) in changed.items():
+                    dl, dc = l - low[e], u - cap[e]
+                    sum_low += dl
+                    cols += dc
+                    if dl or dc:
+                        for r in held_by[e]:
+                            lows[r] += dl
+                            caps[r] += dc
+                for r in sorted(gone, reverse=True):
+                    del lows[r], caps[r]
+                K = len(lows) - sum_low
+                if K < 0:
+                    return -math.inf
+                if sum_low == 0:
+                    lower_log = 0.0
+                else:
+                    rows = [r + K for r in lows]
+                    if 0 in rows:
+                        return -math.inf
+                    lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
+                if K == 0:
+                    upper_log = 0.0
+                elif cols < K:
+                    return -math.inf
+                else:
+                    caps.sort(reverse=True)
+                    del caps[K:]
+                    if caps[-1] == 0:
+                        return -math.inf
+                    pad = cols - K
+                    rows = caps + [cols] * pad
+                    upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
+                denom = sum(
+                    math.lgamma(l + 1)
+                    for l in (changed[e][0] if e in changed else low[e] for e in heavy)
+                    if l > 1
+                )
+                return lower_log + upper_log - denom
+
+            return probe
+
+        return probe_table(self, domains, self.log_count(domains), probe_for)

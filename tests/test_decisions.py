@@ -5,8 +5,10 @@ maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  These sequences pin
 every (variable index, value) decision, and the backtrack count, that
 ``dfs`` with ``maxSD`` makes on three quasigroup completions (AllDifferent
-counting) and one roster whose columns are ``GlobalCardinality``
-constraints (GCC and Regular counting), and every decision up to a cap
+counting) and two rosters whose columns are ``GlobalCardinality``
+constraints (GCC and Regular counting; the second requires four tasks in
+every column, so its GCC densities go through the lower-bound graph), and
+every decision up to a cap
 of 60 backtracks on two market splits, whose searches backtrack through
 exact ``Knapsack`` graphs.  A speed-up of the counting kernels must
 reproduce them unchanged.
@@ -58,8 +60,10 @@ def _qwh(order, seed, consistency=None):
     return model
 
 
-def _roster_gcc(employees, periods, seed):
-    """Regular rows; each column lets a task appear at most once."""
+def _roster_gcc(employees, periods, seed, required=0):
+    """Regular rows; each column lets a task appear at most once, and
+    tasks 1..required at least once (the planted schedule gives employee
+    e task e + 1 in every period)."""
     payload = generate_rostering(employees, periods, seed=seed).payload
     tasks, grid = payload["tasks"], payload["grid"]
     m = Model()
@@ -75,8 +79,9 @@ def _roster_gcc(employees, periods, seed):
         m.add(Regular(row, rostering_dfa(tasks)))
     upper = {d: 1 for d in range(1, tasks + 1)}
     upper[BREAK] = employees
+    lower = {d: 1 for d in range(1, required + 1)}
     for j in range(periods):
-        m.add(GlobalCardinality([row[j] for row in cells], {}, upper))
+        m.add(GlobalCardinality([row[j] for row in cells], lower, upper))
     return m
 
 
@@ -85,6 +90,7 @@ BUILDERS = {
     "qwh-18-s2": lambda: _qwh(18, 2),
     "qwh-20-s0": lambda: _qwh(20, 0),
     "roster-6x10-s2": lambda: _roster_gcc(6, 10, 2),
+    "roster-6x10-s2-low4": lambda: _roster_gcc(6, 10, 2, required=4),
     "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
     "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
     "qwh-15-s0": lambda: _qwh(15, 0),
@@ -134,6 +140,19 @@ GOLDEN = {
             (52, 0), (4, 0), (14, 0), (24, 0), (54, 0), (6, 0), (16, 0),
             (26, 0), (35, 0), (56, 0), (8, 0), (18, 0), (28, 0), (37, 0),
             (58, 0),
+        ],
+    ),
+    "roster-6x10-s2-low4": (
+        0,
+        [
+            (40, 4), (30, 3), (42, 4), (32, 3), (48, 4), (47, 3), (43, 3),
+            (33, 2), (3, 0), (13, 0), (22, 0), (23, 4), (54, 0), (24, 4),
+            (44, 2), (34, 0), (4, 3), (12, 1), (52, 2), (15, 1), (45, 2),
+            (16, 1), (11, 1), (51, 0), (1, 2), (20, 2), (0, 0), (10, 1),
+            (17, 0), (5, 3), (25, 4), (46, 2), (6, 0), (26, 3), (36, 4),
+            (37, 4), (27, 2), (38, 3), (7, 1), (8, 0), (35, 0), (28, 1),
+            (18, 2), (29, 1), (19, 2), (39, 3), (9, 4), (59, 0), (56, 6),
+            (57, 6), (50, 0), (55, 0), (58, 0),
         ],
     ),
 }

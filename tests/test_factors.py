@@ -4,10 +4,11 @@ import math
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countsearch.factors import (
+    BM_TABLE_SIZE,
     LB_TABLE_SIZE,
     bm_log_bound,
     bm_log_factor,
@@ -94,6 +95,28 @@ def test_lb_bound_equals_factor_loop(rows):
             break
         expected += lb_log_factor(r, i)
     assert lb_log_bound(rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 * BM_TABLE_SIZE), max_size=12))
+@example([BM_TABLE_SIZE - 1, BM_TABLE_SIZE, BM_TABLE_SIZE + 1, 1])
+@example([3, BM_TABLE_SIZE + 7, 0, 5])
+def test_bm_bound_equals_factor_loop(rows):
+    # row sums on both sides of the shared table's size, summed left to
+    # right: the same float to the last bit
+    expected = 0.0
+    for r in rows:
+        if r == 0:
+            expected = -math.inf
+            break
+        expected += bm_log_factor(r)
+    assert bm_log_bound(rows) == expected
+
+
+def test_bm_bound_rejects_negative():
+    # a table lookup at -1 would read the largest row sum's factor
+    with pytest.raises(ValueError):
+        bm_log_bound([2, -1])
 
 
 def _least_lb_minus_bm(size):

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countsearch import gcc
+from countsearch.alldiff import probe_table
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.factors import bm_log_bound, lb_log_bound
 from countsearch.gcc import GlobalCardinality
@@ -176,3 +179,87 @@ def test_densities_normalized():
                 continue
             total = sum(table.density(x, d) for d in m.domain_sorted(x))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _recounted_table(c, domains):
+    """The reference table: every probe recounts ``_probe_domains``."""
+    return probe_table(
+        c, domains, c.log_count(domains),
+        lambda i: lambda d: c.log_count(c._probe_domains(domains, i, d)),
+    )
+
+
+def _bits(table):
+    return table.log_count.hex(), [(k, v.hex()) for k, v in table.densities.items()]
+
+
+@st.composite
+def _gcc_cases(draw):
+    """Domains over up to 5 values, singletons for preset variables,
+    scope positions repeating a variable, lower bounds up to 3 and upper
+    bounds from 0 up to the scope size (often below the holder count)."""
+    n_values = draw(st.integers(1, 5))
+    values = st.integers(0, n_values - 1)
+    domains = draw(
+        st.lists(st.sets(values, min_size=1, max_size=n_values), min_size=1, max_size=7)
+    )
+    repeats = draw(st.lists(st.integers(0, len(domains) - 1), max_size=2))
+    size = len(domains) + len(repeats)
+    lower = draw(st.dictionaries(values, st.integers(0, 3)))
+    upper = draw(st.dictionaries(values, st.integers(0, size)))
+    return domains, repeats, lower, upper
+
+
+@settings(max_examples=600, deadline=None)
+@given(_gcc_cases())
+# positive lower bounds; the denominator moves with the probe
+@example(([{0, 1}, {0, 1}, {1, 2}, {0, 1, 2}], [], {0: 2, 1: 1}, {}))
+# 0 saturates: the two-value domains holding it get bound, within value
+# 2's upper bound and past it
+@example(([{0, 1}, {0, 2}, {0, 2}, {0, 1, 2}], [], {}, {0: 1, 2: 2}))
+@example(([{0, 1}, {0, 2}, {0, 2}, {0, 1, 2}], [], {}, {0: 1, 2: 1}))
+# value 2 only x0 holds, value 3 only x1, and one lower bound keeps 3
+@example(([{0, 1, 2}, {0, 1, 3}, {0, 1}], [], {3: 1}, {0: 1}))
+# preset variables, one already at its value's upper bound
+@example(([{0}, {1}, {0, 1}, {0, 1, 2}], [], {1: 1}, {0: 1, 1: 2}))
+# a variable repeated in the scope
+@example(([{0, 1}, {1, 2}], [0], {}, {1: 1, 0: 1}))
+# roots already infeasible: bound above an upper bound, a value's upper
+# bound below its lower bound, and too few variables for the lower bounds
+@example(([{0}, {0}, {0, 1}], [], {}, {0: 1}))
+@example(([{0, 1}, {0, 1}], [], {1: 2}, {1: 1}))
+@example(([{0, 1}, {0, 1}], [], {0: 2, 1: 1}, {}))
+def test_probes_equal_recounts_bit_for_bit(case):
+    """``count_densities`` moves the root's rows per probe; recounting
+    ``bound_parts`` on each ``_probe_domains`` must give the same count
+    and every density to the last bit."""
+    domains, repeats, lower, upper = case
+    m = Model()
+    xs = [m.new_variable(set(d)) for d in domains]
+    c = GlobalCardinality(xs + [xs[i] for i in repeats], lower, upper)
+    assert _bits(c.count_densities(m)) == _bits(_recounted_table(c, c._domains(m)))
+
+
+def test_large_scope_table():
+    """150 variables over 30 values, every third value required 1-3
+    times and 10% of the variables preset: each unbound variable's
+    densities sum to 1, and the table's count is ``log_count``."""
+    rng = random.Random(0)
+    m = Model()
+    xs = []
+    for _ in range(150):
+        if rng.random() < 0.1:
+            xs.append(m.new_variable({rng.randrange(30)}))
+        else:
+            xs.append(m.new_variable(set(rng.sample(range(30), rng.randint(2, 8)))))
+    lower = {d: rng.randint(1, 3) for d in range(0, 30, 3)}
+    upper = {d: rng.randint(6, 9) for d in range(30)}
+    c = GlobalCardinality(xs, lower, upper)
+    domains = c._domains(m)
+    table = c.count_densities(m)
+    assert table.log_count == c.log_count(domains) > -math.inf
+    unbound = [x for x in xs if not m.is_bound(x)]
+    assert len(unbound) > 120
+    for x in unbound:
+        total = sum(table.density(x, d) for d in m.domain(x))
+        assert total == pytest.approx(1.0, abs=1e-9)
