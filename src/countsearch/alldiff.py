@@ -1,25 +1,25 @@
 """Alldifferent and symmetric pairing constraints: filtering and counting.
 
-AllDifferent filters by forward checking and, at domain consistency,
-by Regin's matching filter (``regin_dead_arcs``, shared with
-``GlobalCardinality``), which works on the variables alone, each merged
-with its matched value.
+AllDifferent filters by forward checking, which sweeps each newly bound
+value from the other domains through a worklist, and, at domain
+consistency, by Regin's matching filter (``regin_dead_arcs``, shared
+with ``GlobalCardinality``), which works on the variables alone, each
+merged with its matched value, and sees only the unbound positions.
 
 Counting uses permanent upper bounds on the 0-1 variable/value matrix:
 the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
 come from forward-checking local probes bounded by Bregman-Minc alone,
-per Algorithm 1's incremental factor updates.  The pairing
-variant bounds the number of matchings of the contracted value graph.
-``probe_table`` turns probe bounds into per-variable densities for this
-module's constraints and for ``GlobalCardinality``.
+per Algorithm 1's incremental factor updates, scored value by value.
+The pairing variant bounds the number of matchings of the contracted
+value graph.  ``probe_table`` turns probe scores into per-variable
+densities for this module's constraints and for ``GlobalCardinality``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain
-from typing import Callable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Callable, Collection, Optional, Sequence
 
 from .engine import (
     DOMAIN,
@@ -31,112 +31,106 @@ from .engine import (
 from .factors import BM_TABLE_SIZE, bm_table, lb_log_bound
 
 
-def _log_norm(raw: dict[int, float]) -> dict[int, float]:
-    """Normalize log-space scores to densities summing to 1."""
-    finite = [v for v in raw.values() if v > -math.inf]
-    if not finite:
-        return {d: 0.0 for d in raw}
-    top = max(finite)
-    total = sum(math.exp(v - top) for v in finite)
-    return {
-        d: (math.exp(v - top) / total if v > -math.inf else 0.0)
-        for d, v in raw.items()
-    }
+def _log_norm(scores: Collection[float]) -> list[float]:
+    """Normalize log-space scores to densities summing to 1, in order.
+
+    Each score's ``exp`` is taken once.  A ``-inf`` score's ``exp`` is
+    exactly 0.0, so it adds nothing to the sum and gets density 0.0.
+    """
+    top = max(scores) if scores else -math.inf
+    if top == -math.inf:
+        return [0.0] * len(scores)
+    exp = math.exp
+    weights = [exp(v - top) for v in scores]
+    total = sum(weights)
+    return [w / total for w in weights]
 
 
 def probe_table(
     constraint: Constraint,
     domains: Sequence[set[int]],
     log_count: float,
-    probe_for: Callable[[int], Callable[[int], float]],
+    scores_for: Callable[[int], dict[int, float]],
 ) -> DensityTable:
     """Densities from forward-checking probes, normalized per variable.
 
-    ``probe_for(i)(d)`` is the log count bound once scope position i
-    takes value d; ``probe_for`` is called once per unbound position, so
-    it can work out what the position's probes share.  A bound variable
-    has density 1 on its value; every value of an unbound one is probed,
-    in sorted order, and its probes are normalized with ``_log_norm``.
-    The tables share their keys (``Constraint.density_keys``).
+    ``scores_for(i)`` maps each value d of unbound scope position i, in
+    ascending order, to the score of probe (i, d): the log count bound
+    once position i takes d.  It is called once per unbound position.  A
+    bound variable has density 1 on its value; an unbound one's scores
+    are normalized with ``_log_norm``.  The tables share their keys
+    (``Constraint.density_keys``).
     """
     densities: dict[tuple[int, int], float] = {}
-    keys = constraint.density_keys()
-    for i, (key, dom) in enumerate(zip(keys, domains)):
+    for i, (key, dom) in enumerate(zip(constraint.density_keys(), domains)):
         if len(dom) == 1:
             densities[key[next(iter(dom))]] = 1.0
             continue
-        probe = probe_for(i)
-        raw = {d: probe(d) for d in sorted(dom)}
-        for d, sigma in _log_norm(raw).items():
-            densities[key[d]] = sigma
+        scores = scores_for(i)
+        densities.update(zip(map(key.__getitem__, scores), _log_norm(scores.values())))
     return DensityTable(constraint, log_count, densities)
 
 
 # ----------------------------------------------------------------------
 # permanent-bound arithmetic on a list of domains
 # ----------------------------------------------------------------------
-def padded_rows(domains: Sequence[set[int]]) -> tuple[list[int], int, int]:
-    """Row sums, padding row count and union size for the 0-1 matrix.
-
-    When the union of domains has p more values than there are
-    variables, p all-ones rows of sum |union| are appended; the bound is
-    later divided by p!.
-    """
-    union: set[int] = set()
-    for d in domains:
-        union |= d
-    n = len(domains)
-    u = len(union)
-    p = max(0, u - n)
-    rows = [len(d) for d in domains] + [u] * p
-    return rows, p, u
-
-
 def alldiff_density_table(
     constraint: Constraint, domains: Sequence[set[int]]
 ) -> DensityTable:
     """Bound-based densities via FC probes, normalized per variable.
 
-    A probe (i, d) binds variable i to d and removes d from the other
-    domains holding it.  Its score is the Bregman-Minc bound of its rows,
-    updated from the root by the per-row factor changes of the rows it
-    touches.  The table's count takes the tighter of Bregman-Minc and
-    Liang-Bai on the root rows; probes skip Liang-Bai, which never comes
-    out below Bregman-Minc on a square matrix with no row sum above its
-    size (``tests/test_factors.py`` certifies this up to 64 rows).
+    The 0-1 variable/value matrix has one row per scope position; when
+    the union of the domains has p more values than there are positions,
+    p all-ones rows of sum |union| are appended and the bound is divided
+    by p!.  A probe (i, d) binds position i to d and removes d from the
+    other domains holding it.  Its score is the Bregman-Minc bound of its
+    rows, updated from the root by the factor change of each row it
+    touches.  The probes are scored value by value, from each value's
+    holders, and fed to ``probe_table``.  The table's count takes the
+    tighter of Bregman-Minc and Liang-Bai on the root rows; probes skip
+    Liang-Bai, which never comes out below Bregman-Minc on a square
+    matrix with no row sum above its size (``tests/test_factors.py``
+    certifies this up to 64 rows).
     """
-    rows, p, u = padded_rows(domains)
-    if any(r == 0 for r in rows):
+    # each value's unbound holders, in scope order, and the values that
+    # bound positions take
+    holders: dict[int, list[int]] = {}
+    taken: set[int] = set()
+    for k, dom in enumerate(domains):
+        if len(dom) == 1:
+            taken |= dom
+            continue
+        for d in dom:
+            holders.setdefault(d, []).append(k)
+    u = len(taken.union(holders))
+    p = max(0, u - len(domains))
+    rows = list(map(len, domains)) + [u] * p
+    if 0 in rows:
         return DensityTable(constraint, -math.inf, {})
     pad_log = math.lgamma(p + 1)
     bm = bm_table(max(u, BM_TABLE_SIZE))
-    bm_root = sum(bm[r] for r in rows) - pad_log
+    bm_root = sum(map(bm.__getitem__, rows)) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
 
-    # index values to the rows containing them, for probe deltas
-    holders: dict[int, list[int]] = {}
-    for k, dom in enumerate(domains):
-        for d in dom:
-            holders.setdefault(d, []).append(k)
-
-    def probe_for(i: int) -> Callable[[int], float]:
-        # the root bound with row i's factor replaced by a bound row's
-        base = bm_root + bm[1] - bm[rows[i]]
-
-        def probe(d: int) -> float:
-            delta = 0.0
-            for k in holders[d]:
-                if k == i:
-                    continue
-                size = rows[k]
-                if size == 1:  # the probe empties row k
-                    return -math.inf
-                delta += bm[size - 1] - bm[size]
-            return base + delta
-
-        return probe
-
-    return probe_table(constraint, domains, log_count, probe_for)
+    # probe (i, d) scores row i's base, the root bound with row i's
+    # factor replaced by a bound row's, plus the factor steps of the other
+    # rows holding d, added left to right as a loop over d's holders
+    # skipping i would; a probe onto a bound row's value empties that row
+    base = [bm_root + bm[1] - bm[r] for r in rows]
+    steps = [bm[r - 1] - bm[r] for r in rows]
+    scores: list[dict[int, float]] = [{} for _ in domains]
+    for d in sorted(holders):
+        ks = holders[d]
+        if d in taken:
+            for k in ks:
+                scores[k][d] = -math.inf
+            continue
+        d_steps = list(map(steps.__getitem__, ks))
+        before = 0.0
+        for j, k in enumerate(ks):
+            scores[k][d] = base[k] + sum(d_steps[j + 1:], before)
+            before += d_steps[j]
+    return probe_table(constraint, domains, log_count, scores.__getitem__)
 
 
 # ----------------------------------------------------------------------
@@ -298,72 +292,100 @@ class AllDifferent(Constraint):
         return len(set(values)) == len(values)
 
     def propagate(self, model: Model) -> bool:
-        counts = self._forward_check(model)
-        if counts is None:
+        doms = self._domains(model)
+        free = self._forward_check(model, doms)
+        if free is None:
             return False
         if self.consistency == DOMAIN:
-            return self._regin_filter(model, counts)
+            return self._regin_filter(model, doms, free)
         return True
 
-    def _forward_check(self, model: Model) -> Optional[Counter[int]]:
+    def _forward_check(self, model: Model, doms: list[set[int]]) -> Optional[list[int]]:
         """Remove each bound value from the domains at the other scope
-        positions, to fixpoint; None on wipeout.  A variable that fills
-        two positions is bound to two equal values, so it wipes out.
+        positions, to fixpoint.  Returns the positions left unbound, in
+        scope order, or None on wipeout.  A variable that fills two
+        positions is bound to two equal values, so it wipes out.
 
-        Each pass counts the values over the scope's domains first and
-        skips a bound variable whose value no other domain holds: removals
-        only lower the counts, so its loop would remove nothing.  Returns
-        the counts taken at the start of the last pass, which may only
-        over-count the domains it leaves.
+        The removals and their order are those of passes over the scope
+        that sweep each bound position's value from the other domains, in
+        scope order, until a pass binds nothing.  Sweeping a value a
+        second time, or one that no other position holds, removes
+        nothing; so a worklist sweeps each position once, when it binds,
+        or at the start if another position holds its value.  A position
+        bound ahead of the one being swept joins the current pass, one
+        behind it the next.  Sweeps find each value's holders, in scope
+        order, in an index built when the first sweep starts.
         """
-        doms = self._domains(model)
-        changed = True
-        while changed:
-            changed = False
-            counts = Counter(chain.from_iterable(doms))
-            for i, dom in enumerate(doms):
-                if len(dom) != 1:
-                    continue
-                value = next(iter(dom))
-                if counts[value] == 1:
-                    continue
-                for k, odom in enumerate(doms):
-                    if k != i and value in odom:
-                        was_unbound = len(odom) > 1
-                        if not model.remove_value(self.scope[k], value, self):
-                            return None
-                        if was_unbound and len(odom) == 1:
-                            changed = True
-        return counts
+        free: list[int] = []
+        bound: list[int] = []
+        for i, dom in enumerate(doms):
+            if len(dom) > 1:
+                free.append(i)
+            else:
+                bound.append(i)
+        if not bound:
+            return free
+        held = set().union(*map(doms.__getitem__, free))
+        values = [next(iter(doms[i])) for i in bound]
+        if len(set(values)) < len(values):  # two bound positions share a value
+            held.update(v for v in values if values.count(v) > 1)
+        todo = [i for i, v in zip(bound, values) if v in held]
+        if not todo:
+            return free
+        holders: dict[int, list[int]] = {}
+        for k, dom in enumerate(doms):
+            for d in dom:
+                holders.setdefault(d, []).append(k)
+        scope = self.scope
+        while todo:
+            later: list[int] = []
+            while todo:
+                i = heappop(todo)
+                value = next(iter(doms[i]))
+                for k in holders[value]:
+                    dom = doms[k]
+                    if k == i or value not in dom:
+                        continue
+                    if not model.remove_value(scope[k], value, self):
+                        return None
+                    if len(dom) > 1:
+                        continue
+                    # the positions the variable fills share its domain
+                    for t in holders[next(iter(dom))]:
+                        if doms[t] is dom:
+                            if t > i:
+                                heappush(todo, t)
+                            else:
+                                later.append(t)
+            later.sort()
+            todo = later
+        return [k for k in free if len(doms[k]) > 1]
 
-    def _regin_filter(self, model: Model, counts: Counter[int]) -> bool:
+    def _regin_filter(
+        self, model: Model, doms: list[set[int]], free: list[int]
+    ) -> bool:
         """Remove every value that no maximum matching uses.
 
-        A bound variable whose value no other domain holds (by ``counts``
-        from ``_forward_check``) shares no edge with the rest of the value
-        graph and cannot lose its value, so the graph leaves it out.
-
-        The values are indexed as ``counts`` lists them.  A value that no
-        domain left in the graph holds (its count fell to 0 in the last
-        forward-checking pass, or only a left-out variable holds it) is a
-        free value with no arc: no matching uses it and no variable can
-        reach it, so the dead arcs, and the order they are removed in
-        (``regin_dead_arcs``' scan order), stay the same.
+        The value graph holds the unbound positions ``free`` alone.  After
+        forward checking no other domain holds a bound position's value,
+        so such a position and its value form a component of their own,
+        whose one arc every matching uses: leaving it out changes neither
+        whether a matching covers every position nor which arcs are dead,
+        nor the order ``regin_dead_arcs`` lists them in.
         """
-        scope = []
-        doms = []
-        for var, dom in zip(self.scope, self._domains(model)):
-            if len(dom) == 1 and counts[next(iter(dom))] == 1:
-                continue
-            scope.append(var)
-            doms.append(dom)
-        values = list(counts)
-        val_idx = {v: i for i, v in enumerate(values)}
-        dead = regin_dead_arcs([[val_idx[d] for d in dom] for dom in doms], len(values))
+        if not free:
+            return True
+        free_doms = list(map(doms.__getitem__, free))
+        values = list(set().union(*free_doms))
+        val_idx = dict(zip(values, range(len(values))))
+        dead = regin_dead_arcs(
+            [list(map(val_idx.__getitem__, dom)) for dom in free_doms], len(values)
+        )
         if dead is None:
             return False
+        scope = self.scope
         for x, v in dead:
-            if not model.remove_value(scope[x], values[v], self):
+            if not model.remove_value(scope[free[x]], values[v], self):
                 return False
         return True
 
@@ -446,7 +468,9 @@ class SymmetricAllDifferent(Constraint):
         adj = self._adjacency(domains)
         return probe_table(
             self, domains, sym_matching_log_bound(adj),
-            lambda i: lambda j: sym_probe_log_bound(adj, i, j - 1),
+            lambda i: {
+                j: sym_probe_log_bound(adj, i, j - 1) for j in sorted(domains[i])
+            },
         )
 
 

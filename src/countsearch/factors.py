@@ -110,6 +110,11 @@ def lb_log_bound(row_sums) -> float:
         for i, r in enumerate(rows, start=1):
             total += table[r][i]
     else:
+        # ``lb_log_factor(r, i)`` written out, as this loop runs once per
+        # row; ``lb_q``'s first term, ceil((r + 1) / 2), is r // 2 + 1
         for i, r in enumerate(rows, start=1):
-            total += lb_log_factor(r, i)
+            q = (i + 1) // 2
+            if q > r // 2 + 1:
+                q = r // 2 + 1
+            total += 0.5 * math.log(q * (r - q + 1))
     return total

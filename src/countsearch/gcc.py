@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .alldiff import probe_table, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
@@ -298,7 +298,7 @@ class GlobalCardinality(Constraint):
         low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
         cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
 
-        def probe_for(i: int) -> Callable[[int], float]:
+        def scores_for(i: int) -> dict[int, float]:
             row_i = unbound.index(i)
             # values only position i holds and no lower bound keeps: they
             # drop out when i is bound to another value
@@ -370,6 +370,6 @@ class GlobalCardinality(Constraint):
                 )
                 return lower_log + upper_log - denom
 
-            return probe
+            return {d: probe(d) for d in sorted(domains[i])}
 
-        return probe_table(self, domains, self.log_count(domains), probe_for)
+        return probe_table(self, domains, self.log_count(domains), scores_for)

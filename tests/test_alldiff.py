@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,7 @@ from hypothesis import strategies as st
 from countsearch.alldiff import (
     AllDifferent,
     SymmetricAllDifferent,
-    _log_norm,
     alldiff_density_table,
-    padded_rows,
     regin_dead_arcs,
     sym_matching_log_bound,
 )
@@ -103,6 +103,109 @@ def test_propagate_is_idempotent(domains, repeats, consistency):
     assert c.propagate(m)
     assert [m.domain(x) for x in xs] == after
     assert len(m._trail) == trail
+
+
+def _reference_forward_check(c, model):
+    """Forward checking as passes over the whole scope, each counting the
+    values over the scope's domains first: the removals and their order
+    that ``AllDifferent._forward_check`` must reproduce."""
+    doms = c._domains(model)
+    changed = True
+    while changed:
+        changed = False
+        counts = Counter(chain.from_iterable(doms))
+        for i, dom in enumerate(doms):
+            if len(dom) != 1:
+                continue
+            value = next(iter(dom))
+            if counts[value] == 1:
+                continue
+            for k, odom in enumerate(doms):
+                if k != i and value in odom:
+                    was_unbound = len(odom) > 1
+                    if not model.remove_value(c.scope[k], value, c):
+                        return None
+                    if was_unbound and len(odom) == 1:
+                        changed = True
+    return counts
+
+
+def _reference_regin_filter(c, model, counts):
+    """Regin's filter on every position but the bound ones whose value no
+    other domain held at the start of the last forward-checking pass."""
+    scope = []
+    doms = []
+    for var, dom in zip(c.scope, c._domains(model)):
+        if len(dom) == 1 and counts[next(iter(dom))] == 1:
+            continue
+        scope.append(var)
+        doms.append(dom)
+    values = list(counts)
+    val_idx = {v: i for i, v in enumerate(values)}
+    dead = regin_dead_arcs([[val_idx[d] for d in dom] for dom in doms], len(values))
+    if dead is None:
+        return False
+    for x, v in dead:
+        if not model.remove_value(scope[x], values[v], c):
+            return False
+    return True
+
+
+def _reference_propagate(c, model):
+    counts = _reference_forward_check(c, model)
+    if counts is None:
+        return False
+    if c.consistency == "domain":
+        return _reference_regin_filter(c, model, counts)
+    return True
+
+
+@st.composite
+def _propagate_cases(draw):
+    """Up to 9 variables with domains of 1-4 values out of 8, a scope of
+    up to 12 positions that may repeat a variable, a consistency level,
+    and removals to make before propagating (none that would empty a
+    domain)."""
+    domains = draw(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
+                            min_size=1, max_size=9))
+    scope = draw(st.lists(st.integers(0, len(domains) - 1), min_size=1, max_size=12))
+    consistency = draw(st.sampled_from([FORWARD_CHECKING, "domain"]))
+    removals = draw(st.lists(st.tuples(st.integers(0, len(domains) - 1),
+                                       st.integers(0, 7)), max_size=6))
+    return domains, scope, consistency, removals
+
+
+def _chain(n, reverse):
+    """x_i in {i, i+1} with x_{n-1} = n - 1: a cascade that binds every
+    variable, run with or against scope order."""
+    doms = [{i, i + 1} for i in range(n - 1)] + [{n - 1}]
+    return (doms[::-1] if reverse else doms), list(range(n)), FORWARD_CHECKING, []
+
+
+@settings(max_examples=500, deadline=None)
+@given(_propagate_cases())
+@example(_chain(8, reverse=False))
+@example(_chain(8, reverse=True))
+# x0 fills positions 0 and 3: sweeping position 1 binds it behind and
+# ahead of the sweep at once, and position 3 wipes out in the same pass,
+# before position 0 could sweep 2 from position 2
+@example(([{1, 2}, {1}, {2, 3}], [0, 1, 2, 0], FORWARD_CHECKING, []))
+@example(([{1}, {1}, {1, 2}], [2, 0, 1], "domain", []))  # two bound equal values
+@example(([{1, 2}, {1, 2}, {1, 2, 3}, {3, 4}], [0, 1, 2, 3], "domain", [(3, 4)]))
+def test_propagate_keeps_the_reference_removals_in_order(case):
+    """Every removal (variable, value) and its order, the trail entry by
+    entry, and the result equal those of the pass-by-pass reference."""
+    domains, scope, consistency, removals = case
+    runs = []
+    for propagate in (lambda c, m: c.propagate(m), _reference_propagate):
+        m = Model()
+        xs = [m.new_variable(d) for d in domains]
+        for x, value in removals:
+            if m.domain(xs[x]) != {value}:
+                m.remove_value(xs[x], value)
+        c = AllDifferent([xs[k] for k in scope], consistency)
+        runs.append((propagate(c, m), m._trail))
+    assert runs[0] == runs[1]
 
 
 def _covering_matchings(adj):
@@ -248,12 +351,37 @@ def test_counting_is_sound_property(seed):
     assert count == 0 or bound + 1e-9 >= count
 
 
+def _padded_rows(domains):
+    """Row sums of the 0-1 matrix, with one all-ones row per value of the
+    union past the scope size; the padding row count; the union size."""
+    union = set()
+    for d in domains:
+        union |= d
+    n = len(domains)
+    u = len(union)
+    p = max(0, u - n)
+    return [len(d) for d in domains] + [u] * p, p, u
+
+
+def _reference_log_norm(raw):
+    """Log-space scores to densities, taking each ``exp`` twice."""
+    finite = [v for v in raw.values() if v > -math.inf]
+    if not finite:
+        return {d: 0.0 for d in raw}
+    top = max(finite)
+    total = sum(math.exp(v - top) for v in finite)
+    return {
+        d: (math.exp(v - top) / total if v > -math.inf else 0.0)
+        for d, v in raw.items()
+    }
+
+
 def _reference_density_table(domains):
     """(log count, densities) computed probe by probe: the count takes the
     tighter of Bregman-Minc and ``lb_log_bound`` on the root rows, and
     each probe's Bregman-Minc bound is updated from the root by the
-    touched rows' factors."""
-    rows, p, _ = padded_rows(domains)
+    touched rows' factors, holder by holder."""
+    rows, p, _ = _padded_rows(domains)
     if any(r == 0 for r in rows):
         return -math.inf, {}
     pad_log = math.lgamma(p + 1)
@@ -276,17 +404,32 @@ def _reference_density_table(domains):
                 size = len(domains[k])
                 delta += bm_log_factor(size - 1) - bm_log_factor(size)
             raw[d] = var_ub + delta
-        for d, sigma in _log_norm(raw).items():
+        for d, sigma in _reference_log_norm(raw).items():
             densities[(i, d)] = sigma
     return log_count, densities
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def _qwh_rows(draw):
+    """Up to 30 positions over up to 30 values, most of them bound, as in
+    a quasigroup row; a bound value may stay in other domains, so some
+    probes empty a bound row."""
+    n = draw(st.integers(1, 30))
+    values = st.integers(1, draw(st.integers(2, 30)))
+    bound = values.map(lambda v: {v})
+    unbound = st.sets(values, min_size=2, max_size=8)
+    return draw(st.lists(st.one_of(bound, bound, unbound), min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.lists(
-        st.sets(st.integers(1, 12), min_size=0, max_size=12),
-        min_size=0,
-        max_size=10,
+    st.one_of(
+        st.lists(
+            st.sets(st.integers(1, 12), min_size=0, max_size=12),
+            min_size=0,
+            max_size=10,
+        ),
+        _qwh_rows(),
     )
 )
 @example([{1, 2, 3, 4, 5}, {1, 2}, {2, 3}])  # union 5 > 3 variables: padded

@@ -185,7 +185,9 @@ def _recounted_table(c, domains):
     """The reference table: every probe recounts ``_probe_domains``."""
     return probe_table(
         c, domains, c.log_count(domains),
-        lambda i: lambda d: c.log_count(c._probe_domains(domains, i, d)),
+        lambda i: {
+            d: c.log_count(c._probe_domains(domains, i, d)) for d in sorted(domains[i])
+        },
     )
 
 
