@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .alldiff import probe_table, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
@@ -43,6 +43,11 @@ class GlobalCardinality(Constraint):
         super().__init__(scope, consistency)
         self.lower = dict(lower)
         self.upper = dict(upper)
+        # the scope positions of each position's variable, in scope order
+        positions: dict[Variable, list[int]] = {}
+        for k, var in enumerate(self.scope):
+            positions.setdefault(var, []).append(k)
+        self._spots = [positions[var] for var in self.scope]
 
     def name(self) -> str:
         return "gcc"
@@ -76,30 +81,60 @@ class GlobalCardinality(Constraint):
         """Forward checking: a value bound as often as its upper bound
         allows leaves every unbound domain, to fixpoint.  False when a
         value is bound more often, or fewer domains hold it than its lower
-        bound.  Once a value's removals have run no unbound domain holds
-        it, so its count stays at the bound and later passes skip it.
+        bound.
+
+        The removals, their order and the verdict are those of passes
+        that each count the bound values at their start and take them in
+        the order the count met them, by first bound position: a value
+        counted above its upper bound fails, and one counted at it leaves
+        the unbound domains in scope order, once; a pass that binds
+        nothing ends them.  Once a value has left, no binding takes it, so
+        only the values a pass binds can reach their bound in the next:
+        the counts follow each binding, and each value's unbound holders
+        come from an index built at the first removal.
         """
         doms = self._domains(model)
+        high = self.high
+        count: dict[int, int] = {}
+        first: dict[int, int] = {}  # the first position bound to each value
+        for k, dom in enumerate(doms):
+            if len(dom) == 1:
+                for d in dom:
+                    if d in count:
+                        count[d] += 1
+                    else:
+                        count[d] = 1
+                        first[d] = k
+        todo = [(d, c) for d, c in count.items() if c >= high(d)]
+        holders: Optional[dict[int, list[int]]] = None
         saturated: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            counts = Counter(next(iter(dom)) for dom in doms if len(dom) == 1)
-            for d, c in counts.items():
-                if d in saturated:
-                    continue
-                high = self.high(d)
-                if c > high:
+        scope, spots = self.scope, self._spots
+        while todo:
+            grown: set[int] = set()
+            for d, c in todo:
+                if c > high(d):
                     return False
-                if c < high:
-                    continue
                 saturated.add(d)
-                for var, dom in zip(self.scope, doms):
+                if holders is None:
+                    holders = {}
+                    for k, dom in enumerate(doms):
+                        if len(dom) > 1:
+                            for e in dom:
+                                holders.setdefault(e, []).append(k)
+                for k in holders.get(d, ()):
+                    dom = doms[k]
                     if len(dom) > 1 and d in dom:
-                        if not model.remove_value(var, d, self):
+                        if not model.remove_value(scope[k], d, self):
                             return False
                         if len(dom) == 1:
-                            changed = True
+                            for v in dom:
+                                pos = spots[k]
+                                count[v] = count.get(v, 0) + len(pos)
+                                first[v] = min(first.get(v, pos[0]), pos[0])
+                                grown.add(v)
+            ready = [v for v in grown if v not in saturated and count[v] >= high(v)]
+            ready.sort(key=first.__getitem__)
+            todo = [(v, count[v]) for v in ready]
         return all(
             sum(d in dom for dom in doms) >= low
             for d, low in self.lower.items()

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 
@@ -62,11 +61,18 @@ class LayeredGraph:
     layer's from ``final`` on.  Arcs are sorted by (layer, value), so
     slot s, the arcs of value ``values[s]`` at one layer, is the arc
     range ``slot_start[s]:slot_start[s + 1]``, and layer i's slots are
-    ``layer_slot[i]:layer_slot[i + 1]``.  ``support[s]`` counts the live
-    arcs of slot s, ``outdeg``/``indeg`` the live arcs of each vertex;
-    ``alive`` flags each arc and ``log`` lists the deleted arcs in
-    order.  ``out_arcs``/``in_arcs`` are the arcs of each vertex,
-    vertex v's in ``out_ptr[v]:out_ptr[v + 1]`` (resp. ``in_ptr``).
+    ``layer_slot[i]:layer_slot[i + 1]``.  Each slot's arcs also form a
+    sparse set (Briggs & Torczon, 1993): ``order`` lists them in that
+    range with the live ones first, ``where`` gives each arc's position
+    in ``order``, and ``support[s]`` counts the live arcs of slot s, so
+    they are ``order[slot_start[s]:slot_start[s] + support[s]]``.
+    ``outdeg``/``indeg`` count the live arcs of each vertex; ``alive``
+    flags each arc and ``log`` lists the deleted arcs in order.
+    ``out_arcs``/``in_arcs`` are the arcs of each vertex, vertex v's in
+    ``out_ptr[v]:out_ptr[v + 1]`` (resp. ``in_ptr``).  Per-arc fields
+    are ``array('i')``; the counts each deletion changes (``support``,
+    ``outdeg``, ``indeg``) are lists, whose items CPython reads and
+    writes faster than an array's.
     """
 
     def __init__(
@@ -109,7 +115,9 @@ class LayeredGraph:
         self.out_ptr, self.out_arcs, self.outdeg = _csr(src, n)
         self.in_ptr, self.in_arcs, self.indeg = _csr(dst, n)
         starts = self.slot_start
-        self.support = array("i", [b - a for a, b in zip(starts, starts[1:])])
+        self.support = [b - a for a, b in zip(starts, starts[1:])]
+        self.order = array("i", range(len(src)))
+        self.where = array("i", self.order)
         self.alive = bytearray(b"\x01") * len(src)
         self.log = array("i")
 
@@ -120,19 +128,24 @@ class LayeredGraph:
         """Delete the arcs whose value left its layer's domain, then every
         arc no longer on a start-to-last-layer path; True if any arc died.
 
-        The second step is a cascade over an explicit worklist: a vertex
-        whose out-degree (in-degree) drops to 0 loses its live in-arcs
-        (out-arcs).
+        The first step walks only the live prefix of each such slot.  The
+        second is a cascade over an explicit worklist: a vertex whose
+        out-degree (in-degree) drops to 0 loses its live in-arcs
+        (out-arcs).  Each arc dies by a swap with the last live arc of its
+        slot, and the slot's live prefix then ends before it.
         """
         support, values, slot_start = self.support, self.values, self.slot_start
-        pending: list[Iterable[int]] = []
+        pending: list[array] = []
         for i, dom in enumerate(domains):
             for s in range(self.layer_slot[i], self.layer_slot[i + 1]):
                 if support[s] and values[s] not in dom:
-                    pending.append(range(slot_start[s], slot_start[s + 1]))
+                    lo = slot_start[s]
+                    pending.append(self.order[lo : lo + support[s]])
         if not pending:
             return False
-        alive, log, slot = self.alive, self.log, self.slot
+        alive, log, slot, order, where = (
+            self.alive, self.log, self.slot, self.order, self.where
+        )
         src, dst, outdeg, indeg = self.src, self.dst, self.outdeg, self.indeg
         out_ptr, out_arcs, in_ptr, in_arcs = (
             self.out_ptr, self.out_arcs, self.in_ptr, self.in_arcs
@@ -142,7 +155,15 @@ class LayeredGraph:
                 if alive[a]:
                     alive[a] = 0
                     log.append(a)
-                    support[slot[a]] -= 1
+                    s = slot[a]
+                    support[s] = m = support[s] - 1
+                    last = slot_start[s] + m
+                    b = order[last]
+                    p = where[a]
+                    order[p] = b
+                    where[b] = p
+                    order[last] = a
+                    where[a] = last
                     u = src[a]
                     outdeg[u] -= 1
                     if not outdeg[u] and indeg[u]:
@@ -155,7 +176,8 @@ class LayeredGraph:
 
     def undo(self, mark: int) -> None:
         """Revive the arcs deleted since ``len(log)`` was ``mark``, last
-        deleted first."""
+        deleted first.  Each one sits just past its slot's live prefix,
+        where its deletion left it, so growing the prefix revives it."""
         alive, log, support, slot = self.alive, self.log, self.support, self.slot
         src, dst, outdeg, indeg = self.src, self.dst, self.outdeg, self.indeg
         for a in reversed(log[mark:]):
@@ -176,27 +198,33 @@ class LayeredGraph:
         """The number of start-to-last-layer paths over the live arcs, each
         one an accepted tuple, and per slot the number of those paths
         through its arcs, as exact integers from the incoming (``ip``) and
-        outgoing (``op``) path counts of each vertex."""
-        weights = [0] * len(self.values)
+        outgoing (``op``) path counts of each vertex.  Slots are numbered
+        layer by layer, so ``ip`` follows them forward and ``op`` backward,
+        each over the slot's live prefix alone."""
+        support = self.support
+        weights = [0] * len(support)
         if self.start < 0:
             return 0, weights
-        src, dst, slot, alive = self.src, self.dst, self.slot, self.alive
-        slot_start, layer_slot = self.slot_start, self.layer_slot
+        src, dst, order, slot_start = self.src, self.dst, self.order, self.slot_start
         n = len(self.outdeg)
         ip = [0] * n
         ip[self.start] = 1
-        for i in range(self.k):
-            lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
-            for u, w in compress(zip(src[lo:hi], dst[lo:hi]), alive[lo:hi]):
-                ip[w] += ip[u]
+        for lo, m in zip(slot_start, support):
+            if m:
+                for a in order[lo : lo + m]:
+                    ip[dst[a]] += ip[src[a]]
         op = [0] * self.final + [1] * (n - self.final)
-        for i in range(self.k - 1, -1, -1):
-            lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
-            arcs = zip(slot[lo:hi], src[lo:hi], dst[lo:hi])
-            for s, u, w in compress(arcs, alive[lo:hi]):
-                x = op[w]
-                op[u] += x
-                weights[s] += ip[u] * x
+        for s in range(len(support) - 1, -1, -1):
+            m = support[s]
+            if m:
+                lo = slot_start[s]
+                total = 0
+                for a in order[lo : lo + m]:
+                    u = src[a]
+                    x = op[dst[a]]
+                    op[u] += x
+                    total += ip[u] * x
+                weights[s] = total
         return op[self.start], weights
 
     @property
@@ -205,10 +233,10 @@ class LayeredGraph:
         return self.path_counts()[0]
 
 
-def _csr(ends: array, n: int) -> tuple[array, array, array]:
+def _csr(ends: array, n: int) -> tuple[array, array, list[int]]:
     """Compressed adjacency of the arcs by one endpoint: the pointer
     array, the arcs grouped by endpoint, and each vertex's arc count."""
-    deg = array("i", [0]) * n
+    deg = [0] * n
     for v in ends:
         deg[v] += 1
     ptr = array("i", [0]) * (n + 1)

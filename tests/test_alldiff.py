@@ -19,11 +19,13 @@ from countsearch.alldiff import (
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.factors import bm_log_factor, lb_log_bound
 from countsearch.gcc import GlobalCardinality
+from countsearch.heuristics import Dom
 from countsearch.oracle import (
     count_perfect_matchings,
     exact_count_densities,
     exact_permanent,
 )
+from countsearch.search import SAT, dfs
 
 
 def _post(domains, consistency="domain"):
@@ -281,6 +283,31 @@ def test_long_chain_binds_every_variable_in_one_propagate(kind):
         m.add(GlobalCardinality(xs, {}, {d: 1 for d in range(n)}))
     assert m.propagate() == CONSISTENT
     assert [m.domain(x) for x in xs] == [{i} for i in range(n)]
+
+
+
+# _kuhn_matching's try_augment nests one call per step of an augmenting
+# path, so a path longer than the recursion limit raises.  An
+# explicit-stack search in the same visiting order fixes it, but it is
+# held back: the recursive one leaves a reference cycle per call, which
+# keeps the cyclic collector making full collections, and perfbench's job
+# recorder holds each finished model in a cycle only those free.  With the
+# explicit stack, qwh-domWDeg peak_rss_mb rose from 29 to 39 MB, past its
+# bound.  It lands once that recorder no longer keeps models in a cycle
+# (ROADMAP.md, "One job path" and "the last known crash").
+@pytest.mark.xfail(raises=RecursionError, strict=True)
+def test_long_augmenting_path_does_not_overflow_the_stack():
+    # x_i in {8i, 8i+8} plus two variables over {0, 8n+8}: each domain
+    # iterates its smaller value first, so the greedy matching leaves one
+    # augmenting path through the whole chain (n = 900 solves)
+    n = 1100
+    m = Model()
+    xs = [m.new_variable({8 * i, 8 * i + 8}) for i in range(n - 1)]
+    xs += [m.new_variable({0, 8 * n + 8}) for _ in range(2)]
+    c = m.add(AllDifferent(xs))
+    stats = dfs(m, Dom(m, random.Random(0)))
+    assert stats.status == SAT
+    assert c.check([stats.solution[x.name] for x in xs])
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +108,96 @@ def test_fc_level_saturation():
 def test_unreachable_lower_bound_fails():
     m, xs, c = _post([{1}, {1}], {2: 1}, {1: 2, 2: 2}, FORWARD_CHECKING)
     assert m.propagate() == WIPEOUT
+
+
+
+def _reference_counting_checks(c, model):
+    """Forward checking as passes over the whole scope, each counting the
+    bound values first: the removals, their order and the verdict that
+    ``GlobalCardinality._counting_checks`` must reproduce."""
+    doms = c._domains(model)
+    saturated = set()
+    changed = True
+    while changed:
+        changed = False
+        counts = Counter(next(iter(dom)) for dom in doms if len(dom) == 1)
+        for d, n in counts.items():
+            if d in saturated:
+                continue
+            high = c.high(d)
+            if n > high:
+                return False
+            if n < high:
+                continue
+            saturated.add(d)
+            for var, dom in zip(c.scope, doms):
+                if len(dom) > 1 and d in dom:
+                    if not model.remove_value(var, d, c):
+                        return False
+                    if len(dom) == 1:
+                        changed = True
+    return all(
+        sum(d in dom for dom in doms) >= low for d, low in c.lower.items() if low > 0
+    )
+
+
+class _CauseModel(Model):
+    """A model that lists every removal (variable, value, cause)."""
+
+    def __init__(self):
+        super().__init__()
+        self.removed = []
+
+    def remove_value(self, var, value, cause=None):
+        if value in self._domains[var.index]:
+            self.removed.append((var.index, value, cause))
+        return super().remove_value(var, value, cause)
+
+
+@st.composite
+def _counting_cases(draw):
+    """Up to 8 variables over values 0-5, some bound, a scope of up to 12
+    positions that may repeat a variable, and lower and upper bounds on
+    some values."""
+    domains = draw(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4),
+                            min_size=1, max_size=8))
+    scope = draw(st.lists(st.integers(0, len(domains) - 1), min_size=1, max_size=12))
+    lower = draw(st.dictionaries(st.integers(0, 5), st.integers(0, 3)))
+    upper = draw(st.dictionaries(st.integers(0, 5), st.integers(0, 4)))
+    return domains, scope, lower, upper
+
+
+def _chain_case(n):
+    """x_i in {i, i+1} with x_{n-1} = n - 1, against scope order: every
+    pass binds one more variable."""
+    doms = [{i, i + 1} for i in range(n - 1)] + [{n - 1}]
+    return doms[::-1], list(range(n)), {}, {d: 1 for d in range(n)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_counting_cases())
+@example(_chain_case(8))
+# value 1 saturates first and binds x2 to 2, which the same pass then
+# saturates at the count it started with: the passes never see 2 twice
+@example(([{1}, {2}, {1, 2}], [0, 1, 2], {}, {1: 1, 2: 1}))
+# x0 fills positions 0 and 2, so binding it counts its value twice
+@example(([{1, 2}, {1}, {2, 3}], [0, 1, 0, 2], {}, {1: 1, 2: 1}))
+@example(([{1}, {1, 2}, {2, 3}], [0, 1, 2], {3: 1}, {1: 1, 2: 1}))  # lower bound fails
+# one pass binds 2 and then 1: the next sweeps 2 first, as 2's bound
+# position comes first
+@example(([{0}, {0, 2}, {0, 1}, {1, 2, 3}], [0, 1, 2, 3], {}, {0: 1, 1: 1, 2: 1}))
+def test_counting_checks_keep_the_reference_removals_in_order(case):
+    """Every removal (variable, value, cause) in order, and the verdict,
+    equal those of the pass-by-pass reference."""
+    domains, scope, lower, upper = case
+    runs = []
+    for check in (GlobalCardinality._counting_checks, _reference_counting_checks):
+        m = _CauseModel()
+        xs = [m.new_variable(d) for d in domains]
+        c = GlobalCardinality([xs[k] for k in scope], lower, upper, FORWARD_CHECKING)
+        verdict = check(c, m)
+        runs.append((verdict, [(x, v, cause is c) for x, v, cause in m.removed]))
+    assert runs[0] == runs[1]
 
 
 def test_alldifferent_degeneration():

@@ -1,11 +1,17 @@
 """The trailed layered graph of Regular and exact Knapsack against a fresh
 build: after any sequence of decisions, levels and backtracks, counting
 and filtering on the synced graph give exactly what a newly made
-constraint gives on the same domains."""
+constraint gives on the same domains.  After every step each slot's
+sparse set holds exactly its live arcs, and the path counts over the
+live prefixes equal a scan of every arc."""
+
+import random
+from itertools import compress
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countsearch.bench import build_model, generate_marketsplit
 from countsearch.engine import CONSISTENT, Model
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
@@ -96,11 +102,52 @@ def graph_models(draw):
     return model, xs, constraint, make
 
 
+def _reference_path_counts(graph):
+    """``LayeredGraph.path_counts`` as a scan of every arc of each layer,
+    live or dead, that skips the dead ones by their ``alive`` flag."""
+    weights = [0] * len(graph.values)
+    if graph.start < 0:
+        return 0, weights
+    src, dst, slot, alive = graph.src, graph.dst, graph.slot, graph.alive
+    slot_start, layer_slot = graph.slot_start, graph.layer_slot
+    n = len(graph.outdeg)
+    ip = [0] * n
+    ip[graph.start] = 1
+    for i in range(graph.k):
+        lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
+        for u, w in compress(zip(src[lo:hi], dst[lo:hi]), alive[lo:hi]):
+            ip[w] += ip[u]
+    op = [0] * graph.final + [1] * (n - graph.final)
+    for i in range(graph.k - 1, -1, -1):
+        lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
+        arcs = zip(slot[lo:hi], src[lo:hi], dst[lo:hi])
+        for s, u, w in compress(arcs, alive[lo:hi]):
+            x = op[w]
+            op[u] += x
+            weights[s] += ip[u] * x
+    return op[graph.start], weights
+
+
+def _assert_graph_state(graph):
+    """Each slot's arc range of ``order`` is a permutation of its arcs
+    whose first ``support[s]`` are exactly the live ones, ``where``
+    inverts ``order``, and the path counts equal the all-arc scan."""
+    order, where, alive = graph.order, graph.where, graph.alive
+    assert [order[p] for p in where] == list(range(len(order)))
+    starts = graph.slot_start
+    for s, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        assert sorted(order[lo:hi]) == list(range(lo, hi))
+        live = sorted(order[lo : lo + graph.support[s]])
+        assert live == [a for a in range(lo, hi) if alive[a]]
+    assert graph.path_counts() == _reference_path_counts(graph)
+
+
 def _assert_counts_match(model, xs, constraint, make):
     want = make(xs).count_densities(Shadow(model))
     got = constraint.count_densities(model)
     assert got.log_count == want.log_count
     assert list(got.densities.items()) == list(want.densities.items())
+    _assert_graph_state(constraint._graph)
 
 
 @settings(max_examples=400, deadline=None)
@@ -137,3 +184,30 @@ def test_synced_graph_matches_a_fresh_build(setup, data):
             if not want:
                 model.backtrack_to(model.level - 1)
         _assert_counts_match(model, xs, constraint, make)
+
+
+def test_market_split_graphs_through_a_deep_search():
+    """The three exact knapsacks of a benchmark market split, whose
+    decisions cascade through most of each graph's arcs, checked after
+    every decision, refutation and backtrack of a seeded walk."""
+    model = build_model(generate_marketsplit(3, 0))
+    graphs = model.constraints
+    assert model.propagate() == CONSISTENT
+    rng = random.Random(0)
+    steps = {"assign": 0, "refute": 0, "wipeout": 0, "backtrack": 0}
+    for _ in range(60):
+        free = [x for x in model.variables if model.size(x) > 1]
+        if free and (model.level == 0 or rng.random() < 0.75):
+            x = rng.choice(free)
+            kind = rng.choice(["assign", "refute"])
+            steps[kind] += 1
+            if model.push_decision(kind, x, rng.choice(sorted(model.domain(x)))) != CONSISTENT:
+                steps["wipeout"] += 1
+                model.backtrack_to(model.level - 1)
+        else:
+            steps["backtrack"] += 1
+            model.backtrack_to(rng.randrange(model.level))
+        for c in graphs:
+            c.count_densities(model)
+            _assert_graph_state(c._graph)
+    assert min(steps.values()) > 0
