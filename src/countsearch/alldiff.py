@@ -5,6 +5,8 @@ value from the other domains through a worklist, and, at domain
 consistency, by Regin's matching filter (``regin_dead_arcs``, shared
 with ``GlobalCardinality``), which works on the variables alone, each
 merged with its matched value, and sees only the unbound positions.
+Both look only at the scope positions still open: a position bound and
+swept by an earlier call is closed until a backtrack reopens it.
 
 Counting uses permanent upper bounds on the 0-1 variable/value matrix:
 the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
@@ -275,12 +277,27 @@ def regin_dead_arcs(
 
 
 class AllDifferent(Constraint):
-    """Pairwise-distinct values over the scope."""
+    """Pairwise-distinct values over the scope.
+
+    ``propagate`` looks only at the open scope positions, those not yet
+    bound and swept.  A successful call leaves no bound value in another
+    domain of the scope, so it closes every position it leaves bound:
+    until a backtrack undoes the call's domain changes, such a position
+    stays bound and its value stays out of the other domains, so sweeping
+    it again would remove nothing and Regin's filter would leave it out.
+    The open positions are ``_open[:_n_open]``, a sparse set without its
+    index (Briggs & Torczon, 1993): closing moves a position past the
+    count, and the count goes on the model's trail, so backtracking
+    restores it and reopens what the level closed.  Nothing done at level
+    0 is ever undone, so a call at level 0 trails nothing.  Both fields
+    are set at the first ``propagate``.  A constraint serves one model.
+    """
 
     supports_counting = True
     # forward checking loops to its fixpoint, and Regin filtering after it
     # leaves every remaining value in some maximum matching
     idempotent = True
+    _open: Optional[list[int]] = None
 
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         super().__init__(scope, consistency)
@@ -293,18 +310,38 @@ class AllDifferent(Constraint):
 
     def propagate(self, model: Model) -> bool:
         doms = self._domains(model)
-        free = self._forward_check(model, doms)
+        opened = self._open
+        if opened is None:
+            opened = self._open = list(range(len(doms)))
+            self._n_open = len(opened)
+        n = self._n_open
+        live = sorted(opened[:n])  # a backtrack can reopen them out of order
+        free = self._forward_check(model, doms, live)
         if free is None:
             return False
-        if self.consistency == DOMAIN:
-            return self._regin_filter(model, doms, free)
+        if self.consistency == DOMAIN and not self._regin_filter(model, doms, free):
+            return False
+        # close the open positions now bound: each was swept
+        keep = [k for k in free if len(doms[k]) > 1]
+        if len(keep) < n:
+            if model.level:
+                model.trail_undo(self._reopen, n)
+            opened[:n] = keep + [k for k in live if len(doms[k]) == 1]
+            self._n_open = len(keep)
         return True
 
-    def _forward_check(self, model: Model, doms: list[set[int]]) -> Optional[list[int]]:
+    def _reopen(self, n: int) -> None:
+        self._n_open = n
+
+    def _forward_check(
+        self, model: Model, doms: list[set[int]], live: list[int]
+    ) -> Optional[list[int]]:
         """Remove each bound value from the domains at the other scope
         positions, to fixpoint.  Returns the positions left unbound, in
         scope order, or None on wipeout.  A variable that fills two
-        positions is bound to two equal values, so it wipes out.
+        positions is bound to two equal values, so it wipes out.  Only the
+        open positions ``live``, in scope order, are looked at: no other
+        domain holds a closed position's value.
 
         The removals and their order are those of passes over the scope
         that sweep each bound position's value from the other domains, in
@@ -318,8 +355,8 @@ class AllDifferent(Constraint):
         """
         free: list[int] = []
         bound: list[int] = []
-        for i, dom in enumerate(doms):
-            if len(dom) > 1:
+        for i in live:
+            if len(doms[i]) > 1:
                 free.append(i)
             else:
                 bound.append(i)
@@ -333,8 +370,8 @@ class AllDifferent(Constraint):
         if not todo:
             return free
         holders: dict[int, list[int]] = {}
-        for k, dom in enumerate(doms):
-            for d in dom:
+        for k in live:
+            for d in doms[k]:
                 holders.setdefault(d, []).append(k)
         scope = self.scope
         while todo:

@@ -84,14 +84,16 @@ class GlobalCardinality(Constraint):
         bound.
 
         The removals, their order and the verdict are those of passes
-        that each count the bound values at their start and take them in
-        the order the count met them, by first bound position: a value
-        counted above its upper bound fails, and one counted at it leaves
-        the unbound domains in scope order, once; a pass that binds
-        nothing ends them.  Once a value has left, no binding takes it, so
-        only the values a pass binds can reach their bound in the next:
-        the counts follow each binding, and each value's unbound holders
-        come from an index built at the first removal.
+        that each count the bound values at their start and take the ones
+        counted at or above their upper bound in the order the count met
+        them, by first bound position: such a value fails if it is now
+        bound more often than its bound allows, counting the bindings made
+        earlier in the pass, and otherwise leaves the unbound domains in
+        scope order, once; a pass that binds nothing ends them.  Once a
+        value has left, no binding takes it, so only the values a pass
+        binds can reach their bound in the next: the counts follow each
+        binding, and each value's unbound holders come from an index built
+        at the first removal.
         """
         doms = self._domains(model)
         high = self.high
@@ -105,14 +107,14 @@ class GlobalCardinality(Constraint):
                     else:
                         count[d] = 1
                         first[d] = k
-        todo = [(d, c) for d, c in count.items() if c >= high(d)]
+        todo = [d for d, c in count.items() if c >= high(d)]
         holders: Optional[dict[int, list[int]]] = None
         saturated: set[int] = set()
         scope, spots = self.scope, self._spots
         while todo:
             grown: set[int] = set()
-            for d, c in todo:
-                if c > high(d):
+            for d in todo:
+                if count[d] > high(d):
                     return False
                 saturated.add(d)
                 if holders is None:
@@ -132,9 +134,8 @@ class GlobalCardinality(Constraint):
                                 count[v] = count.get(v, 0) + len(pos)
                                 first[v] = min(first.get(v, pos[0]), pos[0])
                                 grown.add(v)
-            ready = [v for v in grown if v not in saturated and count[v] >= high(v)]
-            ready.sort(key=first.__getitem__)
-            todo = [(v, count[v]) for v in ready]
+            todo = [v for v in grown if v not in saturated and count[v] >= high(v)]
+            todo.sort(key=first.__getitem__)
         return all(
             sum(d in dom for dom in doms) >= low
             for d, low in self.lower.items()

@@ -16,7 +16,7 @@ from countsearch.alldiff import (
     regin_dead_arcs,
     sym_matching_log_bound,
 )
-from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
+from countsearch.engine import _T_UNDO, CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.factors import bm_log_factor, lb_log_bound
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import Dom
@@ -208,6 +208,154 @@ def test_propagate_keeps_the_reference_removals_in_order(case):
         c = AllDifferent([xs[k] for k in scope], consistency)
         runs.append((propagate(c, m), m._trail))
     assert runs[0] == runs[1]
+
+
+class _CauseModel(Model):
+    """A model that lists every removal (variable, value, cause)."""
+
+    def __init__(self):
+        super().__init__()
+        self.removed = []
+
+    def remove_value(self, var, value, cause=None):
+        if value in self._domains[var.index]:
+            self.removed.append((var.index, value, cause))
+        return super().remove_value(var, value, cause)
+
+
+def _open_positions(c):
+    return set(c._open[: c._n_open])
+
+
+def _unbound_positions(c, m):
+    return {k for k, x in enumerate(c.scope) if not m.is_bound(x)}
+
+
+def _checked_propagate(c, m, twin):
+    """``c.propagate(m)``, whose removals (variable, value, cause) in
+    order and verdict must equal the reference's on a fresh constraint
+    over ``twin``.  The twin model has gone through the same removals and
+    restorations as ``m``, so its domains are the same sets and iterate in
+    the same order: a copy would not, once a set has lost and regained a
+    value."""
+    ref = AllDifferent([twin.variables[x.index] for x in c.scope], c.consistency)
+    mark, twin_mark = len(m.removed), len(twin.removed)
+    verdict = c.propagate(m)
+    assert verdict == _reference_propagate(ref, twin)
+    assert [(x, v, cause is c) for x, v, cause in m.removed[mark:]] == [
+        (x, v, cause is ref) for x, v, cause in twin.removed[twin_mark:]
+    ]
+    return verdict
+
+
+@st.composite
+def _search_walks(draw):
+    """A propagate case (its removals left out) and up to 14 steps: assign
+    or refute a value of some variable at a new level, or backtrack to
+    some level."""
+    domains, scope, consistency, _ = draw(_propagate_cases())
+    steps = draw(st.lists(st.tuples(st.sampled_from(["assign", "refute", "back"]),
+                                    st.integers(0, 8), st.integers(0, 7)),
+                          max_size=14))
+    return domains, scope, consistency, steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_search_walks())
+# x0 fills positions 0 and 2: assigning it wipes out, and the level goes
+@example(([{1, 2}, {2, 3}, {3, 4}], [0, 1, 0, 2], "domain",
+          [("assign", 0, 0), ("assign", 1, 1), ("back", 0, 0), ("assign", 2, 1)]))
+@example(([{1, 2}, {1, 2, 3}, {3, 4}, {4, 5}], [0, 1, 2, 3], FORWARD_CHECKING,
+          [("assign", 0, 0), ("refute", 2, 0), ("back", 1, 0), ("refute", 3, 0),
+           ("back", 0, 0), ("assign", 3, 0)]))
+# x3 regains 1 and 5 on the backtrack, and its set then iterates 2, 5, 1
+@example(([{0}, {1, 2, 5}, {0, 3, 6}, {1, 2, 5, 6}], [0, 1, 1, 2, 2, 3], "domain",
+          [("assign", 3, 1), ("back", 0, 0), ("refute", 1, 1)]))
+# the backtrack reopens position 1 behind position 2; sweeping x0 = 0 must
+# still empty x3's domain of 0 (position 1) before x0's own (position 2)
+@example(([{0, 1, 2}, {0}, {0}, {0, 1}], [0, 3, 0], FORWARD_CHECKING,
+          [("assign", 3, 0), ("back", 0, 0), ("assign", 0, 0)]))
+def test_open_positions_follow_push_and_backtrack(walk):
+    """Through decisions, refutations, wipeouts and backtracks, every call
+    removes what the reference removes on the same domains, in the same
+    order, with the same verdict; the open positions are the unbound ones
+    after each successful call, the same plus those a decision bound until
+    the next call, and those of the level returned to after a backtrack.
+    A second call right after a successful one touches no domain and no
+    trail entry, above level 0 too."""
+    domains, scope, consistency, steps = walk
+    m, twin = _CauseModel(), _CauseModel()
+    for model in (m, twin):
+        for d in domains:
+            model.new_variable(d)
+    xs = m.variables
+    c = AllDifferent([xs[k] for k in scope], consistency)
+    if not _checked_propagate(c, m, twin):
+        return
+    # per level, the open positions it ends with
+    expected = [_unbound_positions(c, m)]
+    assert _open_positions(c) == expected[0]
+    for kind, a, b in steps:
+        if kind == "back":
+            level = a % (m.level + 1)
+            m.backtrack_to(level)
+            twin.backtrack_to(level)
+            del expected[level + 1:]
+            assert _open_positions(c) == expected[-1]
+            continue
+        i = a % len(xs)
+        dom = m.domain_sorted(xs[i])
+        if kind == "refute" and len(dom) == 1:
+            continue
+        for model in (m, twin):
+            model.push_level()
+            if kind == "assign":
+                model.assign(model.variables[i], dom[b % len(dom)])
+            else:
+                model.remove_value(model.variables[i], dom[b % len(dom)])
+        assert _open_positions(c) == expected[-1]
+        if not _checked_propagate(c, m, twin):
+            m.backtrack_to(m.level - 1)
+            twin.backtrack_to(twin.level - 1)
+            assert _open_positions(c) == expected[-1]
+            continue
+        expected.append(_unbound_positions(c, m))
+        assert _open_positions(c) == expected[-1]
+        trail = list(m._trail)
+        assert c.propagate(m)
+        assert m._trail == trail
+
+
+def _undo_entries(m):
+    return [entry[0] for entry in m._trail].count(_T_UNDO)
+
+
+def test_open_positions_are_trailed_above_level_zero_only():
+    m, xs, c = _post([{1}, {1, 2}, {1, 2, 3}, {4, 5}, {4, 5}, {6, 7}, {6, 7}])
+    assert c._open is None  # made at the first propagate
+    assert c.propagate(m)  # x0 = 1 binds x1 to 2, which binds x2 to 3
+    assert _open_positions(c) == {3, 4, 5, 6}
+    assert _undo_entries(m) == 0
+    root = [m.domain(x) for x in xs]
+    m.push_level()
+    m.assign(xs[3], 4)
+    assert c.propagate(m)  # x3 = 4 binds x4 to 5
+    assert _open_positions(c) == {5, 6}
+    m.assign(xs[5], 6)
+    assert c.propagate(m)  # x5 = 6 binds x6 to 7, at the same level
+    assert _open_positions(c) == set()
+    assert _undo_entries(m) == 2
+    m.push_level()
+    m.backtrack_to(1)  # a level that closed nothing reopens nothing
+    assert _open_positions(c) == set()
+    m.backtrack_to(0)
+    assert _open_positions(c) == {3, 4, 5, 6}
+    assert [m.domain(x) for x in xs] == root
+    m.push_level()
+    m.assign(xs[5], 7)
+    assert c.propagate(m)
+    assert _open_positions(c) == {3, 4}
+    assert _undo_entries(m) == 1
 
 
 def _covering_matchings(adj):

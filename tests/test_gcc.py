@@ -110,11 +110,21 @@ def test_unreachable_lower_bound_fails():
     assert m.propagate() == WIPEOUT
 
 
+def test_a_binding_earlier_in_the_pass_fails_the_first_call():
+    # saturating 1 binds x2 to 2, which x1 already takes: the count of 2
+    # is read when its turn comes, so the first call wipes out
+    m, xs, c = _post([{1}, {2}, {1, 2}], {}, {1: 1, 2: 1}, FORWARD_CHECKING)
+    assert not c.propagate(m)
+    assert m.domain(xs[2]) == {2}
+
+
 
 def _reference_counting_checks(c, model):
     """Forward checking as passes over the whole scope, each counting the
-    bound values first: the removals, their order and the verdict that
-    ``GlobalCardinality._counting_checks`` must reproduce."""
+    bound values first and, when a value counted at its upper bound has
+    its turn, failing if it is now bound more often: the removals, their
+    order and the verdict that ``GlobalCardinality._counting_checks``
+    must reproduce."""
     doms = c._domains(model)
     saturated = set()
     changed = True
@@ -125,10 +135,10 @@ def _reference_counting_checks(c, model):
             if d in saturated:
                 continue
             high = c.high(d)
-            if n > high:
-                return False
             if n < high:
                 continue
+            if sum(dom == {d} for dom in doms) > high:
+                return False
             saturated.add(d)
             for var, dom in zip(c.scope, doms):
                 if len(dom) > 1 and d in dom:
@@ -177,8 +187,8 @@ def _chain_case(n):
 @settings(max_examples=500, deadline=None)
 @given(_counting_cases())
 @example(_chain_case(8))
-# value 1 saturates first and binds x2 to 2, which the same pass then
-# saturates at the count it started with: the passes never see 2 twice
+# value 1 saturates first and binds x2 to 2, so when 2 has its turn in
+# the same pass it is bound twice against an upper bound of 1: False
 @example(([{1}, {2}, {1, 2}], [0, 1, 2], {}, {1: 1, 2: 1}))
 # x0 fills positions 0 and 2, so binding it counts its value twice
 @example(([{1, 2}, {1}, {2, 3}], [0, 1, 0, 2], {}, {1: 1, 2: 1}))
