@@ -11,17 +11,22 @@ swept by an earlier call is closed until a backtrack reopens it.
 Counting uses permanent upper bounds on the 0-1 variable/value matrix:
 the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
 come from forward-checking local probes bounded by Bregman-Minc alone,
-per Algorithm 1's incremental factor updates, scored value by value.
-The pairing variant bounds the number of matchings of the contracted
-value graph.  ``probe_table`` turns probe scores into per-variable
-densities for this module's constraints and for ``GlobalCardinality``.
+per Algorithm 1's incremental factor updates, scored value by value
+into two lists per scope position: its values in ascending order and
+their probe scores.  The pairing variant bounds the number of matchings
+of the contracted value graph.  ``probe_table`` normalizes those lists
+into per-variable densities, in one pass per position, for this
+module's constraints and for ``GlobalCardinality``.  Every float total
+is added left to right (``engine.float_sum``, written out in the probe
+and normalization loops), so each density is the same on every
+supported interpreter.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .engine import (
     DOMAIN,
@@ -29,47 +34,51 @@ from .engine import (
     DensityTable,
     Model,
     Variable,
+    float_sum,
 )
 from .factors import BM_TABLE_SIZE, bm_table, lb_log_bound
-
-
-def _log_norm(scores: Collection[float]) -> list[float]:
-    """Normalize log-space scores to densities summing to 1, in order.
-
-    Each score's ``exp`` is taken once.  A ``-inf`` score's ``exp`` is
-    exactly 0.0, so it adds nothing to the sum and gets density 0.0.
-    """
-    top = max(scores) if scores else -math.inf
-    if top == -math.inf:
-        return [0.0] * len(scores)
-    exp = math.exp
-    weights = [exp(v - top) for v in scores]
-    total = sum(weights)
-    return [w / total for w in weights]
 
 
 def probe_table(
     constraint: Constraint,
     domains: Sequence[set[int]],
     log_count: float,
-    scores_for: Callable[[int], dict[int, float]],
+    values: Sequence[Sequence[int]],
+    scores: Sequence[Sequence[float]],
 ) -> DensityTable:
     """Densities from forward-checking probes, normalized per variable.
 
-    ``scores_for(i)`` maps each value d of unbound scope position i, in
-    ascending order, to the score of probe (i, d): the log count bound
-    once position i takes d.  It is called once per unbound position.  A
-    bound variable has density 1 on its value; an unbound one's scores
-    are normalized with ``_log_norm``.  The tables share their keys
+    For each unbound scope position i, ``values[i]`` lists the values of
+    its domain in ascending order and ``scores[i]`` the score of each
+    probe (i, d) in the same order: the log count bound once position i
+    takes d.  The entries of bound positions are not read.  A bound
+    variable has density 1 on its value.  An unbound one's scores are
+    normalized in one pass over the two lists: each score's ``exp`` is
+    taken once, relative to the largest, and the weights are added left
+    to right into the total that divides them.  A ``-inf`` score's weight
+    is exactly 0.0, so it adds nothing and gets density 0.0; when every
+    score is ``-inf`` every density is 0.0.  The tables share their keys
     (``Constraint.density_keys``).
     """
     densities: dict[tuple[int, int], float] = {}
-    for i, (key, dom) in enumerate(zip(constraint.density_keys(), domains)):
+    exp = math.exp
+    for key, dom, vals, row in zip(constraint.density_keys(), domains, values, scores):
         if len(dom) == 1:
             densities[key[next(iter(dom))]] = 1.0
             continue
-        scores = scores_for(i)
-        densities.update(zip(map(key.__getitem__, scores), _log_norm(scores.values())))
+        top = max(row)
+        if top == -math.inf:
+            for d in vals:
+                densities[key[d]] = 0.0
+            continue
+        weights = []
+        total = 0.0
+        for s in row:
+            w = exp(s - top)
+            weights.append(w)
+            total += w
+        for d, w in zip(vals, weights):
+            densities[key[d]] = w / total
     return DensityTable(constraint, log_count, densities)
 
 
@@ -88,7 +97,8 @@ def alldiff_density_table(
     other domains holding it.  Its score is the Bregman-Minc bound of its
     rows, updated from the root by the factor change of each row it
     touches.  The probes are scored value by value, from each value's
-    holders, and fed to ``probe_table``.  The table's count takes the
+    holders, into each position's list of values and list of scores,
+    which ``probe_table`` normalizes.  The table's count takes the
     tighter of Bregman-Minc and Liang-Bai on the root rows; probes skip
     Liang-Bai, which never comes out below Bregman-Minc on a square
     matrix with no row sum above its size (``tests/test_factors.py``
@@ -111,28 +121,36 @@ def alldiff_density_table(
         return DensityTable(constraint, -math.inf, {})
     pad_log = math.lgamma(p + 1)
     bm = bm_table(max(u, BM_TABLE_SIZE))
-    bm_root = sum(map(bm.__getitem__, rows)) - pad_log
+    bm_root = float_sum(map(bm.__getitem__, rows)) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
 
     # probe (i, d) scores row i's base, the root bound with row i's
     # factor replaced by a bound row's, plus the factor steps of the other
     # rows holding d, added left to right as a loop over d's holders
-    # skipping i would; a probe onto a bound row's value empties that row
+    # skipping i would (``float_sum`` written out: the running total of
+    # the steps before i, then the steps after it); a probe onto a bound
+    # row's value empties that row
     base = [bm_root + bm[1] - bm[r] for r in rows]
     steps = [bm[r - 1] - bm[r] for r in rows]
-    scores: list[dict[int, float]] = [{} for _ in domains]
+    values: list[list[int]] = [[] for _ in domains]
+    scores: list[list[float]] = [[] for _ in domains]
     for d in sorted(holders):
         ks = holders[d]
         if d in taken:
             for k in ks:
-                scores[k][d] = -math.inf
+                values[k].append(d)
+                scores[k].append(-math.inf)
             continue
         d_steps = list(map(steps.__getitem__, ks))
         before = 0.0
         for j, k in enumerate(ks):
-            scores[k][d] = base[k] + sum(d_steps[j + 1:], before)
+            total = before
+            for step in d_steps[j + 1:]:
+                total += step
+            values[k].append(d)
+            scores[k].append(base[k] + total)
             before += d_steps[j]
-    return probe_table(constraint, domains, log_count, scores.__getitem__)
+    return probe_table(constraint, domains, log_count, values, scores)
 
 
 # ----------------------------------------------------------------------
@@ -503,12 +521,12 @@ class SymmetricAllDifferent(Constraint):
     def count_densities(self, model: Model) -> DensityTable:
         domains = self._domains(model)
         adj = self._adjacency(domains)
-        return probe_table(
-            self, domains, sym_matching_log_bound(adj),
-            lambda i: {
-                j: sym_probe_log_bound(adj, i, j - 1) for j in sorted(domains[i])
-            },
-        )
+        values = [sorted(dom) for dom in domains]
+        scores = [
+            [sym_probe_log_bound(adj, i, j - 1) for j in vals] if len(vals) > 1 else []
+            for i, vals in enumerate(values)
+        ]
+        return probe_table(self, domains, sym_matching_log_bound(adj), values, scores)
 
 
 def sym_matching_log_bound(adj: Sequence[set[int]]) -> float:

@@ -25,6 +25,22 @@ from typing import Callable, Iterable, Optional, Sequence
 CONSISTENT = "consistent"
 WIPEOUT = "wipeout"
 
+
+def float_sum(terms: Iterable[float]) -> float:
+    """The terms added left to right from 0.0.
+
+    ``sum()`` did exactly this up to CPython 3.11; 3.12 compensates float
+    sums, which changes last bits, and a last-bit change in a density can
+    flip a tie between picks.  Every float total on a density, bound or
+    score path goes through here, or is written out the same way in a
+    hot loop, so decisions are the same on every supported interpreter.
+    """
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 # consistency levels
 FORWARD_CHECKING = "fc"
 BOUNDS = "bounds"
@@ -51,7 +67,8 @@ class DensityTable:
     ``log_count`` is the natural log of the count estimate (``-inf`` for
     a wiped-out constraint).  ``densities`` maps ``(variable_index,
     value)`` to a density in [0, 1]; for each unbound variable in the
-    scope the densities over its current domain sum to 1.
+    scope the densities over its current domain sum to 1.  Every value of
+    every domain in the scope has an entry, unless a domain is empty.
     """
 
     constraint: "Constraint"
@@ -122,6 +139,8 @@ class Constraint:
     #: second call on the domains it leaves removes nothing; the queue then
     #: skips a wakeup caused only by the constraint's own removals
     idempotent = False
+    #: set by ``repeats`` at its first call
+    _repeats: Optional[tuple[int, ...]] = None
 
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         self.scope: tuple[Variable, ...] = tuple(scope)
@@ -155,6 +174,21 @@ class Constraint:
         if not keys:
             keys = self._keys = [DensityKeys(var.index) for var in self.scope]
         return keys
+
+    def repeats(self) -> tuple[int, ...]:
+        """The index of each scope variable once per scope position it
+        fills after its first, in scope order; empty when no variable
+        fills two positions."""
+        repeats = self._repeats
+        if repeats is None:
+            seen: set[int] = set()
+            later = []
+            for var in self.scope:
+                if var.index in seen:
+                    later.append(var.index)
+                seen.add(var.index)
+            repeats = self._repeats = tuple(later)
+        return repeats
 
     def _domains(self, model: "Model") -> list[set[int]]:
         """The live domain sets of the scope, in scope order."""
@@ -244,7 +278,7 @@ class Model:
         return {v.name: self.value_of(v) for v in self.variables}
 
     def log_search_space(self) -> float:
-        return sum(math.log(len(d)) for d in self._domains)
+        return float_sum(math.log(len(d)) for d in self._domains)
 
     # ------------------------------------------------------------------
     # mutation (trailed)

@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .alldiff import probe_table, regin_dead_arcs
-from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
+from .engine import DOMAIN, Constraint, DensityTable, Model, Variable, float_sum
 from .factors import bm_log_bound, lb_log_bound
 
 
@@ -237,7 +237,7 @@ class GlobalCardinality(Constraint):
         if K < 0:
             return -math.inf, -math.inf, 0.0
 
-        denom = sum(math.lgamma(low[d] + 1) for d in values)
+        denom = float_sum(math.lgamma(low[d] + 1) for d in values)
 
         # lower graph: one column per required occurrence + K fake columns
         if total_low == 0:
@@ -334,7 +334,7 @@ class GlobalCardinality(Constraint):
         low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
         cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
 
-        def scores_for(i: int) -> dict[int, float]:
+        def scores_for(i: int) -> list[float]:
             row_i = unbound.index(i)
             # values only position i holds and no lower bound keeps: they
             # drop out when i is bound to another value
@@ -399,13 +399,15 @@ class GlobalCardinality(Constraint):
                     pad = cols - K
                     rows = caps + [cols] * pad
                     upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
-                denom = sum(
+                denom = float_sum(
                     math.lgamma(l + 1)
                     for l in (changed[e][0] if e in changed else low[e] for e in heavy)
                     if l > 1
                 )
                 return lower_log + upper_log - denom
 
-            return {d: probe(d) for d in sorted(domains[i])}
+            return list(map(probe, values[i]))
 
-        return probe_table(self, domains, self.log_count(domains), scores_for)
+        values = [sorted(dom) for dom in domains]
+        scores = [scores_for(i) if len(dom) > 1 else [] for i, dom in enumerate(domains)]
+        return probe_table(self, domains, self.log_count(domains), values, scores)

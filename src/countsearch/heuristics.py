@@ -9,9 +9,12 @@ pick uniformly between their two least keys (restart runs ask for
 this).  The rules that score a pair from one table alone (``maxSD``,
 ``maxRelSD``, ``maxRelRatio``, ``minSCMaxSD``) pick from each table's
 two least keys, which the table keeps (``DensityTable.least_keys``), so
-a ``choose`` scans only the tables recounted since the last one;
+a ``choose`` scans only the tables recounted since the last one, and
+reads each table's entries once, from ``densities.items()``;
 ``aAvgSD`` and ``wSCAvg`` average a pair over its tables and scan them
-all.
+all.  Their averages, like IBS's impact totals, are added left to right
+(``engine.float_sum``), so the picks are the same on every supported
+interpreter.
 
 Learned state (constraint weights, impacts) and the random generator
 live on the heuristic object, so they carry over from one run of a
@@ -26,7 +29,7 @@ import math
 import random
 from typing import Callable, Optional, Sequence
 
-from .engine import Constraint, DensityTable, Model, Variable
+from .engine import Constraint, DensityTable, Model, Variable, float_sum
 
 Pair = tuple[Variable, int]
 
@@ -87,15 +90,17 @@ def _sd_keys(
     table: DensityTable, domains: Sequence[set[int]]
 ) -> list[tuple[float, int, int]]:
     """Rank keys (-density, var_index, value) of every value of every
-    unbound variable in the table's scope (maxSD)."""
-    out = []
-    density = table.densities.get
-    for var in table.constraint.scope:
-        vi = var.index
-        dom = domains[vi]
-        if len(dom) > 1:
-            out.extend((-density((vi, d), 0.0), vi, d) for d in dom)
-    return out
+    unbound variable in the table's scope, once per scope position the
+    variable fills (maxSD).
+
+    A table holds an entry for every value of every domain in its scope,
+    so each entry is read once, straight from ``densities.items()``; the
+    keys of a variable that fills further positions
+    (``Constraint.repeats``) are listed again once per such position.
+    """
+    keys = [(-s, vi, d) for (vi, d), s in table.densities.items() if len(domains[vi]) > 1]
+    keys += [key for vi in table.constraint.repeats() for key in keys if key[1] == vi]
+    return keys
 
 
 def _rel_sd_keys(
@@ -136,10 +141,10 @@ def _weighted_average(
     for vi, entries in per_var.items():
         top = max(lw for _, lw in entries)
         weights = [(t, math.exp(lw - top)) for t, lw in entries]
-        denom = sum(w for _, w in weights)
+        denom = float_sum(w for _, w in weights)
         var = model.variables[vi]
         for d in model.domain_sorted(var):
-            num = sum(w * t.density(var, d) for t, w in weights)
+            num = float_sum(w * t.density(var, d) for t, w in weights)
             out.append((-num / denom, vi, d))
     return out
 
@@ -363,7 +368,7 @@ class Ibs(Heuristic):
 
     def _aggregate(self, model: Model, var: Variable) -> float:
         """Variable impact: total of its values' average impacts."""
-        return sum(self._avg(var.index, d) for d in model.domain_sorted(var))
+        return float_sum(self._avg(var.index, d) for d in model.domain_sorted(var))
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
         unbound = model.unbound_variables()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import DOMAIN, DensityTable, Model, Variable
+from .engine import DOMAIN, DensityTable, Model, Variable, float_sum
 from .regular import GraphConstraint, LayeredGraph
 
 EXACT = "exact"
@@ -174,7 +174,7 @@ class Knapsack(GraphConstraint):
         raw = {}
         for d in dom:
             raw[d] = _phi((d + 0.5 - m) / s) - _phi((d - 0.5 - m) / s)
-        total = sum(raw.values())
+        total = float_sum(raw.values())
         if total <= 0.0:
             # numeric underflow far in the tail: nearest value to m wins
             nearest = min(dom, key=lambda d: (abs(d - m), d))

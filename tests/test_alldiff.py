@@ -538,13 +538,22 @@ def _padded_rows(domains):
     return [len(d) for d in domains] + [u] * p, p, u
 
 
+def _fold(terms):
+    """Floats added left to right from 0.0, as ``sum`` did before CPython
+    3.12 compensated it."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def _reference_log_norm(raw):
     """Log-space scores to densities, taking each ``exp`` twice."""
     finite = [v for v in raw.values() if v > -math.inf]
     if not finite:
         return {d: 0.0 for d in raw}
     top = max(finite)
-    total = sum(math.exp(v - top) for v in finite)
+    total = _fold(math.exp(v - top) for v in finite)
     return {
         d: (math.exp(v - top) / total if v > -math.inf else 0.0)
         for d, v in raw.items()
@@ -560,7 +569,7 @@ def _reference_density_table(domains):
     if any(r == 0 for r in rows):
         return -math.inf, {}
     pad_log = math.lgamma(p + 1)
-    bm_root = sum(bm_log_factor(r) for r in rows) - pad_log
+    bm_root = _fold(bm_log_factor(r) for r in rows) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
     densities = {}
     for i, dom in enumerate(domains):

@@ -284,12 +284,12 @@ def test_densities_normalized():
 
 def _recounted_table(c, domains):
     """The reference table: every probe recounts ``_probe_domains``."""
-    return probe_table(
-        c, domains, c.log_count(domains),
-        lambda i: {
-            d: c.log_count(c._probe_domains(domains, i, d)) for d in sorted(domains[i])
-        },
-    )
+    values = [sorted(dom) for dom in domains]
+    scores = [
+        [c.log_count(c._probe_domains(domains, i, d)) for d in vals]
+        for i, vals in enumerate(values)
+    ]
+    return probe_table(c, domains, c.log_count(domains), values, scores)
 
 
 def _bits(table):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from countsearch.alldiff import AllDifferent
+from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.bench import apply_overrides, build_model, generate_magic
 from countsearch.engine import CONSISTENT, DOMAIN, WIPEOUT, Constraint, Model
 from countsearch.heuristics import (
@@ -25,13 +25,18 @@ from countsearch.heuristics import (
     VarThenValue,
     WdegState,
     WSCAvg,
+    _rel_ratio_keys,
+    _rel_sd_keys,
+    _sd_keys,
     _wdeg_sums,
     make_heuristic,
 )
-from countsearch.knapsack import GAUSSIAN, Knapsack
+from countsearch.gcc import GlobalCardinality
+from countsearch.knapsack import EXACT, GAUSSIAN, Knapsack
+from countsearch.regular import Regular
 from countsearch.search import SAT, dfs, lds, restart_search
 
-from conftest import random_micro_model
+from conftest import random_automaton, random_micro_model
 
 
 def golden_knapsack_model():
@@ -554,3 +559,73 @@ def test_table_least_keys_give_the_full_scan_pick(seed, name, search):
 
     h.choose = checking
     SEARCHES[search](model, h)
+
+
+# ----------------------------------------------------------------------
+# rank keys read from a table's entries against a scan of its scope
+# ----------------------------------------------------------------------
+RULES = {"maxSD": _sd_keys, "maxRelSD": _rel_sd_keys, "maxRelRatio": _rel_ratio_keys}
+
+
+@st.composite
+def _counted_models(draw):
+    """A model with one counting constraint of any kind over up to five
+    variables, some of which may fill two or three scope positions."""
+    n = draw(st.integers(2, 5))
+    n_values = draw(st.integers(2, 4))
+    values = st.integers(1, n_values)
+    kind = draw(
+        st.sampled_from(["alldifferent", "symmetric", "gcc", "regular", "knapsack", "gaussian"])
+    )
+    m = Model()
+    if kind == "symmetric":
+        entities = st.integers(1, n)
+        xs = [m.new_variable(draw(st.sets(entities, min_size=1))) for _ in range(n)]
+        return m, m.add(SymmetricAllDifferent(xs))
+    xs = [m.new_variable(draw(st.sets(values, min_size=1))) for _ in range(n)]
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    scope = draw(st.permutations(xs + [xs[i] for i in repeats]))
+    if kind == "alldifferent":
+        c = AllDifferent(scope)
+    elif kind == "gcc":
+        lower = draw(st.dictionaries(values, st.integers(0, 1)))
+        upper = draw(st.dictionaries(values, st.integers(1, len(scope))))
+        c = GlobalCardinality(scope, lower, upper)
+    elif kind == "regular":
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        c = Regular(scope, random_automaton(rng, 3, range(1, n_values + 1)))
+    else:
+        coeffs = draw(st.lists(st.integers(0, 4), min_size=len(scope), max_size=len(scope)))
+        top = sum(coeffs) * n_values
+        lo = draw(st.integers(0, top))
+        hi = draw(st.integers(lo, top))
+        mode = GAUSSIAN if kind == "gaussian" else EXACT
+        c = Knapsack(scope, coeffs, lo, hi, mode=mode)
+    return m, m.add(c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_counted_models())
+def test_table_rules_list_the_keys_of_a_scope_scan(case):
+    """Each table rule lists the keys of the scope scan (``_all_keys``,
+    one scope variable at a time), repeats counted, so the table's two
+    least keys, and the randomized picks drawn from them, are the
+    scan's."""
+    model, c = case
+    assume(model.propagate() == CONSISTENT)
+    domains = model._domains
+    table = model.density_table(c)
+    for name, rule in RULES.items():
+        scan = sorted(_all_keys(name, model))
+        assert sorted(rule(table, domains)) == scan
+        assert table.least_keys(rule, domains) == tuple(scan[:2])
+        rng = _Forced()
+        h = make_heuristic(name, model, rng)
+        for index in (0, 1):
+            rng.index = index
+            pick = h.choose(model, randomized=True)
+            if not scan:
+                assert pick is None
+                continue
+            _, vi, d = scan[index] if len(scan) > 1 else scan[0]
+            assert (pick[0].index, pick[1]) == (vi, d)
