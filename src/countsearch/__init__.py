@@ -2,7 +2,6 @@
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
 from .engine import (
-    BOUNDS,
     CONSISTENT,
     DOMAIN,
     FORWARD_CHECKING,
@@ -21,7 +20,6 @@ from .search import SAT, TIMEOUT, UNSAT, SearchStats, dfs, lds, restart_search
 __all__ = [
     "AllDifferent",
     "Automaton",
-    "BOUNDS",
     "CONSISTENT",
     "Constraint",
     "DensityTable",

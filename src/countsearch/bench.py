@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
-from .engine import BOUNDS, Model
+from .engine import FORWARD_CHECKING, Model
 from .heuristics import make_heuristic
 from .knapsack import GAUSSIAN, Knapsack
 from .regular import Automaton, Regular
@@ -160,13 +160,13 @@ def build_model(instance: Instance) -> Model:
 
 def apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None:
     """Set every constraint's consistency, and every Knapsack's mode (the
-    Gaussian mode filters bounds only)."""
+    Gaussian mode runs the bounds filter of forward checking)."""
     for c in model.constraints:
         c.consistency = consistency
         if isinstance(c, Knapsack):
             c.mode = knapsack_mode
             if knapsack_mode == GAUSSIAN:
-                c.consistency = BOUNDS
+                c.consistency = FORWARD_CHECKING
 
 
 def run_job(

@@ -55,13 +55,13 @@ _kind_option = click.option(
 
 # keyword arguments of bench.apply_overrides
 _model_options = _options(
-    click.option("--consistency", type=click.Choice(["fc", "bounds", "domain"]),
+    click.option("--consistency", type=click.Choice(["fc", "domain"]),
                  default="domain", show_default=True,
-                 help="Filtering level of every constraint.  'fc' and "
-                      "'bounds' run the same filtering on every family: "
+                 help="Filtering level of every constraint.  'fc' is "
                       "forward checking for AllDifferent and "
-                      "GlobalCardinality, bounds for Knapsack; Regular and "
-                      "SymmetricAllDifferent filter alike at every level."),
+                      "GlobalCardinality and the bounds filter for "
+                      "Knapsack; Regular and SymmetricAllDifferent filter "
+                      "alike at both levels."),
     click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
                  default=EXACT, show_default=True),
 )

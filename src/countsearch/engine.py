@@ -43,7 +43,6 @@ def float_sum(terms: Iterable[float]) -> float:
 
 # consistency levels
 FORWARD_CHECKING = "fc"
-BOUNDS = "bounds"
 DOMAIN = "domain"
 
 
@@ -258,9 +257,6 @@ class Model:
 
     def max(self, var: Variable) -> int:
         return max(self._domains[var.index])
-
-    def contains(self, var: Variable, value: int) -> bool:
-        return value in self._domains[var.index]
 
     def is_bound(self, var: Variable) -> bool:
         return len(self._domains[var.index]) == 1

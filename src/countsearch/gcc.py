@@ -7,13 +7,14 @@ allowed occurrence of each value (Regin, AAAI 1996).
 Counting decomposes the constraint into a lower-bound graph (duplicated
 value vertices for required occurrences) and a residual upper-bound
 graph, bounds each side with the permanent upper bounds, and rescales by
-the factorials of the duplicated and fake vertices.  ``bound_parts`` is
-the definition, on any list of domains.  Density probes (Zanarini &
-Pesant, Constraints 14(3), 2009) do not rebuild the probed domains: one
-pass over the root records the per-value residual bounds and the
-per-variable row sums of both graphs, and each probe moves only the rows
-its forward-checking step changes, giving the same rows, and so the same
-floats, as ``bound_parts`` on the probed domains.
+the factorials of the duplicated and fake vertices.  One pass over the
+domains (``_Root``) records the per-value residual bounds and the
+per-variable row sums of both graphs, and one tail (``_Root.parts``)
+bounds those rows.  The constraint's count, ``bound_parts`` and every
+density probe (Zanarini & Pesant, Constraints 14(3), 2009) go through
+the two: a probe does not rebuild the probed domains but moves only the
+rows its forward-checking step changes, giving the same rows, and so
+the same floats, as ``bound_parts`` on the probed domains.
 """
 
 from __future__ import annotations
@@ -216,55 +217,7 @@ class GlobalCardinality(Constraint):
         upper-bound guarantee (the fake-row factorial inside the
         residual term is the exact multiplicity that is always present).
         """
-        values = sorted(set().union(*domains) | {d for d, l in self.lower.items() if l > 0})
-        counts: dict[int, int] = {}
-        unbound: list[int] = []
-        for i, dom in enumerate(domains):
-            if len(dom) == 1:
-                v = next(iter(dom))
-                counts[v] = counts.get(v, 0) + 1
-            else:
-                unbound.append(i)
-        low: dict[int, int] = {}
-        caps: dict[int, int] = {}  # u'_d - l'_d
-        for d in values:
-            low[d], caps[d] = self._residual(d, counts.get(d, 0))
-            if caps[d] < 0:
-                return -math.inf, -math.inf, 0.0
-        total_low = sum(low.values())
-        # variables left over once all residual lower bounds are met
-        K = len(unbound) - total_low
-        if K < 0:
-            return -math.inf, -math.inf, 0.0
-
-        denom = float_sum(math.lgamma(low[d] + 1) for d in values)
-
-        # lower graph: one column per required occurrence + K fake columns
-        if total_low == 0:
-            lower_log = 0.0
-        else:
-            rows = [sum(low[d] for d in domains[i] if d in low) + K for i in unbound]
-            if any(r == 0 for r in rows):
-                return -math.inf, -math.inf, denom
-            lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
-
-        # residual graph: u'-l' copies per value; K best variables kept
-        n_cols = sum(caps.values())
-        if K == 0:
-            upper_log = 0.0
-        elif n_cols < K:
-            return lower_log, -math.inf, denom
-        else:
-            rho = [(sum(caps.get(d, 0) for d in domains[i]), i) for i in unbound]
-            # K variables with the largest per-row factor, ties by index
-            rho.sort(key=lambda t: (-t[0], t[1]))
-            chosen = [r for r, _ in rho[:K]]
-            if any(r == 0 for r in chosen):
-                return lower_log, -math.inf, denom
-            pad = n_cols - K  # fake rows
-            rows = chosen + [n_cols] * pad
-            upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
-        return lower_log, upper_log, denom
+        return _Root(self, domains).root_parts()
 
     def _residual(self, d: int, bound: int) -> tuple[int, int]:
         """(l'_d, u'_d - l'_d) once ``bound`` variables are bound to d."""
@@ -273,9 +226,7 @@ class GlobalCardinality(Constraint):
 
     def log_count(self, domains: Sequence[set[int]]) -> float:
         lower_log, upper_log, denom = self.bound_parts(domains)
-        if lower_log == -math.inf or upper_log == -math.inf:
-            return -math.inf
-        return lower_log + upper_log - denom
+        return lower_log + upper_log - denom  # -inf when either part is
 
     def _probe_domains(
         self, domains: Sequence[set[int]], i: int, d: int
@@ -293,26 +244,38 @@ class GlobalCardinality(Constraint):
         return probed
 
     def count_densities(self, model: Model) -> DensityTable:
-        """Densities from forward-checking probes, each bounded by
-        ``log_count`` of ``_probe_domains`` without building it.
-
-        One pass over the root records, per value, its bound count, its
-        holders and its residual l'_d and u'_d - l'_d, and per unbound
-        position its lower-graph row sum (sum of l') and residual row sum
-        (sum of u' - l').  A probe (i, d) then applies only what the
-        forward-checking step changes: position i leaves the rows and d's
-        count rises by one; when d reaches its upper bound it leaves the
-        other unbound domains, binding those with one other value; values
-        only position i held drop out.  The rows holding a changed value
-        move by its change in l' and u' - l'.  The probe builds the same
-        integer rows in the same order as ``bound_parts`` and makes the
-        same bound calls, so every float is the one ``log_count`` gives.
-        """
+        """Densities from forward-checking probes, each bounded as
+        ``log_count`` of ``_probe_domains`` would bound it, from one
+        ``_Root`` pass that also gives the table's count."""
         domains = self._domains(model)
-        counts: Counter[int] = Counter()  # bound positions per value
-        holders: Counter[int] = Counter()  # positions per value
-        held_by: dict[int, list[int]] = {}  # row indices of the unbound holders
-        unbound: list[int] = []
+        root = _Root(self, domains)
+        values = [sorted(dom) for dom in domains]
+        scores = [
+            root.probes(i, vals) if len(vals) > 1 else []
+            for i, vals in enumerate(values)
+        ]
+        lower_log, upper_log, denom = root.root_parts()
+        return probe_table(self, domains, lower_log + upper_log - denom, values, scores)
+
+
+class _Root:
+    """One pass over a GCC's domains, shared by its count and its probes.
+
+    Per value it records the bound count, the holders, the unbound rows
+    holding it and the residual l'_d and u'_d - l'_d; per unbound
+    position, in scope order, the lower-graph row sum (sum of l') and
+    the residual row sum (sum of u' - l').  ``parts`` bounds these rows
+    once a probe has moved them; the probe that moves nothing gives
+    ``bound_parts``.
+    """
+
+    def __init__(self, gcc: GlobalCardinality, domains: Sequence[set[int]]):
+        self.gcc = gcc
+        self.domains = domains
+        self.counts = counts = Counter()  # bound positions per value
+        self.holders = holders = Counter()  # positions per value
+        self.held_by = held_by = {}  # rows of each value's unbound holders
+        self.unbound = unbound = []  # the unbound positions, one per row
         for k, dom in enumerate(domains):
             holders.update(dom)
             if len(dom) == 1:
@@ -321,93 +284,121 @@ class GlobalCardinality(Constraint):
             for d in dom:
                 held_by.setdefault(d, []).append(len(unbound))
             unbound.append(k)
-        required = {d for d, l in self.lower.items() if l > 0}
-        low: dict[int, int] = {}
-        cap: dict[int, int] = {}  # u'_d - l'_d
-        for d in set(holders) | required:
-            low[d], cap[d] = self._residual(d, counts[d])
-        bad = [d for d, c in cap.items() if c < 0]  # residual bounds cross
-        total_low = sum(low.values())
-        n_cols = sum(cap.values())
-        # values whose term of the log denominator can be nonzero, sorted
-        heavy = sorted(d for d, l in low.items() if l > 1)
-        low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
-        cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
+        self.required = {d for d, l in gcc.lower.items() if l > 0}
+        self.low = low = {}
+        self.cap = cap = {}  # u'_d - l'_d
+        for d in set(holders) | self.required:
+            low[d], cap[d] = gcc._residual(d, counts[d])
+        self.bad = [d for d, c in cap.items() if c < 0]  # residual bounds cross
+        self.total_low = sum(low.values())
+        self.n_cols = sum(cap.values())
+        # values whose term of the log denominator can be nonzero, sorted;
+        # lgamma(1) and lgamma(2) are 0.0, which leaves a float sum as is
+        self.heavy = sorted(d for d, l in low.items() if l > 1)
+        self.low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
+        self.cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
 
-        def scores_for(i: int) -> list[float]:
-            row_i = unbound.index(i)
-            # values only position i holds and no lower bound keeps: they
-            # drop out when i is bound to another value
-            alone = {d for d in domains[i] if holders[d] == 1} - required
-            alone_cols = sum(cap[d] for d in alone)
+    def root_parts(self) -> tuple[float, float, float]:
+        if self.bad:
+            return -math.inf, -math.inf, 0.0
+        return self.parts({}, [], 0)
 
-            def probe(d: int) -> float:
-                if bad and any(e == d or e not in alone for e in bad):
-                    return -math.inf
-                c = counts[d] + 1
-                changed = {d: self._residual(d, c)}
-                if changed[d][1] < 0:
-                    return -math.inf
-                gone = [row_i]
-                if c == self.high(d):
-                    # d saturates and leaves the other unbound domains
-                    binds: dict[int, int] = {}  # value -> positions bound to it
-                    for r in held_by[d]:
-                        dom = domains[unbound[r]]
-                        if r != row_i and len(dom) == 2:
-                            gone.append(r)
-                            for e in dom:
-                                if e != d:
-                                    binds[e] = binds.get(e, 0) + 1
-                    for e, n in binds.items():
-                        changed[e] = self._residual(e, counts[e] + n)
-                        if changed[e][1] < 0:
-                            return -math.inf
-                sum_low = total_low
-                cols = n_cols - alone_cols + (cap[d] if d in alone else 0)
-                lows = low_rows.copy()
-                caps = cap_rows.copy()
-                for e, (l, u) in changed.items():
-                    dl, dc = l - low[e], u - cap[e]
-                    sum_low += dl
-                    cols += dc
-                    if dl or dc:
-                        for r in held_by[e]:
-                            lows[r] += dl
-                            caps[r] += dc
-                for r in sorted(gone, reverse=True):
-                    del lows[r], caps[r]
-                K = len(lows) - sum_low
-                if K < 0:
-                    return -math.inf
-                if sum_low == 0:
-                    lower_log = 0.0
-                else:
-                    rows = [r + K for r in lows]
-                    if 0 in rows:
+    def parts(
+        self, changed: dict[int, tuple[int, int]], gone: list[int], dropped: int
+    ) -> tuple[float, float, float]:
+        """``bound_parts`` of the rows once each value e in ``changed`` has
+        the residual bounds ``changed[e]``, the rows ``gone`` have left,
+        and values holding ``dropped`` residual columns have dropped out.
+
+        With K the rows left over once every l' is met, the lower graph
+        gets K fake columns, and the residual graph keeps the K largest
+        rows plus one fake row per column beyond K."""
+        low, cap, held_by = self.low, self.cap, self.held_by
+        sum_low = self.total_low
+        cols = self.n_cols - dropped
+        lows = self.low_rows.copy()
+        caps = self.cap_rows.copy()
+        for e, (l, u) in changed.items():
+            dl, dc = l - low[e], u - cap[e]
+            sum_low += dl
+            cols += dc
+            if dl or dc:
+                for r in held_by[e]:
+                    lows[r] += dl
+                    caps[r] += dc
+        for r in sorted(gone, reverse=True):
+            del lows[r], caps[r]
+        K = len(lows) - sum_low  # rows left over once every l' is met
+        if K < 0:
+            return -math.inf, -math.inf, 0.0
+        denom = float_sum(
+            math.lgamma(l + 1)
+            for l in (changed[e][0] if e in changed else low[e] for e in self.heavy)
+            if l > 1
+        )
+        # lower graph: one column per required occurrence + K fake columns
+        if sum_low == 0:
+            lower_log = 0.0
+        else:
+            rows = [r + K for r in lows]
+            if 0 in rows:
+                return -math.inf, -math.inf, denom
+            lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
+        # residual graph: u'-l' copies per value; the K largest rows kept
+        if K == 0:
+            return lower_log, 0.0, denom
+        caps.sort(reverse=True)
+        if cols < K or caps[K - 1] == 0:
+            return lower_log, -math.inf, denom
+        pad = cols - K  # fake rows
+        rows = caps[:K] + [cols] * pad
+        upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
+        return lower_log, upper_log, denom
+
+    def probes(self, i: int, values: list[int]) -> list[float]:
+        """The score of each probe x_i = d, d in ``values``: the log bound
+        once forward checking has applied it.  Position i leaves the rows
+        and d's count rises by one; when d reaches its upper bound it
+        leaves the other unbound domains, binding those with one other
+        value; values only position i held drop out.  The rows holding a
+        changed value move by its change in l' and u' - l'.  These are
+        the rows, in order, that ``bound_parts`` builds on
+        ``_probe_domains``, so every float is the same (Zanarini &
+        Pesant, Constraints 14(3), 2009)."""
+        domains, unbound, held_by = self.domains, self.unbound, self.held_by
+        counts, cap, bad = self.counts, self.cap, self.bad
+        residual, high = self.gcc._residual, self.gcc.high
+        row_i = unbound.index(i)
+        # values only position i holds and no lower bound keeps: they
+        # drop out when i is bound to another value
+        alone = {d for d in domains[i] if self.holders[d] == 1} - self.required
+        alone_cols = sum(cap[d] for d in alone)
+
+        def probe(d: int) -> float:
+            if bad and any(e == d or e not in alone for e in bad):
+                return -math.inf
+            c = counts[d] + 1
+            changed = {d: residual(d, c)}
+            if changed[d][1] < 0:
+                return -math.inf
+            gone = [row_i]
+            if c == high(d):
+                # d saturates and leaves the other unbound domains
+                binds: dict[int, int] = {}  # value -> positions bound to it
+                for r in held_by[d]:
+                    dom = domains[unbound[r]]
+                    if r != row_i and len(dom) == 2:
+                        gone.append(r)
+                        for e in dom:
+                            if e != d:
+                                binds[e] = binds.get(e, 0) + 1
+                for e, n in binds.items():
+                    changed[e] = residual(e, counts[e] + n)
+                    if changed[e][1] < 0:
                         return -math.inf
-                    lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
-                if K == 0:
-                    upper_log = 0.0
-                elif cols < K:
-                    return -math.inf
-                else:
-                    caps.sort(reverse=True)
-                    del caps[K:]
-                    if caps[-1] == 0:
-                        return -math.inf
-                    pad = cols - K
-                    rows = caps + [cols] * pad
-                    upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
-                denom = float_sum(
-                    math.lgamma(l + 1)
-                    for l in (changed[e][0] if e in changed else low[e] for e in heavy)
-                    if l > 1
-                )
-                return lower_log + upper_log - denom
+            dropped = alone_cols - (cap[d] if d in alone else 0)
+            lower_log, upper_log, denom = self.parts(changed, gone, dropped)
+            return lower_log + upper_log - denom
 
-            return list(map(probe, values[i]))
+        return list(map(probe, values))
 
-        values = [sorted(dom) for dom in domains]
-        scores = [scores_for(i) if len(dom) > 1 else [] for i, dom in enumerate(domains)]
-        return probe_table(self, domains, self.log_count(domains), values, scores)

@@ -1,13 +1,14 @@
 """Linear (knapsack) constraint: l <= c.x <= u.
 
 Two counting modes are provided.  The exact mode builds the reduced
-layered graph over reachable partial sums, the regular constraint's
-``LayeredGraph``, for domain-consistent filtering and exact path-count
-densities; it builds the graph once per model and then deletes arcs as
-values leave the domains (Trick, CPAIOR 2003).  The Gaussian mode never
-builds the graph: it treats the sum of the other variables as
-approximately normal, computing the constraint-wide mean and variance
-once per table so each (variable, value) density costs O(1).
+layered graph over reachable partial sums with the regular constraint's
+builder, ``layered_graph``, for domain-consistent filtering and exact
+path-count densities; it builds the graph once per model and then
+deletes arcs as values leave the domains (Trick, CPAIOR 2003).  The
+Gaussian mode never builds the graph: it treats the sum of the other
+variables as approximately normal, computing the constraint-wide mean
+and variance once per table so each (variable, value) density costs
+O(1).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from typing import Sequence
 
 from .engine import DOMAIN, DensityTable, Model, Variable, float_sum
-from .regular import GraphConstraint, LayeredGraph
+from .regular import GraphConstraint, LayeredGraph, layered_graph
 
 EXACT = "exact"
 GAUSSIAN = "gaussian"
@@ -38,31 +39,23 @@ def interval_moments(values: Sequence[int]) -> tuple[float, float]:
 def build_sum_graph(
     coeffs: Sequence[int], domains: Sequence[set[int]], lower: int, upper: int
 ) -> LayeredGraph:
-    """Forward-reachable, backward-completable graph over the partial sums
-    b_0 = 0, b_i = sum_{j<=i} c_j x_j (Trick's DP)."""
-    k = len(domains)
-    forward: list[set[int]] = [set() for _ in range(k + 1)]
-    forward[0].add(0)
-    for i in range(k):
-        c = coeffs[i]
-        nxt = forward[i + 1]
-        for b in forward[i]:
-            for d in domains[i]:
-                nxt.add(b + c * d)
-    layers: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(k + 1)]
-    layers[k] = {b: [] for b in forward[k] if lower <= b <= upper}
-    for i in range(k - 1, -1, -1):
-        c = coeffs[i]
-        keep = layers[i + 1]
-        for b in forward[i]:
-            arcs = []
-            for d in domains[i]:
-                b2 = b + c * d
-                if b2 in keep:
-                    arcs.append((d, b2))
-            if arcs:
-                layers[i][b] = arcs
-    return LayeredGraph(layers, 0)
+    """The pruned layered graph over the partial sums b_0 = 0,
+    b_i = sum_{j<=i} c_j x_j (Trick's DP).  An arc is made only into a
+    sum b_{i+1} from which the remaining terms can still reach
+    [lower, upper], within lo[i + 1] <= b_{i+1} <= hi[i + 1]."""
+    lo, hi = [lower], [upper]
+    for c, dom in zip(reversed(coeffs), reversed(domains)):
+        terms = [c * d for d in dom]
+        lo.append(lo[-1] - max(terms, default=0))
+        hi.append(hi[-1] - min(terms, default=0))
+    lo.reverse()
+    hi.reverse()
+
+    def successors(i: int, b: int, dom: set[int]) -> list[tuple[int, int]]:
+        c, low, high = coeffs[i], lo[i + 1], hi[i + 1]
+        return [(d, s) for d in dom if low <= (s := b + c * d) <= high]
+
+    return layered_graph(0, successors, lambda b: lower <= b <= upper, domains)
 
 
 class Knapsack(GraphConstraint):

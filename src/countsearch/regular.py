@@ -7,13 +7,18 @@ the pruned graph corresponds to exactly one accepted tuple, so exact
 solution counts and per-pair solution densities come from incoming and
 outgoing path counts at each arc.  The graph is built once per model and
 then follows the domains by trailed arc deletion (Pesant, CP 2004).
+
+``layered_graph`` is the one builder, a forward reach and a backward
+prune over any successor function; ``build_layered_graph`` steps the
+automaton, and exact ``Knapsack``'s ``build_sum_graph`` adds a
+coefficient times the value to a partial sum.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 
@@ -52,10 +57,11 @@ class LayeredGraph:
     """Trailed layered graph shared by ``Regular`` and exact ``Knapsack``.
 
     Built once from ``layers``, where ``layers[i]`` maps each vertex at
-    depth i to its outgoing arcs ``(value, next_vertex)``; the builders
-    keep only vertices on at least one start-to-last-layer path.  The
-    graph is then kept in step with shrinking domains by deleting arcs
-    (``sync``) and restored by reviving them (``undo``).
+    depth i to its outgoing arcs ``(value, next_vertex)``;
+    ``layered_graph`` keeps only vertices on at least one
+    start-to-last-layer path.  The graph is then kept in step with
+    shrinking domains by deleting arcs (``sync``) and restored by
+    reviving them (``undo``).
 
     Storage is flat.  Vertices are numbered layer by layer, the last
     layer's from ``final`` on.  Arcs are sorted by (layer, value), so
@@ -319,43 +325,51 @@ class GraphConstraint(Constraint):
         return DensityTable(self, math.log(count), densities)
 
 
+def layered_graph(
+    start: object,
+    successors: Callable[[int, object, set[int]], list[tuple[int, object]]],
+    accept: Callable[[object], bool],
+    domains: Sequence[set[int]],
+) -> LayeredGraph:
+    """The layered graph of the paths from ``start`` through one layer per
+    domain to a vertex ``accept`` takes, pruned to the vertices on such a
+    path (Pesant, CP 2004; Trick, CPAIOR 2003).
+
+    ``successors(i, v, dom)`` lists the arcs ``(value, next_vertex)`` out
+    of vertex v at depth i over the values of ``dom``.  The forward pass
+    calls it once per reachable vertex; the backward pass keeps the arcs
+    into kept vertices and each vertex with one left.
+    """
+    reached: list[dict[object, list[tuple[int, object]]]] = []
+    frontier = {start}
+    for i, dom in enumerate(domains):
+        arcs = {v: successors(i, v, dom) for v in frontier}
+        reached.append(arcs)
+        frontier = {w for out in arcs.values() for _, w in out}
+    layers = [{v: [] for v in frontier if accept(v)}]
+    for arcs in reversed(reached):
+        keep = layers[-1]
+        layer = {}
+        for v, out in arcs.items():
+            live = [a for a in out if a[1] in keep]
+            if live:
+                layer[v] = live
+        layers.append(layer)
+    layers.reverse()
+    return LayeredGraph(layers, start)
+
+
 def build_layered_graph(
     automaton: Automaton, domains: Sequence[set[int]]
 ) -> LayeredGraph:
-    """Forward/backward construction of the pruned layered graph.
-
-    Keeps only vertices on at least one accepting path.
-    """
-    k = len(domains)
+    """The pruned layered graph over the automaton's states."""
     step = automaton.step
 
-    # forward pass: reachable states per layer
-    reachable: list[set[object]] = [set() for _ in range(k + 1)]
-    reachable[0].add(automaton.initial)
-    for i, dom in enumerate(domains):
-        for state in reachable[i]:
-            for d in dom:
-                nxt = step(state, d)
-                if nxt is not None:
-                    reachable[i + 1].add(nxt)
+    def successors(i: int, state: object, dom: set[int]) -> list[tuple[int, object]]:
+        return [(d, nxt) for d in dom if (nxt := step(state, d)) is not None]
 
-    # backward pass: keep vertices that reach an accepting final state
-    layers: list[dict[object, list[tuple[int, object]]]] = [
-        {} for _ in range(k + 1)
-    ]
-    layers[k] = {state: [] for state in reachable[k] & automaton.accepting}
-    for i in range(k - 1, -1, -1):
-        dom = domains[i]
-        alive = layers[i + 1]
-        for state in reachable[i]:
-            arcs = []
-            for d in dom:
-                nxt = step(state, d)
-                if nxt is not None and nxt in alive:
-                    arcs.append((d, nxt))
-            if arcs:
-                layers[i][state] = arcs
-    return LayeredGraph(layers, automaton.initial)
+    accept = automaton.accepting.__contains__
+    return layered_graph(automaton.initial, successors, accept, domains)
 
 
 class Regular(GraphConstraint):

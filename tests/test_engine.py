@@ -3,7 +3,7 @@
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
-from countsearch.engine import BOUNDS, CONSISTENT, WIPEOUT, Constraint, Model
+from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Constraint, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
@@ -175,7 +175,7 @@ def test_bounds_knapsack_and_repeated_scope_are_not_idempotent():
     assert not Regular([x, y, x], NEQ).idempotent
     knapsack = Knapsack([x, y], [1, 1], 1, 1)
     assert knapsack.idempotent
-    knapsack.consistency = BOUNDS
+    knapsack.consistency = FORWARD_CHECKING
     assert not knapsack.idempotent
     assert not Knapsack([x, x], [1, 1], 1, 1).idempotent
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from countsearch.bench import build_model, generate_marketsplit
-from countsearch.engine import BOUNDS, CONSISTENT, WIPEOUT, Model
+from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.heuristics import MaxSD
 from countsearch.knapsack import (
     EXACT,
@@ -122,7 +122,7 @@ def test_exact_densities_match_oracle_randomized():
 def test_bounds_filter_prunes_interval_infeasible_values():
     m = Model()
     xs = [m.new_variable({0, 1, 2, 5}), m.new_variable({0, 1})]
-    m.add(Knapsack(xs, [1, 1], 0, 3, consistency=BOUNDS))
+    m.add(Knapsack(xs, [1, 1], 0, 3, consistency=FORWARD_CHECKING))
     assert m.propagate() == CONSISTENT
     assert 5 not in m.domain(xs[0])  # 5 + min(other)=0 > 3
 
@@ -130,7 +130,7 @@ def test_bounds_filter_prunes_interval_infeasible_values():
 def test_bounds_filter_wipes_out_infeasible_interval():
     m = Model()
     xs = [m.new_variable({4, 5}), m.new_variable({4, 5})]
-    m.add(Knapsack(xs, [1, 1], 0, 3, consistency=BOUNDS))
+    m.add(Knapsack(xs, [1, 1], 0, 3, consistency=FORWARD_CHECKING))
     assert m.propagate() == WIPEOUT
 
 
@@ -261,7 +261,7 @@ def test_gaussian_residual_fallback_is_exact():
 def test_gaussian_table_has_no_count():
     m = Model()
     xs = [m.new_variable({0, 1, 2}) for _ in range(3)]
-    m.add(Knapsack(xs, [1, 1, 1], 2, 4, mode=GAUSSIAN, consistency=BOUNDS))
+    m.add(Knapsack(xs, [1, 1, 1], 2, 4, mode=GAUSSIAN, consistency=FORWARD_CHECKING))
     m.propagate()
     table = m.collect_densities()[0]
     assert table.log_count == -math.inf
@@ -286,7 +286,7 @@ def test_gaussian_search_with_zero_coefficients(seed):
     knapsacks = [c for c in model.constraints if isinstance(c, Knapsack)]
     assert any(0 in c.coeffs for c in knapsacks)
     for c in knapsacks:
-        c.mode, c.consistency = GAUSSIAN, BOUNDS
+        c.mode, c.consistency = GAUSSIAN, FORWARD_CHECKING
     assert model.propagate() == CONSISTENT
     for c in knapsacks:
         table = c.count_densities(model)

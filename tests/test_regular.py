@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countsearch.engine import CONSISTENT, WIPEOUT, Model
 from countsearch.knapsack import Knapsack, build_sum_graph
@@ -59,6 +61,56 @@ def test_layered_graph_weights_partition_count(build):
     assert count > 0
     for i in range(graph.k):
         assert sum(weights[graph.layer_slot[i] : graph.layer_slot[i + 1]]) == count
+
+
+def _sum_automaton(coeffs, domains, lower, upper):
+    """An automaton over (layer, partial sum) states that accepts exactly
+    the words whose weighted sum lies in [lower, upper]."""
+    transitions = {}
+    layer = {0}
+    for i, (c, dom) in enumerate(zip(coeffs, domains)):
+        nxt = set()
+        for b in layer:
+            for d in dom:
+                transitions[(i, b), d] = (i + 1, b + c * d)
+                nxt.add(b + c * d)
+        layer = nxt
+    accepting = [(len(domains), b) for b in layer if lower <= b <= upper]
+    return Automaton(transitions, (0, 0), accepting)
+
+
+def _layer_weights(graph):
+    count, weights = graph.path_counts()
+    slots = {
+        (i, graph.values[s]): weights[s]
+        for i in range(graph.k)
+        for s in range(graph.layer_slot[i], graph.layer_slot[i + 1])
+    }
+    return count, slots, graph.empty()
+
+
+@st.composite
+def _sum_cases(draw):
+    k = draw(st.integers(0, 5))
+    coeffs = draw(st.lists(st.integers(-3, 4), min_size=k, max_size=k))
+    domains = draw(
+        st.lists(st.sets(st.integers(0, 3), min_size=1), min_size=k, max_size=k)
+    )
+    lower = draw(st.integers(-6, 12))
+    return coeffs, domains, lower, lower + draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sum_cases())
+# two 0/1 terms never sum to 5: no path survives
+@example(([1, 1], [{0, 1}, {0, 1}], 5, 6))
+def test_sum_graph_equals_partial_sum_automaton_graph(case):
+    """Both front-ends of the one builder give the same path count, the
+    same weight per (layer, value) slot and the same ``empty()``."""
+    coeffs, domains, lower, upper = case
+    sums = build_sum_graph(coeffs, domains, lower, upper)
+    words = build_layered_graph(_sum_automaton(coeffs, domains, lower, upper), domains)
+    assert _layer_weights(sums) == _layer_weights(words)
 
 
 @pytest.mark.parametrize(
