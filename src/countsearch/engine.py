@@ -381,6 +381,10 @@ class Model:
         return len(self._level_marks) - 1
 
     def push_level(self) -> int:
+        """Open a level.  Leaving level 0 empties the trail: no backtrack
+        goes below level 0, so nothing recorded there is ever undone."""
+        if len(self._level_marks) == 1:
+            self._trail.clear()
         self._level_marks.append(len(self._trail))
         return self.level
 

@@ -14,13 +14,17 @@ bounds those rows.  The constraint's count, ``bound_parts`` and every
 density probe (Zanarini & Pesant, Constraints 14(3), 2009) go through
 the two: a probe does not rebuild the probed domains but moves only the
 rows its forward-checking step changes, giving the same rows, and so
-the same floats, as ``bound_parts`` on the probed domains.
+the same floats, as ``bound_parts`` on the probed domains.  The tail
+bounds each padded matrix through one bounded memo keyed on its rows in
+order and its padding (``padded_log_bound``): a roster's tables ask for
+a few hundred distinct matrices tens of thousands of times.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -258,6 +262,18 @@ class GlobalCardinality(Constraint):
         return probe_table(self, domains, lower_log + upper_log - denom, values, scores)
 
 
+@lru_cache(maxsize=4096)
+def padded_log_bound(rows: tuple[int, ...], pad: int) -> float:
+    """The tighter of Bregman-Minc and Liang-Bai on the row sums ``rows``,
+    less log(pad!) for the ``pad`` fake rows or columns among them.
+
+    Memoized on the rows in their order, as Bregman-Minc adds its terms
+    left to right: a roster's tables bound the same few matrices over and
+    over.  Each miss calls both kernels through this module's globals.
+    """
+    return min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
+
+
 class _Root:
     """One pass over a GCC's domains, shared by its count and its probes.
 
@@ -340,10 +356,10 @@ class _Root:
         if sum_low == 0:
             lower_log = 0.0
         else:
-            rows = [r + K for r in lows]
+            rows = tuple([r + K for r in lows])
             if 0 in rows:
                 return -math.inf, -math.inf, denom
-            lower_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(K + 1)
+            lower_log = padded_log_bound(rows, K)
         # residual graph: u'-l' copies per value; the K largest rows kept
         if K == 0:
             return lower_log, 0.0, denom
@@ -351,8 +367,7 @@ class _Root:
         if cols < K or caps[K - 1] == 0:
             return lower_log, -math.inf, denom
         pad = cols - K  # fake rows
-        rows = caps[:K] + [cols] * pad
-        upper_log = min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
+        upper_log = padded_log_bound(tuple(caps[:K] + [cols] * pad), pad)
         return lower_log, upper_log, denom
 
     def probes(self, i: int, values: list[int]) -> list[float]:

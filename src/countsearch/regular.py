@@ -17,7 +17,7 @@ coefficient times the value to a partial sum.
 from __future__ import annotations
 
 import math
-from array import array
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
@@ -53,6 +53,19 @@ class Automaton:
         return state in self.accepting
 
 
+#: entry i is the int object i: every int a graph's vertex, slot and arc
+#: lists hold is one of these, so the graphs own no int objects of their
+#: own; grown on demand, never shrunk
+_INTS: list[int] = []
+
+
+def shared_ints(n: int) -> list[int]:
+    """The shared int objects, grown to hold 0 .. n - 1 at least."""
+    if len(_INTS) < n:
+        _INTS.extend(range(len(_INTS), n))
+    return _INTS
+
+
 class LayeredGraph:
     """Trailed layered graph shared by ``Regular`` and exact ``Knapsack``.
 
@@ -75,10 +88,10 @@ class LayeredGraph:
     ``outdeg``/``indeg`` count the live arcs of each vertex; ``alive``
     flags each arc and ``log`` lists the deleted arcs in order.
     ``out_arcs``/``in_arcs`` are the arcs of each vertex, vertex v's in
-    ``out_ptr[v]:out_ptr[v + 1]`` (resp. ``in_ptr``).  Per-arc fields
-    are ``array('i')``; the counts each deletion changes (``support``,
-    ``outdeg``, ``indeg``) are lists, whose items CPython reads and
-    writes faster than an array's.
+    ``out_ptr[v]:out_ptr[v + 1]`` (resp. ``in_ptr``).  The vertex, slot
+    and arc ids and the positions these lists hold are ``shared_ints``
+    objects, and ``sync`` stores only objects already in them, so
+    reading an id allocates nothing and no graph owns ints of its own.
     """
 
     def __init__(
@@ -88,18 +101,23 @@ class LayeredGraph:
         self.k = k
         if start not in layers[0]:
             layers = [{} for _ in layers]  # no path survives
+        n = sum(map(len, layers))
+        n_arcs = sum(len(out) for layer in layers[:k] for out in layer.values())
+        ints = shared_ints(max(n, n_arcs + 1))
         ids: list[dict[object, int]] = []
-        n = 0
+        first = 0
         for layer in layers:
-            ids.append({v: n + j for j, v in enumerate(layer)})
-            n += len(layer)
+            ids.append(dict(zip(layer, ints[first : first + len(layer)])))
+            first += len(layer)
         self.start = ids[0].get(start, -1)
         self.final = n - len(layers[k])
-        src, dst, slot = array("i"), array("i"), array("i")
+        src: list[int] = []
+        dst: list[int] = []
+        slot: list[int] = []
         self.values: list[int] = []
         self.slot_index: list[dict[int, int]] = []
-        self.slot_start = array("i", [0])
-        self.layer_slot = array("i", [0])
+        self.slot_start = [ints[0]]
+        self.layer_slot = [ints[0]]
         for i in range(k):
             here, there = ids[i], ids[i + 1]
             by_value: dict[int, list[tuple[int, int]]] = {}
@@ -108,24 +126,24 @@ class LayeredGraph:
                     by_value.setdefault(d, []).append((here[v], there[nxt]))
             index = {}
             for d in sorted(by_value):
-                s = index[d] = len(self.values)
+                s = index[d] = ints[len(self.values)]
                 self.values.append(d)
                 for u, w in by_value[d]:
                     src.append(u)
                     dst.append(w)
                     slot.append(s)
-                self.slot_start.append(len(src))
+                self.slot_start.append(ints[len(src)])
             self.slot_index.append(index)
-            self.layer_slot.append(len(self.values))
+            self.layer_slot.append(ints[len(self.values)])
         self.src, self.dst, self.slot = src, dst, slot
         self.out_ptr, self.out_arcs, self.outdeg = _csr(src, n)
         self.in_ptr, self.in_arcs, self.indeg = _csr(dst, n)
         starts = self.slot_start
         self.support = [b - a for a, b in zip(starts, starts[1:])]
-        self.order = array("i", range(len(src)))
-        self.where = array("i", self.order)
-        self.alive = bytearray(b"\x01") * len(src)
-        self.log = array("i")
+        self.order = ints[:n_arcs]
+        self.where = ints[:n_arcs]
+        self.alive = bytearray(b"\x01") * n_arcs
+        self.log: list[int] = []
 
     # ------------------------------------------------------------------
     # arc deletion and revival
@@ -141,7 +159,7 @@ class LayeredGraph:
         slot, and the slot's live prefix then ends before it.
         """
         support, values, slot_start = self.support, self.values, self.slot_start
-        pending: list[array] = []
+        pending: list[list[int]] = []
         for i, dom in enumerate(domains):
             for s in range(self.layer_slot[i], self.layer_slot[i + 1]):
                 if support[s] and values[s] not in dom:
@@ -167,9 +185,9 @@ class LayeredGraph:
                     b = order[last]
                     p = where[a]
                     order[p] = b
-                    where[b] = p
                     order[last] = a
-                    where[a] = last
+                    where[a] = where[b]  # last, as the shared int
+                    where[b] = p
                     u = src[a]
                     outdeg[u] -= 1
                     if not outdeg[u] and indeg[u]:
@@ -239,16 +257,15 @@ class LayeredGraph:
         return self.path_counts()[0]
 
 
-def _csr(ends: array, n: int) -> tuple[array, array, list[int]]:
-    """Compressed adjacency of the arcs by one endpoint: the pointer
-    array, the arcs grouped by endpoint, and each vertex's arc count."""
+def _csr(ends: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Compressed adjacency of the arcs by one endpoint: the pointers, the
+    arcs grouped by endpoint, and each vertex's arc count."""
     deg = [0] * n
     for v in ends:
         deg[v] += 1
-    ptr = array("i", [0]) * (n + 1)
-    for v in range(n):
-        ptr[v + 1] = ptr[v] + deg[v]
-    arcs = array("i", sorted(range(len(ends)), key=ends.__getitem__))
+    ints = shared_ints(len(ends) + 1)
+    ptr = [ints[p] for p in accumulate(deg, initial=0)]
+    arcs = sorted(ints[: len(ends)], key=ends.__getitem__)
     return ptr, arcs, deg
 
 

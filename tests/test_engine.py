@@ -221,6 +221,26 @@ def test_trail_undo_runs_last_in_first_out_with_the_domains():
     assert m.domain(x) == {1, 2, 3}
 
 
+def test_leaving_level_zero_forgets_its_trail():
+    """No backtrack goes below level 0, so its entries stay on the trail
+    only until the first level above opens."""
+    m = Model()
+    x = m.new_variable({1, 2, 3})
+    m.remove_value(x, 3)
+    m.trail_undo(lambda arg: pytest.fail("level 0 was undone"), None)
+    assert len(m._trail) == 2
+    m.push_level()
+    assert m._trail == []
+    m.remove_value(x, 2)
+    m.backtrack_to(0)
+    assert m.domain(x) == {1, 2}
+    m.push_level()
+    m.push_level()
+    m.remove_value(x, 2)
+    m.backtrack_to(1)
+    assert m.domain(x) == {1, 2}
+
+
 @pytest.mark.parametrize(
     "make",
     [

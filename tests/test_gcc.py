@@ -241,14 +241,16 @@ def test_bounded_matrices_have_no_row_sum_above_their_size(monkeypatch):
     columns) and the residual graph (K chosen rows plus fake rows) are
     square, so no row sum exceeds the row count: the rows on which
     ``tests/test_factors.py`` certifies Liang-Bai never below
-    Bregman-Minc."""
+    Bregman-Minc.  The rows are recorded where ``_Root.parts`` asks for
+    a bound, so a memo hit is recorded too."""
     seen = []
+    bound = gcc.padded_log_bound
 
-    def recording(rows):
+    def recording(rows, pad):
         seen.append(list(rows))
-        return bm_log_bound(rows)
+        return bound(rows, pad)
 
-    monkeypatch.setattr(gcc, "bm_log_bound", recording)
+    monkeypatch.setattr(gcc, "padded_log_bound", recording)
     rng = random.Random(29)
     instances = [random_gcc(rng, n_vars=rng.randint(2, 7)) for _ in range(200)]
     instances += [_bounded_gcc(rng) for _ in range(400)]
@@ -366,3 +368,44 @@ def test_large_scope_table():
     for x in unbound:
         total = sum(table.density(x, d) for d in m.domain(x))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=12).map(tuple), st.integers(0, 9))
+@example((3, 3, 3), 0)  # repeated rows
+@example((4, 0, 2), 2)  # a zero row: -inf
+@example((), 1)
+def test_memoized_bound_equals_the_direct_expression(rows, pad):
+    """``padded_log_bound`` gives, on a miss and on a hit, the very float
+    of the expression it memoizes, and keys on the rows in their order."""
+    def direct(rows):
+        return min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
+
+    gcc.padded_log_bound.cache_clear()
+    miss = gcc.padded_log_bound(rows, pad)
+    hit = gcc.padded_log_bound(rows, pad)
+    assert gcc.padded_log_bound.cache_info().hits == 1
+    assert miss.hex() == hit.hex() == direct(rows).hex()
+    flipped = rows[::-1]
+    assert gcc.padded_log_bound(flipped, pad).hex() == direct(flipped).hex()
+
+
+def test_a_table_from_an_empty_memo_equals_one_from_a_filled_memo():
+    """Each table is counted once right after the memo is emptied and once
+    more, when every bound it asks for is a hit."""
+    rng = random.Random(37)
+    instances = [random_gcc(rng, n_vars=rng.randint(3, 7)) for _ in range(40)]
+    instances += [_bounded_gcc(rng) for _ in range(40)]
+    hits = 0
+    for c, domains in instances:
+        m = Model()
+        xs = [m.new_variable(set(d)) for d in domains]
+        constraint = GlobalCardinality(xs, c.lower, c.upper)
+        gcc.padded_log_bound.cache_clear()
+        empty = _bits(constraint.count_densities(m))
+        before = gcc.padded_log_bound.cache_info()
+        assert _bits(constraint.count_densities(m)) == empty
+        after = gcc.padded_log_bound.cache_info()
+        assert after.misses == before.misses
+        hits += after.hits - before.hits
+    assert hits > 100

@@ -8,13 +8,14 @@ live prefixes equal a scan of every arc."""
 import random
 from itertools import compress
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countsearch.bench import build_model, generate_marketsplit
+from countsearch.bench import build_model, generate_marketsplit, generate_rostering
 from countsearch.engine import CONSISTENT, Model
 from countsearch.knapsack import Knapsack
-from countsearch.regular import Automaton, Regular
+from countsearch.regular import Automaton, GraphConstraint, Regular, shared_ints
 
 SYMBOLS = range(4)
 
@@ -186,12 +187,11 @@ def test_synced_graph_matches_a_fresh_build(setup, data):
         _assert_counts_match(model, xs, constraint, make)
 
 
-def test_market_split_graphs_through_a_deep_search():
-    """The three exact knapsacks of a benchmark market split, whose
-    decisions cascade through most of each graph's arcs, checked after
-    every decision, refutation and backtrack of a seeded walk."""
-    model = build_model(generate_marketsplit(3, 0))
-    graphs = model.constraints
+def _deep_walk(model, check):
+    """A seeded walk of 60 decisions, refutations and backtracks on the
+    propagated ``model``, counting every graph constraint and calling
+    ``check`` on each one's graph after every step."""
+    graphs = [c for c in model.constraints if isinstance(c, GraphConstraint)]
     assert model.propagate() == CONSISTENT
     rng = random.Random(0)
     steps = {"assign": 0, "refute": 0, "wipeout": 0, "backtrack": 0}
@@ -209,5 +209,41 @@ def test_market_split_graphs_through_a_deep_search():
             model.backtrack_to(rng.randrange(model.level))
         for c in graphs:
             c.count_densities(model)
-            _assert_graph_state(c._graph)
+            check(c._graph)
+    return steps
+
+
+def test_market_split_graphs_through_a_deep_search():
+    """The three exact knapsacks of a benchmark market split, whose
+    decisions cascade through most of each graph's arcs, checked after
+    every decision, refutation and backtrack of a seeded walk."""
+    steps = _deep_walk(build_model(generate_marketsplit(3, 0)), _assert_graph_state)
     assert min(steps.values()) > 0
+
+
+#: every list of a graph that holds vertex, slot or arc ids or positions
+ID_LISTS = (
+    "src", "dst", "slot", "order", "where", "out_arcs", "in_arcs",
+    "out_ptr", "in_ptr", "slot_start", "layer_slot", "log",
+)
+
+
+def _assert_shared_ints(graph):
+    ints = shared_ints(0)
+    assert len(graph.src) > 256  # past CPython's cached small ints
+    for name in ID_LISTS:
+        for x in getattr(graph, name):
+            assert x is ints[x], name
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [generate_rostering(8, 16, seed=0), generate_marketsplit(3, 0)],
+    ids=["roster", "marketsplit"],
+)
+def test_graphs_hold_only_the_shared_ints(instance):
+    """After every step of a deep walk on roster Regulars and market-split
+    Knapsacks, each id and position a graph holds is the shared int object
+    for its value: building, deleting and reviving arcs make none of
+    their own."""
+    _deep_walk(build_model(instance), _assert_shared_ints)
