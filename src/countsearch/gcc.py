@@ -14,7 +14,11 @@ bounds those rows.  The constraint's count, ``bound_parts`` and every
 density probe (Zanarini & Pesant, Constraints 14(3), 2009) go through
 the two: a probe does not rebuild the probed domains but moves only the
 rows its forward-checking step changes, giving the same rows, and so
-the same floats, as ``bound_parts`` on the probed domains.  The tail
+the same floats, as ``bound_parts`` on the probed domains.  When every
+residual lower bound is 0, unbound positions with equal domains share
+one probe per value (``count_densities``): the lower graph, whose
+Bregman-Minc sum runs over its rows in scope order, is then empty, and
+the residual rows are bounded sorted.  The tail
 bounds each padded matrix through one bounded memo keyed on its rows in
 order and its padding (``padded_log_bound``): a roster's tables ask for
 a few hundred distinct matrices tens of thousands of times.
@@ -250,14 +254,31 @@ class GlobalCardinality(Constraint):
     def count_densities(self, model: Model) -> DensityTable:
         """Densities from forward-checking probes, each bounded as
         ``log_count`` of ``_probe_domains`` would bound it, from one
-        ``_Root`` pass that also gives the table's count."""
+        ``_Root`` pass that also gives the table's count.
+
+        When every residual lower bound l' is 0, the unbound positions
+        with equal domains share one list of probe scores: a probe keeps
+        every l' at 0, so its lower-graph term is 0.0, and its position
+        reaches the score only through the residual rows, which
+        ``_Root.parts`` sorts before bounding.  With a positive l' each
+        position is probed: the lower graph's Bregman-Minc sum runs over
+        the rows in scope order, so its last bits depend on which row a
+        probe removes."""
         domains = self._domains(model)
         root = _Root(self, domains)
         values = [sorted(dom) for dom in domains]
-        scores = [
-            root.probes(i, vals) if len(vals) > 1 else []
-            for i, vals in enumerate(values)
-        ]
+        share = root.total_low == 0
+        probed: dict[object, list[float]] = {}
+        scores = []
+        for i, vals in enumerate(values):
+            if len(vals) == 1:
+                scores.append([])
+                continue
+            key = tuple(vals) if share else i
+            row = probed.get(key)
+            if row is None:
+                row = probed[key] = root.probes(i, vals)
+            scores.append(row)
         lower_log, upper_log, denom = root.root_parts()
         return probe_table(self, domains, lower_log + upper_log - denom, values, scores)
 

@@ -28,7 +28,9 @@ class Automaton:
 
     ``transitions`` maps ``(state, symbol)`` to the successor state.
     States may be any hashable objects; symbols are the integer values
-    the constrained variables range over.
+    the constrained variables range over.  ``arcs`` lists each state's
+    out-arcs ``(symbol, next_state)`` in the order of ``transitions``; a
+    state without out-arcs has no entry.
     """
 
     def __init__(
@@ -38,6 +40,9 @@ class Automaton:
         accepting: Sequence[object],
     ):
         self.transitions = dict(transitions)
+        self.arcs: dict[object, list[tuple[int, object]]] = {}
+        for (state, symbol), nxt in self.transitions.items():
+            self.arcs.setdefault(state, []).append((symbol, nxt))
         self.initial = initial
         self.accepting = frozenset(accepting)
 
@@ -379,11 +384,18 @@ def layered_graph(
 def build_layered_graph(
     automaton: Automaton, domains: Sequence[set[int]]
 ) -> LayeredGraph:
-    """The pruned layered graph over the automaton's states."""
-    step = automaton.step
+    """The pruned layered graph over the automaton's states.
+
+    A state's successors are its ``Automaton.arcs`` whose symbol the
+    layer's domain holds.  They come in the automaton's order, not the
+    domain's, which renumbers only the graph's insides: counts and
+    weights are exact integers, and filtering removes values in scope
+    order.
+    """
+    arcs = automaton.arcs
 
     def successors(i: int, state: object, dom: set[int]) -> list[tuple[int, object]]:
-        return [(d, nxt) for d in dom if (nxt := step(state, d)) is not None]
+        return [a for a in arcs.get(state, ()) if a[0] in dom]
 
     accept = automaton.accepting.__contains__
     return layered_graph(automaton.initial, successors, accept, domains)

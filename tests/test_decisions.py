@@ -10,8 +10,11 @@ constraints (GCC and Regular counting; the second requires four tasks in
 every column, so its GCC densities go through the lower-bound graph), and
 every decision up to a cap
 of 60 backtracks on two market splits, whose searches backtrack through
-exact ``Knapsack`` graphs.  A speed-up of the counting kernels must
-reproduce them unchanged.
+exact ``Knapsack`` graphs.  The four jobs of perfbench's ``graph-maxSD``
+workload at seed 0 (two 10x24 rosters with GCC columns and two market
+splits, cap 300) are pinned by status, backtracks, nodes and a digest of
+their decisions.  A speed-up of the counting kernels must reproduce them
+unchanged.
 
 domWDeg learns its weights from the constraint each wipeout is blamed on,
 so which propagator runs first, and which one empties a domain, steers it.
@@ -32,6 +35,9 @@ maxRelSD and minSCMaxSD fix that draw and the order of the pairs.
 """
 
 import hashlib
+import importlib.util
+import os
+import sys
 
 import pytest
 
@@ -50,7 +56,7 @@ from countsearch.gcc import GlobalCardinality
 from countsearch.engine import FORWARD_CHECKING
 from countsearch.heuristics import DomWdeg, MaxSD, make_heuristic
 from countsearch.regular import Regular
-from countsearch.search import SAT, TIMEOUT, dfs, lds, restart_search
+from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
 
 
 def _qwh(order, seed, consistency=None):
@@ -225,6 +231,59 @@ def test_maxsd_dfs_decisions_on_market_split_are_pinned(name):
     assert stats.status == TIMEOUT
     assert stats.backtracks == backtracks
     assert heuristic.picks == decisions
+
+
+WORKLOADS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench",
+    "workloads.py",
+)
+
+#: perfbench ``graph-maxSD`` job at seed 0 -> (status, backtracks, nodes,
+#: first 16 hex digits of the SHA-256 of the repr of the (variable index,
+#: value) decision list), as ``perfbench/run.py`` records them: nodes
+#: counts every ``choose`` call, the decisions the picks it returns
+GOLDEN_GRAPH_JOBS = {
+    "roster-s0/maxSD": (SAT, 0, 229, "613d54a5ce08d5ef"),
+    "roster-s1/maxSD": (SAT, 0, 229, "16b5936b1fee994a"),
+    "marketsplit-s0/maxSD": (UNSAT, 274, 273, "ae7b8b868a992878"),
+    "marketsplit-s1/maxSD": (UNSAT, 290, 289, "91d3089b4c3077aa"),
+}
+
+
+def _graph_jobs():
+    """perfbench's ``graph-maxSD`` jobs at seed 0, by name, from its
+    workload module loaded from the file (registered under its own name,
+    as its dataclasses look their module up)."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {job.name: job for job in module.jobs_for("graph-maxSD", 0)}
+
+
+@pytest.mark.parametrize("name", GOLDEN_GRAPH_JOBS)
+def test_perfbench_graph_jobs_are_pinned(name):
+    job = _graph_jobs()[name]
+    built = job.build()
+    heuristic = built.heuristic
+    choose, picks = heuristic.choose, []
+    nodes = 0
+
+    def recorded(model, randomized=False):
+        nonlocal nodes
+        nodes += 1
+        pick = choose(model, randomized)
+        if pick is not None:
+            picks.append((pick[0].index, pick[1]))
+        return pick
+
+    heuristic.choose = recorded
+    stats = dfs(built.model, heuristic, backtrack_limit=job.cap)
+    digest = hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+    assert job.cap == 300
+    assert (stats.status, stats.backtracks, nodes, digest) == GOLDEN_GRAPH_JOBS[name]
 
 
 #: instance -> (status, backtracks, decisions, wipeout cause cids) under a

@@ -409,3 +409,81 @@ def test_a_table_from_an_empty_memo_equals_one_from_a_filled_memo():
         assert after.misses == before.misses
         hits += after.hits - before.hits
     assert hits > 100
+
+
+def _probed_per_position(c, domains):
+    """The reference table: ``_Root.probes`` for every unbound position,
+    none of them sharing another's scores."""
+    root = gcc._Root(c, domains)
+    values = [sorted(dom) for dom in domains]
+    scores = [
+        root.probes(i, vals) if len(vals) > 1 else []
+        for i, vals in enumerate(values)
+    ]
+    lower_log, upper_log, denom = root.root_parts()
+    return probe_table(c, domains, lower_log + upper_log - denom, values, scores)
+
+
+@st.composite
+def _shared_domain_cases(draw):
+    """Scope positions drawing their domains from a pool of at most three,
+    so domains repeat (two-value ones often), singletons for preset
+    variables, scope positions repeating a variable, lower bounds up to 2
+    (some met by the preset variables) and upper bounds from 0 up."""
+    n_values = draw(st.integers(2, 5))
+    values = st.integers(0, n_values - 1)
+    pool = draw(
+        st.lists(st.sets(values, min_size=1, max_size=3), min_size=1, max_size=3)
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    domains = [set(pool[p]) for p in picks]
+    repeats = draw(st.lists(st.integers(0, len(domains) - 1), max_size=2))
+    lower = draw(st.dictionaries(values, st.integers(0, 2), max_size=2))
+    upper = draw(st.dictionaries(values, st.integers(0, 3)))
+    return domains, repeats, lower, upper
+
+
+@settings(max_examples=600, deadline=None)
+@given(_shared_domain_cases())
+# a saturating probe binds the twin two-value position to its other value
+@example(([{0, 1}, {0, 1}, {0, 1, 2}], [], {}, {0: 1}))
+@example(([{0, 1}, {0, 1}, {0, 1}, {1, 2}], [], {}, {0: 1, 1: 1}))
+# a variable filling two scope positions
+@example(([{0, 1}, {0, 1}, {1, 2}], [0], {}, {1: 2}))
+# residual bounds cross: 0 is bound above its upper bound
+@example(([{0}, {0}, {0, 1}, {0, 1}], [], {}, {0: 1}))
+# a positive lower bound, unmet and met by a preset variable
+@example(([{0, 1}, {0, 1}, {0, 1, 2}, {0, 1, 2}], [], {2: 1}, {}))
+# positive lower bounds: probe x4 = 2 leaves the rows of probe x0 = 2 in
+# another scope order, and the lower graph's Bregman-Minc sum differs in
+# its last bit, so equal domains must not share here
+@example(([{1, 2}, {1, 2}, {0, 1, 2}, {0, 1, 2}, {1, 2}], [], {0: 2, 2: 1}, {1: 1}))
+@example(([{2}, {0, 1}, {0, 1}, {0, 1, 2}], [], {2: 1}, {0: 1}))
+def test_equal_domains_share_probes_bit_for_bit(case):
+    """``count_densities`` probes each distinct domain once when every
+    residual lower bound is 0; it must give the count and every density
+    of probing each position, to the last bit."""
+    domains, repeats, lower, upper = case
+    m = Model()
+    xs = [m.new_variable(set(d)) for d in domains]
+    c = GlobalCardinality(xs + [xs[i] for i in repeats], lower, upper)
+    assert _bits(c.count_densities(m)) == _bits(_probed_per_position(c, c._domains(m)))
+
+
+@pytest.mark.parametrize("lower,calls", [({}, 1), ({0: 1}, 4), ({3: 1}, 1)])
+def test_probes_run_once_per_domain_only_without_lower_bounds(monkeypatch, lower, calls):
+    """Four unbound positions over one domain: probed once when every
+    residual lower bound is 0 (value 3's is met by the preset variable),
+    else once per position."""
+    probes = gcc._Root.probes
+    seen = []
+
+    def counted(root, i, values):
+        seen.append(i)
+        return probes(root, i, values)
+
+    monkeypatch.setattr(gcc._Root, "probes", counted)
+    m = Model()
+    xs = [m.new_variable({0, 1, 2}) for _ in range(4)] + [m.new_variable({3})]
+    GlobalCardinality(xs, lower, {0: 2}).count_densities(m)
+    assert len(seen) == calls

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from countsearch.engine import CONSISTENT, WIPEOUT, Model
 from countsearch.knapsack import Knapsack, build_sum_graph
 from countsearch.oracle import exact_count_densities
-from countsearch.regular import Automaton, Regular, build_layered_graph
+from countsearch.regular import Automaton, Regular, build_layered_graph, layered_graph
 
 from conftest import random_automaton, random_domains
 
@@ -111,6 +111,90 @@ def test_sum_graph_equals_partial_sum_automaton_graph(case):
     sums = build_sum_graph(coeffs, domains, lower, upper)
     words = build_layered_graph(_sum_automaton(coeffs, domains, lower, upper), domains)
     assert _layer_weights(sums) == _layer_weights(words)
+
+
+def _step_graph(automaton, domains):
+    """The reference builder: one ``step`` per (state, domain value)."""
+    step = automaton.step
+
+    def successors(i, state, dom):
+        return [(d, nxt) for d in dom if (nxt := step(state, d)) is not None]
+
+    return layered_graph(
+        automaton.initial, successors, automaton.accepting.__contains__, domains
+    )
+
+
+class _StepRegular(Regular):
+    def build_graph(self, domains):
+        return _step_graph(self.automaton, domains)
+
+
+def _filter_removals(regular_class, automaton, domains, scope, pick):
+    """Every removal (variable index, value) and verdict of two
+    ``graph_filter`` calls: on the domains, then once a value chosen by
+    ``pick`` has left one of them, which syncs the graph."""
+    m = Model()
+    xs = [m.new_variable(set(d)) for d in domains]
+    c = regular_class([xs[i] for i in scope], automaton)
+    removed = []
+    remove = m.remove_value
+
+    def recording(var, value, cause=None):
+        removed.append((var.index, value))
+        return remove(var, value, cause)
+
+    m.remove_value = recording
+    verdicts = [c.graph_filter(m)]
+    open_vars = [x for x in xs if len(m.domain(x)) > 1]
+    if verdicts[0] and open_vars:
+        x = open_vars[pick % len(open_vars)]
+        values = sorted(m.domain(x))
+        remove(x, values[pick % len(values)])
+        verdicts.append(c.graph_filter(m))
+    return verdicts, removed
+
+
+@st.composite
+def _partial_automaton_cases(draw):
+    """A partial automaton over symbols 0..5 whose domains hold only 0..3,
+    so symbols 4 and 5 are in no domain; states may have no out-arcs, and
+    accepting state ``n_states`` is never reached.  The scope may be empty
+    and may repeat a variable."""
+    n_states = draw(st.integers(1, 5))
+    states = st.integers(0, n_states - 1)
+    transitions = draw(
+        st.dictionaries(st.tuples(states, st.integers(0, 5)), states, max_size=16)
+    )
+    accepting = draw(st.lists(st.integers(0, n_states), max_size=n_states + 1))
+    domains = draw(
+        st.lists(st.sets(st.integers(0, 3), min_size=1), min_size=1, max_size=4)
+    )
+    scope = draw(st.lists(st.integers(0, len(domains) - 1), max_size=6))
+    pick = draw(st.integers(0, 99))
+    return Automaton(transitions, 0, accepting), domains, scope, pick
+
+
+@settings(max_examples=400, deadline=None)
+@given(_partial_automaton_cases())
+# the empty scope: one path exactly when the initial state accepts
+@example((Automaton({(0, 1): 1}, 0, [0]), [{0, 1}], [], 0))
+# a variable filling two layers, and a state with no out-arcs
+@example((Automaton({(0, 0): 1, (0, 1): 0}, 0, [0, 1]), [{0, 1}], [0, 0], 1))
+# the only accepting state is unreachable
+@example((Automaton({(0, 0): 0, (0, 4): 1}, 0, [2]), [{0, 1}, {0}], [0, 1], 0))
+def test_arc_list_graph_equals_stepped_graph(case):
+    """The builder reading ``Automaton.arcs`` and a builder stepping the
+    automaton once per domain value give the same path count, the same
+    weight per (layer, value), the same ``empty()`` and the same
+    ``graph_filter`` removals in the same order."""
+    automaton, domains, scope, pick = case
+    layers = [domains[i] for i in scope]
+    built = build_layered_graph(automaton, layers)
+    assert _layer_weights(built) == _layer_weights(_step_graph(automaton, layers))
+    assert _filter_removals(Regular, automaton, domains, scope, pick) == (
+        _filter_removals(_StepRegular, automaton, domains, scope, pick)
+    )
 
 
 @pytest.mark.parametrize(
