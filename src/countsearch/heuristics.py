@@ -16,10 +16,20 @@ all.  Their averages, like IBS's impact totals, are added left to right
 (``engine.float_sum``), so the picks are the same on every supported
 interpreter.
 
-Learned state (constraint weights, impacts) and the random generator
-live on the heuristic object, so they carry over from one run of a
-search to the next (restarts, LDS waves): the picks may differ between
-runs, and the search drivers stay sound when they do.
+dom/wdeg (``domWDeg``, Boussemart et al., ECAI 2004): every
+constraint's weight starts at 1, and the constraint a wipeout is blamed
+on gains 1.  A constraint counts towards a variable's weighted degree
+while its scope holds two distinct unbound variables, once per
+occurrence of the variable in its scope.  The pick is the unbound
+variable with the least ``|D| / wdeg`` (``math.inf`` for a degree of 0),
+the lower variable index on ties, with its smallest value.  The degrees
+are kept across picks, and a pick ranks the variables in one pass over
+the domains; dom/deg (``DomDeg``) ranks the same way by static degrees.
+
+Learned state (constraint weights, weighted degrees, impacts) and the
+random generator live on the heuristic object, so they carry over from
+one run of a search to the next (restarts, LDS waves): the picks may
+differ between runs, and the search drivers stay sound when they do.
 """
 
 from __future__ import annotations
@@ -243,79 +253,128 @@ class Dom(Heuristic):
 
 
 class WdegState:
-    """Per-constraint failure weights fed by the model's wipeout hook."""
+    """Per-constraint failure weights fed by the model's wipeout hook.
+
+    A weight starts at 1, and the constraint a wipeout is blamed on gains
+    1.  ``bumped`` lists each gain's constraint, once per gain, until a
+    reader clears it.
+    """
 
     def __init__(self, model: Model):
         self.weights: dict[int, int] = {}
+        self.bumped: list[Constraint] = []
         model.on_wipeout(self._bump)
 
     def _bump(self, constraint: Optional[Constraint]) -> None:
         if constraint is None:
             return
         self.weights[constraint.cid] = self.weights.get(constraint.cid, 0) + 1
+        self.bumped.append(constraint)
 
     def weight(self, constraint: Constraint) -> int:
         return 1 + self.weights.get(constraint.cid, 0)
 
 
-def _wdeg_sums(model: Model, state: WdegState) -> list[int]:
-    """Weighted degree of every variable, indexed by variable index.
-
-    A constraint counts towards a variable once per occurrence in its
-    scope, and only while the scope holds another unbound variable (by
-    index).  That is the case for every variable of the scope exactly
-    when the scope holds two distinct unbound variables; the entries of
-    bound variables are not meaningful.
-    """
-    domains = model._domains
-    sums = [0] * len(domains)
-    for c in model.constraints:
-        first = -1
-        for v in c.scope:
-            vi = v.index
-            if len(domains[vi]) > 1 and vi != first:
-                if first >= 0:
-                    break
-                first = vi
-        else:
-            continue
-        weight = state.weight(c)
-        for v in c.scope:
-            sums[v.index] += weight
-    return sums
+def _least_ratio(
+    domains: list[set[int]], unbound: list[int], degrees: list[int]
+) -> int:
+    """The variable of ``unbound`` (indices, ascending) with the least
+    ``|D| / degree``, the lower index on ties; a degree of 0 ranks as
+    ``math.inf``."""
+    ratios = [
+        len(domains[vi]) / deg if (deg := degrees[vi]) else math.inf
+        for vi in unbound
+    ]
+    return unbound[ratios.index(min(ratios))]
 
 
 class DomDeg(Heuristic):
-    """dom/degree variable order (static degree), lexicographic value."""
+    """dom/degree variable order (static degree), smallest value first.
 
-    def _degrees(self, model: Model) -> list[int]:
-        """Degree of every variable, indexed by variable index."""
-        return [len(watchers) for watchers in model._watchers]
+    Each pick is one pass over the domains, which lists the unbound
+    variables, and one over the unbound variables, which finds the least
+    ``(|D| / degree, variable index)`` (``_least_ratio``).
+    """
+
+    #: the numbers of variables and constraints the degrees were set up for
+    _n_vars = _n_constraints = -1
+
+    def _reset(self, model: Model) -> None:
+        """Set up the degrees: here each variable's number of posted
+        constraints, counted once per occurrence."""
+        self._static = list(map(len, model._watchers))
+
+    def _degrees(self, model: Model, unbound: list[int]) -> list[int]:
+        """Degree of every variable, indexed by variable index, given the
+        unbound variables (indices, ascending)."""
+        return self._static
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
-        unbound = model.unbound_variables()
+        domains = model._domains
+        n_vars, n_constraints = len(domains), len(model.constraints)
+        if n_vars != self._n_vars or n_constraints != self._n_constraints:
+            self._n_vars, self._n_constraints = n_vars, n_constraints
+            self._reset(model)
+        unbound = [vi for vi, domain in enumerate(domains) if len(domain) > 1]
+        degrees = self._degrees(model, unbound)
         if not unbound:
             return None
-        degrees = self._degrees(model)
-
-        def key(v: Variable):
-            deg = degrees[v.index]
-            ratio = model.size(v) / deg if deg else math.inf
-            return (ratio, v.index)
-
-        var = min(unbound, key=key)
-        return var, model.min(var)
+        vi = _least_ratio(domains, unbound, degrees)
+        return model.variables[vi], min(domains[vi])
 
 
 class DomWdeg(DomDeg):
-    """dom/wdeg variable order, first value in lexicographic order."""
+    """dom/wdeg variable order (see the module docstring), smallest value
+    first.
+
+    The weighted degrees are kept across picks: each pick compares the
+    unbound variables with the last pick's, and changes the degrees only
+    by the constraints whose contribution changed since, those whose
+    weight a wipeout bumped and those whose scope crossed the
+    two-distinct-unbound-variables line, either way.
+    """
 
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         super().__init__(model, rng)
         self.state = WdegState(model)
 
-    def _degrees(self, model: Model) -> list[int]:
-        return _wdeg_sums(model, self.state)
+    def _reset(self, model: Model) -> None:
+        """Start from no unbound variable, where every degree is 0."""
+        self._unbound: set[int] = set()  # at the last pick
+        self._wdeg = [0] * len(model._domains)
+        # per constraint: its distinct unbound scope variables at the last
+        # pick, and what it adds per occurrence (its weight, or 0)
+        self._live_vars = [0] * len(model.constraints)
+        self._adds = [0] * len(model.constraints)
+        self.state.bumped.clear()
+
+    def _degrees(self, model: Model, unbound: list[int]) -> list[int]:
+        touched = self.state.bumped
+        live_vars, watchers = self._live_vars, model._watchers
+        now = set(unbound)
+        for vi in now ^ self._unbound:
+            step = 1 if vi in now else -1
+            last = None
+            for c in watchers[vi]:
+                # a constraint watches a variable once per occurrence, in a
+                # row (``Model.add``): count it once
+                if c is not last:
+                    live_vars[c.cid] += step
+                    touched.append(c)
+                    last = c
+        self._unbound = now
+        if touched:
+            adds, wdeg = self._adds, self._wdeg
+            state = self.state
+            for c in touched:  # a constraint listed twice steps by 0 the second time
+                cid = c.cid
+                step = (state.weight(c) if live_vars[cid] >= 2 else 0) - adds[cid]
+                if step:
+                    adds[cid] += step
+                    for v in c.scope:
+                        wdeg[v.index] += step
+            touched.clear()
+        return self._wdeg
 
 
 class Ibs(Heuristic):

@@ -28,15 +28,11 @@ from countsearch.factors import bm_log_factor, lb_log_bound
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import MaxSD, make_heuristic
 from countsearch.knapsack import Knapsack, interval_moments
-from countsearch.oracle import (
-    count_perfect_matchings,
-    exact_count_densities,
-    exact_permanent,
-    exact_solve,
-)
+from countsearch.oracle import exact_count_densities
 from countsearch.regular import Regular
 from countsearch.search import SAT, dfs, lds, restart_search
 
+from brute_force import count_perfect_matchings, exact_permanent, exact_solve
 from conftest import random_automaton, random_domains, random_gcc, random_micro_model
 
 

@@ -20,12 +20,10 @@ from countsearch.engine import _T_UNDO, CONSISTENT, FORWARD_CHECKING, WIPEOUT, M
 from countsearch.factors import bm_log_factor, lb_log_bound
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import Dom
-from countsearch.oracle import (
-    count_perfect_matchings,
-    exact_count_densities,
-    exact_permanent,
-)
+from countsearch.oracle import exact_count_densities
 from countsearch.search import SAT, dfs
+
+from brute_force import count_perfect_matchings, exact_permanent
 
 
 def _post(domains, consistency="domain"):

@@ -21,12 +21,15 @@ so which propagator runs first, and which one empties a domain, steers it.
 Its pins add the ``cid`` of every wipeout's cause, on the same quasigroup
 completions and on one propagated by forward checking only.  A change to
 the propagation queue or to AllDifferent filtering must reproduce them.
+Its weights and kept degrees carry over from one run of a search to the
+next, so digest pins of ``restart_search`` and ``lds`` under domWDeg, on a
+quasigroup completion and a magic square, fix what it learns across runs.
 
 The other counting rules (maxRelSD, maxRelRatio, aAvgSD, wSCAvg,
-minSCMaxSD) and the domWDeg+maxSD hybrid read the same density tables
-and score them differently.  Their pins hold a digest of the decisions,
-on a quasigroup completion, the GCC roster and a magic square whose sums
-are exact ``Knapsack`` constraints.
+minSCMaxSD) and the domWDeg+maxSD and domDeg+maxSD hybrids read the
+same density tables and score them differently.  Their pins hold a
+digest of the decisions, on a quasigroup completion, the GCC roster and
+a magic square whose sums are exact ``Knapsack`` constraints.
 
 ``restart_search`` asks for randomized picks, which draw uniformly
 between a score heuristic's two best pairs, and ``lds`` branches off the
@@ -383,18 +386,21 @@ GOLDEN_SCORED = {
     ("qwh-20-s0", "wSCAvg"): (SAT, 0, 34, "3fe6b5213861c899"),
     ("qwh-20-s0", "minSCMaxSD"): (SAT, 1, 28, "8eb6e04e62b1c7cd"),
     ("qwh-20-s0", "domWDeg+maxSD"): (SAT, 0, 36, "47b6ee311cc8539e"),
+    ("qwh-20-s0", "domDeg+maxSD"): (SAT, 0, 36, "47b6ee311cc8539e"),
     ("roster-6x10-s2", "maxRelSD"): (SAT, 0, 57, "bf1c27b333c1ee40"),
     ("roster-6x10-s2", "maxRelRatio"): (SAT, 0, 57, "8ce047c45d5cb368"),
     ("roster-6x10-s2", "aAvgSD"): (SAT, 0, 57, "a56690a867c95c7d"),
     ("roster-6x10-s2", "wSCAvg"): (SAT, 0, 57, "591d93d584def6dd"),
     ("roster-6x10-s2", "minSCMaxSD"): (SAT, 0, 57, "c23e9e6d09435e62"),
     ("roster-6x10-s2", "domWDeg+maxSD"): (SAT, 0, 57, "3b596583c388c1e0"),
+    ("roster-6x10-s2", "domDeg+maxSD"): (SAT, 0, 57, "3478a885d82e7293"),
     ("magic-4-s1", "maxRelSD"): (SAT, 19, 23, "86976669ed2273cc"),
     ("magic-4-s1", "maxRelRatio"): (SAT, 19, 23, "caa12362e3dfba6a"),
     ("magic-4-s1", "aAvgSD"): (TIMEOUT, 30, 33, "7d9f6ee5b0662f00"),
     ("magic-4-s1", "wSCAvg"): (SAT, 4, 9, "bea8ac0185d10884"),
     ("magic-4-s1", "minSCMaxSD"): (SAT, 5, 9, "4a1430a629b7b5ca"),
     ("magic-4-s1", "domWDeg+maxSD"): (SAT, 15, 19, "1e27c9adab30dd6e"),
+    ("magic-4-s1", "domDeg+maxSD"): (SAT, 5, 10, "fc947154e9f21dbb"),
 }
 
 
@@ -459,3 +465,27 @@ def test_randomized_decisions_are_pinned(instance, search, name):
     assert _search_recorded(
         instance, name, SEARCHES[search]
     ) == GOLDEN_RANDOMIZED[instance, search, name]
+
+
+#: (instance, search) -> (status, backtracks, decision count, digest as
+#: above) of domWDeg under a cap of 30; its weights and kept degrees carry
+#: over from each run to the next, and the restart searches start over
+#: after 3, 6, 12, ... backtracks
+GOLDEN_DOMWDEG_RUNS = {
+    ("qwh-20-s0", "restart"): (SAT, 24, 101, "5e338b371ebacacb"),
+    ("qwh-20-s0", "lds"): (SAT, 17, 143, "c4bf953f71c1e055"),
+    ("magic-4-s1", "restart"): (SAT, 6, 12, "473e7e55f6ea22b8"),
+    ("magic-4-s1", "lds"): (SAT, 7, 18, "681ee6933294fd58"),
+}
+
+DOMWDEG_SEARCHES = {
+    "restart": lambda m, h: restart_search(m, h, scale=3, backtrack_limit=30),
+    "lds": lambda m, h: lds(m, h, backtrack_limit=30),
+}
+
+
+@pytest.mark.parametrize("instance,search", GOLDEN_DOMWDEG_RUNS)
+def test_domwdeg_restart_and_lds_decisions_are_pinned(instance, search):
+    assert _search_recorded(
+        instance, "domWDeg", DOMWDEG_SEARCHES[search]
+    ) == GOLDEN_DOMWDEG_RUNS[instance, search]

@@ -6,7 +6,7 @@ exact or Gaussian Knapsack, Regular, SymmetricAllDifferent) at a random
 consistency level, over a scope that may hold a variable twice.  Every
 name in ``HEURISTIC_NAMES`` then searches a fresh copy of the model under
 ``dfs``, ``lds`` and ``restart_search``; the status must agree with
-``oracle.exact_solve``, and a solution must pass every constraint's
+``brute_force.exact_solve``, and a solution must pass every constraint's
 ``check``.
 """
 
@@ -19,10 +19,10 @@ from countsearch.engine import DOMAIN, FORWARD_CHECKING, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import HEURISTIC_NAMES, make_heuristic
 from countsearch.knapsack import EXACT, GAUSSIAN, Knapsack
-from countsearch.oracle import exact_solve
 from countsearch.regular import Regular
 from countsearch.search import SAT, UNSAT, dfs, lds, restart_search
 
+from brute_force import exact_solve
 from conftest import random_automaton
 
 VALUES = range(1, 5)

@@ -16,7 +16,8 @@ from countsearch.factors import (
     lb_log_factor,
     lb_q,
 )
-from countsearch.oracle import exact_permanent
+
+from brute_force import exact_permanent
 
 
 def test_bm_factor_small_values():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
-from countsearch.bench import apply_overrides, build_model, generate_magic
+from countsearch.bench import apply_overrides, build_model, generate_magic, generate_qwh
 from countsearch.engine import CONSISTENT, DOMAIN, WIPEOUT, Constraint, Model
 from countsearch.heuristics import (
     HEURISTIC_NAMES,
@@ -28,7 +28,6 @@ from countsearch.heuristics import (
     _rel_ratio_keys,
     _rel_sd_keys,
     _sd_keys,
-    _wdeg_sums,
     make_heuristic,
 )
 from countsearch.gcc import GlobalCardinality
@@ -37,6 +36,36 @@ from countsearch.regular import Regular
 from countsearch.search import SAT, dfs, lds, restart_search
 
 from conftest import random_automaton, random_micro_model
+
+
+def _wdeg_sums(model, state):
+    """Weighted degree of every variable, indexed by variable index,
+    recounted from scratch: the reference the kept degrees of
+    ``DomWdeg`` must equal at every pick.
+
+    A constraint counts towards a variable once per occurrence in its
+    scope, and only while the scope holds another unbound variable (by
+    index).  That is the case for every variable of the scope exactly
+    when the scope holds two distinct unbound variables.  Bound
+    variables' entries follow the same rule, which the kept degrees
+    follow too, so the whole lists compare.
+    """
+    domains = model._domains
+    sums = [0] * len(domains)
+    for c in model.constraints:
+        first = -1
+        for v in c.scope:
+            vi = v.index
+            if len(domains[vi]) > 1 and vi != first:
+                if first >= 0:
+                    break
+                first = vi
+        else:
+            continue
+        weight = state.weight(c)
+        for v in c.scope:
+            sums[v.index] += weight
+    return sums
 
 
 def golden_knapsack_model():
@@ -319,6 +348,123 @@ def test_wdeg_sums_match_per_variable_scan():
             assert sums[x.index] == _reference_wdeg_sum(m, state, x)
 
 
+def _least_ratio_pick(model, degrees):
+    """The unbound variable with the least (|D| / degree, index), a degree
+    of 0 ranking as inf, scanned one variable at a time."""
+
+    def key(v):
+        deg = degrees[v.index]
+        return (model.size(v) / deg if deg else math.inf, v.index)
+
+    return min(model.unbound_variables(), key=key, default=None)
+
+
+class _CheckedDomWdeg(DomWdeg):
+    """DomWdeg that checks, at every pick, its kept degrees against a
+    recount from scratch and its pick against a scan of those degrees."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.checked = 0
+
+    def choose(self, model, randomized=False):
+        pick = super().choose(model, randomized)
+        degrees = _wdeg_sums(model, self.state)
+        assert self._wdeg == degrees
+        var = _least_ratio_pick(model, degrees)
+        assert pick == (None if var is None else (var, model.min(var)))
+        self.checked += 1
+        return pick
+
+
+def _repeating_model(rng):
+    """Three to six variables under AllDifferent and Knapsack constraints;
+    a Knapsack's scope is drawn with replacement, so it may repeat a
+    variable."""
+    m = Model()
+    xs = [
+        m.new_variable(rng.sample(range(1, 5), rng.randint(1, 4)))
+        for _ in range(rng.randint(3, 6))
+    ]
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.5:
+            m.add(AllDifferent(rng.sample(xs, rng.randint(2, 3))))
+        else:
+            scope = [rng.choice(xs) for _ in range(rng.randint(2, 4))]
+            coeffs = [rng.randint(1, 3) for _ in scope]
+            lo = rng.randint(0, 4 * sum(coeffs))
+            m.add(Knapsack(scope, coeffs, lo, rng.randint(lo, 4 * sum(coeffs))))
+    return m
+
+
+SEARCHES = {
+    "dfs": lambda m, h: dfs(m, h, backtrack_limit=40),
+    "restart": lambda m, h: restart_search(m, h, scale=2, backtrack_limit=40),
+    "lds": lambda m, h: lds(m, h, backtrack_limit=40),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_kept_wdeg_equals_a_recount_at_every_pick(search):
+    """The degrees DomWdeg keeps across picks, and the heuristic with
+    them across the runs back to the root, equal ``_wdeg_sums`` at every
+    pick, on micro models whose scopes repeat variables."""
+    rng = random.Random(25)
+    checked = bumps = repeating = 0
+    for _ in range(200):
+        m = _repeating_model(rng)
+        h = _CheckedDomWdeg(m)
+        SEARCHES[search](m, h)
+        checked += h.checked
+        bumps += sum(h.state.weights.values())
+        repeating += h.checked > 1 and any(c.repeats() for c in m.constraints)
+    assert checked > 300
+    assert bumps > 75  # the searches hit wipeouts
+    assert repeating > 35  # and scopes that repeat a variable
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_kept_wdeg_equals_a_recount_on_a_quasigroup(search):
+    m = build_model(generate_qwh(20, 0.42, 0))
+    h = _CheckedDomWdeg(m)
+    SEARCHES[search](m, h)
+    assert h.checked > 30
+    assert sum(h.state.weights.values()) > 5
+
+
+def test_domwdeg_ranks_a_degree_of_zero_last():
+    m = Model()
+    free = m.new_variable({1, 2}, "free")  # on no constraint
+    x = m.new_variable({1, 2, 3}, "x")
+    y = m.new_variable({1, 2, 3}, "y")
+    m.add(AllDifferent([x, y]))
+    for h in (DomWdeg(m), DomDeg(m)):
+        assert h.choose(m) == (x, 1)  # 3/1 beats 2/0
+        m.push_decision("assign", x, 1)
+        # y is on a constraint that no longer counts: every degree is 0 to
+        # dom/wdeg, so the lower index goes first
+        assert h.choose(m)[0] is (free if isinstance(h, DomWdeg) else y)
+        m.backtrack_to(0)
+
+
+def test_domdeg_lists_its_static_degrees_once():
+    m = _free_alldiff(5)
+    resets = []
+
+    class Counting(DomDeg):
+        def _reset(self, model):
+            resets.append(model.level)
+            super()._reset(model)
+
+    h = Counting(m)
+    assert dfs(m, h).status == SAT
+    assert resets == [0]
+    m.backtrack_to(0)
+    m.add(AllDifferent(m.variables[:2]))  # a new constraint: new degrees
+    assert h.choose(m) is not None
+    assert resets == [0, 0]
+
+
 def test_domdeg_uses_static_degree():
     m = Model()
     x = m.new_variable({1, 2}, "x")
@@ -516,13 +662,6 @@ class _Forced(random.Random):
     def randrange(self, *args):
         self.calls += 1
         return self.index
-
-
-SEARCHES = {
-    "dfs": lambda m, h: dfs(m, h, backtrack_limit=40),
-    "restart": lambda m, h: restart_search(m, h, scale=2, backtrack_limit=40),
-    "lds": lambda m, h: lds(m, h, backtrack_limit=40),
-}
 
 
 @settings(max_examples=120, deadline=None)

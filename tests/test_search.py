@@ -8,9 +8,9 @@ from countsearch.alldiff import AllDifferent
 from countsearch.bench import build_model, generate_qwh
 from countsearch.engine import _T_CACHE, CONSISTENT, Model
 from countsearch.heuristics import Dom, Heuristic, MaxSD, make_heuristic
-from countsearch.oracle import exact_solve
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
 
+from brute_force import exact_solve
 from conftest import random_micro_model
 
 
