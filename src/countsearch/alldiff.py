@@ -57,19 +57,19 @@ def probe_table(
     taken once, relative to the largest, and the weights are added left
     to right into the total that divides them.  A ``-inf`` score's weight
     is exactly 0.0, so it adds nothing and gets density 0.0; when every
-    score is ``-inf`` every density is 0.0.  The tables share their keys
-    (``Constraint.density_keys``).
+    score is ``-inf`` every density is 0.0.
     """
     densities: dict[tuple[int, int], float] = {}
     exp = math.exp
-    for key, dom, vals, row in zip(constraint.density_keys(), domains, values, scores):
+    for var, dom, vals, row in zip(constraint.scope, domains, values, scores):
+        vi = var.index
         if len(dom) == 1:
-            densities[key[next(iter(dom))]] = 1.0
+            densities[vi, next(iter(dom))] = 1.0
             continue
         top = max(row)
         if top == -math.inf:
             for d in vals:
-                densities[key[d]] = 0.0
+                densities[vi, d] = 0.0
             continue
         weights = []
         total = 0.0
@@ -78,7 +78,7 @@ def probe_table(
             weights.append(w)
             total += w
         for d, w in zip(vals, weights):
-            densities[key[d]] = w / total
+            densities[vi, d] = w / total
     return DensityTable(constraint, log_count, densities)
 
 

@@ -7,9 +7,11 @@ cost-constrained rostering (kprostering) and the travelling tournament
 problem with predefined venues (ttppv).  Each is one ``Family`` record in
 ``FAMILIES``.
 
-All file formats are line-oriented text; ``#`` starts a comment.  The
-first five kinds are recognized by file extension, the last three by a
-self-describing kind tag on the first line.
+All file formats are line-oriented text; ``#`` starts a comment.  Each
+family's format is one layout (``Family.layout``), which one reader and
+one writer follow.  The first five kinds are recognized by file
+extension, the last three by a self-describing kind tag on the first
+line.
 """
 
 from __future__ import annotations
@@ -44,19 +46,30 @@ class ParseError(ValueError):
     """Malformed instance file."""
 
 
+# a block's line count, besides a header field: one line, whose ints
+# are the block's payload, or every line left
+ONE, REST = 1, None
+# a block's row shape: (a line's ints -> a payload row, and back)
+ROW = (list, list)
+PAIR = (lambda ints: (ints[:-1], ints[-1]), lambda row: [*row[0], row[1]])
+TUPLE = (tuple, list)
+
+
 @dataclass(frozen=True)
 class Family:
-    """One problem family.  ``parse`` reads a file's data lines into a
-    payload and ``write`` returns them.  A ``tagged`` family's files start
-    with its kind, which ``parse`` and ``write`` leave out; other files
-    are recognized by ``ext``, which ``generate`` gives every file."""
+    """One problem family.  ``layout`` is its files' data lines, ``(header,
+    *blocks)``: the payload fields the first line's ints give, in order,
+    then per block ``(field, count, shape)``, with the payload field whose
+    rows the block's lines are, their count (a header field, ONE or REST)
+    and their shape.  A ``tagged`` family's files start with its kind,
+    which the layout leaves out; other files are recognized by ``ext``,
+    which ``generate`` gives every file."""
 
     kind: str
     ext: str
     tagged: bool
+    layout: tuple
     validate: Callable[[dict], None]
-    parse: Callable[[list[str]], dict]
-    write: Callable[[dict], list[str]]
     build: Callable[[dict], Model]
     generate: Callable[..., Instance]
 
@@ -79,6 +92,33 @@ def _ints(line: str) -> list[int]:
 
 def _row(values) -> str:
     return " ".join(map(str, values))
+
+
+def _parse(layout: tuple, lines: list[str]) -> dict:
+    header, *blocks = layout
+    head = _ints(lines[0])
+    if len(head) < len(header):
+        raise ParseError(f"the first line needs {len(header)} ints")
+    payload = dict(zip(header, head))
+    at = 1
+    for field, count, (read, _) in blocks:
+        if count is REST:
+            n = len(lines) - at
+        else:
+            n = 1 if count == ONE else payload[count]
+        rows = [read(_ints(line)) for line in lines[at : at + n]]
+        payload[field] = rows[0] if count == ONE else rows
+        at += n
+    return payload
+
+
+def _write(layout: tuple, payload: dict) -> list[str]:
+    header, *blocks = layout
+    lines = [_row(payload[name] for name in header)]
+    for field, count, (_, ints) in blocks:
+        rows = [payload[field]] if count == ONE else payload[field]
+        lines += [_row(ints(row)) for row in rows]
+    return lines
 
 
 def _check_grid(grid, rows, cols, low, high, what):
@@ -121,7 +161,7 @@ def parse_instance(text: str, kind: str, name: str = "") -> Instance:
             raise ParseError(f"first line must start with {kind!r}")
         lines[0] = rest[0] if rest else ""
     try:
-        return Instance(kind, name or kind, family.parse(lines))
+        return Instance(kind, name or kind, _parse(family.layout, lines))
     except ParseError:
         raise
     except (IndexError, ValueError) as exc:
@@ -140,7 +180,7 @@ def load_instance(path: str, kind: Optional[str] = None) -> Instance:
 
 def write_instance(instance: Instance) -> str:
     family = FAMILIES[instance.kind]
-    lines = family.write(instance.payload)
+    lines = _write(family.layout, instance.payload)
     if family.tagged:
         lines[0] = f"{family.kind} {lines[0]}"
     return "\n".join(lines) + "\n"
@@ -206,15 +246,6 @@ def _validate_magic(payload):
         raise ParseError("magic square presets repeat a value")
 
 
-def _parse_square(lines: list[str]) -> dict:
-    n = _ints(lines[0])[0]
-    return {"n": n, "grid": [_ints(line) for line in lines[1 : 1 + n]]}
-
-
-def _write_square(p: dict) -> list[str]:
-    return [str(p["n"])] + [_row(row) for row in p["grid"]]
-
-
 def _cells(m: Model, grid, values) -> list[list]:
     """One variable per grid cell: its preset value, or else ``values``."""
     return [
@@ -228,10 +259,8 @@ def _build_qwh(payload: dict) -> Model:
     n = payload["n"]
     m = Model()
     cells = _cells(m, payload["grid"], range(1, n + 1))
-    for r in range(n):
-        m.add(AllDifferent(cells[r]))
-    for c in range(n):
-        m.add(AllDifferent([cells[r][c] for r in range(n)]))
+    for line in cells + list(zip(*cells)):
+        m.add(AllDifferent(line))
     return m
 
 
@@ -242,17 +271,10 @@ def _build_magic(payload: dict) -> Model:
     cells = _cells(m, payload["grid"], range(1, n * n + 1))
     flat = [v for row in cells for v in row]
     m.add(AllDifferent(flat))
-    ones = [1] * n
-    for r in range(n):
-        m.add(Knapsack(cells[r], ones, target, target))
-    for c in range(n):
-        m.add(Knapsack([cells[r][c] for r in range(n)], ones, target, target))
-    m.add(Knapsack([cells[i][i] for i in range(n)], ones, target, target))
-    m.add(
-        Knapsack(
-            [cells[i][n - 1 - i] for i in range(n)], ones, target, target
-        )
-    )
+    diagonals = [[row[i] for i, row in enumerate(cells)],
+                 [row[n - 1 - i] for i, row in enumerate(cells)]]
+    for line in cells + list(zip(*cells)) + diagonals:
+        m.add(Knapsack(line, [1] * n, target, target))
     return m
 
 
@@ -336,25 +358,12 @@ def _validate_nonogram(payload):
     for clue, limit in [(c, cols) for c in payload["row_clues"]] + [
         (c, rows) for c in payload["col_clues"]
     ]:
-        need = sum(clue) + max(0, len(clue) - 1) if clue != [0] else 0
-        if need > limit:
+        if clue == [0]:
+            continue
+        if any(b < 1 for b in clue):
+            raise ParseError(f"clue {clue} has an entry below 1")
+        if sum(clue) + len(clue) - 1 > limit:
             raise ParseError(f"clue {clue} cannot fit in {limit} cells")
-
-
-def _parse_nonogram(lines: list[str]) -> dict:
-    rows, cols = _ints(lines[0])[:2]
-    clues = [_ints(line) for line in lines[1 : 1 + rows + cols]]
-    return {
-        "rows": rows,
-        "cols": cols,
-        "row_clues": clues[:rows],
-        "col_clues": clues[rows:],
-    }
-
-
-def _write_nonogram(p: dict) -> list[str]:
-    clues = p["row_clues"] + p["col_clues"]
-    return [f"{p['rows']} {p['cols']}"] + [_row(c) for c in clues]
 
 
 def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
@@ -391,10 +400,7 @@ def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
 def _build_nonogram(payload: dict) -> Model:
     rows, cols = payload["rows"], payload["cols"]
     m = Model()
-    cells = [
-        [m.new_variable({0, 1}, f"x{r}_{c}") for c in range(cols)]
-        for r in range(rows)
-    ]
+    cells = _cells(m, [[0] * cols] * rows, {0, 1})
     for r, clue in enumerate(payload["row_clues"]):
         m.add(Regular(cells[r], nonogram_clue_dfa(clue)))
     for c, clue in enumerate(payload["col_clues"]):
@@ -453,24 +459,6 @@ def _validate_multiknap(payload):
             raise ParseError("negative capacity")
 
 
-def _parse_multiknap(lines: list[str]) -> dict:
-    n, m, optimum = _ints(lines[0])[:3]
-    rows = [_ints(line) for line in lines[2 : 2 + m]]
-    return {
-        "n": n,
-        "m": m,
-        "optimum": optimum,
-        "objective": _ints(lines[1]),
-        "constraints": [(row[:-1], row[-1]) for row in rows],
-    }
-
-
-def _write_multiknap(p: dict) -> list[str]:
-    return [f"{p['n']} {p['m']} {p['optimum']}", _row(p["objective"])] + [
-        _row([*coeffs, cap]) for coeffs, cap in p["constraints"]
-    ]
-
-
 def _build_multiknap(payload: dict) -> Model:
     n = payload["n"]
     m = Model()
@@ -521,18 +509,6 @@ def _validate_marketsplit(payload):
             raise ParseError("row length mismatch")
 
 
-def _parse_marketsplit(lines: list[str]) -> dict:
-    m, n = _ints(lines[0])[:2]
-    rows = [_ints(line) for line in lines[1 : 1 + m]]
-    return {"m": m, "n": n, "rows": [(row[:-1], row[-1]) for row in rows]}
-
-
-def _write_marketsplit(p: dict) -> list[str]:
-    return [f"{p['m']} {p['n']}"] + [
-        _row([*coeffs, rhs]) for coeffs, rhs in p["rows"]
-    ]
-
-
 def _build_marketsplit(payload: dict) -> Model:
     n = payload["n"]
     m = Model()
@@ -565,18 +541,6 @@ def _validate_rostering(payload):
     if t < 1:
         raise ParseError("need at least one task")
     _check_grid(payload["grid"], e, p, -1, t, "grid")
-
-
-def _parse_rostering(lines: list[str]) -> dict:
-    e, p, t = _ints(lines[0])[:3]
-    grid = [_ints(line) for line in lines[1 : 1 + e]]
-    return {"employees": e, "periods": p, "tasks": t, "grid": grid}
-
-
-def _write_rostering(p: dict) -> list[str]:
-    return [f"{p['employees']} {p['periods']} {p['tasks']}"] + [
-        _row(row) for row in p["grid"]
-    ]
 
 
 BREAK = 0
@@ -613,24 +577,19 @@ def rostering_dfa(n_tasks: int) -> Automaton:
 
 
 def _build_rostering(payload: dict) -> Model:
-    e, p, t = payload["employees"], payload["periods"], payload["tasks"]
-    grid = payload["grid"]
+    p, t = payload["periods"], payload["tasks"]
     m = Model()
     values = set(range(0, t + 1))  # 0 = break
-    vars_ = [
-        [
-            m.new_variable(
-                {grid[i][j]} if grid[i][j] >= 0 else values, f"e{i}_p{j}"
-            )
-            for j in range(p)
-        ]
-        for i in range(e)
+    rows = [
+        [m.new_variable({v} if v >= 0 else values, f"e{i}_p{j}")
+         for j, v in enumerate(row)]
+        for i, row in enumerate(payload["grid"])
     ]
     dfa = rostering_dfa(t)
-    for i in range(e):
-        m.add(Regular(vars_[i], dfa))
+    for row in rows:
+        m.add(Regular(row, dfa))
     for j in range(p):
-        m.add(AllDifferent([vars_[i][j] for i in range(e)]))
+        m.add(AllDifferent([row[j] for row in rows]))
     return m
 
 
@@ -687,27 +646,6 @@ def _validate_kprostering(payload):
     for (e, d), shifts in forbidden.items():
         if len(shifts) == s:
             raise ParseError(f"employee {e} day {d}: every shift is forbidden")
-
-
-def _parse_kprostering(lines: list[str]) -> dict:
-    m, n, s = _ints(lines[0])[:3]
-    return {
-        "employees": m,
-        "days": n,
-        "shifts": s,
-        "costs": [_ints(line) for line in lines[1 : 1 + m]],
-        "targets": _ints(lines[1 + m]),
-        "forbidden": [tuple(_ints(line)) for line in lines[2 + m :]],
-    }
-
-
-def _write_kprostering(p: dict) -> list[str]:
-    return (
-        [f"{p['employees']} {p['days']} {p['shifts']}"]
-        + [_row(row) for row in p["costs"]]
-        + [_row(p["targets"])]
-        + [_row(t) for t in p["forbidden"]]
-    )
 
 
 def _build_kprostering(payload: dict) -> Model:
@@ -791,15 +729,6 @@ def _validate_ttppv(payload):
                 raise ParseError("venue table must be antisymmetric")
 
 
-def _parse_ttppv(lines: list[str]) -> dict:
-    n = _ints(lines[0])[0]
-    return {"n": n, "venues": [_ints(line) for line in lines[1 : 1 + n]]}
-
-
-def _write_ttppv(p: dict) -> list[str]:
-    return [str(p["n"])] + [_row(row) for row in p["venues"]]
-
-
 def ttppv_pattern_dfa(
     team: int, venues: Sequence[Sequence[int]], max_run: int = 3
 ) -> Automaton:
@@ -869,26 +798,29 @@ def generate_ttppv(teams: int = 4, seed: int = 0) -> Instance:
 FAMILIES = {
     f.kind: f
     for f in (
-        Family("qwh", ".qwh", False, _validate_square, _parse_square,
-               _write_square, _build_qwh, generate_qwh),
-        Family("magic", ".magic", False, _validate_magic, _parse_square,
-               _write_square, _build_magic, generate_magic),
-        Family("nonogram", ".nonogram", False, _validate_nonogram,
-               _parse_nonogram, _write_nonogram, _build_nonogram,
-               generate_nonogram),
-        Family("multiknap", ".mknap", False, _validate_multiknap,
-               _parse_multiknap, _write_multiknap, _build_multiknap,
-               generate_multiknap),
-        Family("marketsplit", ".msplit", False, _validate_marketsplit,
-               _parse_marketsplit, _write_marketsplit, _build_marketsplit,
-               generate_marketsplit),
-        Family("rostering", ".txt", True, _validate_rostering,
-               _parse_rostering, _write_rostering, _build_rostering,
-               generate_rostering),
-        Family("kprostering", ".txt", True, _validate_kprostering,
-               _parse_kprostering, _write_kprostering, _build_kprostering,
-               generate_kprostering),
-        Family("ttppv", ".txt", True, _validate_ttppv, _parse_ttppv,
-               _write_ttppv, _build_ttppv, generate_ttppv),
+        Family("qwh", ".qwh", False, (("n",), ("grid", "n", ROW)),
+               _validate_square, _build_qwh, generate_qwh),
+        Family("magic", ".magic", False, (("n",), ("grid", "n", ROW)),
+               _validate_magic, _build_magic, generate_magic),
+        Family("nonogram", ".nonogram", False,
+               (("rows", "cols"), ("row_clues", "rows", ROW),
+                ("col_clues", "cols", ROW)),
+               _validate_nonogram, _build_nonogram, generate_nonogram),
+        Family("multiknap", ".mknap", False,
+               (("n", "m", "optimum"), ("objective", ONE, ROW),
+                ("constraints", "m", PAIR)),
+               _validate_multiknap, _build_multiknap, generate_multiknap),
+        Family("marketsplit", ".msplit", False,
+               (("m", "n"), ("rows", "m", PAIR)),
+               _validate_marketsplit, _build_marketsplit, generate_marketsplit),
+        Family("rostering", ".txt", True,
+               (("employees", "periods", "tasks"), ("grid", "employees", ROW)),
+               _validate_rostering, _build_rostering, generate_rostering),
+        Family("kprostering", ".txt", True,
+               (("employees", "days", "shifts"), ("costs", "employees", ROW),
+                ("targets", ONE, ROW), ("forbidden", REST, TUPLE)),
+               _validate_kprostering, _build_kprostering, generate_kprostering),
+        Family("ttppv", ".txt", True, (("n",), ("venues", "n", ROW)),
+               _validate_ttppv, _build_ttppv, generate_ttppv),
     )
 }

@@ -108,23 +108,6 @@ class DensityTable:
         return least
 
 
-class DensityKeys(dict):
-    """Value -> the ``(variable index, value)`` key of one scope position.
-
-    A value gets its key the first time it is looked up, so a count never
-    checks which values of its domains have one.
-    """
-
-    __slots__ = ("vi",)
-
-    def __init__(self, vi: int):
-        self.vi = vi
-
-    def __missing__(self, value: int) -> tuple[int, int]:
-        key = self[value] = (self.vi, value)
-        return key
-
-
 class Constraint:
     """Base class for all constraints.
 
@@ -151,8 +134,6 @@ class Constraint:
         # other than by that call's own removals
         self._stale = True
         self.cid = -1  # set when posted
-        # per scope position, value -> its shared density key
-        self._keys: list[DensityKeys] = []
 
     def propagate(self, model: "Model") -> bool:
         """Filter domains; return False on wipeout."""
@@ -164,15 +145,6 @@ class Constraint:
 
     def count_densities(self, model: "Model") -> DensityTable:
         raise NotImplementedError
-
-    def density_keys(self) -> list[DensityKeys]:
-        """Per scope position, a map from each value to one ``(variable
-        index, value)`` tuple that all of this constraint's density tables
-        share as their key."""
-        keys = self._keys
-        if not keys:
-            keys = self._keys = [DensityKeys(var.index) for var in self.scope]
-        return keys
 
     def repeats(self) -> tuple[int, ...]:
         """The index of each scope variable once per scope position it

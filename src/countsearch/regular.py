@@ -335,15 +335,17 @@ class GraphConstraint(Constraint):
         the count."""
         graph, domains = self.synced_graph(model)
         count, weights = graph.path_counts()
-        keys = self.density_keys()
         if count == 0:
-            zeros = {key[d]: 0.0 for key, dom in zip(keys, domains) for d in dom}
+            zeros = {
+                (var.index, d): 0.0 for var, dom in zip(self.scope, domains) for d in dom
+            }
             return DensityTable(self, -math.inf, zeros)
         densities: dict[tuple[int, int], float] = {}
-        for index, key, dom in zip(graph.slot_index, keys, domains):
+        for index, var, dom in zip(graph.slot_index, self.scope, domains):
+            vi = var.index
             for d in dom:
                 s = index.get(d)
-                densities[key[d]] = (0 if s is None else weights[s]) / count
+                densities[vi, d] = (0 if s is None else weights[s]) / count
         return DensityTable(self, math.log(count), densities)
 
 

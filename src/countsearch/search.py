@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from typing import Iterable, Optional
 
 from .engine import CONSISTENT, WIPEOUT, Model
@@ -208,12 +208,10 @@ def restart_search(
     heuristic: Heuristic,
     scale: int = 100,
     timeout: Optional[float] = None,
-    max_restarts: Optional[int] = None,
     backtrack_limit: Optional[int] = None,
 ) -> SearchStats:
     """Geometric restarts: run i is cut off after scale * 2^i backtracks,
-    or after what is left of ``backtrack_limit``, the total over all runs;
-    there are at most ``max_restarts`` runs (one at least).
+    or after what is left of ``backtrack_limit``, the total over all runs.
 
     The heuristic randomizes between its two best choices; learned
     state persists across runs.  A run that completes without hitting
@@ -222,9 +220,7 @@ def restart_search(
     """
     if scale < 1:
         raise ValueError(f"restart scale must be at least 1, got {scale}")
-    runs: Iterable[Run] = ((True, math.inf, scale * 2**i) for i in count())
-    if max_restarts is not None:
-        runs = islice(runs, max(max_restarts, 1))
+    runs = ((True, math.inf, scale * 2**i) for i in count())
     return _search(model, heuristic, timeout, backtrack_limit, runs)
 
 

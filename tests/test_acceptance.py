@@ -293,8 +293,9 @@ def test_density_tables_normalized_during_search(monkeypatch):
     rng = random.Random(99)
     for _ in range(10):
         model = random_micro_model(rng)
+        # three runs, cut off after 4, 8 and 16 backtracks
         restart_search(
-            model, MaxSD(model, random.Random(1)), scale=4, max_restarts=3
+            model, MaxSD(model, random.Random(1)), scale=4, backtrack_limit=28
         )
     assert observed  # the spy actually saw density tables
 

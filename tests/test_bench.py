@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.bench import (
@@ -103,6 +105,53 @@ def test_malformed_instances_rejected():
 def test_truncated_instances_raise_parse_error(kind, text):
     with pytest.raises(ParseError):
         parse_instance(text, kind)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\n-1\n0\n0\n",  # was read as an empty row
+    "1 3\n0 2\n1\n1\n0\n",  # was read as the clue [2]
+    "1 2\n2 0\n1\n1\n",  # was rejected as a clue that cannot fit
+], ids=["negative", "leading-zero", "trailing-zero"])
+def test_nonogram_clue_entries_below_one_raise_parse_error(text):
+    with pytest.raises(ParseError, match="entry below 1"):
+        parse_instance(text, "nonogram")
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A generated instance's text with one token or one line changed,
+    deleted or duplicated."""
+    kind = draw(st.sampled_from(list(FAMILIES)))
+    inst = FAMILIES[kind].generate(
+        seed=draw(st.integers(0, 20)), **_GEN_ARGS[kind]
+    )
+    lines = [line.split() for line in write_instance(inst).splitlines()]
+    r = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):  # a token of line r
+        row, i = lines[r], draw(st.integers(0, len(lines[r]) - 1))
+        new = draw(st.sampled_from(["-1", "0", "1", "2", "7", "x"]))
+    else:  # line r
+        row, i = lines, r
+        new = draw(st.sampled_from([["0"], ["3", "1"], ["-2", "5", "9"], [kind]]))
+    op = draw(st.sampled_from(["change", "delete", "duplicate"]))
+    row[i : i + 1] = {"change": [new], "delete": [], "duplicate": [row[i]] * 2}[op]
+    return kind, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_texts())
+def test_mutated_files_raise_parse_error_or_round_trip(case):
+    # one layout per family reads and writes its files: whatever a
+    # mutated file parses to writes back to a text that reads the same
+    kind, text = case
+    try:
+        inst = parse_instance(text, kind)
+    except ParseError:
+        return
+    written = write_instance(inst)
+    again = parse_instance(written, kind)
+    assert again.payload == inst.payload
+    assert write_instance(again) == written
 
 
 @pytest.mark.parametrize("text,message", [

@@ -99,19 +99,18 @@ def test_restart_cutoff_grows_geometrically():
     m = Model()
     xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
     m.add(AllDifferent(xs, consistency="fc"))
-    stats = restart_search(m, Failing(m), scale=1, max_restarts=3)
+    stats = restart_search(m, Failing(m), scale=1, backtrack_limit=7)
     assert stats.status == TIMEOUT
     assert stats.restarts == 2  # three runs: the first and two restarts
     assert stats.backtracks == 1 + 2 + 4
 
 
-@pytest.mark.parametrize("limits", [{"max_restarts": 3}, {"backtrack_limit": 7}])
-def test_restarts_count_the_runs_after_the_first(limits):
-    # runs of 1, 2 and 4 backtracks, ended by either limit, are 2 restarts
+def test_restarts_count_the_runs_after_the_first():
+    # runs of 1, 2 and 4 backtracks, ended by the limit, are 2 restarts
     m = Model()
     xs = [m.new_variable({1, 2, 3, 4}) for _ in range(5)]
     m.add(AllDifferent(xs, consistency="fc"))
-    stats = restart_search(m, Dom(m, random.Random(0)), scale=1, **limits)
+    stats = restart_search(m, Dom(m, random.Random(0)), scale=1, backtrack_limit=7)
     assert stats.status == TIMEOUT
     assert stats.backtracks == 7
     assert stats.restarts == 2
@@ -202,7 +201,7 @@ DRIVERS = {"dfs": dfs, "lds": lds, "restart": restart_search}
 CUTOFFS = {
     "dfs": {"backtrack_limit": 1},
     "lds": {"backtrack_limit": 1},
-    "restart": {"scale": 1, "max_restarts": 1},
+    "restart": {"scale": 1, "backtrack_limit": 1},
 }
 
 
