@@ -523,39 +523,33 @@ class SymmetricAllDifferent(Constraint):
         adj = self._adjacency(domains)
         values = [sorted(dom) for dom in domains]
         scores = [
-            [sym_probe_log_bound(adj, i, j - 1) for j in vals] if len(vals) > 1 else []
+            [sym_matching_log_bound(adj, (i, j - 1)) for j in vals]
+            if len(vals) > 1
+            else []
             for i, vals in enumerate(values)
         ]
         return probe_table(self, domains, sym_matching_log_bound(adj), values, scores)
 
 
-def sym_matching_log_bound(adj: Sequence[set[int]]) -> float:
+def sym_matching_log_bound(
+    adj: Sequence[set[int]], pair: tuple[int, ...] = ()
+) -> float:
     """log of prod_v (deg v)!^(1/(2 deg v)); -inf if no perfect matching
-    can exist (odd vertex count or isolated vertex)."""
-    n = len(adj)
-    if n % 2 == 1:
+    can exist (odd vertex count or isolated vertex).
+
+    With ``pair = (i, j)``, the bound after pairing vertices i and j: both
+    are dropped, and every other vertex loses its edges to them; -inf
+    unless j is a neighbour of i.
+    """
+    if pair and pair[1] not in adj[pair[0]]:
+        return -math.inf
+    if (len(adj) - len(pair)) % 2 == 1:
         return -math.inf
     total = 0.0
-    for neigh in adj:
-        deg = len(neigh)
-        if deg == 0:
-            return -math.inf
-        total += math.lgamma(deg + 1) / (2 * deg)
-    return total
-
-
-def sym_probe_log_bound(adj: Sequence[set[int]], i: int, j: int) -> float:
-    """Bound after pairing vertices i and j and dropping their edges."""
-    if j not in adj[i]:
-        return -math.inf
-    n = len(adj)
-    if (n - 2) % 2 == 1:
-        return -math.inf
-    total = 0.0
-    for k in range(n):
-        if k in (i, j):
+    for k, neigh in enumerate(adj):
+        if k in pair:
             continue
-        deg = len(adj[k]) - (i in adj[k]) - (j in adj[k])
+        deg = len(neigh) - len(neigh.intersection(pair))
         if deg == 0:
             return -math.inf
         total += math.lgamma(deg + 1) / (2 * deg)

@@ -97,8 +97,8 @@ def _row(values) -> str:
 def _parse(layout: tuple, lines: list[str]) -> dict:
     header, *blocks = layout
     head = _ints(lines[0])
-    if len(head) < len(header):
-        raise ParseError(f"the first line needs {len(header)} ints")
+    if len(head) != len(header):
+        raise ParseError(f"the first line needs {len(header)} ints, got {len(head)}")
     payload = dict(zip(header, head))
     at = 1
     for field, count, (read, _) in blocks:
@@ -106,9 +106,13 @@ def _parse(layout: tuple, lines: list[str]) -> dict:
             n = len(lines) - at
         else:
             n = 1 if count == ONE else payload[count]
+            if n < 0:
+                raise ParseError(f"{count} must be at least 0, got {n}")
         rows = [read(_ints(line)) for line in lines[at : at + n]]
         payload[field] = rows[0] if count == ONE else rows
         at += n
+    if at < len(lines):
+        raise ParseError(f"{len(lines) - at} lines after the last block")
     return payload
 
 

@@ -189,19 +189,16 @@ class GlobalCardinality(Constraint):
         dead = regin_dead_arcs(adj, len(val_of))
         if dead is None:
             return False
-        # the dead arcs of (x, d) are one run of the scan order, which
-        # follows the scope and each domain's iteration order; removing
-        # only after the walk keeps a repeated variable's domain intact
-        dead.append((-1, -1))
-        gone = []
-        pos = 0
-        for x, dom in enumerate(doms):
-            for d in dom:
-                run = pos
-                while dead[pos][0] == x and val_of[dead[pos][1]] == d:
-                    pos += 1
-                if pos - run == len(copies[d]):
-                    gone.append((self.scope[x], d))
+        # removals follow the scope and each domain's iteration order;
+        # removing only after the scan keeps a repeated variable's domain
+        # intact
+        dead_copies = Counter((x, val_of[c]) for x, c in dead)
+        gone = [
+            (self.scope[x], d)
+            for x, dom in enumerate(doms)
+            for d in dom
+            if dead_copies[x, d] == len(copies[d])
+        ]
         for var, d in gone:
             if not model.remove_value(var, d, self):
                 return False

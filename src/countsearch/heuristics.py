@@ -1,7 +1,10 @@
 """Branching heuristics: counting-based selectors, baselines, hybrids.
 
 Every heuristic exposes ``choose(model, randomized=False)`` returning a
-``(variable, value)`` pair or ``None`` when all variables are bound.
+``(variable, value)`` pair or ``None`` when all variables are bound, and
+``branch(model, var, value)``, through which the search drivers take
+each left branch; IBS measures its impacts there, in probes and in
+search alike.
 Ties are broken lexicographically by (variable index, value).
 Score-based heuristics rank pairs by the keys ``(-score, variable index,
 value)``, so the least key is the pick; with ``randomized=True`` they
@@ -39,17 +42,14 @@ import math
 import random
 from typing import Callable, Optional, Sequence
 
-from .engine import Constraint, DensityTable, Model, Variable, float_sum
+from .engine import WIPEOUT, Constraint, DensityTable, Model, Variable, float_sum
 
 Pair = tuple[Variable, int]
 
 
 class Heuristic:
-    """Base class; concrete selectors override ``choose``."""
-
-    #: whether ``observe`` wants impacts; the search drivers measure the
-    #: search space around each left branch only for heuristics that do
-    uses_impact = False
+    """Base class; concrete selectors override ``choose``, and a selector
+    that learns from its left branches overrides ``branch``."""
 
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         self.model = model
@@ -58,8 +58,9 @@ class Heuristic:
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
         raise NotImplementedError
 
-    def observe(self, var: Variable, value: int, impact: float) -> None:
-        """Called after each left branch with the observed impact."""
+    def branch(self, model: Model, var: Variable, value: int) -> str:
+        """Take the left branch ``var = value``; the push's status."""
+        return model.push_decision("assign", var, value)
 
 
 # ----------------------------------------------------------------------
@@ -381,49 +382,35 @@ class Ibs(Heuristic):
     """Impact-based search with root probing and top-5 re-probing."""
 
     RE_PROBE = 5
-    uses_impact = True
 
     def __init__(self, model: Model, rng: Optional[random.Random] = None):
         super().__init__(model, rng)
-        self._sums: dict[tuple[int, int], float] = {}
-        self._obs: dict[tuple[int, int], int] = {}
-        self._initialized = False
+        # per pair, the running (total, count) of its impacts
+        self._impacts: dict[tuple[int, int], tuple[float, int]] = {}
 
-    # -- impact bookkeeping -------------------------------------------
-    def _record(self, vi: int, d: int, impact: float) -> None:
-        key = (vi, d)
-        self._sums[key] = self._sums.get(key, 0.0) + impact
-        self._obs[key] = self._obs.get(key, 0) + 1
-
-    def _avg(self, vi: int, d: int) -> float:
-        key = (vi, d)
-        n = self._obs.get(key, 0)
-        return self._sums[key] / n if n else 0.0
-
-    def observe(self, var: Variable, value: int, impact: float) -> None:
-        self._record(var.index, value, impact)
-
-    # -- probing -------------------------------------------------------
-    def _probe(self, model: Model, var: Variable, d: int) -> float:
+    def branch(self, model: Model, var: Variable, value: int) -> str:
+        """Push var = value and record its impact: the share of the search
+        space it removes, or 1 on a wipeout."""
         before = model.log_search_space()
-        level = model.level
-        status = model.push_decision("assign", var, d)
-        if status == "wipeout":
+        status = model.push_decision("assign", var, value)
+        if status == WIPEOUT:
             impact = 1.0
         else:
-            after = model.log_search_space()
-            impact = 1.0 - math.exp(after - before)
-        model.backtrack_to(level)
-        return impact
+            impact = 1.0 - math.exp(model.log_search_space() - before)
+        key = (var.index, value)
+        total, n = self._impacts.get(key, (0.0, 0))
+        self._impacts[key] = (total + impact, n + 1)
+        return status
+
+    def _avg(self, vi: int, d: int) -> float:
+        total, n = self._impacts.get((vi, d), (0.0, 0))
+        return total / n if n else 0.0
 
     def _probe_var(self, model: Model, var: Variable) -> None:
+        level = model.level
         for d in model.domain_sorted(var):
-            self._record(var.index, d, self._probe(model, var, d))
-
-    def _init_root(self, model: Model) -> None:
-        for var in model.unbound_variables():
-            self._probe_var(model, var)
-        self._initialized = True
+            self.branch(model, var, d)
+            model.backtrack_to(level)
 
     def _aggregate(self, model: Model, var: Variable) -> float:
         """Variable impact: total of its values' average impacts."""
@@ -433,11 +420,9 @@ class Ibs(Heuristic):
         unbound = model.unbound_variables()
         if not unbound:
             return None
-        if not self._initialized:
-            self._init_root(model)
-            unbound = model.unbound_variables()
-            if not unbound:
-                return None
+        if not self._impacts:  # the first pick probes every pair, undone
+            for var in unbound:
+                self._probe_var(model, var)
         ranked = sorted(
             unbound, key=lambda v: (-self._aggregate(model, v), v.index)
         )
@@ -445,10 +430,9 @@ class Ibs(Heuristic):
         if len(subset) > 1:
             for v in subset:
                 self._probe_var(model, v)
-        best_score = max(self._aggregate(model, v) for v in subset)
-        tied = [
-            v for v in subset if self._aggregate(model, v) == best_score
-        ]
+        scores = [self._aggregate(model, v) for v in subset]
+        best_score = max(scores)
+        tied = [v for v, score in zip(subset, scores) if score == best_score]
         var = tied[0] if len(tied) == 1 else tied[self.rng.randrange(len(tied))]
         # smallest-impact value, lexicographic tie-break
         value = min(
@@ -485,7 +469,6 @@ class VarThenValue(Heuristic):
         super().__init__(model, rng)
         self.var_rule = var_rule
         self.value_rule = value_rule
-        self.uses_impact = var_rule.uses_impact
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
         pick = self.var_rule.choose(model, randomized)
@@ -494,8 +477,8 @@ class VarThenValue(Heuristic):
         var, _ = pick
         return var, self.value_rule(model, var)
 
-    def observe(self, var: Variable, value: int, impact: float) -> None:
-        self.var_rule.observe(var, value, impact)
+    def branch(self, model: Model, var: Variable, value: int) -> str:
+        return self.var_rule.branch(model, var, value)
 
 
 def _random_value(rng: random.Random) -> Callable[[Model, Variable], int]:

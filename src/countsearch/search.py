@@ -15,7 +15,8 @@ and one backtrack limit.  Every leaf a run reaches is a solution, and a
 run that neither its cap nor its cutoff cut short proves unsat.  A run
 is one call of ``_walk``, which keeps the untried right branches on an
 explicit stack, so the depth of the tree is not limited by Python's
-recursion limit.
+recursion limit.  At each node the walk takes the heuristic's pick
+(``choose``) and its left branch through the heuristic (``branch``).
 
 A search that ends on a solution leaves the model there, with the
 density tables on its trail released (``Model.release_tables``): a
@@ -76,14 +77,6 @@ class _Budget:
         return self.timed_out or self.cut_off
 
 
-def _observe(heuristic: Heuristic, model, var, value, before, status) -> None:
-    if status == WIPEOUT:
-        heuristic.observe(var, value, 1.0)
-    else:
-        after = model.log_search_space()
-        heuristic.observe(var, value, 1.0 - math.exp(after - before))
-
-
 def _walk(
     model: Model,
     heuristic: Heuristic,
@@ -103,7 +96,6 @@ def _walk(
     # with the level of the node that made the decision and the
     # discrepancies left below that node
     open_right: list = []
-    learns = heuristic.uses_impact
     capped = False
     left = cap
     while True:
@@ -115,11 +107,7 @@ def _walk(
             return SAT
         var, value = pick
         open_right.append((var, value, model.level, left))
-        before = model.log_search_space() if learns else None
-        status = model.push_decision("assign", var, value)
-        if learns:
-            _observe(heuristic, model, var, value, before, status)
-        if status == CONSISTENT:
+        if heuristic.branch(model, var, value) == CONSISTENT:
             continue
         budget.note_backtrack()
         # the subtree failed: refute the deepest untried decision

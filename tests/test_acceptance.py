@@ -273,13 +273,13 @@ def test_exact_counting_equivalence_suite():
 # 7. normalization during randomized search
 # ----------------------------------------------------------------------
 def test_density_tables_normalized_during_search(monkeypatch):
-    observed = []
+    seen = []
     original = Model.collect_densities
 
     def spy(self):
         tables = original(self)
         for table in tables:
-            observed.append((self, table))
+            seen.append((self, table))
             for var in table.constraint.scope:
                 if self.is_bound(var):
                     continue
@@ -297,7 +297,7 @@ def test_density_tables_normalized_during_search(monkeypatch):
         restart_search(
             model, MaxSD(model, random.Random(1)), scale=4, backtrack_limit=28
         )
-    assert observed  # the spy actually saw density tables
+    assert seen  # the spy actually saw density tables
 
 
 # ----------------------------------------------------------------------

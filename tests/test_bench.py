@@ -88,6 +88,15 @@ def test_malformed_instances_rejected():
     with pytest.raises(ParseError):
         # clue cannot fit in the row
         parse_instance("1 2\n3\n1\n1\n", "nonogram")
+    with pytest.raises(ParseError):
+        parse_instance("2\n1 2\n1 2\n2 1\n", "qwh")  # a line after the grid
+    with pytest.raises(ParseError):
+        parse_instance("1 2 3\n1\n0\n0\n", "nonogram")  # an int after the header
+    with pytest.raises(ParseError):
+        # an int after the header
+        parse_instance("ttppv 4 9\n0 1 1 0\n0 0 1 1\n0 0 0 1\n1 0 0 0\n", "ttppv")
+    with pytest.raises(ParseError, match="n must be at least 0"):
+        parse_instance("-1\n", "qwh")  # a negative row count
     with pytest.raises(ValueError):
         Instance("mystery", "m", {})
 

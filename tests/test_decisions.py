@@ -35,6 +35,13 @@ a magic square whose sums are exact ``Knapsack`` constraints.
 between a score heuristic's two best pairs, and ``lds`` branches off the
 best pair in discrepancy waves.  Digest pins of both under maxSD,
 maxRelSD and minSCMaxSD fix that draw and the order of the pairs.
+
+IBS (``ibs``, and ``ibs+maxSD``, which takes its values from the density
+tables) probes every pair at the root and re-probes its best variables
+at each pick, and averages each pair's impacts over its probes and the
+search's own left branches.  Digest pins under ``dfs``, ``restart_search``
+and ``lds``, on a quasigroup completion, both magic squares and a market
+split, fix those averages and the picks they steer.
 """
 
 import hashlib
@@ -104,6 +111,7 @@ BUILDERS = {
     "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
     "qwh-15-s0": lambda: _qwh(15, 0),
     "magic-4-s0": lambda: build_model(generate_magic(4, seed=0)),
+    "marketsplit-3-s0": lambda: build_model(generate_marketsplit(3, 0)),
 }
 
 #: instance -> (backtracks, decisions), all found sat under a cap of 30
@@ -489,3 +497,32 @@ def test_domwdeg_restart_and_lds_decisions_are_pinned(instance, search):
     assert _search_recorded(
         instance, "domWDeg", DOMWDEG_SEARCHES[search]
     ) == GOLDEN_DOMWDEG_RUNS[instance, search]
+
+
+IBS_SEARCHES = {
+    "dfs": lambda m, h: dfs(m, h, backtrack_limit=60),
+    "restart": lambda m, h: restart_search(m, h, scale=5, backtrack_limit=60),
+    "lds": lambda m, h: lds(m, h, backtrack_limit=60),
+}
+
+#: (instance, search, heuristic) -> (status, backtracks, decision count,
+#: digest as above) of IBS under a cap of 60; its impacts carry over from
+#: each run to the next, and the restart searches start over after 5, 10,
+#: 20, ... backtracks
+GOLDEN_IBS = {
+    ("qwh-15-s0", "dfs", "ibs"): (SAT, 1, 6, "dba4162d19dddb6a"),
+    ("qwh-15-s0", "restart", "ibs+maxSD"): (SAT, 0, 6, "67f2030cda72c81b"),
+    ("qwh-15-s0", "lds", "ibs"): (SAT, 2, 9, "12ce292702c3c761"),
+    ("magic-4-s0", "dfs", "ibs"): (SAT, 13, 19, "25c8435d765a7c15"),
+    ("magic-4-s1", "dfs", "ibs+maxSD"): (SAT, 0, 3, "a6b64a22484396e6"),
+    ("marketsplit-3-s0", "dfs", "ibs+maxSD"): (TIMEOUT, 60, 64, "93390ee9b43b575c"),
+    ("marketsplit-3-s0", "restart", "ibs"): (TIMEOUT, 60, 84, "56dcee040cba3cd9"),
+    ("marketsplit-3-s0", "lds", "ibs+maxSD"): (TIMEOUT, 60, 175, "6db82a37b28c4c62"),
+}
+
+
+@pytest.mark.parametrize("instance,search,name", GOLDEN_IBS)
+def test_ibs_decisions_are_pinned(instance, search, name):
+    assert _search_recorded(
+        instance, name, IBS_SEARCHES[search]
+    ) == GOLDEN_IBS[instance, search, name]

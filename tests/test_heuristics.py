@@ -492,13 +492,32 @@ def test_ibs_ranks_by_impact():
     assert m.level == 0  # probing fully undone
 
 
-def test_ibs_observe_feeds_averages():
+def test_ibs_branch_feeds_averages():
+    # x = 1 removes two thirds of the space at the root (y loses 1) and
+    # half of it once y = 3
     m = Model()
     x = m.new_variable({1, 2}, "x")
+    y = m.new_variable({1, 2, 3}, "y")
+    m.add(AllDifferent([x, y]))
     h = Ibs(m, random.Random(0))
-    h.observe(x, 1, 0.25)
-    h.observe(x, 1, 0.75)
-    assert h._avg(x.index, 1) == pytest.approx(0.5)
+    assert h.branch(m, x, 1) == CONSISTENT
+    m.backtrack_to(0)
+    m.push_decision("assign", y, 3)
+    assert h.branch(m, x, 1) == CONSISTENT
+    total, n = h._impacts[x.index, 1]
+    assert n == 2
+    assert total == pytest.approx(2 / 3 + 1 / 2)
+    assert h._avg(x.index, 1) == pytest.approx(7 / 12)
+
+
+def test_ibs_branch_counts_a_wipeout_as_impact_one():
+    m = Model()
+    x, y, z = (m.new_variable({1, 2}, name) for name in "xyz")
+    for pair in ((x, y), (y, z), (x, z)):
+        m.add(AllDifferent(list(pair)))
+    h = Ibs(m, random.Random(0))
+    assert h.branch(m, x, 1) == WIPEOUT
+    assert h._impacts[x.index, 1] == (1.0, 1)
 
 
 def _free_alldiff(n=4):
@@ -510,14 +529,30 @@ def _free_alldiff(n=4):
 
 @pytest.mark.parametrize("name", ["ibs", "ibs+maxSD"])
 def test_search_feeds_impacts_to_ibs(name):
+    # the search takes each pick's left branch through Ibs.branch, which
+    # records its impact, as it does each probe's
     m = _free_alldiff()
     h = make_heuristic(name, m)
     ibs = h if name == "ibs" else h.var_rule
-    impacts = []
-    ibs.observe = lambda var, value, impact: impacts.append(impact)
+    choose, branch, events = h.choose, ibs.branch, []
+
+    def chosen(model, randomized=False):
+        pick = choose(model, randomized)
+        events.append(("pick", pick))
+        return pick
+
+    def branched(model, var, value):
+        events.append(("branch", (var, value)))
+        return branch(model, var, value)
+
+    h.choose, ibs.branch = chosen, branched
     assert dfs(m, h).status == SAT
-    assert impacts
-    assert all(0.0 < impact <= 1.0 for impact in impacts)
+    picks = [i for i, (kind, pick) in enumerate(events) if kind == "pick" and pick]
+    assert picks
+    assert all(events[i + 1] == ("branch", events[i][1]) for i in picks)
+    records = ibs._impacts.values()
+    assert sum(n for _, n in records) == sum(kind == "branch" for kind, _ in events)
+    assert all(0.0 < total / n <= 1.0 for total, n in records)
 
 
 @pytest.mark.parametrize("name", [n for n in HEURISTIC_NAMES if "ibs" not in n])
