@@ -33,7 +33,6 @@ from .engine import (
     Constraint,
     DensityTable,
     Model,
-    Variable,
     float_sum,
 )
 from .factors import BM_TABLE_SIZE, bm_table, lb_log_bound
@@ -317,9 +316,6 @@ class AllDifferent(Constraint):
     idempotent = True
     _open: Optional[list[int]] = None
 
-    def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
-        super().__init__(scope, consistency)
-
     def name(self) -> str:
         return "alldifferent"
 
@@ -452,9 +448,11 @@ class SymmetricAllDifferent(Constraint):
     """Perfect pairing: x_i = j iff x_j = i, with no self-pairs.
 
     Scope position i (0-based) corresponds to entity i+1; domains hold
-    entity numbers.  Filtering enforces the channeling (edge mutuality)
-    and binds the partner of each bound variable; counting bounds the
-    number of matchings of the contracted value graph.
+    entity numbers.  Counting bounds the number of matchings of the
+    contracted value graph, whose edges (``_adjacency``) are the mutual
+    ones: j in D_i and i + 1 in D_{j-1}, with j != i + 1.  Filtering keeps
+    only values on those edges and binds the partner of each bound
+    position.
     """
 
     supports_counting = True
@@ -472,41 +470,34 @@ class SymmetricAllDifferent(Constraint):
         return True
 
     def propagate(self, model: Model) -> bool:
+        """Both filtering rules to their fixpoint, in rounds that list
+        what the rules change on the round's domains and then apply it;
+        the rules are monotone, so that order leaves the fixpoint as is."""
         scope = self.scope
-        n = len(scope)
-        changed = True
-        while changed:
-            changed = False
-            for i, var in enumerate(scope):
-                dom = model._domains[var.index]
-                if (i + 1) in dom:
-                    if not model.remove_value(var, i + 1, self):
-                        return False
-                    changed = True
-            # edge mutuality: j in D_i requires i+1 in D_{j-1}
-            for i, var in enumerate(scope):
-                for j in sorted(model._domains[var.index]):
-                    if j < 1 or j > n:
-                        if not model.remove_value(var, j, self):
-                            return False
-                        changed = True
-                        continue
-                    if (i + 1) not in model._domains[scope[j - 1].index]:
-                        if not model.remove_value(var, j, self):
-                            return False
-                        changed = True
-            # a bound pair binds its partner; the next mutuality pass then
-            # removes both entities from every other domain
-            for i, var in enumerate(scope):
-                dom = model._domains[var.index]
-                if len(dom) != 1:
-                    continue
-                partner = scope[next(iter(dom)) - 1]
-                if not model.is_bound(partner):
-                    if not model.assign(partner, i + 1, self):
-                        return False
-                    changed = True
-        return True
+        while True:
+            domains = self._domains(model)
+            adj = self._adjacency(domains)
+            removals = [
+                (var, j)
+                for var, dom, edges in zip(scope, domains, adj)
+                for j in dom
+                if j - 1 not in edges
+            ]
+            bindings = [
+                (scope[j], i + 1)
+                for i, dom in enumerate(domains)
+                if len(dom) == 1
+                for j in adj[i]
+                if len(domains[j]) > 1
+            ]
+            if not removals and not bindings:
+                return True
+            for var, j in removals:
+                if not model.remove_value(var, j, self):
+                    return False
+            for var, i in bindings:
+                if not model.assign(var, i, self):
+                    return False
 
     # -- counting ------------------------------------------------------
     def _adjacency(self, domains: Sequence[set[int]]) -> list[set[int]]:

@@ -372,33 +372,21 @@ def _validate_nonogram(payload):
 
 def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
     """DFA over {0,1} accepting exactly the placements of the clue's
-    blocks (run lengths in order, separated by at least one blank)."""
+    blocks (run lengths in order, separated by at least one blank).
+
+    State (j, i): the blocks before block j are placed and i cells of
+    block j are filled.  With n blocks, a word is accepted in (n, 0) or
+    on the last block's full state; the clue [0] has n = 0.
+    """
     blocks = [b for b in clue if b > 0]
-    if not blocks:
-        trans = {("z", 0): "z"}
-        return Automaton(trans, "z", ["z"])
-    trans: dict[tuple[object, int], object] = {}
-    start = ("gap", 0)
-    trans[(start, 0)] = start
-    trans[(start, 1)] = ("blk", 0, 1)
-    last = len(blocks) - 1
+    n = len(blocks)
+    trans: dict[tuple[object, int], object] = {((n, 0), 0): (n, 0)}
     for j, length in enumerate(blocks):
-        for i in range(1, length + 1):
-            state = ("blk", j, i)
-            if i < length:
-                trans[(state, 1)] = ("blk", j, i + 1)
-            else:
-                if j == last:
-                    trans[(state, 0)] = ("done",)
-                else:
-                    trans[(state, 0)] = ("gap", j + 1)
-        if j > 0:
-            gap = ("gap", j)
-            trans[(gap, 0)] = gap
-            trans[(gap, 1)] = ("blk", j, 1)
-    trans[(("done",), 0)] = ("done",)
-    accepting = [("blk", last, blocks[last]), ("done",)]
-    return Automaton(trans, start, accepting)
+        trans[((j, 0), 0)] = (j, 0)
+        for i in range(length):
+            trans[((j, i), 1)] = (j, i + 1)
+        trans[((j, length), 0)] = (j + 1, 0)
+    return Automaton(trans, (0, 0), [(n, 0)] + [(n - 1, b) for b in blocks[-1:]])
 
 
 def _build_nonogram(payload: dict) -> Model:
@@ -555,29 +543,23 @@ def rostering_dfa(n_tasks: int) -> Automaton:
 
     Consecutive periods must carry equal or adjacent task numbers, a
     break may follow any task, and immediately after a break run the
-    task preceding the break's predecessor task is forbidden.
+    task preceding the break's predecessor task is forbidden.  State
+    ("task", a) follows task a and ("brk", t) a break run after task t,
+    with ("brk", 0) at the start; every state accepts.
     """
+    tasks = range(1, n_tasks + 1)
     trans: dict[tuple[object, int], object] = {}
-    start = ("start",)
-    trans[(start, BREAK)] = ("brk", 0)
-    for a in range(1, n_tasks + 1):
-        trans[(start, a)] = ("task", a)
-        trans[(("task", a), BREAK)] = ("brk", a)
-        for b in range(1, n_tasks + 1):
-            if b == a or abs(b - a) == 1:
-                trans[(("task", a), b)] = ("task", b)
-    for t in range(0, n_tasks + 1):
-        brk = ("brk", t)
-        trans[(brk, BREAK)] = brk
-        for b in range(1, n_tasks + 1):
-            if t > 0 and b == t - 1:
-                continue
-            trans[(brk, b)] = ("task", b)
-    states = {start, ("brk", 0)}
-    for (q, _), q2 in trans.items():
-        states.add(q)
-        states.add(q2)
-    return Automaton(trans, start, list(states))
+    for t in range(n_tasks + 1):
+        trans[(("brk", t), BREAK)] = ("brk", t)
+        for b in tasks:
+            if b != t - 1:
+                trans[(("brk", t), b)] = ("task", b)
+        if t:
+            trans[(("task", t), BREAK)] = ("brk", t)
+            for b in (t - 1, t, t + 1):
+                if b in tasks:
+                    trans[(("task", t), b)] = ("task", b)
+    return Automaton(trans, ("brk", 0), {q for q, _ in trans})
 
 
 def _build_rostering(payload: dict) -> Model:
@@ -692,16 +674,13 @@ def generate_kprostering(
         sum(costs[e][d] * witness[e][d] for d in range(days))
         for e in range(employees)
     ]
-    forbidden = []
-    seen = set()
+    forbidden = set()
     while len(forbidden) < n_forbidden:
         e = rng.randrange(employees)
         d = rng.randrange(days)
         s = rng.randrange(shifts)
-        if s == witness[e][d] or (e, d, s) in seen:
-            continue
-        seen.add((e, d, s))
-        forbidden.append((e, d, s))
+        if s != witness[e][d]:
+            forbidden.add((e, d, s))
     payload = {
         "employees": employees,
         "days": days,
@@ -736,30 +715,25 @@ def _validate_ttppv(payload):
 def ttppv_pattern_dfa(
     team: int, venues: Sequence[Sequence[int]], max_run: int = 3
 ) -> Automaton:
-    """DFA over opponent ids forbidding more than ``max_run`` consecutive
-    home (or away) rounds for ``team`` under the predefined venues."""
-    n = len(venues)
-    opponents = [o for o in range(n) if o != team]
-    # symbols are 1-based team numbers, matching the model variables
+    """DFA over opponent ids (1-based team numbers, as in the model)
+    forbidding more than ``max_run`` consecutive home (or away) rounds
+    for ``team`` under the predefined venues.  State (venue, run): the
+    last ``run`` rounds were at ``venue`` (1 = home).  Every state
+    accepts, even one without out-arcs, as (1, max_run) is for a team at
+    home against every opponent.
+    """
+    runs = [(home, run) for home in (0, 1) for run in range(1, max_run + 1)]
     trans: dict[tuple[object, int], object] = {}
-    start = ("start",)
-    states = {start}
-    for o in opponents:
-        home = venues[team][o]
-        trans[(start, o + 1)] = (home, 1)
-        states.add((home, 1))
-    for home in (0, 1):
-        for run in range(1, max_run + 1):
-            state = (home, run)
-            states.add(state)
-            for o in opponents:
-                v = venues[team][o]
-                if v == home:
-                    if run < max_run:
-                        trans[(state, o + 1)] = (home, run + 1)
-                else:
-                    trans[(state, o + 1)] = (v, 1)
-    return Automaton(trans, start, list(states))
+    for o, home in enumerate(venues[team]):
+        if o == team:
+            continue
+        trans[("start", o + 1)] = (home, 1)
+        for v, run in runs:
+            if v != home:
+                trans[((v, run), o + 1)] = (home, 1)
+            elif run < max_run:
+                trans[((v, run), o + 1)] = (home, run + 1)
+    return Automaton(trans, "start", ["start", *runs])
 
 
 def _build_ttppv(payload: dict) -> Model:

@@ -314,8 +314,6 @@ def main() -> None:
         sys.exit(3)
     except click.exceptions.Abort:
         sys.exit(3)
-    except SystemExit:
-        raise
 
 
 if __name__ == "__main__":

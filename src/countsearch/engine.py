@@ -267,17 +267,10 @@ class Model:
         return True
 
     def assign(self, var: Variable, value: int, cause: Optional[Constraint] = None) -> bool:
-        dom = self._domains[var.index]
-        if value not in dom:
-            # removing everything wipes out; report through the same path
-            for v in list(dom):
-                if not self.remove_value(var, v, cause):
-                    return False
-            return False
-        for v in list(dom):
-            if v != value:
-                if not self.remove_value(var, v, cause):
-                    return False
+        # a value outside the domain removes them all, ending on a wipeout
+        for v in list(self._domains[var.index]):
+            if v != value and not self.remove_value(var, v, cause):
+                return False
         return True
 
     def trail_undo(self, undo: Callable[[object], None], arg: object) -> None:

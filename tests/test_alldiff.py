@@ -665,6 +665,59 @@ def test_sym_bound_pair_propagates_partner():
     assert m.value_of(xs[3]) == 3
 
 
+def _pairing_fixpoint(scope, domains):
+    """The pairing rules on copied sets until nothing changes: drop self
+    values, values out of range and values without the mutual edge, and
+    bind the partner of a bound position.  None on a wipeout."""
+    doms = [set(d) for d in domains]
+    n = len(scope)
+    changed = True
+    while changed:
+        changed = False
+        for i, x in enumerate(scope):
+            for j in sorted(doms[x]):
+                if j == i + 1 or not 1 <= j <= n or i + 1 not in doms[scope[j - 1]]:
+                    doms[x].discard(j)
+                    changed = True
+            if len(doms[x]) == 1:
+                partner = doms[scope[next(iter(doms[x])) - 1]]
+                if partner != {i + 1}:
+                    partner.intersection_update({i + 1})
+                    changed = True
+            if not all(doms):
+                return None
+    return doms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sym_propagate_reaches_the_pairing_fixpoint(data):
+    # self values, values out of 1..n and variables filling two positions;
+    # domains keep at least half of 1..n, so some fixpoints are consistent
+    n = data.draw(st.integers(1, 7))
+    scope = data.draw(
+        st.just(list(range(n)))
+        | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    )
+    domains = []
+    for _ in range(max(scope) + 1):
+        kept = data.draw(st.sets(st.integers(1, n), min_size=n // 2))
+        junk = data.draw(
+            st.sets(st.sampled_from([-1, 0, n + 1]), min_size=0 if kept else 1)
+        )
+        domains.append(kept | junk)
+    m = Model()
+    xs = [m.new_variable(d) for d in domains]
+    c = SymmetricAllDifferent([xs[k] for k in scope])
+    expected = _pairing_fixpoint(scope, domains)
+    assert c.propagate(m) == (expected is not None)
+    if expected is not None:
+        assert [m.domain(x) for x in xs] == expected
+        trail = len(m._trail)
+        assert c.propagate(m)
+        assert len(m._trail) == trail  # a second call removes nothing
+
+
 def test_sym_matching_bound_dominates_exact():
     rng = random.Random(3)
     for _ in range(40):

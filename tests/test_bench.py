@@ -1,6 +1,7 @@
 """Benchmark instances: formats, DFA compilers, builders, generators."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from countsearch.bench import (
     save_instance,
     ttppv_pattern_dfa,
     write_instance,
+    _clues_of,
 )
 from countsearch.knapsack import Knapsack
 from countsearch.heuristics import MaxSD, make_heuristic
@@ -225,6 +227,78 @@ def test_ttppv_pattern_dfa_limits_runs():
     dfa = ttppv_pattern_dfa(0, venues)
     assert dfa.accepts([2, 3, 4])  # three home games: allowed
     assert not dfa.accepts([2, 3, 4, 5])  # four in a row: barred
+
+
+def _words(alphabet, max_len):
+    """Every word over ``alphabet`` of length 0 .. ``max_len``."""
+    for k in range(max_len + 1):
+        yield from product(alphabet, repeat=k)
+
+
+def test_nonogram_dfa_language_is_the_clue():
+    # a word is accepted iff its runs of 1s are the clue's blocks
+    rng = random.Random(11)
+    clues = [[0]]
+    while len(clues) < 12:
+        clue = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        if sum(clue) + len(clue) - 1 <= 11:
+            clues.append(clue)
+    for clue in clues:
+        dfa = nonogram_clue_dfa(clue)
+        for word in _words((0, 1), 11):
+            assert dfa.accepts(word) == (_clues_of(word) == clue), (clue, word)
+
+
+def _roster_ok(word):
+    """Adjacent or equal tasks in a row, and after a break run that
+    followed task t, never task t - 1."""
+    for k in range(1, len(word)):
+        a, b = word[k - 1], word[k]
+        if a and b and abs(a - b) > 1:
+            return False
+        if not a and b:
+            before = [t for t in word[:k] if t]
+            if before and b == before[-1] - 1:
+                return False
+    return True
+
+
+def test_rostering_dfa_language_is_the_rules():
+    for n_tasks in range(1, 6):
+        dfa = rostering_dfa(n_tasks)
+        for word in _words(range(n_tasks + 1), 6):
+            assert dfa.accepts(word) == _roster_ok(word), (n_tasks, word)
+
+
+def _ttppv_ok(team, venues, word, max_run=3):
+    """No self-opponent, and no more than ``max_run`` rounds in a row at
+    one venue."""
+    if team + 1 in word:
+        return False
+    homes = [venues[team][o - 1] for o in word]
+    return all(
+        len(set(homes[k : k + max_run + 1])) > 1
+        for k in range(len(homes) - max_run)
+    )
+
+
+def test_ttppv_dfa_language_is_the_venue_rule():
+    rng = random.Random(5)
+    for n, max_len in ((4, 6), (6, 5)):
+        # team 0 is at home against every other team
+        venues = [[int(i < j) for j in range(n)] for i in range(n)]
+        random_venues = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                random_venues[i][j] = rng.randrange(2)
+                random_venues[j][i] = 1 - random_venues[i][j]
+        for table in (venues, random_venues):
+            for team in range(n):
+                dfa = ttppv_pattern_dfa(team, table)
+                for word in _words(range(1, n + 1), max_len):
+                    assert dfa.accepts(word) == _ttppv_ok(team, table, word), (
+                        team, word
+                    )
 
 
 # ----------------------------------------------------------------------
