@@ -35,7 +35,7 @@ from .engine import (
     Model,
     float_sum,
 )
-from .factors import BM_TABLE_SIZE, bm_table, lb_log_bound
+from .factors import bm_table, lb_log_bound
 
 
 def probe_table(
@@ -119,7 +119,7 @@ def alldiff_density_table(
     if 0 in rows:
         return DensityTable(constraint, -math.inf, {})
     pad_log = math.lgamma(p + 1)
-    bm = bm_table(max(u, BM_TABLE_SIZE))
+    bm = bm_table(u)
     bm_root = float_sum(map(bm.__getitem__, rows)) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
 
@@ -456,6 +456,8 @@ class SymmetricAllDifferent(Constraint):
     """
 
     supports_counting = True
+    # filtering loops to the pairing fixpoint
+    idempotent = True
 
     def name(self) -> str:
         return "symmetric_alldifferent"

@@ -12,7 +12,10 @@ tables its trail holds.  Constraints
 may trail changes to state of their own (``Model.trail_undo``): the
 layered graphs of ``Regular`` and exact ``Knapsack`` trail their arc
 deletions and their creation, so backtracking revives the arcs and drops
-a graph built below the level it returns to.
+a graph built below the level it returns to.  Each wipeout is reported
+once, from one place, to the ``on_wipeout`` listeners, with its culprit:
+the constraint whose ``propagate`` call failed, or None when a decision
+itself empties a domain.
 """
 
 from __future__ import annotations
@@ -186,8 +189,7 @@ class Model:
         self._trail: list = []
         self._level_marks: list[int] = [0]
         self._queue: deque[Constraint] = deque()
-        self.last_wipeout: Optional[Constraint] = None
-        self._wipeout_listeners: list[Callable[[Constraint], None]] = []
+        self._wipeout_listeners: list[Callable[[Optional[Constraint]], None]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -224,12 +226,6 @@ class Model:
     def size(self, var: Variable) -> int:
         return len(self._domains[var.index])
 
-    def min(self, var: Variable) -> int:
-        return min(self._domains[var.index])
-
-    def max(self, var: Variable) -> int:
-        return max(self._domains[var.index])
-
     def is_bound(self, var: Variable) -> bool:
         return len(self._domains[var.index]) == 1
 
@@ -260,9 +256,6 @@ class Model:
         self._trail.append((_T_REMOVE, var.index, value))
         self._on_domain_change(var, cause)
         if not dom:
-            self.last_wipeout = cause
-            for cb in self._wipeout_listeners:
-                cb(cause)
             return False
         return True
 
@@ -307,7 +300,7 @@ class Model:
             c._queued = True
             self._queue.append(c)
 
-    def on_wipeout(self, callback: Callable[[Constraint], None]) -> None:
+    def on_wipeout(self, callback: Callable[[Optional[Constraint]], None]) -> None:
         self._wipeout_listeners.append(callback)
 
     # ------------------------------------------------------------------
@@ -326,13 +319,15 @@ class Model:
                 continue
             c._stale = False
             if not c.propagate(self):
-                if self.last_wipeout is None:
-                    self.last_wipeout = c
-                    for cb in self._wipeout_listeners:
-                        cb(c)
-                self._clear_queue()
-                return WIPEOUT
+                return self._wipeout(c)
         return CONSISTENT
+
+    def _wipeout(self, culprit: Optional[Constraint]) -> str:
+        """Report a wipeout blamed on ``culprit`` and empty the queue."""
+        for cb in self._wipeout_listeners:
+            cb(culprit)
+        self._clear_queue()
+        return WIPEOUT
 
     def _clear_queue(self) -> None:
         while self._queue:
@@ -358,7 +353,6 @@ class Model:
         if value not in self._domains[var.index]:
             raise ValueError(f"value {value} not in domain of {var.name}")
         self.push_level()
-        self.last_wipeout = None
         if kind == "assign":
             ok = self.assign(var, value)
         elif kind == "refute":
@@ -366,8 +360,7 @@ class Model:
         else:
             raise ValueError(f"unknown decision kind {kind!r}")
         if not ok:
-            self._clear_queue()
-            return WIPEOUT
+            return self._wipeout(None)
         return self.propagate()
 
     def backtrack_to(self, level: int) -> None:
@@ -388,7 +381,6 @@ class Model:
             else:
                 entry[1].cache = entry[2]
         del self._level_marks[level + 1 :]
-        self.last_wipeout = None
         self._clear_queue()
 
     # ------------------------------------------------------------------

@@ -5,6 +5,9 @@ the Bregman-Minc bound, a product of per-row factors (r!)^(1/r), and the
 Liang-Bai bound, whose per-row factors depend on both the row sum and
 the row's position in ascending row-sum order.  Both are carried as sums
 of logarithms so that products over hundreds of rows cannot overflow.
+Bregman-Minc factors come from one shared list, ``bm_table``, grown to
+the largest row sum asked for; Liang-Bai factors from a fixed table up
+to ``LB_TABLE_SIZE`` rows, and from ``lb_log_factor`` above it.
 On a square matrix with no row sum above its size Liang-Bai never comes
 out below Bregman-Minc (certified up to ``LB_TABLE_SIZE`` rows by
 ``tests/test_factors.py``), so AllDifferent's density probes use
@@ -17,55 +20,46 @@ import math
 from functools import lru_cache
 
 
-#: row sum up to which ``bm_log_factor`` reads one shared factor table
-BM_TABLE_SIZE = 512
+#: entry r is log((r!)^(1/r)) = lgamma(r + 1) / r; entry 0 is unused but
+#: kept so the table is indexed by row sum; grown on demand, never shrunk
+_BM: list[float] = [0.0]
 
 
-@lru_cache(maxsize=None)
-def bm_table(n_max: int) -> tuple[float, ...]:
-    """``bm_table(n)[r] == bm_log_factor(r)`` for 1 <= r <= n."""
-    # log((r!)^(1/r)) = lgamma(r+1)/r ; entry 0 is unused but kept so the
-    # table can be indexed directly by row sum.
-    return tuple(
-        0.0 if r == 0 else math.lgamma(r + 1) / r for r in range(n_max + 1)
-    )
+def bm_table(n: int) -> list[float]:
+    """The shared Bregman-Minc factor table, grown to hold row sums up to
+    ``n`` at least: ``bm_table(n)[r] == bm_log_factor(r)``."""
+    if len(_BM) <= n:
+        _BM.extend(math.lgamma(r + 1) / r for r in range(len(_BM), n + 1))
+    return _BM
 
 
 def bm_log_factor(r: int) -> float:
     """log of the Bregman-Minc per-row factor (r!)^(1/r)."""
     if r < 0:
         raise ValueError("row sum must be nonnegative")
-    if r <= BM_TABLE_SIZE:
-        return bm_table(BM_TABLE_SIZE)[r]
-    return math.lgamma(r + 1) / r
-
-
-def lb_q(r: int, i: int) -> int:
-    """Liang-Bai q value for a row with sum ``r`` at 1-based position ``i``."""
-    return min((r + 1) // 2 + (r + 1) % 2, (i + 1) // 2)
+    return bm_table(r)[r]
 
 
 def lb_log_factor(r: int, i: int) -> float:
-    """log of sqrt(q * (r - q + 1)) for row sum ``r`` at position ``i``."""
-    q = lb_q(r, i)
+    """log of sqrt(q * (r - q + 1)) for row sum ``r`` at 1-based position
+    ``i``, with Liang-Bai's q = min(ceil((r + 1) / 2), ceil(i / 2))."""
+    q = min(r // 2 + 1, (i + 1) // 2)
     return 0.5 * math.log(q * (r - q + 1))
 
 
 def bm_log_bound(row_sums) -> float:
-    """Bregman-Minc log upper bound for given row sums.
-
-    Returns ``-inf`` when some row is empty (no assignment exists).
-    Row sums up to ``BM_TABLE_SIZE`` read the shared factor table.
-    """
-    table = bm_table(BM_TABLE_SIZE)
+    """Bregman-Minc log upper bound for given row sums, added left to
+    right: 0.0 for no rows, ``-inf`` when some row is empty (no
+    assignment exists)."""
+    rows = list(row_sums)
+    if min(rows, default=0) < 0:
+        raise ValueError("row sum must be nonnegative")
+    table = bm_table(max(rows, default=0))
     total = 0.0
-    for r in row_sums:
-        if 0 < r <= BM_TABLE_SIZE:
-            total += table[r]
-        elif r == 0:
+    for r in rows:
+        if not r:
             return -math.inf
-        else:
-            total += bm_log_factor(r)
+        total += table[r]
     return total
 
 
@@ -110,11 +104,6 @@ def lb_log_bound(row_sums) -> float:
         for i, r in enumerate(rows, start=1):
             total += table[r][i]
     else:
-        # ``lb_log_factor(r, i)`` written out, as this loop runs once per
-        # row; ``lb_q``'s first term, ceil((r + 1) / 2), is r // 2 + 1
         for i, r in enumerate(rows, start=1):
-            q = (i + 1) // 2
-            if q > r // 2 + 1:
-                q = r // 2 + 1
-            total += 0.5 * math.log(q * (r - q + 1))
+            total += lb_log_factor(r, i)
     return total

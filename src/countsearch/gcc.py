@@ -41,6 +41,9 @@ class GlobalCardinality(Constraint):
     """Each value d must occur between lower[d] and upper[d] times."""
 
     supports_counting = True
+    # the counting checks loop to their fixpoint; the matching filter leaves
+    # only values on some matching, alike at each position of one variable
+    idempotent = True
 
     def __init__(
         self,

@@ -5,10 +5,12 @@ layered graph over reachable partial sums with the regular constraint's
 builder, ``layered_graph``, for domain-consistent filtering and exact
 path-count densities; it builds the graph once per model and then
 deletes arcs as values leave the domains (Trick, CPAIOR 2003).  The
-Gaussian mode never builds the graph: it treats the sum of the other
+Gaussian mode counts without the graph: it treats the sum of the other
 variables as approximately normal, computing the constraint-wide mean
 and variance once per table so each (variable, value) density costs
-O(1).
+O(1).  Filtering follows the consistency level: a Gaussian knapsack at
+``domain`` consistency filters on the exact graph; ``bench.apply_overrides``
+(the CLI's path) gives Gaussian knapsacks the graph-free bounds filter.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class Knapsack(GraphConstraint):
 
     @property
     def idempotent(self) -> bool:
-        # bounds filtering may need a second call to reach its fixpoint
-        return self.consistency == DOMAIN and self._distinct
+        # bounds filtering or a repeated variable may need a second call
+        return self.consistency == DOMAIN and not self.repeats()
 
     def name(self) -> str:
         return "knapsack"

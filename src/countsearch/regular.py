@@ -46,13 +46,10 @@ class Automaton:
         self.initial = initial
         self.accepting = frozenset(accepting)
 
-    def step(self, state: object, symbol: int) -> Optional[object]:
-        return self.transitions.get((state, symbol))
-
     def accepts(self, word: Sequence[int]) -> bool:
         state = self.initial
         for symbol in word:
-            state = self.step(state, symbol)
+            state = self.transitions.get((state, symbol))
             if state is None:
                 return False
         return state in self.accepting
@@ -256,11 +253,6 @@ class LayeredGraph:
                 weights[s] = total
         return op[self.start], weights
 
-    @property
-    def count(self) -> int:
-        """Number of accepted tuples; 0 signals wipeout."""
-        return self.path_counts()[0]
-
 
 def _csr(ends: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
     """Compressed adjacency of the arcs by one endpoint: the pointers, the
@@ -290,9 +282,6 @@ class GraphConstraint(Constraint):
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         super().__init__(scope, consistency)
         self._graph: Optional[LayeredGraph] = None
-        # filtering is idempotent only when no variable fills two layers:
-        # removing its value at one layer changes the other layer
-        self._distinct = len(set(self.scope)) == len(self.scope)
 
     def build_graph(self, domains: Sequence[set[int]]) -> LayeredGraph:
         raise NotImplementedError
@@ -414,7 +403,9 @@ class Regular(GraphConstraint):
     ):
         super().__init__(scope, consistency)
         self.automaton = automaton
-        self.idempotent = self._distinct
+        # filtering is idempotent only when no variable fills two layers:
+        # removing its value at one layer changes the other layer
+        self.idempotent = not self.repeats()
 
     def name(self) -> str:
         return "regular"

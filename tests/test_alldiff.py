@@ -709,6 +709,7 @@ def test_sym_propagate_reaches_the_pairing_fixpoint(data):
     m = Model()
     xs = [m.new_variable(d) for d in domains]
     c = SymmetricAllDifferent([xs[k] for k in scope])
+    assert c.idempotent
     expected = _pairing_fixpoint(scope, domains)
     assert c.propagate(m) == (expected is not None)
     if expected is not None:

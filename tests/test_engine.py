@@ -332,8 +332,30 @@ def test_wipeout_reported_with_cause():
         m.on_wipeout(seen.append)
         c = m.add(post(m))
         assert m.propagate() == WIPEOUT
-        assert m.last_wipeout is c
         assert seen == [c]
+
+
+def test_failed_matching_is_reported_once_with_its_constraint():
+    # three variables over two values: no domain empties, the matching fails
+    m = Model()
+    xs = [m.new_variable({1, 2}) for _ in range(3)]
+    seen = []
+    m.on_wipeout(seen.append)
+    c = m.add(AllDifferent(xs))
+    assert m.propagate() == WIPEOUT
+    assert [m.domain(x) for x in xs] == [{1, 2}] * 3
+    assert seen == [c]
+
+
+def test_a_decision_that_empties_a_domain_is_reported_once_with_none():
+    m = Model()
+    x = m.new_variable({1, 2})
+    m.add(Forbid(x, 2))
+    assert m.propagate() == CONSISTENT
+    seen = []
+    m.on_wipeout(seen.append)
+    assert m.push_decision("refute", x, 1) == WIPEOUT
+    assert seen == [None]
 
 
 def test_push_decision_assign_and_refute():

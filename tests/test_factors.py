@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countsearch.factors import (
-    BM_TABLE_SIZE,
     LB_TABLE_SIZE,
     bm_log_bound,
     bm_log_factor,
+    bm_table,
     lb_log_bound,
     lb_log_factor,
-    lb_q,
 )
 
 from brute_force import exact_permanent
@@ -40,7 +39,17 @@ def test_lb_q_definition():
     # q = min(ceil((r+1)/2), ceil(i/2))
     for r in range(1, 10):
         for i in range(1, 10):
-            assert lb_q(r, i) == min(-(-(r + 1) // 2), -(-i // 2))
+            q = min(-(-(r + 1) // 2), -(-i // 2))
+            assert lb_log_factor(r, i) == 0.5 * math.log(q * (r - q + 1))
+
+
+def test_bm_table_is_one_list_grown_to_every_row_sum_asked_for():
+    tables = []
+    for n in (1, 7, 512, 513, 1000, 2048):
+        table = bm_table(n)
+        assert all(table[r] == math.lgamma(r + 1) / r for r in range(1, n + 1))
+        tables.append(table)
+    assert all(table is tables[0] for table in tables)
 
 
 def test_zero_row_is_minus_inf():
@@ -99,12 +108,12 @@ def test_lb_bound_equals_factor_loop(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2 * BM_TABLE_SIZE), max_size=12))
-@example([BM_TABLE_SIZE - 1, BM_TABLE_SIZE, BM_TABLE_SIZE + 1, 1])
-@example([3, BM_TABLE_SIZE + 7, 0, 5])
+@given(st.lists(st.integers(0, 1024), max_size=12))
+@example([511, 512, 513, 1])
+@example([3, 519, 0, 5])
 def test_bm_bound_equals_factor_loop(rows):
-    # row sums on both sides of the shared table's size, summed left to
-    # right: the same float to the last bit
+    # row sums into the hundreds, summed left to right: the same float to
+    # the last bit
     expected = 0.0
     for r in rows:
         if r == 0:
@@ -118,6 +127,8 @@ def test_bm_bound_rejects_negative():
     # a table lookup at -1 would read the largest row sum's factor
     with pytest.raises(ValueError):
         bm_log_bound([2, -1])
+    with pytest.raises(ValueError):
+        bm_log_bound([0, -1])  # after an empty row too
 
 
 def _least_lb_minus_bm(size):

@@ -345,6 +345,29 @@ def test_probes_equal_recounts_bit_for_bit(case):
     assert _bits(c.count_densities(m)) == _bits(_recounted_table(c, c._domains(m)))
 
 
+@settings(max_examples=600, deadline=None)
+@given(_gcc_cases(), st.sampled_from([FORWARD_CHECKING, "domain"]))
+# x0 fills two positions, so binding it counts its value twice
+@example(([{1, 2}, {1}, {2, 3}], [0], {}, {1: 1, 2: 1}), FORWARD_CHECKING)
+@example(([{0, 1}, {0, 2}, {0, 2}, {0, 1, 2}], [], {}, {0: 1, 2: 2}), "domain")
+def test_propagate_is_idempotent(case, consistency):
+    """After a call that returns True, a second call returns True and
+    removes nothing: the engine relies on this to skip a wakeup by the
+    call's own removals."""
+    domains, repeats, lower, upper = case
+    m = Model()
+    xs = [m.new_variable(d) for d in domains]
+    c = GlobalCardinality(xs + [xs[i] for i in repeats], lower, upper, consistency)
+    assert c.idempotent
+    if not c.propagate(m):
+        return
+    after = [m.domain(x) for x in xs]
+    trail = len(m._trail)
+    assert c.propagate(m)
+    assert [m.domain(x) for x in xs] == after
+    assert len(m._trail) == trail
+
+
 def test_large_scope_table():
     """150 variables over 30 values, every third value required 1-3
     times and 10% of the variables preset: each unbound variable's

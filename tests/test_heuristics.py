@@ -305,7 +305,7 @@ def test_domwdeg_ranking_follows_weights():
     # wdeg(x)=1, wdeg(y)=1+3=4, wdeg(z)=3: y has the best dom/wdeg
     var, value = h.choose(m)
     assert var is y
-    assert value == m.min(var)
+    assert value == min(m.domain(var))
 
 
 class _Inert(Constraint):
@@ -342,7 +342,7 @@ def test_wdeg_sums_match_per_variable_scan():
         m.add(_Inert([xs[0], xs[0]]))
         for x in xs:
             if rng.random() < 0.4:
-                m.assign(x, m.min(x))
+                m.assign(x, min(m.domain(x)))
         sums = _wdeg_sums(m, state)
         for x in m.unbound_variables():
             assert sums[x.index] == _reference_wdeg_sum(m, state, x)
@@ -372,7 +372,7 @@ class _CheckedDomWdeg(DomWdeg):
         degrees = _wdeg_sums(model, self.state)
         assert self._wdeg == degrees
         var = _least_ratio_pick(model, degrees)
-        assert pick == (None if var is None else (var, model.min(var)))
+        assert pick == (None if var is None else (var, min(model.domain(var))))
         self.checked += 1
         return pick
 
@@ -725,7 +725,7 @@ def test_table_least_keys_give_the_full_scan_pick(seed, name, search):
         if not unbound:
             assert pick is None
         elif not keys:
-            assert picks == [(unbound[0], m.min(unbound[0]))]
+            assert picks == [(unbound[0], min(m.domain(unbound[0])))]
         else:
             pool = heapq.nsmallest(2, keys) if randomized else [min(keys)]
             assert [(v.index, d) for v, d in picks] == [(vi, d) for _, vi, d in pool]

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from countsearch.bench import build_model, generate_marketsplit
-from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
+from countsearch import knapsack
+from countsearch.bench import apply_overrides, build_model, generate_marketsplit
+from countsearch.engine import CONSISTENT, DOMAIN, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.heuristics import MaxSD
 from countsearch.knapsack import (
     EXACT,
@@ -50,7 +51,7 @@ def test_golden_count_is_22():
     graph = build_sum_graph(
         GOLDEN_COEFFS, GOLDEN_DOMAINS, GOLDEN_LO, GOLDEN_HI
     )
-    assert graph.count == 22
+    assert graph.path_counts()[0] == 22
 
 
 def test_golden_densities_exact():
@@ -268,6 +269,29 @@ def test_gaussian_table_has_no_count():
     for x in xs:
         total = sum(table.density(x, d) for d in m.domain_sorted(x))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_only_the_overrides_keep_a_gaussian_knapsack_off_the_graph(monkeypatch):
+    """Gaussian counting never builds the graph, but a Gaussian knapsack
+    at ``domain`` consistency filters on it; ``apply_overrides``, the
+    CLI's path, switches it to the bounds filter, which builds none."""
+    builds = []
+
+    def counted(*args):
+        builds.append(1)
+        return build_sum_graph(*args)
+
+    monkeypatch.setattr(knapsack, "build_sum_graph", counted)
+    for overridden, expected in ((True, 0), (False, 1)):
+        m = Model()
+        xs = [m.new_variable(range(4)) for _ in range(3)]
+        m.add(Knapsack(xs, [2, 3, 5], 8, 12, DOMAIN, GAUSSIAN))
+        if overridden:
+            apply_overrides(m, DOMAIN, GAUSSIAN)
+        builds.clear()
+        assert m.propagate() == CONSISTENT
+        m.collect_densities()
+        assert len(builds) == expected
 
 
 def test_rejects_bad_arguments():

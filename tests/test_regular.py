@@ -41,7 +41,7 @@ def test_layered_graph_counts_fibonacci():
         fib.append(fib[-1] + fib[-2])
     for k in range(1, 8):
         graph = build_layered_graph(a, [{0, 1}] * k)
-        assert graph.count == fib[k + 1]
+        assert graph.path_counts()[0] == fib[k + 1]
 
 
 @pytest.mark.parametrize(
@@ -114,11 +114,12 @@ def test_sum_graph_equals_partial_sum_automaton_graph(case):
 
 
 def _step_graph(automaton, domains):
-    """The reference builder: one ``step`` per (state, domain value)."""
-    step = automaton.step
+    """The reference builder: one transition lookup per (state, domain
+    value)."""
+    step = automaton.transitions.get
 
     def successors(i, state, dom):
-        return [(d, nxt) for d in dom if (nxt := step(state, d)) is not None]
+        return [(d, nxt) for d in dom if (nxt := step((state, d))) is not None]
 
     return layered_graph(
         automaton.initial, successors, automaton.accepting.__contains__, domains

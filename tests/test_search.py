@@ -93,7 +93,7 @@ def test_restart_cutoff_grows_geometrically():
             unbound = model.unbound_variables()
             if not unbound:
                 return None
-            return unbound[0], model.min(unbound[0])
+            return unbound[0], min(model.domain(unbound[0]))
 
     # large pigeonhole: cutoffs 1, 2, 4 all trip before exhaustion
     m = Model()
@@ -152,7 +152,7 @@ def test_lds_needs_discrepancies_against_bad_heuristic():
             if not unbound:
                 return None
             var = unbound[0]
-            return var, model.max(var)  # steer away from (1, 2)
+            return var, max(model.domain(var))  # steer away from (1, 2)
 
     class Only12(AllDifferent):
         def check(self, values):
