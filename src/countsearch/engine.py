@@ -7,8 +7,11 @@ per-constraint density tables are cached, a domain change empties the
 cache, and the cache is trailed together with the domains, so a cached
 table always describes the live domains of its scope; a table memoizes
 what a heuristic derives from it (``DensityTable.least_keys``) for that
-reason.  ``release_tables`` lets a finished search drop the superseded
-tables its trail holds.  Constraints
+reason.  The trail keeps a superseded table whole only when no rule has
+ranked it; a ranked one goes on the trail as a copy with its count and
+least keys but no densities, which are recounted, on the same domains,
+only if a restored copy's densities are read.  ``release_tables`` lets
+a finished search drop the superseded tables its trail holds.  Constraints
 may trail changes to state of their own (``Model.trail_undo``): the
 layered graphs of ``Regular`` and exact ``Knapsack`` trail their arc
 deletions and their creation, so backtracking revives the arcs and drops
@@ -21,6 +24,7 @@ itself empties a domain.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -71,6 +75,12 @@ class DensityTable:
     value)`` to a density in [0, 1]; for each unbound variable in the
     scope the densities over its current domain sum to 1.  Every value of
     every domain in the scope has an entry, unless a domain is empty.
+
+    When a domain change supersedes a cached table, the trail keeps it
+    whole if no rule has ranked it (``least_keys``), and otherwise a copy
+    with the same count and least keys whose densities are recounted on
+    first read (``_RankedTable``), so a backtrack restores its ranking
+    without a recount.
     """
 
     constraint: "Constraint"
@@ -95,7 +105,9 @@ class DensityTable:
         model drops the table from its constraint's cache as soon as a
         domain in the scope changes, and a table restored from the trail
         comes back with the domains it was counted on, so while the
-        table is read its scope's domains never change.
+        table is read its scope's domains never change.  These keys are
+        what the trail keeps of a superseded table; a restored copy
+        asked for another rule's keys recounts its densities first.
         """
         memo = self._least
         if memo is not None and memo[0] is rule:
@@ -109,6 +121,30 @@ class DensityTable:
             least = tuple(sorted(keys))
         self._least = (rule, least)
         return least
+
+
+class _RankedTable(DensityTable):
+    """A superseded table as the trail keeps it once a rule has ranked
+    it: its constraint, count and least keys, and a weak reference to the
+    model, but no densities.
+
+    Its densities are recounted from the constraint when first read.  A
+    restored copy is read only from its constraint's cache, whose table
+    always describes the live domains of the scope, so the recount is
+    the table that was dropped.
+    """
+
+    def __init__(self, table: DensityTable, model: "Model"):
+        self.constraint = table.constraint
+        self.log_count = table.log_count
+        self._least = table._least
+        self._model = weakref.ref(model)
+
+    def __getattr__(self, name: str):
+        if name != "densities":
+            raise AttributeError(name)
+        self.densities = self.constraint.count_densities(self._model()).densities
+        return self.densities
 
 
 class Constraint:
@@ -290,8 +326,11 @@ class Model:
         for c in self._watchers[var.index]:
             if c is not cause:
                 c._stale = True
-            if c.cache is not None:
-                self._trail.append((_T_CACHE, c, c.cache))
+            table = c.cache
+            if table is not None:
+                if table._least is not None:
+                    table = _RankedTable(table, self)
+                self._trail.append((_T_CACHE, c, table))
                 c.cache = None
             self._enqueue(c)
 

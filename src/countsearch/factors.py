@@ -40,9 +40,12 @@ def bm_log_factor(r: int) -> float:
     return bm_table(r)[r]
 
 
+@lru_cache(maxsize=None)
 def lb_log_factor(r: int, i: int) -> float:
     """log of sqrt(q * (r - q + 1)) for row sum ``r`` at 1-based position
-    ``i``, with Liang-Bai's q = min(ceil((r + 1) / 2), ceil(i / 2))."""
+    ``i``, with Liang-Bai's q = min(ceil((r + 1) / 2), ceil(i / 2));
+    memoized, as ``lb_log_bound`` calls it once per row above
+    ``LB_TABLE_SIZE``."""
     q = min(r // 2 + 1, (i + 1) // 2)
     return 0.5 * math.log(q * (r - q + 1))
 
