@@ -183,6 +183,20 @@ def _kuhn_matching(adj: list[list[int]], n_vals: int) -> tuple[list[int], list[i
     return match_var, match_val
 
 
+def _closure(arcs: list[int], start: int) -> int:
+    """The nodes reached from the node set ``start`` (a bitmask), itself
+    included, along ``arcs``, the bitmask of each node's neighbours.
+    Each node is expanded once."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = arcs[low.bit_length() - 1] & ~seen
+        seen |= grown
+        frontier |= grown
+    return seen
+
+
 def regin_dead_arcs(
     adj: list[list[int]], n_vals: int
 ) -> Optional[list[tuple[int, int]]]:
@@ -198,10 +212,15 @@ def regin_dead_arcs(
     no free value (y is not *reached*) and y is not in x's strongly
     connected component.  Each node keeps its successors and
     predecessors as Python int bitmasks.  The reached set is one search
-    from the free values along predecessors; the components come from
-    one Kosaraju pass over the unreached variables, since a component of
-    an unreached variable holds only unreached ones.  Each search pushes
-    a variable once.
+    from the free values along predecessors.  An unreached variable's
+    arcs lead only to unreached ones, so nothing dies exactly when each
+    component of the unreached variables is closed, with no arc leaving
+    or entering it.  That is checked first, from one member per
+    component, whose searches along successors and along predecessors
+    must find the same variables; most calls end there.  Otherwise the
+    components come from one Kosaraju pass over the unreached variables,
+    since a component of an unreached variable holds only unreached
+    ones.  Each search expands a variable once.
     """
     n_vars = len(adj)
     if n_vals < n_vars:
@@ -226,19 +245,25 @@ def regin_dead_arcs(
         bit <<= 1
     pred = [holders[v] for v in match_var]
 
-    # the variables that can reach a free value
-    reached = 0
+    # the variables that can reach a free value, searched back from
+    # those that can take one
+    takers = 0
     for v, y in enumerate(match_val):
         if y == -1:
-            reached |= holders[v]
-    frontier = reached
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        grown = pred[low.bit_length() - 1] & ~reached
-        reached |= grown
-        frontier |= grown
+            takers |= holders[v]
+    reached = _closure(pred, takers)
     rest = (1 << n_vars) - 1 & ~reached
+
+    # nothing dies when every unreached component is closed both ways
+    unchecked = rest
+    while unchecked:
+        seed = unchecked & -unchecked
+        ahead = _closure(succ, seed)
+        if _closure(pred, seed) != ahead:
+            break
+        unchecked ^= ahead
+    else:
+        return []
 
     # Kosaraju over the unreached variables: finish order along succ,
     # then components along pred in reverse finish order
@@ -259,30 +284,22 @@ def regin_dead_arcs(
 
     # comp[y]: y's component, or -1 for a reached y
     comp = [-1] * n_vars
-    dying = 0  # the variables with an arc into another component
     unvisited = rest
     for root in reversed(finished):
         if comp[root] != -1:
             continue
         comp[root] = root
-        members = 1 << root
-        unvisited ^= members
-        into = 0
+        unvisited ^= 1 << root
         stack = [root]
         while stack:
-            into |= pred[stack.pop()]
-            grown = into & unvisited
+            grown = pred[stack.pop()] & unvisited
             unvisited ^= grown
-            members |= grown
             while grown:
                 low = grown & -grown
                 grown ^= low
                 y = low.bit_length() - 1
                 comp[y] = root
                 stack.append(y)
-        dying |= into ^ members  # into holds every member
-    if not dying:
-        return []
 
     # no arc leads from an unreached variable to a reached one, and only
     # reached variables can take a free value: (x, v) is dead iff x and

@@ -394,6 +394,12 @@ def _value_graphs(draw):
 @example(([], 0))
 def test_regin_dead_arcs_are_the_arcs_no_matching_uses(graph):
     adj, n_vals = graph
+    assert regin_dead_arcs(adj, n_vals) == _unused_arcs(adj)
+
+
+def _unused_arcs(adj):
+    """The arcs of ``adj``, in scan order, that no covering matching
+    uses; None when there is no covering matching."""
     arcs = [(x, v) for x, vs in enumerate(adj) for v in vs]
     used = set()
     found = False
@@ -402,8 +408,32 @@ def test_regin_dead_arcs_are_the_arcs_no_matching_uses(graph):
         used.update(enumerate(values))
         if len(used) == len(arcs):
             break
-    expected = [a for a in arcs if a not in used] if found else None
-    assert regin_dead_arcs(adj, n_vals) == expected
+    return [a for a in arcs if a not in used] if found else None
+
+
+_DUMMY = [2, 3]
+
+
+@pytest.mark.parametrize(
+    "adj,n_vals,dead",
+    [
+        # two components closed both ways: nothing dies, though the graph
+        # is not strongly connected
+        ([[0, 1], [0, 1], [2, 3], [2, 3]], 4, []),
+        # x2 can take x0's or x1's value, and nothing leads back
+        ([[0, 1], [0, 1], [1, 2, 3], [2, 3]], 4, [(2, 1)]),
+        # x2 reaches a free value and has an arc into an unreached component
+        ([[0, 1], [0, 1], [1, 2, 3]], 4, [(2, 1)]),
+        # GCC's dummy variables share one row: closed, then entered by x1
+        ([[0, 1], [0, 1], _DUMMY, _DUMMY], 4, []),
+        ([[0, 1], [0, 1, 2], _DUMMY, _DUMMY], 4, [(1, 2)]),
+    ],
+)
+def test_regin_dead_arcs_when_components_are_closed_or_entered(adj, n_vals, dead):
+    # the first and fourth end at the closed-components check, the others
+    # go on to Kosaraju
+    assert _unused_arcs(adj) == dead
+    assert regin_dead_arcs(adj, n_vals) == dead
 
 
 def test_regin_dead_arcs_on_long_chains():

@@ -42,6 +42,13 @@ at each pick, and averages each pair's impacts over its probes and the
 search's own left branches.  Digest pins under ``dfs``, ``restart_search``
 and ``lds``, on a quasigroup completion, both magic squares and a market
 split, fix those averages and the picks they steer.
+
+Leaving level 0 replaces the domain sets it shrank with fresh copies,
+which may iterate in another order.  So decisions must not depend on the
+order a domain set iterates in: models of every constraint kind whose
+values collide in small set tables, built once with values inserted in
+ascending order and once in descending order, must get the same
+decisions and the same wipeout causes under domWDeg and maxSD.
 """
 
 import hashlib
@@ -61,11 +68,13 @@ from countsearch.bench import (
     generate_rostering,
     rostering_dfa,
 )
+from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.engine import Model
 from countsearch.gcc import GlobalCardinality
-from countsearch.engine import FORWARD_CHECKING
+from countsearch.engine import DOMAIN, FORWARD_CHECKING
 from countsearch.heuristics import DomWdeg, MaxSD, make_heuristic
-from countsearch.regular import Regular
+from countsearch.knapsack import Knapsack
+from countsearch.regular import Automaton, Regular
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
 
 
@@ -76,28 +85,40 @@ def _qwh(order, seed, consistency=None):
     return model
 
 
-def _roster_gcc(employees, periods, seed, required=0):
+def _roster_gcc(
+    employees, periods, seed, required=0, scale=1, descending=False, consistency=DOMAIN
+):
     """Regular rows; each column lets a task appear at most once, and
     tasks 1..required at least once (the planted schedule gives employee
-    e task e + 1 in every period)."""
+    e task e + 1 in every period).  Every task number is multiplied by
+    ``scale``, and the values go into each domain in ascending order, or
+    in descending order with ``descending``."""
     payload = generate_rostering(employees, periods, seed=seed).payload
     tasks, grid = payload["tasks"], payload["grid"]
+    dfa = rostering_dfa(tasks)
+    automaton = Automaton(
+        {(q, scale * s): nxt for (q, s), nxt in dfa.transitions.items()},
+        dfa.initial,
+        dfa.accepting,
+    )
     m = Model()
-    values = set(range(tasks + 1))
+    values = sorted((scale * v for v in range(tasks + 1)), reverse=descending)
     cells = [
         [
-            m.new_variable({grid[i][j]} if grid[i][j] >= 0 else values)
+            m.new_variable([scale * grid[i][j]] if grid[i][j] >= 0 else values)
             for j in range(periods)
         ]
         for i in range(employees)
     ]
     for row in cells:
-        m.add(Regular(row, rostering_dfa(tasks)))
-    upper = {d: 1 for d in range(1, tasks + 1)}
-    upper[BREAK] = employees
-    lower = {d: 1 for d in range(1, required + 1)}
+        m.add(Regular(row, automaton))
+    upper = {scale * d: 1 for d in range(1, tasks + 1)}
+    upper[scale * BREAK] = employees
+    lower = {scale * d: 1 for d in range(1, required + 1)}
     for j in range(periods):
-        m.add(GlobalCardinality([row[j] for row in cells], lower, upper))
+        m.add(
+            GlobalCardinality([row[j] for row in cells], lower, upper, consistency)
+        )
     return m
 
 
@@ -526,3 +547,106 @@ def test_ibs_decisions_are_pinned(instance, search, name):
     assert _search_recorded(
         instance, name, IBS_SEARCHES[search]
     ) == GOLDEN_IBS[instance, search, name]
+
+
+# ----------------------------------------------------------------------
+# decisions do not depend on the order a domain set iterates in
+# ----------------------------------------------------------------------
+# Leaving level 0 replaces each domain it shrank with a fresh copy
+# (``Model.push_level``), which can iterate in another order.  Values
+# that are multiples of 8 collide in a small set table, so a domain built
+# from them in ascending order iterates differently from one built in
+# descending order.  Each model below is built both ways; ``dfs`` must
+# make the same decisions on both, and domWDeg must blame the same
+# constraints for the same wipeouts.
+
+
+def _set_order_qwh(descending, order, seed, consistency):
+    grid = generate_qwh(order, 0.42, seed).payload["grid"]
+    full = sorted((8 * v for v in range(1, order + 1)), reverse=descending)
+    m = Model()
+    cells = [[m.new_variable([8 * v] if v else full) for v in row] for row in grid]
+    for line in cells + [list(col) for col in zip(*cells)]:
+        m.add(AllDifferent(line, consistency))
+    return m
+
+
+def _set_order_magic(descending):
+    """Magic square of order 4 over 8, 16, ..., 128: exact Knapsack sums."""
+    n = 4
+    grid = generate_magic(n, seed=1).payload["grid"]
+    target = 8 * n * (n * n + 1) // 2
+    full = sorted((8 * v for v in range(1, n * n + 1)), reverse=descending)
+    m = Model()
+    cells = [[m.new_variable([8 * v] if v else full) for v in row] for row in grid]
+    m.add(AllDifferent([x for row in cells for x in row]))
+    diagonals = [
+        [row[i] for i, row in enumerate(cells)],
+        [row[n - 1 - i] for i, row in enumerate(cells)],
+    ]
+    for line in cells + [list(col) for col in zip(*cells)] + diagonals:
+        m.add(Knapsack(line, [1] * n, target, target))
+    return m
+
+
+def _set_order_pairing(descending):
+    """Entities 1..24, i and j paired only when 8 divides i + j, so each
+    domain holds values of one residue mod 8.  Entities 8, 16, 24 and 4,
+    12, 20 form triangles, which no pairing covers: unsat, found by
+    search."""
+    n = 24
+    m = Model()
+    partners = [
+        [j for j in range(1, n + 1) if j != i and (i + j) % 8 == 0]
+        for i in range(1, n + 1)
+    ]
+    xs = [m.new_variable(sorted(js, reverse=descending)) for js in partners]
+    m.add(SymmetricAllDifferent(xs))
+    m.add(AllDifferent(xs))
+    return m
+
+
+#: domWDeg on qwh-17, and both heuristics on the roster with
+#: domain-consistent GCC columns, solve without a wipeout; every other
+#: search here wipes out and backtracks
+SET_ORDER_BUILDERS = {
+    "alldifferent-qwh-17": lambda d: _set_order_qwh(d, 17, 2, DOMAIN),
+    "alldifferent-fc-qwh-15": lambda d: _set_order_qwh(d, 15, 0, FORWARD_CHECKING),
+    "knapsack-magic-4": _set_order_magic,
+    "gcc-regular-roster-6x10-low4": lambda d: _roster_gcc(
+        6, 10, 2, required=4, scale=8, descending=d
+    ),
+    "gcc-fc-regular-roster-4x8-low4": lambda d: _roster_gcc(
+        4, 8, 1, required=4, scale=8, descending=d, consistency=FORWARD_CHECKING
+    ),
+    "symmetric-pairing-24": _set_order_pairing,
+}
+
+
+def _dfs_recorded(model, name):
+    """(status, backtracks, decisions, wipeout cause cids) of ``dfs`` with
+    heuristic ``name`` under a cap of 30."""
+    heuristic = make_heuristic(name, model)
+    choose, picks, causes = heuristic.choose, [], []
+    model.on_wipeout(lambda c: causes.append(None if c is None else c.cid))
+
+    def recorded(model, randomized=False):
+        pick = choose(model, randomized)
+        if pick is not None:
+            picks.append((pick[0].index, pick[1]))
+        return pick
+
+    heuristic.choose = recorded
+    stats = dfs(model, heuristic, backtrack_limit=30)
+    return stats.status, stats.backtracks, picks, causes
+
+
+@pytest.mark.parametrize("name", ["domWDeg", "maxSD"])
+@pytest.mark.parametrize("instance", SET_ORDER_BUILDERS)
+def test_decisions_do_not_depend_on_set_order(instance, name):
+    ascending = SET_ORDER_BUILDERS[instance](False)
+    descending = SET_ORDER_BUILDERS[instance](True)
+    assert [list(d) for d in ascending._domains] != [
+        list(d) for d in descending._domains
+    ]
+    assert _dfs_recorded(ascending, name) == _dfs_recorded(descending, name)

@@ -1,8 +1,11 @@
 """Core engine: trail, levels, propagation, density caches."""
 
+import sys
+
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
+from countsearch.bench import build_model, generate_qwh
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Constraint, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
@@ -239,6 +242,39 @@ def test_leaving_level_zero_forgets_its_trail():
     m.remove_value(x, 2)
     m.backtrack_to(1)
     assert m.domain(x) == {1, 2}
+
+
+def test_leaving_level_zero_compacts_the_domains_it_shrank():
+    """A set never shrinks its table, so the first push replaces each
+    domain that lost values at level 0 with a copy sized for what is
+    left; the other domains keep their sets, and so does every domain at
+    a later push from a level 0 that removed nothing."""
+    m = build_model(generate_qwh(15, 0.42, 0))
+    sizes = list(map(len, m._domains))
+    assert m.propagate() == CONSISTENT
+    root = list(m._domains)
+    values = [set(dom) for dom in root]
+    shrank = {i for i, dom in enumerate(root) if len(dom) < sizes[i]}
+    assert 0 < len(shrank) < len(root)
+    m.push_level()
+    for i, (old, dom) in enumerate(zip(root, m._domains)):
+        assert dom == values[i]
+        if i in shrank:
+            assert dom is not old
+            assert sys.getsizeof(dom) == sys.getsizeof(set(dom))
+        else:
+            assert dom is old
+    assert any(sys.getsizeof(m._domains[i]) < sys.getsizeof(root[i]) for i in shrank)
+
+    compact = list(m._domains)
+    x = m.variables[min(shrank)]
+    assert m.assign(x, min(m.domain(x))) and m.propagate() == CONSISTENT
+    m.backtrack_to(0)
+    assert m._domains == values
+    m.push_level()
+    assert all(dom is old for dom, old in zip(m._domains, compact))
+    m.backtrack_to(0)
+    assert m._domains == values
 
 
 @pytest.mark.parametrize(
