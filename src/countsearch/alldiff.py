@@ -319,12 +319,12 @@ class AllDifferent(Constraint):
     until a backtrack undoes the call's domain changes, such a position
     stays bound and its value stays out of the other domains, so sweeping
     it again would remove nothing and Regin's filter would leave it out.
-    The open positions are ``_open[:_n_open]``, a sparse set without its
-    index (Briggs & Torczon, 1993): closing moves a position past the
-    count, and the count goes on the model's trail, so backtracking
-    restores it and reopens what the level closed.  Nothing done at level
-    0 is ever undone, so a call at level 0 trails nothing.  Both fields
-    are set at the first ``propagate``.  A constraint serves one model.
+    The open positions are ``_open``, a list in scope order made at the
+    first ``propagate``.  A call that closes positions replaces it with
+    the positions it leaves unbound and puts the old list on the model's
+    trail, so backtracking restores it and reopens what the level closed.
+    Nothing done at level 0 is ever undone, so a call at level 0 trails
+    nothing.  A constraint serves one model: ``Model.add`` posts it once.
     """
 
     supports_counting = True
@@ -341,12 +341,9 @@ class AllDifferent(Constraint):
 
     def propagate(self, model: Model) -> bool:
         doms = self._domains(model)
-        opened = self._open
-        if opened is None:
-            opened = self._open = list(range(len(doms)))
-            self._n_open = len(opened)
-        n = self._n_open
-        live = sorted(opened[:n])  # a backtrack can reopen them out of order
+        live = self._open
+        if live is None:
+            live = self._open = list(range(len(doms)))
         free = self._forward_check(model, doms, live)
         if free is None:
             return False
@@ -354,15 +351,14 @@ class AllDifferent(Constraint):
             return False
         # close the open positions now bound: each was swept
         keep = [k for k in free if len(doms[k]) > 1]
-        if len(keep) < n:
+        if len(keep) < len(live):
             if model.level:
-                model.trail_undo(self._reopen, n)
-            opened[:n] = keep + [k for k in live if len(doms[k]) == 1]
-            self._n_open = len(keep)
+                model.trail_undo(self._reopen, live)
+            self._open = keep
         return True
 
-    def _reopen(self, n: int) -> None:
-        self._n_open = n
+    def _reopen(self, live: list[int]) -> None:
+        self._open = live
 
     def _forward_check(
         self, model: Model, doms: list[set[int]], live: list[int]

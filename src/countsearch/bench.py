@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
-from .engine import FORWARD_CHECKING, Model
+from .engine import FORWARD_CHECKING, Model, check_level
 from .heuristics import make_heuristic
 from .knapsack import GAUSSIAN, Knapsack
 from .regular import Automaton, Regular
@@ -206,7 +206,7 @@ def apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None:
     """Set every constraint's consistency, and every Knapsack's mode (the
     Gaussian mode runs the bounds filter of forward checking)."""
     for c in model.constraints:
-        c.consistency = consistency
+        c.consistency = check_level(consistency)
         if isinstance(c, Knapsack):
             c.mode = knapsack_mode
             if knapsack_mode == GAUSSIAN:

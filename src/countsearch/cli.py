@@ -16,7 +16,7 @@ import traceback
 import click
 
 from . import bench as bench_mod
-from .engine import WIPEOUT
+from .engine import LEVELS, WIPEOUT
 from .heuristics import HEURISTIC_NAMES
 from .knapsack import EXACT, GAUSSIAN
 from .oracle import OracleCapExceeded, exact_count_densities
@@ -55,7 +55,7 @@ _kind_option = click.option(
 
 # keyword arguments of bench.apply_overrides
 _model_options = _options(
-    click.option("--consistency", type=click.Choice(["fc", "domain"]),
+    click.option("--consistency", type=click.Choice(LEVELS),
                  default="domain", show_default=True,
                  help="Filtering level of every constraint.  'fc' is "
                       "forward checking for AllDifferent and "

@@ -53,6 +53,14 @@ def float_sum(terms: Iterable[float]) -> float:
 # consistency levels
 FORWARD_CHECKING = "fc"
 DOMAIN = "domain"
+LEVELS = (FORWARD_CHECKING, DOMAIN)
+
+
+def check_level(consistency: str) -> str:
+    """``consistency`` if it is one of ``LEVELS``; else ValueError."""
+    if consistency not in LEVELS:
+        raise ValueError(f"unknown consistency level {consistency!r}")
+    return consistency
 
 
 class Variable:
@@ -167,7 +175,7 @@ class Constraint:
 
     def __init__(self, scope: Sequence[Variable], consistency: str = DOMAIN):
         self.scope: tuple[Variable, ...] = tuple(scope)
-        self.consistency = consistency
+        self.consistency = check_level(consistency)
         # the density table of the current domains; None when stale
         self.cache: Optional[DensityTable] = None
         self._queued = False
@@ -246,6 +254,8 @@ class Model:
         return var
 
     def add(self, constraint: Constraint) -> Constraint:
+        if constraint.cid != -1:  # its state follows the model it serves
+            raise ValueError(f"{constraint.name()} #{constraint.cid} is already posted")
         constraint.cid = len(self.constraints)
         self.constraints.append(constraint)
         for var in constraint.scope:

@@ -74,21 +74,21 @@ class LayeredGraph:
     Built once from ``layers``, where ``layers[i]`` maps each vertex at
     depth i to its outgoing arcs ``(value, next_vertex)``;
     ``layered_graph`` keeps only vertices on at least one
-    start-to-last-layer path.  The graph is then kept in step with
-    shrinking domains by deleting arcs (``sync``) and restored by
-    reviving them (``undo``).
+    start-to-last-layer path.  The graph then follows shrinking domains
+    by deleting arcs (``sync``, which lists them for the caller's trail)
+    and is restored by reviving them (``undo``).
 
     Storage is flat.  Vertices are numbered layer by layer, the last
     layer's from ``final`` on.  Arcs are sorted by (layer, value), so
-    slot s, the arcs of value ``values[s]`` at one layer, is the arc
-    range ``slot_start[s]:slot_start[s + 1]``, and layer i's slots are
-    ``layer_slot[i]:layer_slot[i + 1]``.  Each slot's arcs also form a
-    sparse set (Briggs & Torczon, 1993): ``order`` lists them in that
-    range with the live ones first, ``where`` gives each arc's position
-    in ``order``, and ``support[s]`` counts the live arcs of slot s, so
-    they are ``order[slot_start[s]:slot_start[s] + support[s]]``.
-    ``outdeg``/``indeg`` count the live arcs of each vertex; ``alive``
-    flags each arc and ``log`` lists the deleted arcs in order.
+    slot s, the arcs of one value at one layer, is the arc range
+    ``slot_start[s]:slot_start[s + 1]``; ``slot_index[i]`` maps each
+    value at layer i to its slot, in ascending order of both.  Each
+    slot's arcs also form a sparse set (Briggs & Torczon, 1993): ``order``
+    lists them in that range with the live ones first, ``where`` gives
+    each arc's position in ``order``, and ``support[s]`` counts the live
+    arcs of slot s, so they are ``order[slot_start[s]:slot_start[s] +
+    support[s]]``, and an arc is live exactly when ``where`` puts it
+    there.  ``outdeg``/``indeg`` count the live arcs of each vertex.
     ``out_arcs``/``in_arcs`` are the arcs of each vertex, vertex v's in
     ``out_ptr[v]:out_ptr[v + 1]`` (resp. ``in_ptr``).  The vertex, slot
     and arc ids and the positions these lists hold are ``shared_ints``
@@ -101,8 +101,6 @@ class LayeredGraph:
     ):
         k = len(layers) - 1
         self.k = k
-        if start not in layers[0]:
-            layers = [{} for _ in layers]  # no path survives
         n = sum(map(len, layers))
         n_arcs = sum(len(out) for layer in layers[:k] for out in layer.values())
         ints = shared_ints(max(n, n_arcs + 1))
@@ -116,10 +114,8 @@ class LayeredGraph:
         src: list[int] = []
         dst: list[int] = []
         slot: list[int] = []
-        self.values: list[int] = []
         self.slot_index: list[dict[int, int]] = []
         self.slot_start = [ints[0]]
-        self.layer_slot = [ints[0]]
         for i in range(k):
             here, there = ids[i], ids[i + 1]
             by_value: dict[int, list[tuple[int, int]]] = {}
@@ -128,15 +124,13 @@ class LayeredGraph:
                     by_value.setdefault(d, []).append((here[v], there[nxt]))
             index = {}
             for d in sorted(by_value):
-                s = index[d] = ints[len(self.values)]
-                self.values.append(d)
+                s = index[d] = ints[len(self.slot_start) - 1]
                 for u, w in by_value[d]:
                     src.append(u)
                     dst.append(w)
                     slot.append(s)
                 self.slot_start.append(ints[len(src)])
             self.slot_index.append(index)
-            self.layer_slot.append(ints[len(self.values)])
         self.src, self.dst, self.slot = src, dst, slot
         self.out_ptr, self.out_arcs, self.outdeg = _csr(src, n)
         self.in_ptr, self.in_arcs, self.indeg = _csr(dst, n)
@@ -144,15 +138,14 @@ class LayeredGraph:
         self.support = [b - a for a, b in zip(starts, starts[1:])]
         self.order = ints[:n_arcs]
         self.where = ints[:n_arcs]
-        self.alive = bytearray(b"\x01") * n_arcs
-        self.log: list[int] = []
 
     # ------------------------------------------------------------------
     # arc deletion and revival
     # ------------------------------------------------------------------
-    def sync(self, domains: Sequence[set[int]]) -> bool:
+    def sync(self, domains: Sequence[set[int]]) -> list[int]:
         """Delete the arcs whose value left its layer's domain, then every
-        arc no longer on a start-to-last-layer path; True if any arc died.
+        arc no longer on a start-to-last-layer path; returns the arcs
+        deleted, in order.
 
         The first step walks only the live prefix of each such slot.  The
         second is a cascade over an explicit worklist: a vertex whose
@@ -160,32 +153,30 @@ class LayeredGraph:
         (out-arcs).  Each arc dies by a swap with the last live arc of its
         slot, and the slot's live prefix then ends before it.
         """
-        support, values, slot_start = self.support, self.values, self.slot_start
+        support, slot_start, order = self.support, self.slot_start, self.order
         pending: list[list[int]] = []
-        for i, dom in enumerate(domains):
-            for s in range(self.layer_slot[i], self.layer_slot[i + 1]):
-                if support[s] and values[s] not in dom:
+        for index, dom in zip(self.slot_index, domains):
+            for d, s in index.items():
+                if support[s] and d not in dom:
                     lo = slot_start[s]
-                    pending.append(self.order[lo : lo + support[s]])
+                    pending.append(order[lo : lo + support[s]])
+        deleted: list[int] = []
         if not pending:
-            return False
-        alive, log, slot, order, where = (
-            self.alive, self.log, self.slot, self.order, self.where
-        )
+            return deleted
+        slot, where = self.slot, self.where
         src, dst, outdeg, indeg = self.src, self.dst, self.outdeg, self.indeg
         out_ptr, out_arcs, in_ptr, in_arcs = (
             self.out_ptr, self.out_arcs, self.in_ptr, self.in_arcs
         )
         while pending:
             for a in pending.pop():
-                if alive[a]:
-                    alive[a] = 0
-                    log.append(a)
-                    s = slot[a]
-                    support[s] = m = support[s] - 1
-                    last = slot_start[s] + m
+                s = slot[a]
+                p = where[a]
+                last = slot_start[s] + support[s] - 1
+                if p <= last:  # else it died earlier in this sync
+                    deleted.append(a)
+                    support[s] -= 1
                     b = order[last]
-                    p = where[a]
                     order[p] = b
                     order[last] = a
                     where[a] = where[b]  # last, as the shared int
@@ -198,20 +189,18 @@ class LayeredGraph:
                     indeg[w] -= 1
                     if not indeg[w] and outdeg[w]:
                         pending.append(out_arcs[out_ptr[w] : out_ptr[w + 1]])
-        return True
+        return deleted
 
-    def undo(self, mark: int) -> None:
-        """Revive the arcs deleted since ``len(log)`` was ``mark``, last
-        deleted first.  Each one sits just past its slot's live prefix,
-        where its deletion left it, so growing the prefix revives it."""
-        alive, log, support, slot = self.alive, self.log, self.support, self.slot
+    def undo(self, deleted: list[int]) -> None:
+        """Revive the arcs ``sync`` returned as ``deleted``, last deleted
+        first.  Each one sits just past its slot's live prefix, where its
+        deletion left it, so growing the prefix revives it."""
+        support, slot = self.support, self.slot
         src, dst, outdeg, indeg = self.src, self.dst, self.outdeg, self.indeg
-        for a in reversed(log[mark:]):
-            alive[a] = 1
+        for a in reversed(deleted):
             support[slot[a]] += 1
             outdeg[src[a]] += 1
             indeg[dst[a]] += 1
-        del log[mark:]
 
     # ------------------------------------------------------------------
     # reads
@@ -274,7 +263,7 @@ class GraphConstraint(Constraint):
     deletion at every later call.  The build and each sync that deletes
     arcs go on the model's trail, so backtracking revives the arcs, and
     backtracking past the build's level drops the graph.  A constraint
-    serves one model.
+    serves one model: ``Model.add`` posts it once.
     """
 
     supports_counting = True
@@ -294,9 +283,9 @@ class GraphConstraint(Constraint):
             graph = self._graph = self.build_graph(domains)
             model.trail_undo(self._drop_graph, graph)
         else:
-            mark = len(graph.log)
-            if graph.sync(domains):
-                model.trail_undo(graph.undo, mark)
+            deleted = graph.sync(domains)
+            if deleted:
+                model.trail_undo(graph.undo, deleted)
         return graph, domains
 
     def _drop_graph(self, graph: LayeredGraph) -> None:

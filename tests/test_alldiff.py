@@ -222,7 +222,7 @@ class _CauseModel(Model):
 
 
 def _open_positions(c):
-    return set(c._open[: c._n_open])
+    return set(c._open)
 
 
 def _unbound_positions(c, m):

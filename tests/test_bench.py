@@ -12,6 +12,7 @@ from countsearch.bench import (
     FAMILIES,
     Instance,
     ParseError,
+    apply_overrides,
     build_model,
     generate_kprostering,
     generate_marketsplit,
@@ -30,7 +31,7 @@ from countsearch.bench import (
     write_instance,
     _clues_of,
 )
-from countsearch.knapsack import Knapsack
+from countsearch.knapsack import EXACT, Knapsack
 from countsearch.heuristics import MaxSD, make_heuristic
 from countsearch.regular import Regular, build_layered_graph
 from countsearch.search import SAT, dfs
@@ -173,6 +174,24 @@ def test_mutated_files_raise_parse_error_or_round_trip(case):
 def test_kprostering_cell_without_shifts_raises_parse_error(text, message):
     with pytest.raises(ParseError, match=message):
         parse_instance(text, "kprostering")
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("magic", "3\n0 0 7\n0 0 7\n0 9 0\n", "presets repeat a value"),
+    ("multiknap", "2 1 3\n1 2\n1 1 -1\n", "negative capacity"),
+    ("rostering", "rostering 1 2 0\n-1 -1\n", "at least one task"),
+    ("ttppv", "ttppv 5\n" + "0 0 0 0 0\n" * 5, "must be even"),
+], ids=["magic-repeated-preset", "multiknap-negative-capacity",
+        "rostering-no-task", "ttppv-odd-teams"])
+def test_validators_reject_out_of_range_payloads(kind, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_instance(text, kind)
+
+
+def test_overrides_reject_an_unknown_consistency_level():
+    model = build_model(generate_qwh(4, 0.5, seed=0))
+    with pytest.raises(ValueError, match="unknown consistency level 'dom'"):
+        apply_overrides(model, "dom", EXACT)
 
 
 def test_ttppv_validator_requires_antisymmetry():

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from countsearch import bench as bench_mod
-from countsearch.cli import CSV_HEADER, cli, main
+from countsearch.cli import CSV_HEADER, _count_text, cli, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # a child interpreter finds the package in src/ whether or not it is installed
@@ -197,6 +197,29 @@ def test_densities_dump_with_exact(runner, tmp_path):
     assert result.exit_code == 0
     assert "alldifferent" in result.output
     assert "exact count:" in result.output
+
+
+def test_densities_exact_prints_fractions_and_refuses_above_the_cap(
+    runner, tmp_path
+):
+    # an empty order-3 square keeps every cell unbound: each line has 6
+    # solutions, in which each value takes each cell in one third; an
+    # order-8 line has 8**8 candidate tuples, past the oracle's cap
+    empty = _write(tmp_path, "empty.qwh", "3\n" + "0 0 0\n" * 3)
+    result = runner.invoke(cli, ["densities", empty, "--exact"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("exact count: 6") == 6
+    assert "x0_0  1:0.3333(1/3)  2:0.3333(1/3)  3:0.3333(1/3)" in result.output
+    wide = _write(tmp_path, "wide.qwh", "8\n" + "0 0 0 0 0 0 0 0\n" * 8)
+    result = runner.invoke(cli, ["densities", wide, "--exact"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("exact: refused (") == 16
+    assert "exceed cap" in result.output
+
+
+def test_count_text_carries_a_mantissa_rounded_to_ten():
+    # 9.9999999e+400 is past float range, and its mantissa rounds to 10
+    assert _count_text(400 * math.log(10) + math.log(9.9999999)) == "1e+401"
 
 
 def test_densities_prints_counts_past_float_range(runner, tmp_path):

@@ -6,7 +6,14 @@ import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.bench import build_model, generate_qwh
-from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Constraint, Model
+from countsearch.engine import (
+    CONSISTENT,
+    DOMAIN,
+    FORWARD_CHECKING,
+    WIPEOUT,
+    Constraint,
+    Model,
+)
 from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
@@ -409,6 +416,45 @@ def test_push_decision_rejects_absent_value():
     x = m.new_variable({1})
     with pytest.raises(ValueError):
         m.push_decision("assign", x, 7)
+
+
+def test_a_posted_constraint_cannot_be_posted_again():
+    """A constraint's state follows the one model it serves.  Posted in a
+    fresh model, an AllDifferent that closed position 0 in its first one
+    never looks at that position again, and ``dom`` answered sat with
+    x0 = x1 = 2; posted twice in one model, it would lose its first
+    ``cid``, by which failure weights are kept."""
+    a = Model()
+    xs = [a.new_variable({1, 2, 3}) for _ in range(3)]
+    c = a.add(AllDifferent(xs))
+    assert a.push_decision("assign", xs[0], 1) == CONSISTENT
+    with pytest.raises(ValueError, match="already posted"):
+        a.add(c)
+    b = Model()
+    for _ in range(3):
+        b.new_variable({1, 2, 3})
+    with pytest.raises(ValueError, match="already posted"):
+        b.add(c)
+    assert (c.cid, a.constraints, b.constraints) == (0, [c], [])
+    assert b._watchers == [[], [], []]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda xs, level: AllDifferent(xs, level),
+        lambda xs, level: GlobalCardinality(xs, {}, {1: 2, 2: 2}, level),
+        lambda xs, level: Knapsack(xs, [1, 2], 0, 3, level),
+    ],
+    ids=["alldifferent", "gcc", "knapsack"],
+)
+def test_an_unknown_consistency_level_is_rejected(make):
+    m = Model()
+    xs = [m.new_variable({1, 2}) for _ in range(2)]
+    for level in (FORWARD_CHECKING, DOMAIN):
+        assert make(xs, level).consistency == level
+    with pytest.raises(ValueError, match="unknown consistency level 'dom'"):
+        make(xs, "dom")
 
 
 def test_density_cache_trailed_across_levels():

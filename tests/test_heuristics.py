@@ -292,6 +292,17 @@ def test_domwdeg_learns_from_wipeouts():
     assert h.state.weight(c1) == 1
 
 
+def test_wdeg_ignores_a_wipeout_blamed_on_no_constraint():
+    # refuting a variable's last value wipes out before any propagator runs
+    m = Model()
+    x = m.new_variable({1}, "x")
+    y = m.new_variable({1, 2}, "y")
+    m.add(AllDifferent([x, y]))
+    state = WdegState(m)
+    assert m.push_decision("refute", x, 1) == WIPEOUT
+    assert (state.weights, state.bumped) == ({}, [])
+
+
 def test_domwdeg_ranking_follows_weights():
     m = Model()
     x = m.new_variable({1, 2, 3}, "x")

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countsearch import knapsack
 from countsearch.bench import apply_overrides, build_model, generate_marketsplit
@@ -135,6 +137,43 @@ def test_bounds_filter_wipes_out_infeasible_interval():
     assert m.propagate() == WIPEOUT
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([FORWARD_CHECKING, DOMAIN]))
+def test_filtering_with_negative_coefficients_keeps_the_supports(data, level):
+    """Against the oracle's supports, over coefficients in -4..4 and values
+    in -3..3: the graph filter leaves exactly the supported values, and
+    the bounds filter keeps each of them and stops at its fixpoint, where
+    every value left fits the interval of the other terms' sums."""
+    n = data.draw(st.integers(1, 4))
+    domains = data.draw(
+        st.lists(st.sets(st.integers(-3, 3), min_size=1), min_size=n, max_size=n)
+    )
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    lower = data.draw(st.integers(-20, 20))
+    upper = lower + data.draw(st.integers(0, 10))
+    m = Model()
+    xs = [m.new_variable(d) for d in domains]
+    c = m.add(Knapsack(xs, coeffs, lower, upper, level))
+    status = m.propagate()
+    count, dens = exact_count_densities(c, domains)
+    supports = [{d for (vi, d) in dens if vi == x.index} for x in xs]
+    if status == WIPEOUT:
+        assert count == 0
+        return
+    live = [m.domain(x) for x in xs]
+    if level == DOMAIN:
+        assert count > 0
+        assert live == supports
+        return
+    assert all(s <= dom for s, dom in zip(supports, live))
+    lows = [min(k * d for d in dom) for k, dom in zip(coeffs, live)]
+    highs = [max(k * d for d in dom) for k, dom in zip(coeffs, live)]
+    for k, dom, low, high in zip(coeffs, live, lows, highs):
+        for d in dom:
+            assert k * d + sum(lows) - low <= upper
+            assert k * d + sum(highs) - high >= lower
+
+
 def test_equality_sum_binomial():
     # x_1 + ... + x_6 = 3 over binary domains: C(6,3) = 20 solutions,
     # each value's density is exactly 1/2
@@ -257,6 +296,27 @@ def test_gaussian_residual_fallback_is_exact():
     domains = [m.domain(x) for x in xs]
     masses = c.gaussian_masses(domains, 1, c.gaussian_moments(domains))
     assert masses == {0: 0.0, 1: 1.0, 2: 0.0, 3: 0.0}
+
+
+def test_gaussian_residual_fallback_when_no_value_fits():
+    # the bound variable's 2 leaves 10 out of reach of every value of x1
+    m = Model()
+    xs = [m.new_variable({2}), m.new_variable({0, 1})]
+    c = Knapsack(xs, [1, 1], 10, 10, mode=GAUSSIAN)
+    domains = [m.domain(x) for x in xs]
+    masses = c.gaussian_masses(domains, 1, c.gaussian_moments(domains))
+    assert masses == {0: 0.0, 1: 0.0}
+
+
+def test_gaussian_underflow_gives_the_nearest_value_all_the_mass():
+    # the sum must reach 100 from two 0-1 terms: x0's conditional mean is
+    # 99.5 with deviation 0.5, so every interval mass underflows to 0.0
+    m = Model()
+    xs = [m.new_variable({0, 1}), m.new_variable({0, 1})]
+    c = Knapsack(xs, [1, 1], 100, 100, mode=GAUSSIAN)
+    domains = [m.domain(x) for x in xs]
+    masses = c.gaussian_masses(domains, 0, c.gaussian_moments(domains))
+    assert masses == {0: 0.0, 1: 1.0}
 
 
 def test_gaussian_table_has_no_count():

@@ -2,8 +2,9 @@
 build: after any sequence of decisions, levels and backtracks, counting
 and filtering on the synced graph give exactly what a newly made
 constraint gives on the same domains.  After every step each slot's
-sparse set holds exactly its live arcs, and the path counts over the
-live prefixes equal a scan of every arc."""
+sparse set is a permutation of its arcs, each vertex's degrees count its
+live arcs, and the path counts over the live prefixes equal a scan of
+every arc."""
 
 import random
 from itertools import compress
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countsearch.bench import build_model, generate_marketsplit, generate_rostering
-from countsearch.engine import CONSISTENT, Model
+from countsearch.engine import _T_UNDO, CONSISTENT, Model
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, GraphConstraint, Regular, shared_ints
 
@@ -103,43 +104,50 @@ def graph_models(draw):
     return model, xs, constraint, make
 
 
+def _live_arcs(graph):
+    """Each arc's liveness: whether ``where`` puts it in its slot's live
+    prefix."""
+    support, starts = graph.support, graph.slot_start
+    return [p < starts[s] + support[s] for s, p in zip(graph.slot, graph.where)]
+
+
 def _reference_path_counts(graph):
-    """``LayeredGraph.path_counts`` as a scan of every arc of each layer,
-    live or dead, that skips the dead ones by their ``alive`` flag."""
-    weights = [0] * len(graph.values)
+    """``LayeredGraph.path_counts`` as a scan of every arc, live or dead,
+    in id order, which is layer order, that skips the dead ones."""
+    weights = [0] * len(graph.support)
     if graph.start < 0:
         return 0, weights
-    src, dst, slot, alive = graph.src, graph.dst, graph.slot, graph.alive
-    slot_start, layer_slot = graph.slot_start, graph.layer_slot
+    src, dst, slot, live = graph.src, graph.dst, graph.slot, _live_arcs(graph)
     n = len(graph.outdeg)
     ip = [0] * n
     ip[graph.start] = 1
-    for i in range(graph.k):
-        lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
-        for u, w in compress(zip(src[lo:hi], dst[lo:hi]), alive[lo:hi]):
-            ip[w] += ip[u]
+    for u, w in compress(zip(src, dst), live):
+        ip[w] += ip[u]
     op = [0] * graph.final + [1] * (n - graph.final)
-    for i in range(graph.k - 1, -1, -1):
-        lo, hi = slot_start[layer_slot[i]], slot_start[layer_slot[i + 1]]
-        arcs = zip(slot[lo:hi], src[lo:hi], dst[lo:hi])
-        for s, u, w in compress(arcs, alive[lo:hi]):
-            x = op[w]
-            op[u] += x
-            weights[s] += ip[u] * x
+    arcs = zip(reversed(slot), reversed(src), reversed(dst))
+    for s, u, w in compress(arcs, reversed(live)):
+        x = op[w]
+        op[u] += x
+        weights[s] += ip[u] * x
     return op[graph.start], weights
 
 
 def _assert_graph_state(graph):
-    """Each slot's arc range of ``order`` is a permutation of its arcs
-    whose first ``support[s]`` are exactly the live ones, ``where``
-    inverts ``order``, and the path counts equal the all-arc scan."""
-    order, where, alive = graph.order, graph.where, graph.alive
+    """Each slot's arc range of ``order`` is a permutation of its arcs,
+    ``where`` inverts ``order``, each vertex's degrees count its live
+    arcs, and the path counts equal the all-arc scan."""
+    order, where = graph.order, graph.where
     assert [order[p] for p in where] == list(range(len(order)))
     starts = graph.slot_start
-    for s, (lo, hi) in enumerate(zip(starts, starts[1:])):
+    for lo, hi in zip(starts, starts[1:]):
         assert sorted(order[lo:hi]) == list(range(lo, hi))
-        live = sorted(order[lo : lo + graph.support[s]])
-        assert live == [a for a in range(lo, hi) if alive[a]]
+    live = _live_arcs(graph)
+    n = len(graph.outdeg)
+    for ends, deg in ((graph.src, graph.outdeg), (graph.dst, graph.indeg)):
+        counted = [0] * n
+        for v in compress(ends, live):
+            counted[v] += 1
+        assert counted == deg
     assert graph.path_counts() == _reference_path_counts(graph)
 
 
@@ -224,15 +232,20 @@ def test_market_split_graphs_through_a_deep_search():
 #: every list of a graph that holds vertex, slot or arc ids or positions
 ID_LISTS = (
     "src", "dst", "slot", "order", "where", "out_arcs", "in_arcs",
-    "out_ptr", "in_ptr", "slot_start", "layer_slot", "log",
+    "out_ptr", "in_ptr", "slot_start",
 )
 
 
-def _assert_shared_ints(graph):
+def _assert_shared_ints(graph, trailed):
+    """Every id list of ``graph``, the slot ids of its ``slot_index`` and
+    the deletion lists ``trailed`` hold only shared int objects."""
     ints = shared_ints(0)
     assert len(graph.src) > 256  # past CPython's cached small ints
-    for name in ID_LISTS:
-        for x in getattr(graph, name):
+    lists = [(name, getattr(graph, name)) for name in ID_LISTS]
+    lists += [("slot_index", index.values()) for index in graph.slot_index]
+    lists += [("deleted", deleted) for deleted in trailed]
+    for name, ids in lists:
+        for x in ids:
             assert x is ints[x], name
 
 
@@ -246,4 +259,16 @@ def test_graphs_hold_only_the_shared_ints(instance):
     Knapsacks, each id and position a graph holds is the shared int object
     for its value: building, deleting and reviving arcs make none of
     their own."""
-    _deep_walk(build_model(instance), _assert_shared_ints)
+    model = build_model(instance)
+    seen = []
+
+    def check(graph):
+        trailed = [
+            arg for tag, undo, arg in model._trail
+            if tag == _T_UNDO and undo == graph.undo
+        ]
+        _assert_shared_ints(graph, trailed)
+        seen.extend(trailed)
+
+    _deep_walk(model, check)
+    assert seen  # syncs above level 0 deleted arcs

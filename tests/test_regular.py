@@ -59,8 +59,8 @@ def test_layered_graph_weights_partition_count(build):
     graph = build()
     count, weights = graph.path_counts()
     assert count > 0
-    for i in range(graph.k):
-        assert sum(weights[graph.layer_slot[i] : graph.layer_slot[i + 1]]) == count
+    for index in graph.slot_index:
+        assert sum(weights[s] for s in index.values()) == count
 
 
 def _sum_automaton(coeffs, domains, lower, upper):
@@ -82,9 +82,9 @@ def _sum_automaton(coeffs, domains, lower, upper):
 def _layer_weights(graph):
     count, weights = graph.path_counts()
     slots = {
-        (i, graph.values[s]): weights[s]
-        for i in range(graph.k)
-        for s in range(graph.layer_slot[i], graph.layer_slot[i + 1])
+        (i, d): weights[s]
+        for i, index in enumerate(graph.slot_index)
+        for d, s in index.items()
     }
     return count, slots, graph.empty()
 
