@@ -2,9 +2,12 @@
 
 AllDifferent filters by forward checking, which sweeps each newly bound
 value from the other domains through a worklist, and, at domain
-consistency, by Regin's matching filter (``regin_dead_arcs``, shared
-with ``GlobalCardinality``), which works on the variables alone, each
-merged with its matched value, and sees only the unbound positions.
+consistency, by Regin's matching filter, which works on the variables
+alone, each merged with its matched value, and sees only the unbound
+positions.  ``GlobalCardinality`` shares both: its forward checking is
+the same sweep (``forward_check``) with each value's upper bound as the
+quota of positions the value may fill, where AllDifferent's quota is 1,
+and its matching filter calls ``regin_dead_arcs``.
 Both look only at the scope positions still open: a position bound and
 swept by an earlier call is closed until a backtrack reopens it.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import (
     DOMAIN,
@@ -35,7 +38,7 @@ from .engine import (
     Model,
     float_sum,
 )
-from .factors import bm_table, lb_log_bound
+from .factors import bm_log_bound, bm_table, lb_log_bound
 
 
 def probe_table(
@@ -310,6 +313,97 @@ def regin_dead_arcs(
     ]
 
 
+def forward_check(
+    constraint: Constraint,
+    model: Model,
+    doms: list[set[int]],
+    live: Sequence[int],
+    quota: Callable[[int], int],
+) -> Optional[list[int]]:
+    """Forward checking to fixpoint: once ``quota(v)`` scope positions
+    are bound to a value v, v leaves every other domain of the scope.
+    Returns the positions of ``live``, the only ones looked at, left
+    unbound, or None on wipeout; no other domain may hold the value of a
+    position left out.  A variable counts once per position it fills.  At
+    quota 1, AllDifferent's, each bound value leaves the domains at the
+    other positions, and two positions bound to one value wipe out.
+
+    The removals and their order are those of passes over the scope in
+    which each bound position whose value had reached its quota, at the
+    start or when the position was bound, sweeps that value from the
+    domains in scope order, until a pass binds nothing.  A sweep skips
+    the sweeping position when the quota is at least 1, and the positions
+    bound to the value while its count is within the quota: so a value
+    over its quota wipes out at a bound position, and one with quota 0 at
+    the sweeping position.  Sweeping a value again removes nothing, nor
+    does sweeping one at its quota that no unbound position holds; so a
+    worklist sweeps each position once: when it binds, or at the start if
+    its value is over its quota, or at it and held.  A position bound
+    ahead of the one being swept joins the current pass, one behind it
+    the next.  Each value's holders come, in scope order, from an index
+    built when the first sweep starts.
+    """
+    free: list[int] = []
+    bound: list[int] = []
+    for i in live:
+        if len(doms[i]) > 1:
+            free.append(i)
+        else:
+            bound.append(i)
+    if not bound:
+        return free
+    values = [next(iter(doms[i])) for i in bound]
+    count: dict[int, int] = {}  # the bound positions of each value
+    for v in values:
+        count[v] = count.get(v, 0) + 1
+    held = set().union(*map(doms.__getitem__, free))
+    todo = [
+        i for i, v in zip(bound, values)
+        if (over := count[v] - quota(v)) > 0 or over == 0 and v in held
+    ]
+    if not todo:
+        return free
+    holders: dict[int, list[int]] = {}
+    for k in live:
+        for d in doms[k]:
+            holders.setdefault(d, []).append(k)
+    scope = constraint.scope
+    while todo:
+        later: list[int] = []
+        while todo:
+            i = heappop(todo)
+            value = next(iter(doms[i]))
+            cap = quota(value)
+            for k in holders[value]:
+                dom = doms[k]
+                if value not in dom or len(dom) == 1 and (
+                    k == i and cap > 0 or count[value] <= cap
+                ):
+                    continue
+                if not model.remove_value(scope[k], value, constraint):
+                    return None
+                if len(dom) > 1:
+                    continue
+                # the positions the variable fills share its domain
+                bound_to = next(iter(dom))
+                spots = [t for t in holders[bound_to] if doms[t] is dom]
+                n = count[bound_to] = count.get(bound_to, 0) + len(spots)
+                if n >= quota(bound_to):
+                    for t in spots:
+                        if t > i:
+                            heappush(todo, t)
+                        else:
+                            later.append(t)
+        later.sort()
+        todo = later
+    return [k for k in free if len(doms[k]) > 1]
+
+
+def _once(value: int) -> int:
+    """AllDifferent's quota: each value at most once."""
+    return 1
+
+
 class AllDifferent(Constraint):
     """Pairwise-distinct values over the scope.
 
@@ -344,7 +438,7 @@ class AllDifferent(Constraint):
         live = self._open
         if live is None:
             live = self._open = list(range(len(doms)))
-        free = self._forward_check(model, doms, live)
+        free = forward_check(self, model, doms, live, _once)
         if free is None:
             return False
         if self.consistency == DOMAIN and not self._regin_filter(model, doms, free):
@@ -359,71 +453,6 @@ class AllDifferent(Constraint):
 
     def _reopen(self, live: list[int]) -> None:
         self._open = live
-
-    def _forward_check(
-        self, model: Model, doms: list[set[int]], live: list[int]
-    ) -> Optional[list[int]]:
-        """Remove each bound value from the domains at the other scope
-        positions, to fixpoint.  Returns the positions left unbound, in
-        scope order, or None on wipeout.  A variable that fills two
-        positions is bound to two equal values, so it wipes out.  Only the
-        open positions ``live``, in scope order, are looked at: no other
-        domain holds a closed position's value.
-
-        The removals and their order are those of passes over the scope
-        that sweep each bound position's value from the other domains, in
-        scope order, until a pass binds nothing.  Sweeping a value a
-        second time, or one that no other position holds, removes
-        nothing; so a worklist sweeps each position once, when it binds,
-        or at the start if another position holds its value.  A position
-        bound ahead of the one being swept joins the current pass, one
-        behind it the next.  Sweeps find each value's holders, in scope
-        order, in an index built when the first sweep starts.
-        """
-        free: list[int] = []
-        bound: list[int] = []
-        for i in live:
-            if len(doms[i]) > 1:
-                free.append(i)
-            else:
-                bound.append(i)
-        if not bound:
-            return free
-        held = set().union(*map(doms.__getitem__, free))
-        values = [next(iter(doms[i])) for i in bound]
-        if len(set(values)) < len(values):  # two bound positions share a value
-            held.update(v for v in values if values.count(v) > 1)
-        todo = [i for i, v in zip(bound, values) if v in held]
-        if not todo:
-            return free
-        holders: dict[int, list[int]] = {}
-        for k in live:
-            for d in doms[k]:
-                holders.setdefault(d, []).append(k)
-        scope = self.scope
-        while todo:
-            later: list[int] = []
-            while todo:
-                i = heappop(todo)
-                value = next(iter(doms[i]))
-                for k in holders[value]:
-                    dom = doms[k]
-                    if k == i or value not in dom:
-                        continue
-                    if not model.remove_value(scope[k], value, self):
-                        return None
-                    if len(dom) > 1:
-                        continue
-                    # the positions the variable fills share its domain
-                    for t in holders[next(iter(dom))]:
-                        if doms[t] is dom:
-                            if t > i:
-                                heappush(todo, t)
-                            else:
-                                later.append(t)
-            later.sort()
-            todo = later
-        return [k for k in free if len(doms[k]) > 1]
 
     def _regin_filter(
         self, model: Model, doms: list[set[int]], free: list[int]
@@ -551,12 +580,10 @@ def sym_matching_log_bound(
         return -math.inf
     if (len(adj) - len(pair)) % 2 == 1:
         return -math.inf
-    total = 0.0
-    for k, neigh in enumerate(adj):
-        if k in pair:
-            continue
-        deg = len(neigh) - len(neigh.intersection(pair))
-        if deg == 0:
-            return -math.inf
-        total += math.lgamma(deg + 1) / (2 * deg)
-    return total
+    # halving is exact, so halving Bregman-Minc's sum gives the same float
+    # as adding the halved factors
+    return bm_log_bound(
+        len(neigh) - len(neigh.intersection(pair))
+        for k, neigh in enumerate(adj)
+        if k not in pair
+    ) / 2

@@ -18,7 +18,7 @@ import click
 from . import bench as bench_mod
 from .engine import LEVELS, WIPEOUT
 from .heuristics import HEURISTIC_NAMES
-from .knapsack import EXACT, GAUSSIAN
+from .knapsack import EXACT, MODES
 from .oracle import OracleCapExceeded, exact_count_densities
 from .search import SAT, TIMEOUT, UNSAT
 
@@ -62,7 +62,7 @@ _model_options = _options(
                       "GlobalCardinality and the bounds filter for "
                       "Knapsack; Regular and SymmetricAllDifferent filter "
                       "alike at both levels."),
-    click.option("--knapsack-mode", type=click.Choice([EXACT, GAUSSIAN]),
+    click.option("--knapsack-mode", type=click.Choice(MODES),
                  default=EXACT, show_default=True),
 )
 

@@ -1,8 +1,11 @@
 """Global cardinality constraint: matching-based filtering and counting.
 
-Filtering runs forward checking on the upper bounds, then AllDifferent's
-Regin filter (``regin_dead_arcs``) on a value graph with one vertex per
-allowed occurrence of each value (Regin, AAAI 1996).
+Filtering runs AllDifferent's forward checking (``forward_check``) with
+each value's upper bound as its quota: an alldifferent is the GCC whose
+every upper bound is 1, and both remove the same values in the same
+order.  Then come a check of the lower bounds and AllDifferent's Regin
+filter (``regin_dead_arcs``) on a value graph with one vertex per allowed
+occurrence of each value (Regin, AAAI 1996).
 
 Counting decomposes the constraint into a lower-bound graph (duplicated
 value vertices for required occurrences) and a residual upper-bound
@@ -30,9 +33,9 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .alldiff import probe_table, regin_dead_arcs
+from .alldiff import forward_check, probe_table, regin_dead_arcs
 from .engine import DOMAIN, Constraint, DensityTable, Model, Variable, float_sum
 from .factors import bm_log_bound, lb_log_bound
 
@@ -55,11 +58,6 @@ class GlobalCardinality(Constraint):
         super().__init__(scope, consistency)
         self.lower = dict(lower)
         self.upper = dict(upper)
-        # the scope positions of each position's variable, in scope order
-        positions: dict[Variable, list[int]] = {}
-        for k, var in enumerate(self.scope):
-            positions.setdefault(var, []).append(k)
-        self._spots = [positions[var] for var in self.scope]
 
     def name(self) -> str:
         return "gcc"
@@ -90,64 +88,13 @@ class GlobalCardinality(Constraint):
         return True
 
     def _counting_checks(self, model: Model) -> bool:
-        """Forward checking: a value bound as often as its upper bound
-        allows leaves every unbound domain, to fixpoint.  False when a
-        value is bound more often, or fewer domains hold it than its lower
-        bound.
-
-        The removals, their order and the verdict are those of passes
-        that each count the bound values at their start and take the ones
-        counted at or above their upper bound in the order the count met
-        them, by first bound position: such a value fails if it is now
-        bound more often than its bound allows, counting the bindings made
-        earlier in the pass, and otherwise leaves the unbound domains in
-        scope order, once; a pass that binds nothing ends them.  Once a
-        value has left, no binding takes it, so only the values a pass
-        binds can reach their bound in the next: the counts follow each
-        binding, and each value's unbound holders come from an index built
-        at the first removal.
-        """
+        """Forward checking on the upper bounds: AllDifferent's sweep
+        (``forward_check``) with each value's upper bound as its quota, to
+        fixpoint.  False when a value is bound more often than that, or
+        fewer domains hold it than its lower bound."""
         doms = self._domains(model)
-        high = self.high
-        count: dict[int, int] = {}
-        first: dict[int, int] = {}  # the first position bound to each value
-        for k, dom in enumerate(doms):
-            if len(dom) == 1:
-                for d in dom:
-                    if d in count:
-                        count[d] += 1
-                    else:
-                        count[d] = 1
-                        first[d] = k
-        todo = [d for d, c in count.items() if c >= high(d)]
-        holders: Optional[dict[int, list[int]]] = None
-        saturated: set[int] = set()
-        scope, spots = self.scope, self._spots
-        while todo:
-            grown: set[int] = set()
-            for d in todo:
-                if count[d] > high(d):
-                    return False
-                saturated.add(d)
-                if holders is None:
-                    holders = {}
-                    for k, dom in enumerate(doms):
-                        if len(dom) > 1:
-                            for e in dom:
-                                holders.setdefault(e, []).append(k)
-                for k in holders.get(d, ()):
-                    dom = doms[k]
-                    if len(dom) > 1 and d in dom:
-                        if not model.remove_value(scope[k], d, self):
-                            return False
-                        if len(dom) == 1:
-                            for v in dom:
-                                pos = spots[k]
-                                count[v] = count.get(v, 0) + len(pos)
-                                first[v] = min(first.get(v, pos[0]), pos[0])
-                                grown.add(v)
-            todo = [v for v in grown if v not in saturated and count[v] >= high(v)]
-            todo.sort(key=first.__getitem__)
+        if forward_check(self, model, doms, range(len(doms)), self.high) is None:
+            return False
         return all(
             sum(d in dom for dom in doms) >= low
             for d, low in self.lower.items()

@@ -23,6 +23,14 @@ from .regular import GraphConstraint, LayeredGraph, layered_graph
 
 EXACT = "exact"
 GAUSSIAN = "gaussian"
+MODES = (EXACT, GAUSSIAN)
+
+
+def check_mode(mode: str) -> str:
+    """``mode`` if it is one of ``MODES``; else ValueError."""
+    if mode not in MODES:
+        raise ValueError(f"unknown counting mode {mode!r}")
+    return mode
 
 
 def _phi(z: float) -> float:
@@ -78,9 +86,7 @@ class Knapsack(GraphConstraint):
         self.coeffs = tuple(int(c) for c in coeffs)
         self.lower = int(lower)
         self.upper = int(upper)
-        if mode not in (EXACT, GAUSSIAN):
-            raise ValueError(f"unknown counting mode {mode!r}")
-        self.mode = mode
+        self.mode = check_mode(mode)
 
     @property
     def idempotent(self) -> bool:

@@ -105,28 +105,44 @@ def test_propagate_is_idempotent(domains, repeats, consistency):
     assert len(m._trail) == trail
 
 
-def _reference_forward_check(c, model):
+def _reference_forward_check(c, model, quota=lambda value: 1):
     """Forward checking as passes over the whole scope, each counting the
     values over the scope's domains first: the removals and their order
-    that ``AllDifferent._forward_check`` must reproduce."""
+    that ``alldiff.forward_check`` must reproduce.  In each pass every
+    bound position whose value had reached its quota, at the start or
+    when the position was bound, sweeps that value from the domains in
+    scope order.  A sweep skips its own position when the quota is at
+    least 1, and the positions bound to the value while no more of them
+    than the quota are.  AllDifferent's quota is 1; returns the counts of
+    the last pass, or None on wipeout."""
     doms = c._domains(model)
+
+    def reached(value):
+        return sum(dom == {value} for dom in doms) >= quota(value)
+
+    armed = [len(dom) == 1 and reached(next(iter(dom))) for dom in doms]
     changed = True
     while changed:
         changed = False
         counts = Counter(chain.from_iterable(doms))
         for i, dom in enumerate(doms):
-            if len(dom) != 1:
+            if not armed[i]:
                 continue
             value = next(iter(dom))
-            if counts[value] == 1:
-                continue
+            cap = quota(value)
             for k, odom in enumerate(doms):
-                if k != i and value in odom:
-                    was_unbound = len(odom) > 1
-                    if not model.remove_value(c.scope[k], value, c):
-                        return None
-                    if was_unbound and len(odom) == 1:
-                        changed = True
+                if value not in odom or len(odom) == 1 and (
+                    k == i and cap > 0 or sum(d == {value} for d in doms) <= cap
+                ):
+                    continue
+                was_unbound = len(odom) > 1
+                if not model.remove_value(c.scope[k], value, c):
+                    return None
+                if was_unbound and len(odom) == 1:
+                    changed = True
+                    if reached(next(iter(odom))):
+                        for t, tdom in enumerate(doms):
+                            armed[t] = armed[t] or tdom is odom
     return counts
 
 
@@ -219,6 +235,37 @@ class _CauseModel(Model):
         if value in self._domains[var.index]:
             self.removed.append((var.index, value, cause))
         return super().remove_value(var, value, cause)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_propagate_cases())
+# x1 fills positions 0 and 2: both remove 3 from x0 and then wipe out at x1
+@example(([{0, 2, 3}, {3}], [1, 0, 1], FORWARD_CHECKING, []))
+# sweeping x4 = 0 binds x3 to 3 ahead of x1 to 2, so 3 goes first
+@example(([{1, 2, 3}, {0, 2}, {1, 2, 3}, {0, 3}, {0}], [0, 3, 4, 1],
+          FORWARD_CHECKING, []))
+def test_alldifferent_is_the_gcc_whose_every_upper_bound_is_one(case):
+    """At forward checking an AllDifferent and a GlobalCardinality over
+    the same scope, with upper bound 1 on every value and no lower bounds,
+    give the same verdict and the same removals (variable, value) in the
+    same order."""
+    domains, scope, _, removals = case
+    runs = []
+    for post in (
+        lambda xs: AllDifferent(xs, FORWARD_CHECKING),
+        lambda xs: GlobalCardinality(xs, {}, dict.fromkeys(range(8), 1),
+                                     FORWARD_CHECKING),
+    ):
+        m = _CauseModel()
+        xs = [m.new_variable(d) for d in domains]
+        for x, value in removals:
+            if m.domain(xs[x]) != {value}:
+                m.remove_value(xs[x], value)
+        c = post([xs[k] for k in scope])
+        mark = len(m.removed)
+        verdict = c.propagate(m)
+        runs.append((verdict, [(x, v, cause is c) for x, v, cause in m.removed[mark:]]))
+    assert runs[0] == runs[1]
 
 
 def _open_positions(c):
@@ -762,6 +809,43 @@ def test_sym_matching_bound_dominates_exact():
         exact = count_perfect_matchings(adj)
         bound = math.exp(sym_matching_log_bound(adj))
         assert exact == 0 or bound + 1e-9 >= exact
+
+
+def _written_out_sym_bound(adj, pair=()):
+    """The pairing bound with each Bregman-Minc factor halved and added
+    left to right."""
+    if pair and pair[1] not in adj[pair[0]]:
+        return -math.inf
+    if (len(adj) - len(pair)) % 2 == 1:
+        return -math.inf
+    total = 0.0
+    for k, neigh in enumerate(adj):
+        if k in pair:
+            continue
+        deg = len(neigh) - len(neigh.intersection(pair))
+        if deg == 0:
+            return -math.inf
+        total += math.lgamma(deg + 1) / (2 * deg)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 24), st.floats(0.0, 1.0), st.integers(0, 2 ** 32))
+def test_sym_matching_bound_equals_the_halved_factors_bit_for_bit(n, p, seed):
+    """Half of Bregman-Minc's sum is the float the halved factors add up
+    to, for the whole graph and after each pairing, on random graphs of
+    up to 24 vertices with each edge drawn with probability p."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    pairs = [()] + [(i, j) for i in range(n) for j in range(n) if i != j]
+    for pair in pairs:
+        got = sym_matching_log_bound(adj, pair)
+        assert got.hex() == _written_out_sym_bound(adj, pair).hex()
 
 
 def test_sym_densities_match_oracle_on_k4():

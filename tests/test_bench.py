@@ -194,6 +194,20 @@ def test_overrides_reject_an_unknown_consistency_level():
         apply_overrides(model, "dom", EXACT)
 
 
+def test_overrides_reject_an_unknown_knapsack_mode():
+    # set as is, a mistyped mode made every knapsack count on its exact
+    # graph, as only the Gaussian mode is tested for
+    model = build_model(generate_marketsplit(2, 0))
+    with pytest.raises(ValueError, match="unknown counting mode 'gausian'"):
+        apply_overrides(model, "domain", "gausian")
+    with pytest.raises(ValueError, match="unknown counting mode 'gausian'"):
+        Knapsack(model.variables[:2], [1, 1], 0, 1, mode="gausian")
+    # a model without knapsacks rejects it too
+    model = build_model(generate_qwh(4, 0.5, seed=0))
+    with pytest.raises(ValueError, match="unknown counting mode 'gausian'"):
+        apply_overrides(model, "domain", "gausian")
+
+
 def test_ttppv_validator_requires_antisymmetry():
     with pytest.raises(ParseError):
         Instance(

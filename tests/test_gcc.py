@@ -18,6 +18,7 @@ from countsearch.oracle import exact_count_densities
 from countsearch.search import SAT, dfs
 
 from conftest import random_domains, random_gcc
+from test_alldiff import _reference_forward_check
 
 
 def _post(domains, lower, upper, consistency="domain"):
@@ -112,19 +113,33 @@ def test_unreachable_lower_bound_fails():
 
 def test_a_binding_earlier_in_the_pass_fails_the_first_call():
     # saturating 1 binds x2 to 2, which x1 already takes: the count of 2
-    # is read when its turn comes, so the first call wipes out
+    # follows the binding, so the first call wipes out
     m, xs, c = _post([{1}, {2}, {1, 2}], {}, {1: 1, 2: 1}, FORWARD_CHECKING)
     assert not c.propagate(m)
-    assert m.domain(xs[2]) == {2}
-
+    # x1 sweeps 2 next, with 2 bound twice against its upper bound of 1,
+    # so the sweep removes it from x2, a bound position, which empties
+    assert m.domain(xs[2]) == set()
 
 
 def _reference_counting_checks(c, model):
+    """AllDifferent's pass-over-the-scope forward checking with each
+    value's upper bound as its quota, then the lower bounds: the
+    removals, their order and the verdict that
+    ``GlobalCardinality._counting_checks`` must reproduce."""
+    if _reference_forward_check(c, model, c.high) is None:
+        return False
+    doms = c._domains(model)
+    return all(
+        sum(d in dom for dom in doms) >= low for d, low in c.lower.items() if low > 0
+    )
+
+
+def _pass_by_value_counting_checks(c, model):
     """Forward checking as passes over the whole scope, each counting the
     bound values first and, when a value counted at its upper bound has
-    its turn, failing if it is now bound more often: the removals, their
-    order and the verdict that ``GlobalCardinality._counting_checks``
-    must reproduce."""
+    its turn, failing if it is now bound more often: the verdict, and on
+    success the domains, that ``GlobalCardinality._counting_checks`` must
+    leave, whatever its order."""
     doms = c._domains(model)
     saturated = set()
     changed = True
@@ -193,21 +208,31 @@ def _chain_case(n):
 # x0 fills positions 0 and 2, so binding it counts its value twice
 @example(([{1, 2}, {1}, {2, 3}], [0, 1, 0, 2], {}, {1: 1, 2: 1}))
 @example(([{1}, {1, 2}, {2, 3}], [0, 1, 2], {3: 1}, {1: 1, 2: 1}))  # lower bound fails
-# one pass binds 2 and then 1: the next sweeps 2 first, as 2's bound
-# position comes first
+# sweeping 0 binds x1 to 2 and then x2 to 1, both ahead of it: the same
+# pass sweeps 2 and then 1, in scope order
 @example(([{0}, {0, 2}, {0, 1}, {1, 2, 3}], [0, 1, 2, 3], {}, {0: 1, 1: 1, 2: 1}))
+# x1 is bound to 1, whose upper bound is 0: the sweep removes 1 from x0
+# first, in scope order, and wipes out at x1 itself
+@example(([{0, 1}, {1}, {1, 2}], [0, 1, 2], {}, {1: 0}))
 def test_counting_checks_keep_the_reference_removals_in_order(case):
     """Every removal (variable, value, cause) in order, and the verdict,
-    equal those of the pass-by-pass reference."""
+    equal those of the pass-by-pass reference; the verdict, and on success
+    the domains, equal those of the pass-by-value oracle."""
     domains, scope, lower, upper = case
     runs = []
-    for check in (GlobalCardinality._counting_checks, _reference_counting_checks):
+    for check in (
+        GlobalCardinality._counting_checks,
+        _reference_counting_checks,
+        _pass_by_value_counting_checks,
+    ):
         m = _CauseModel()
         xs = [m.new_variable(d) for d in domains]
         c = GlobalCardinality([xs[k] for k in scope], lower, upper, FORWARD_CHECKING)
         verdict = check(c, m)
-        runs.append((verdict, [(x, v, cause is c) for x, v, cause in m.removed]))
-    assert runs[0] == runs[1]
+        runs.append((verdict, [(x, v, cause is c) for x, v, cause in m.removed],
+                     [m.domain(x) for x in xs] if verdict else None))
+    assert runs[0][:2] == runs[1][:2]
+    assert (runs[0][0], runs[0][2]) == (runs[2][0], runs[2][2])
 
 
 def test_alldifferent_degeneration():
