@@ -340,8 +340,10 @@ def forward_check(
     worklist sweeps each position once: when it binds, or at the start if
     its value is over its quota, or at it and held.  A position bound
     ahead of the one being swept joins the current pass, one behind it
-    the next.  Each value's holders come, in scope order, from an index
-    built when the first sweep starts.
+    the next.  A sweep finds its value's holders, and a new binding the
+    positions its variable fills, by scanning ``live`` in scope order: a
+    domain only loses values, so the scan meets the holders in the order
+    an index built at the start would list them.
     """
     free: list[int] = []
     bound: list[int] = []
@@ -363,10 +365,6 @@ def forward_check(
     ]
     if not todo:
         return free
-    holders: dict[int, list[int]] = {}
-    for k in live:
-        for d in doms[k]:
-            holders.setdefault(d, []).append(k)
     scope = constraint.scope
     while todo:
         later: list[int] = []
@@ -374,7 +372,7 @@ def forward_check(
             i = heappop(todo)
             value = next(iter(doms[i]))
             cap = quota(value)
-            for k in holders[value]:
+            for k in live:
                 dom = doms[k]
                 if value not in dom or len(dom) == 1 and (
                     k == i and cap > 0 or count[value] <= cap
@@ -386,7 +384,7 @@ def forward_check(
                     continue
                 # the positions the variable fills share its domain
                 bound_to = next(iter(dom))
-                spots = [t for t in holders[bound_to] if doms[t] is dom]
+                spots = [t for t in live if doms[t] is dom]
                 n = count[bound_to] = count.get(bound_to, 0) + len(spots)
                 if n >= quota(bound_to):
                     for t in spots:
@@ -464,18 +462,28 @@ class AllDifferent(Constraint):
         so such a position and its value form a component of their own,
         whose one arc every matching uses: leaving it out changes neither
         whether a matching covers every position nor which arcs are dead,
-        nor the order ``regin_dead_arcs`` lists them in.
+        nor the order ``regin_dead_arcs`` lists them in.  One pass over the
+        free domains numbers the values as first seen and lists each row in
+        its domain's order.  The numbering may change which matching is
+        found, but not the dead arcs, which no maximum matching uses
+        whichever one is found, nor their order: by position, then row.
         """
         if not free:
             return True
-        free_doms = list(map(doms.__getitem__, free))
-        values = list(set().union(*free_doms))
-        val_idx = dict(zip(values, range(len(values))))
-        dead = regin_dead_arcs(
-            [list(map(val_idx.__getitem__, dom)) for dom in free_doms], len(values)
-        )
+        val_idx: dict[int, int] = {}
+        adj = []
+        for k in free:
+            row = []
+            for d in doms[k]:
+                v = val_idx.get(d)
+                if v is None:
+                    v = val_idx[d] = len(val_idx)
+                row.append(v)
+            adj.append(row)
+        dead = regin_dead_arcs(adj, len(val_idx))
         if dead is None:
             return False
+        values = list(val_idx)
         scope = self.scope
         for x, v in dead:
             if not model.remove_value(scope[free[x]], values[v], self):

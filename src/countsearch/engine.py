@@ -303,8 +303,22 @@ class Model:
         if value not in dom:
             return True
         dom.discard(value)
-        self._trail.append((_T_REMOVE, var.index, value))
-        self._on_domain_change(var, cause)
+        trail = self._trail
+        trail.append((_T_REMOVE, var.index, value))
+        # each watcher drops its cached table (trailed) and joins the queue;
+        # its own removals do not make it stale
+        for c in self._watchers[var.index]:
+            if c is not cause:
+                c._stale = True
+            table = c.cache
+            if table is not None:
+                if table._least is not None:
+                    table = _RankedTable(table, self)
+                trail.append((_T_CACHE, c, table))
+                c.cache = None
+            if not c._queued:
+                c._queued = True
+                self._queue.append(c)
         if not dom:
             return False
         return True
@@ -335,18 +349,6 @@ class Model:
         for i, entry in enumerate(trail):
             if entry[0] == _T_CACHE and entry[2] is not None:
                 trail[i] = (_T_CACHE, entry[1], None)
-
-    def _on_domain_change(self, var: Variable, cause: Optional[Constraint]) -> None:
-        for c in self._watchers[var.index]:
-            if c is not cause:
-                c._stale = True
-            table = c.cache
-            if table is not None:
-                if table._least is not None:
-                    table = _RankedTable(table, self)
-                self._trail.append((_T_CACHE, c, table))
-                c.cache = None
-            self._enqueue(c)
 
     def _enqueue(self, c: Constraint) -> None:
         if not c._queued:

@@ -13,14 +13,17 @@ of 60 backtracks on two market splits, whose searches backtrack through
 exact ``Knapsack`` graphs.  The four jobs of perfbench's ``graph-maxSD``
 workload at seed 0 (two 10x24 rosters with GCC columns and two market
 splits, cap 300) are pinned by status, backtracks, nodes and a digest of
-their decisions.  A speed-up of the counting kernels must reproduce them
-unchanged.
+their decisions, and so are the first four jobs of its ``qwh-maxSD``
+and ``qwh-domWDeg`` workloads.  A speed-up of the counting kernels or of
+filtering must reproduce them unchanged.
 
 domWDeg learns its weights from the constraint each wipeout is blamed on,
 so which propagator runs first, and which one empties a domain, steers it.
 Its pins add the ``cid`` of every wipeout's cause, on the same quasigroup
 completions and on one propagated by forward checking only.  A change to
-the propagation queue or to AllDifferent filtering must reproduce them.
+the propagation queue or to AllDifferent filtering must reproduce them,
+and one search's removals: every (variable, value, cause) in order, root
+propagation included.
 Its weights and kept degrees carry over from one run of a search to the
 next, so digest pins of ``restart_search`` and ``lds`` under domWDeg, on a
 quasigroup completion and a magic square, fix what it learns across runs.
@@ -58,6 +61,7 @@ import sys
 
 import pytest
 
+from countsearch import bench
 from countsearch.bench import (
     BREAK,
     apply_overrides,
@@ -76,6 +80,8 @@ from countsearch.heuristics import DomWdeg, MaxSD, make_heuristic
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
+
+from test_alldiff import _CauseModel
 
 
 def _qwh(order, seed, consistency=None):
@@ -282,9 +288,23 @@ GOLDEN_GRAPH_JOBS = {
     "marketsplit-s1/maxSD": (UNSAT, 290, 289, "91d3089b4c3077aa"),
 }
 
+#: the first 4 jobs of perfbench's ``qwh-maxSD`` and ``qwh-domWDeg``
+#: workloads at seed 0 (order-25 quasigroup completions, cap 5), recorded
+#: as ``GOLDEN_GRAPH_JOBS`` are
+GOLDEN_QWH_JOBS = {
+    "qwh-s0/maxSD": (SAT, 0, 86, "b8ffd496fe4921a5"),
+    "qwh-s1/maxSD": (TIMEOUT, 5, 87, "3199b2efd7e1fcef"),
+    "qwh-s2/maxSD": (SAT, 1, 94, "4389ef84b0223541"),
+    "qwh-s3/maxSD": (SAT, 1, 110, "1156ec10c662148b"),
+    "qwh-s0/domWDeg": (TIMEOUT, 5, 44, "cd9a0b728ee95399"),
+    "qwh-s1/domWDeg": (TIMEOUT, 5, 57, "802d498202de90f7"),
+    "qwh-s2/domWDeg": (SAT, 2, 49, "c57a20cdc90cc5ec"),
+    "qwh-s3/domWDeg": (TIMEOUT, 5, 60, "9c9b62714718169a"),
+}
 
-def _graph_jobs():
-    """perfbench's ``graph-maxSD`` jobs at seed 0, by name, from its
+
+def _perfbench_jobs(workload):
+    """perfbench's jobs of ``workload`` at seed 0, by name, from its
     workload module loaded from the file (registered under its own name,
     as its dataclasses look their module up)."""
     name = "perfbench_workloads"
@@ -292,12 +312,11 @@ def _graph_jobs():
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {job.name: job for job in module.jobs_for("graph-maxSD", 0)}
+    return {job.name: job for job in module.jobs_for(workload, 0)}
 
 
-@pytest.mark.parametrize("name", GOLDEN_GRAPH_JOBS)
-def test_perfbench_graph_jobs_are_pinned(name):
-    job = _graph_jobs()[name]
+def _job_record(job):
+    """(status, backtracks, nodes, digest) of one perfbench job's ``dfs``."""
     built = job.build()
     heuristic = built.heuristic
     choose, picks = heuristic.choose, []
@@ -314,8 +333,21 @@ def test_perfbench_graph_jobs_are_pinned(name):
     heuristic.choose = recorded
     stats = dfs(built.model, heuristic, backtrack_limit=job.cap)
     digest = hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+    return stats.status, stats.backtracks, nodes, digest
+
+
+@pytest.mark.parametrize("name", GOLDEN_GRAPH_JOBS)
+def test_perfbench_graph_jobs_are_pinned(name):
+    job = _perfbench_jobs("graph-maxSD")[name]
     assert job.cap == 300
-    assert (stats.status, stats.backtracks, nodes, digest) == GOLDEN_GRAPH_JOBS[name]
+    assert _job_record(job) == GOLDEN_GRAPH_JOBS[name]
+
+
+@pytest.mark.parametrize("name", GOLDEN_QWH_JOBS)
+def test_perfbench_qwh_jobs_are_pinned(name):
+    job = _perfbench_jobs("qwh-" + name.rsplit("/", 1)[1])[name]
+    assert job.cap == 5
+    assert _job_record(job) == GOLDEN_QWH_JOBS[name]
 
 
 #: instance -> (status, backtracks, decisions, wipeout cause cids) under a
@@ -403,6 +435,31 @@ def test_domwdeg_dfs_decisions_are_pinned(name):
     assert stats.backtracks == backtracks
     assert heuristic.picks == decisions
     assert heuristic.causes == causes
+
+
+#: (status, backtracks, removal count, SHA-256 of the repr of the
+#: (variable index, value, cause cid) list, with None for a decision's
+#: removals) of ``dfs`` under domWDeg on qwh-15-s0, cap 30
+GOLDEN_QWH15_REMOVALS = (
+    SAT,
+    1,
+    1380,
+    "6d49ae81b29c09682f7ee60ef002df5748cfca3476fa431c6f5d01a09e73f02a",
+)
+
+
+def test_domwdeg_removals_are_pinned(monkeypatch):
+    """Every removal of a search, root propagation included, in order and
+    with its cause: the qwh builder runs on a model that lists them."""
+    monkeypatch.setattr(bench, "Model", _CauseModel)
+    model = _qwh(15, 0)
+    stats = dfs(model, DomWdeg(model), backtrack_limit=30)
+    removed = [
+        (x, value, None if cause is None else cause.cid)
+        for x, value, cause in model.removed
+    ]
+    digest = hashlib.sha256(repr(removed).encode()).hexdigest()
+    assert (stats.status, stats.backtracks, len(removed), digest) == GOLDEN_QWH15_REMOVALS
 
 
 #: (instance, heuristic) -> (status, backtracks, decision count, first 16
