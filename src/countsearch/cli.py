@@ -111,6 +111,8 @@ def solve(instance_file, kind, heuristic_name, seed, **settings):
     click.echo(f"instance:   {instance.name}")
     click.echo(f"status:     {stats.status}")
     click.echo(f"backtracks: {stats.backtracks}")
+    click.echo(f"nodes:      {stats.nodes}")
+    click.echo(f"digest:     {stats.digest}")
     click.echo(f"time_ms:    {stats.time_ms:.1f}")
     if stats.restarts:
         click.echo(f"restarts:   {stats.restarts}")

@@ -18,6 +18,12 @@ explicit stack, so the depth of the tree is not limited by Python's
 recursion limit.  At each node the walk takes the heuristic's pick
 (``choose``) and its left branch through the heuristic (``branch``).
 
+The search keeps its own record of its decisions in ``SearchStats``:
+``nodes`` counts the ``choose`` calls of all runs, the last one at a
+solution (which picks nothing) included, and ``digest`` is the first 16
+hex digits of the SHA-256 of the repr of the list of (variable index,
+value) picks.  The digest is fed one pick at a time, so no list is kept.
+
 A search that ends on a solution leaves the model there, with the
 density tables on its trail released (``Model.release_tables``): a
 later backtrack restores every domain and recounts on demand.
@@ -25,6 +31,7 @@ later backtrack restores every domain and recounts on demand.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -49,6 +56,8 @@ class SearchStats:
     restarts: int = 0  # runs begun because the last one hit its cutoff
     max_discrepancy: int = 0  # the cap of the last capped run
     solution: Optional[dict[str, int]] = None
+    nodes: int = 0  # choose calls over all runs (see the module docstring)
+    digest: str = ""  # of the (variable index, value) picks, set at the end
 
 
 class _Budget:
@@ -83,9 +92,12 @@ def _walk(
     budget: _Budget,
     randomized: bool,
     cap: float,
+    stats: SearchStats,
+    pick_hash,  # hashlib.sha256 of the picks' repr so far, "[" included
 ) -> Optional[str]:
     """Walk the tree below the current node, taking at most ``cap`` right
-    branches on any path.
+    branches on any path, and count each node in ``stats.nodes`` and its
+    pick in ``pick_hash``.
 
     Returns SAT with the model at a solution, UNSAT when the walk covered
     the whole tree (the cap left out no right branch and the budget cut
@@ -103,9 +115,13 @@ def _walk(
         if budget.exhausted():
             return None
         pick = heuristic.choose(model, randomized)
+        stats.nodes += 1
         if pick is None:
             return SAT
         var, value = pick
+        # a None pick ends the search, so every earlier node picked
+        sep = ", " if stats.nodes > 1 else ""
+        pick_hash.update(f"{sep}({var.index}, {value})".encode())
         open_right.append((var, value, model.level, left))
         if heuristic.branch(model, var, value) == CONSISTENT:
             continue
@@ -145,6 +161,7 @@ def _search(
             f"backtrack limit must be nonnegative, got {backtrack_limit}"
         )
     stats = SearchStats()
+    pick_hash = hashlib.sha256(b"[")
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     root = model.level
@@ -159,7 +176,7 @@ def _search(
                 remaining = backtrack_limit - stats.backtracks
                 limit = remaining if cutoff is None else min(cutoff, remaining)
             budget = _Budget(deadline, limit)
-            outcome = _walk(model, heuristic, budget, randomized, cap)
+            outcome = _walk(model, heuristic, budget, randomized, cap, stats, pick_hash)
             stats.backtracks += budget.backtracks
             if cap < math.inf:
                 stats.max_discrepancy = cap
@@ -176,6 +193,8 @@ def _search(
             model.release_tables()
         else:
             model.backtrack_to(root)
+    pick_hash.update(b"]")
+    stats.digest = pick_hash.hexdigest()[:16]
     stats.time_ms = (time.perf_counter() - start) * 1000.0
     return stats
 
@@ -201,10 +220,11 @@ def restart_search(
     """Geometric restarts: run i is cut off after scale * 2^i backtracks,
     or after what is left of ``backtrack_limit``, the total over all runs.
 
-    The heuristic randomizes between its two best choices; learned
-    state persists across runs.  A run that completes without hitting
-    its cutoff proves unsat; otherwise only sat or timeout can be
-    concluded.
+    Each run asks for randomized picks, which the counting rules draw
+    between their two best choices (a rule that reads no ``randomized``
+    picks as in ``dfs``); learned state persists across runs.  A run
+    that completes without hitting its cutoff proves unsat; otherwise
+    only sat or timeout can be concluded.
     """
     if scale < 1:
         raise ValueError(f"restart scale must be at least 1, got {scale}")

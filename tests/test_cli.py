@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, CSV sweeps."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -49,12 +50,20 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _digest(picks):
+    """``solve``'s digest of a list of (variable index, value) picks."""
+    return hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+
+
 def test_solve_full_square_is_sat_with_zero_backtracks(runner, tmp_path):
     path = _write(tmp_path, "full.qwh", FULL_SQUARE)
     result = runner.invoke(cli, ["solve", path])
     assert result.exit_code == 0
     assert "status:     sat" in result.output
     assert "backtracks: 0" in result.output
+    # one choose call, at the solution, which picks nothing
+    assert "nodes:      1\n" in result.output
+    assert f"digest:     {_digest([])}\n" in result.output
 
 
 def test_solve_unsat_exit_code(runner, tmp_path):
@@ -184,7 +193,10 @@ def test_backtracks_must_be_nonnegative(runner, tmp_path, command):
 def test_solve_with_zero_backtracks_stops_at_first_failure(runner, tmp_path):
     path = _write(tmp_path, "nofit.qwh", NO_FIT_SQUARE)
     args = ["solve", path, "--consistency", "fc"]
-    assert "backtracks: 2" in runner.invoke(cli, args).output
+    output = runner.invoke(cli, args).output
+    # one decision, x0_1 = 2 (variable 1), and both its branches fail
+    assert "backtracks: 2\nnodes:      1\n" in output
+    assert f"digest:     {_digest([(1, 2)])}\n" in output
     result = runner.invoke(cli, args + ["--backtracks", "0"])
     assert result.exit_code == 2
     assert "status:     timeout" in result.output

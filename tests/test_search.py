@@ -1,11 +1,12 @@
 """Search drivers: DFS, geometric restarts, limited discrepancy search."""
 
+import hashlib
 import random
 
 import pytest
 
 from countsearch.alldiff import AllDifferent
-from countsearch.bench import build_model, generate_qwh
+from countsearch.bench import build_model, generate_magic, generate_qwh
 from countsearch.engine import _T_CACHE, CONSISTENT, Model
 from countsearch.heuristics import Dom, Heuristic, MaxSD, make_heuristic
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
@@ -277,6 +278,55 @@ def test_backtrack_limit_zero_allows_a_search_without_failures(driver):
     stats = DRIVERS[driver](m, MaxSD(m), backtrack_limit=0)
     assert stats.status == SAT
     assert stats.backtracks == 0
+
+
+class _Listed:
+    """Passes the search through to ``inner``, listing what each of its
+    ``choose`` calls returned."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.chosen = []
+
+    def choose(self, model, randomized=False):
+        pick = self.inner.choose(model, randomized)
+        self.chosen.append(pick)
+        return pick
+
+    def branch(self, model, var, value):
+        return self.inner.branch(model, var, value)
+
+
+@pytest.mark.parametrize("case", ["search", "backtrack-limit-0", "root-wipeout"])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_stats_count_nodes_and_digest_picks(driver, case):
+    # the order-3 magic square takes maxSD 8 backtracks under dfs, 4
+    # restarts from scale 1 and 2 LDS waves; 3 pigeons in 2 holes wipe
+    # out at the root under domain consistency
+    if case == "root-wipeout":
+        m = Model()
+        m.add(AllDifferent([m.new_variable({1, 2}) for _ in range(3)]))
+    else:
+        m = build_model(generate_magic(3, seed=0))
+    heuristic = _Listed(MaxSD(m, random.Random(0)))
+    options = {"scale": 1} if driver == "restart" else {}
+    if case == "backtrack-limit-0":
+        options["backtrack_limit"] = 0
+    stats = DRIVERS[driver](m, heuristic, **options)
+    picks = [(var.index, value) for var, value in filter(None, heuristic.chosen)]
+    assert stats.nodes == len(heuristic.chosen)
+    assert stats.digest == hashlib.sha256(repr(picks).encode()).hexdigest()[:16]
+    if case == "search":
+        # the last call, at the solution, picks nothing
+        assert (stats.status, stats.nodes) == (SAT, len(picks) + 1)
+        assert stats.backtracks > 0
+    elif case == "root-wipeout":
+        assert (stats.status, stats.nodes, stats.digest) == (
+            UNSAT, 0, hashlib.sha256(b"[]").hexdigest()[:16]
+        )
+    else:
+        assert (stats.status, stats.backtracks) == (TIMEOUT, 0)
+        assert 0 < stats.nodes == len(picks)
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
