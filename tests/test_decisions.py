@@ -7,9 +7,11 @@ heuristic, the driver (``dfs``, ``restart`` with its ``scale``, or
 reports in ``SearchStats`` (status, backtracks, nodes and the digest of
 its (variable index, value) picks) and to ``causes``, the same digest of
 the ``cid`` of each wipeout's cause in order, with None for a decision.
-One test replays every record, so a speed-up of counting, filtering or
-the search must reproduce them all, and a change that moves a decision
-is a re-pin: a data diff in that file, logged in CHANGES.md.
+Each record also names the test that replays it (``test``, as the
+suite prints it), and every record is replayed, so a speed-up of
+counting, filtering or the search must reproduce them all, and a change
+that moves a decision is a re-pin: a data diff in that file, logged in
+CHANGES.md.
 
 maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  The records cover:
@@ -191,11 +193,26 @@ with open(os.path.join(TESTS, "decision_pins.json")) as f:
 RESULT = ("status", "backtracks", "nodes", "digest", "causes")
 
 
-@pytest.mark.parametrize(
-    "pin", PINS, ids=lambda p: f"{p['job']}-{p['heuristic']}-{p['driver']}"
-)
-def test_decisions_are_pinned(pin):
-    assert _replay(pin) == {key: pin[key] for key in RESULT}
+
+
+def _pinned(name):
+    """The test that replays every record whose ``test`` is ``name[id]``,
+    one test id per record."""
+    pins = [p for p in PINS if p["test"].split("[")[0] == name]
+
+    @pytest.mark.parametrize(
+        "pin", pins, ids=[p["test"][len(name) + 1 : -1] for p in pins]
+    )
+    def test(pin):
+        assert _replay(pin) == {key: pin[key] for key in RESULT}
+
+    test.__name__ = name
+    return test
+
+
+# one test per name the records carry, so every record is replayed
+for _name in sorted({p["test"].split("[")[0] for p in PINS}):
+    globals()[_name] = _pinned(_name)
 
 
 #: (status, backtracks, removal count, SHA-256 of the repr of the
