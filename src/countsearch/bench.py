@@ -298,13 +298,22 @@ def _random_latin_square(n: int, rng: random.Random) -> list[list[int]]:
     ]
 
 
+def _shuffled_cells(
+    rows: int, cols: int, fraction: float, name: str, rng: random.Random
+) -> list[tuple[int, int]]:
+    """The first ``int(fraction * rows * cols)`` cells of the row-major
+    (row, col) list, after one ``rng.shuffle`` of it."""
+    if not 0 <= fraction <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {fraction}")
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    rng.shuffle(cells)
+    return cells[: int(fraction * rows * cols)]
+
+
 def generate_qwh(order: int, holes: float = 0.42, seed: int = 0) -> Instance:
     rng = random.Random(seed)
     grid = _random_latin_square(order, rng)
-    n_holes = int(holes * order * order)
-    positions = [(r, c) for r in range(order) for c in range(order)]
-    rng.shuffle(positions)
-    for r, c in positions[:n_holes]:
+    for r, c in _shuffled_cells(order, order, holes, "holes", rng):
         grid[r][c] = 0
     return Instance(
         "qwh",
@@ -342,10 +351,7 @@ def generate_magic(
     rng = random.Random(seed)
     full = _magic_square(order)
     grid = [[0] * order for _ in range(order)]
-    positions = [(r, c) for r in range(order) for c in range(order)]
-    rng.shuffle(positions)
-    keep = int(filled * order * order)
-    for r, c in positions[:keep]:
+    for r, c in _shuffled_cells(order, order, filled, "filled", rng):
         grid[r][c] = full[r][c]
     return Instance(
         "magic",
@@ -598,9 +604,7 @@ def generate_rostering(
     # constant-task rows form a valid, column-distinct schedule
     schedule = [[e + 1] * periods for e in range(employees)]
     grid = [[-1] * periods for _ in range(employees)]
-    cells = [(e, p) for e in range(employees) for p in range(periods)]
-    rng.shuffle(cells)
-    for e, p in cells[: int(preset * employees * periods)]:
+    for e, p in _shuffled_cells(employees, periods, preset, "preset", rng):
         grid[e][p] = schedule[e][p]
     payload = {
         "employees": employees,

@@ -388,6 +388,21 @@ def test_generated_instances_are_satisfiable(kind):
     assert stats.status == SAT
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("qwh", {"order": 5, "holes": -0.2}),  # punched 20 of 25 cells
+    ("magic", {"order": 4, "filled": -0.1}),  # preset 15 of 16 cells
+    ("rostering", {"employees": 3, "periods": 5, "preset": -0.2}),  # 12 of 15
+    ("rostering", {"employees": 3, "periods": 5, "preset": 1.2}),
+])
+def test_generators_reject_a_cell_fraction_outside_0_1(kind, params):
+    key = list(params)[-1]
+    with pytest.raises(ValueError, match=f"{key} must be in \\[0, 1\\]"):
+        FAMILIES[kind].generate(seed=0, **params)
+    # the ends of the range stay valid
+    for fraction in (0, 1):
+        FAMILIES[kind].generate(seed=0, **{**params, key: fraction})
+
+
 def test_marketsplit_round_trips_and_builds():
     inst = generate_marketsplit(m=2, seed=4)
     assert inst.status is None  # satisfiability unknown by construction

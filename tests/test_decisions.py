@@ -7,8 +7,12 @@ heuristic, the driver (``dfs``, ``restart`` with its ``scale``, or
 reports in ``SearchStats`` (status, backtracks, nodes and the digest of
 its (variable index, value) picks) and to ``causes``, the same digest of
 the ``cid`` of each wipeout's cause in order, with None for a decision.
-Each record also names the test that replays it (``test``, as the
-suite prints it), and every record is replayed, so a speed-up of
+Two keys are optional: ``rng``, the seed of the heuristic's
+``random.Random`` (0 when absent), and ``recounts``, the number of
+``count_densities`` calls per counting class.  Each record also names
+the test that replays it (``test``, as the suite prints it, prefixed by
+its module when that is not this one), and every record is replayed,
+so a speed-up of
 counting, filtering or the search must reproduce them all, and a change
 that moves a decision is a re-pin: a data diff in that file, logged in
 CHANGES.md.
@@ -31,7 +35,18 @@ the last bit of a density can change the search.  The records cover:
   impacts carry over from one run to the next;
 - IBS (``ibs``, and ``ibs+maxSD``, which takes its values from the
   density tables), which probes at the root and re-probes its best
-  variables at each pick.
+  variables at each pick;
+- recounts: maxSD, minSCMaxSD, aAvgSD and domWDeg+maxSD under ``dfs``,
+  ``lds`` and ``restart_search`` on two quasigroup completions
+  (AllDifferent counting) and two magic squares (AllDifferent and exact
+  ``Knapsack`` counting), each capped at 200 backtracks, with the
+  heuristic drawing from the instance seed.  A change to what the
+  density cache or the trail keeps must not make any rule recount more:
+  a table restored by a backtrack is ranked again without a recount,
+  from a ranked copy that recounts its densities only when first read.
+  The counts were recorded with every superseded table kept whole on
+  the trail; a change that counts tables less often lowers them on
+  purpose, as a re-pin.
 
 One search is pinned by its removals instead: every (variable, value,
 cause) in order, root propagation included.
@@ -49,7 +64,9 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -131,6 +148,7 @@ BUILDERS = {
     "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
     "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
     "qwh-15-s0": lambda: _qwh(15, 0),
+    "qwh-15-s1": lambda: _qwh(15, 1),
     "magic-4-s0": lambda: build_model(generate_magic(4, seed=0)),
     "marketsplit-3-s0": lambda: build_model(generate_marketsplit(3, 0)),
     "marketsplit-3-s1": lambda: build_model(generate_marketsplit(3, 1)),
@@ -161,13 +179,16 @@ def _digest(items):
 
 
 def _replay(pin, model=None):
-    """Status, backtracks, nodes, digest and causes of the search that
-    ``pin`` specifies, on ``model`` if given, else on its job's model."""
+    """Status, backtracks, nodes, digest, causes and recounts of the
+    search that ``pin`` specifies, on ``model`` if given, else on its
+    job's model; the heuristic draws from ``random.Random(pin["rng"])``,
+    seed 0 when absent."""
+    rng = random.Random(pin.get("rng", 0))
     if model is not None:
-        heuristic = make_heuristic(pin["heuristic"], model)
+        heuristic = make_heuristic(pin["heuristic"], model, rng)
     elif pin["job"] in BUILDERS:
         model = BUILDERS[pin["job"]]()
-        heuristic = make_heuristic(pin["heuristic"], model)
+        heuristic = make_heuristic(pin["heuristic"], model, rng)
     else:
         job = _perfbench_jobs()[pin["job"]]
         assert (job.heuristic, job.cap) == (pin["heuristic"], pin["cap"])
@@ -175,6 +196,14 @@ def _replay(pin, model=None):
         model, heuristic = built.model, built.heuristic
     causes = []
     model.on_wipeout(lambda c: causes.append(None if c is None else c.cid))
+    # count_densities calls per class, the lazy recount of a ranked table too
+    recounts = Counter()
+    for c in model.constraints:
+        def counted(model, count=c.count_densities, name=type(c).__name__):
+            recounts[name] += 1
+            return count(model)
+
+        c.count_densities = counted
     options = {"scale": pin["scale"]} if "scale" in pin else {}
     stats = DRIVERS[pin["driver"]](
         model, heuristic, backtrack_limit=pin["cap"], **options
@@ -185,34 +214,54 @@ def _replay(pin, model=None):
         "nodes": stats.nodes,
         "digest": stats.digest,
         "causes": _digest(causes),
+        "recounts": dict(recounts),
     }
 
 
 with open(os.path.join(TESTS, "decision_pins.json")) as f:
     PINS = json.load(f)
+SPEC = ("job", "heuristic", "driver", "cap")
 RESULT = ("status", "backtracks", "nodes", "digest", "causes")
-
-
+OPTIONAL = ("scale", "rng", "recounts")
 
 
 def _pinned(name):
     """The test that replays every record whose ``test`` is ``name[id]``,
-    one test id per record."""
+    one test id per record; a ``name`` of the form ``module.py::test``
+    belongs to that module, which binds it."""
     pins = [p for p in PINS if p["test"].split("[")[0] == name]
 
     @pytest.mark.parametrize(
         "pin", pins, ids=[p["test"][len(name) + 1 : -1] for p in pins]
     )
     def test(pin):
-        assert _replay(pin) == {key: pin[key] for key in RESULT}
+        result = _replay(pin)
+        if "recounts" not in pin:
+            del result["recounts"]
+        assert result == {key: pin[key] for key in result}
 
-    test.__name__ = name
+    test.__name__ = name.split("::")[-1]
     return test
 
 
 # one test per name the records carry, so every record is replayed
 for _name in sorted({p["test"].split("[")[0] for p in PINS}):
-    globals()[_name] = _pinned(_name)
+    if "::" not in _name:
+        globals()[_name] = _pinned(_name)
+
+
+def test_pin_records_have_known_keys_and_unique_specs():
+    """A misspelled optional key would make ``_replay`` skip a check."""
+    specs, tests = Counter(), Counter()
+    for pin in PINS:
+        assert {"test", *SPEC, *RESULT} <= pin.keys() <= {
+            "test", *SPEC, *RESULT, *OPTIONAL
+        }, pin
+        assert ("scale" in pin) == (pin["driver"] == "restart"), pin
+        specs[(*(pin[key] for key in SPEC), pin.get("scale"), pin.get("rng", 0))] += 1
+        tests[pin["test"]] += 1
+    assert [spec for spec, n in specs.items() if n > 1] == []
+    assert [test for test, n in tests.items() if n > 1] == []
 
 
 #: (status, backtracks, removal count, SHA-256 of the repr of the

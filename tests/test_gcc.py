@@ -18,7 +18,7 @@ from countsearch.oracle import exact_count_densities
 from countsearch.search import SAT, dfs
 
 from conftest import random_domains, random_gcc
-from test_alldiff import _reference_forward_check
+from test_alldiff import _CauseModel, _reference_forward_check
 
 
 def _post(domains, lower, upper, consistency="domain"):
@@ -164,19 +164,6 @@ def _pass_by_value_counting_checks(c, model):
     return all(
         sum(d in dom for dom in doms) >= low for d, low in c.lower.items() if low > 0
     )
-
-
-class _CauseModel(Model):
-    """A model that lists every removal (variable, value, cause)."""
-
-    def __init__(self):
-        super().__init__()
-        self.removed = []
-
-    def remove_value(self, var, value, cause=None):
-        if value in self._domains[var.index]:
-            self.removed.append((var.index, value, cause))
-        return super().remove_value(var, value, cause)
 
 
 @st.composite
