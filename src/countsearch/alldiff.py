@@ -14,15 +14,16 @@ swept by an earlier call is closed until a backtrack reopens it.
 Counting uses permanent upper bounds on the 0-1 variable/value matrix:
 the count takes the tighter of Bregman-Minc and Liang-Bai, and densities
 come from forward-checking local probes bounded by Bregman-Minc alone,
-per Algorithm 1's incremental factor updates, scored value by value
-into two lists per scope position: its values in ascending order and
-their probe scores.  The pairing variant bounds the number of matchings
-of the contracted value graph.  ``probe_table`` normalizes those lists
-into per-variable densities, in one pass per position, for this
-module's constraints and for ``GlobalCardinality``.  Every float total
-is added left to right (``engine.float_sum``, written out in the probe
-and normalization loops), so each density is the same on every
-supported interpreter.
+per Algorithm 1's incremental factor updates.  An AllDifferent probe
+(i, d) scores a constant of row i plus one sum per value d, so
+``alldiff_density_table`` takes one sum and one ``exp`` per value and
+normalizes each row as a softmax of those sums; the sums and totals are
+``math.fsum``s.  The pairing variant bounds the number of matchings of
+the contracted value graph.  ``probe_table`` normalizes per-position
+lists of probe scores into densities, for ``SymmetricAllDifferent`` and
+``GlobalCardinality``; its totals, like the count's, are added left to
+right (``engine.float_sum``, written out in its loop).  Either way each
+density is the same on every supported interpreter.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ def probe_table(
 # ----------------------------------------------------------------------
 # permanent-bound arithmetic on a list of domains
 # ----------------------------------------------------------------------
+#: a row whose weights on the table's shift add up to less than this is
+#: normalized on its own shift, so no row's weights underflow to 0.0
+_TINY_TOTAL = 1e-280
+
+
 def alldiff_density_table(
     constraint: Constraint, domains: Sequence[set[int]]
 ) -> DensityTable:
@@ -95,27 +101,49 @@ def alldiff_density_table(
     The 0-1 variable/value matrix has one row per scope position; when
     the union of the domains has p more values than there are positions,
     p all-ones rows of sum |union| are appended and the bound is divided
-    by p!.  A probe (i, d) binds position i to d and removes d from the
-    other domains holding it.  Its score is the Bregman-Minc bound of its
-    rows, updated from the root by the factor change of each row it
-    touches.  The probes are scored value by value, from each value's
-    holders, into each position's list of values and list of scores,
-    which ``probe_table`` normalizes.  The table's count takes the
-    tighter of Bregman-Minc and Liang-Bai on the root rows; probes skip
-    Liang-Bai, which never comes out below Bregman-Minc on a square
-    matrix with no row sum above its size (``tests/test_factors.py``
-    certifies this up to 64 rows).
+    by p!.  The table's count takes the tighter of Bregman-Minc and
+    Liang-Bai on these root rows.
+
+    A probe (i, d) binds position i to d and removes d from the other
+    domains holding it; its score is the Bregman-Minc bound of the rows
+    that leaves.  With bm[r] the factor of a row of sum r and r_k the
+    size of position k's domain, the probe turns row i's factor into
+    bm[1] and each other holder k's into bm[r_k - 1], so its score is
+    the root bound plus bm[1] - bm[r_i] plus the step bm[r_k - 1] -
+    bm[r_k] of every other holder of d.  Position i holds every value of
+    its own domain, so adding and taking away its own step gives
+
+        score(i, d) = C_i + S_d,   C_i = root + bm[1] - bm[r_i - 1],
+
+    where S_d sums the steps of *all* unbound holders of d.  C_i is the
+    same for every value of row i, so row i's densities are the softmax
+    of S_d over D_i: exp(S_d - M) over the row's total of them, for any
+    shift M.  A probe onto a value a bound position takes empties that
+    row, so its weight is 0.0.  Probes skip Liang-Bai, which never comes
+    out below Bregman-Minc on a square matrix with no row sum above its
+    size (``tests/test_factors.py`` certifies this up to 64 rows).
+
+    One S_d and one ``exp`` are taken per value, on the largest S_d of
+    the table as M, then one total per row and one division per entry.
+    S_d and each total are ``math.fsum``s, which are exactly rounded, so
+    a density depends on the domains alone, not on the scope order or the
+    order a domain set iterates in.  A row whose total on the table's
+    shift is below ``_TINY_TOTAL`` (its weights underflowed) is
+    normalized on its own largest S_d instead.
     """
-    # each value's unbound holders, in scope order, and the values that
-    # bound positions take
-    holders: dict[int, list[int]] = {}
+    # the factor steps of each value's unbound holders, and the values
+    # that bound positions take
+    bm = bm_table(max(map(len, domains), default=0))
+    holders: dict[int, list[float]] = {}
     taken: set[int] = set()
-    for k, dom in enumerate(domains):
-        if len(dom) == 1:
+    for dom in domains:
+        r = len(dom)
+        if r < 2:
             taken |= dom
             continue
+        step = bm[r - 1] - bm[r]
         for d in dom:
-            holders.setdefault(d, []).append(k)
+            holders.setdefault(d, []).append(step)
     u = len(taken.union(holders))
     p = max(0, u - len(domains))
     rows = list(map(len, domains)) + [u] * p
@@ -126,33 +154,32 @@ def alldiff_density_table(
     bm_root = float_sum(map(bm.__getitem__, rows)) - pad_log
     log_count = min(bm_root, lb_log_bound(rows) - pad_log)
 
-    # probe (i, d) scores row i's base, the root bound with row i's
-    # factor replaced by a bound row's, plus the factor steps of the other
-    # rows holding d, added left to right as a loop over d's holders
-    # skipping i would (``float_sum`` written out: the running total of
-    # the steps before i, then the steps after it); a probe onto a bound
-    # row's value empties that row
-    base = [bm_root + bm[1] - bm[r] for r in rows]
-    steps = [bm[r - 1] - bm[r] for r in rows]
-    values: list[list[int]] = [[] for _ in domains]
-    scores: list[list[float]] = [[] for _ in domains]
-    for d in sorted(holders):
-        ks = holders[d]
-        if d in taken:
-            for k in ks:
-                values[k].append(d)
-                scores[k].append(-math.inf)
+    fsum = math.fsum
+    exp = math.exp
+    sums = {d: fsum(steps) for d, steps in holders.items() if d not in taken}
+    top = max(sums.values(), default=0.0)
+    weights = {d: exp(sums[d] - top) if d in sums else 0.0 for d in holders}
+    densities: dict[tuple[int, int], float] = {}
+    for var, dom in zip(constraint.scope, domains):
+        vi = var.index
+        if len(dom) == 1:
+            densities[vi, next(iter(dom))] = 1.0
             continue
-        d_steps = list(map(steps.__getitem__, ks))
-        before = 0.0
-        for j, k in enumerate(ks):
-            total = before
-            for step in d_steps[j + 1:]:
-                total += step
-            values[k].append(d)
-            scores[k].append(base[k] + total)
-            before += d_steps[j]
-    return probe_table(constraint, domains, log_count, values, scores)
+        row = list(map(weights.__getitem__, dom))
+        total = fsum(row)
+        if total < _TINY_TOTAL:
+            # the row's own shift; every weight stays 0.0 when bound
+            # positions take all of its values
+            held = [sums[d] for d in dom if d in sums]
+            if held:
+                own = max(held)
+                row = [exp(sums[d] - own) if d in sums else 0.0 for d in dom]
+                total = fsum(row)
+            else:
+                total = 1.0
+        for d, w in zip(dom, row):
+            densities[vi, d] = w / total
+    return DensityTable(constraint, log_count, densities)
 
 
 # ----------------------------------------------------------------------

@@ -426,6 +426,8 @@ def _clues_of(cells: Sequence[int]) -> list[int]:
 def generate_nonogram(
     rows: int, cols: int, density: float = 0.5, seed: int = 0
 ) -> Instance:
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
     pic = [
         [1 if rng.random() < density else 0 for _ in range(cols)]

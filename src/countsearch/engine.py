@@ -41,8 +41,10 @@ def float_sum(terms: Iterable[float]) -> float:
     ``sum()`` did exactly this up to CPython 3.11; 3.12 compensates float
     sums, which changes last bits, and a last-bit change in a density can
     flip a tie between picks.  Every float total on a density, bound or
-    score path goes through here, or is written out the same way in a
-    hot loop, so decisions are the same on every supported interpreter.
+    score path goes through here, is written out the same way in a hot
+    loop, or is a ``math.fsum``, exactly rounded on every version (the
+    AllDifferent probe sums), so decisions are the same on every
+    supported interpreter.
     """
     total = 0.0
     for t in terms:

@@ -24,6 +24,7 @@ from countsearch.oracle import exact_count_densities
 from countsearch.search import SAT, dfs
 
 from brute_force import count_perfect_matchings, exact_permanent
+from conftest import random_domains
 
 
 def _post(domains, consistency="domain"):
@@ -635,17 +636,24 @@ def _reference_log_norm(raw):
     }
 
 
+def _reference_log_count(rows, p):
+    """The tighter of Bregman-Minc and ``lb_log_bound`` on the root rows,
+    less the padding's log p!, the Bregman-Minc factors added left to
+    right."""
+    pad_log = math.lgamma(p + 1)
+    bm_root = _fold(bm_log_factor(r) for r in rows) - pad_log
+    return bm_root, min(bm_root, lb_log_bound(rows) - pad_log)
+
+
 def _reference_density_table(domains):
-    """(log count, densities) computed probe by probe: the count takes the
-    tighter of Bregman-Minc and ``lb_log_bound`` on the root rows, and
-    each probe's Bregman-Minc bound is updated from the root by the
-    touched rows' factors, holder by holder."""
+    """(log count, densities) computed probe by probe: each probe's
+    Bregman-Minc bound is updated from the root by the touched rows'
+    factors, holder by holder, and each row is normalized on its own
+    largest score."""
     rows, p, _ = _padded_rows(domains)
     if any(r == 0 for r in rows):
         return -math.inf, {}
-    pad_log = math.lgamma(p + 1)
-    bm_root = _fold(bm_log_factor(r) for r in rows) - pad_log
-    log_count = min(bm_root, lb_log_bound(rows) - pad_log)
+    bm_root, log_count = _reference_log_count(rows, p)
     densities = {}
     for i, dom in enumerate(domains):
         if len(dom) == 1:
@@ -668,6 +676,49 @@ def _reference_density_table(domains):
     return log_count, densities
 
 
+def _per_value_density_table(domains):
+    """(log count, densities) from one probe sum per value.
+
+    S_d adds up the factor step bm(r - 1) - bm(r) of every unbound
+    position holding d, where r is that position's domain size.  A value
+    that a bound position takes has weight 0.0, any other value d weight
+    exp(S_d - M), where M is the largest S_d of the table (0.0 if none).
+    An unbound position's density on d is d's weight over the total
+    weight of its domain, or 0.0 if that total is 0.0.  A position whose
+    total is below 1e-280 takes its own largest S_d as M instead.  Every
+    sum is a ``math.fsum``.
+    """
+    rows, p, _ = _padded_rows(domains)
+    if any(r == 0 for r in rows):
+        return -math.inf, {}
+    _, log_count = _reference_log_count(rows, p)
+    unbound = [dom for dom in domains if len(dom) > 1]
+    taken = set().union(*(dom for dom in domains if len(dom) == 1))
+    sums = {}
+    for d in set().union(*unbound) - taken:
+        sums[d] = math.fsum(
+            bm_log_factor(len(dom) - 1) - bm_log_factor(len(dom))
+            for dom in unbound
+            if d in dom
+        )
+
+    def weights(dom, top):
+        return {d: math.exp(sums[d] - top) if d in sums else 0.0 for d in dom}
+
+    densities = {}
+    for i, dom in enumerate(domains):
+        if len(dom) == 1:
+            densities[(i, next(iter(dom)))] = 1.0
+            continue
+        row = weights(dom, max(sums.values(), default=0.0))
+        if math.fsum(row.values()) < 1e-280 and not dom.isdisjoint(sums):
+            row = weights(dom, max(sums[d] for d in dom if d in sums))
+        total = math.fsum(row.values())
+        for d, w in row.items():
+            densities[(i, d)] = w / total if total else 0.0
+    return log_count, densities
+
+
 @st.composite
 def _qwh_rows(draw):
     """Up to 30 positions over up to 30 values, most of them bound, as in
@@ -680,9 +731,19 @@ def _qwh_rows(draw):
     return draw(st.lists(st.one_of(bound, bound, unbound), min_size=n, max_size=n))
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    st.one_of(
+def _table_cases(test):
+    """Run ``test(domains)`` on random domain lists, quasigroup-like
+    rows and the edge cases listed here."""
+    for case in (
+        [{1, 2, 3, 4, 5}, {1, 2}, {2, 3}],  # union 5 > 3 variables: padded
+        [{1}, {1, 2}, {1, 2, 3}],  # probing x1 = 1 or x2 = 1 wipes out x0
+        [{1}, {2}, {1, 2}, {3, 4}],  # every value of x2 is taken
+        [{1, 2}, set()],  # an empty domain: no probes at all
+        [],  # an empty scope
+        [set(range(1, 70)), {1, 2}, {2, 3}],  # 69 rows: past the shared table
+    ):
+        test = example(case)(test)
+    domain_lists = st.one_of(
         st.lists(
             st.sets(st.integers(1, 12), min_size=0, max_size=12),
             min_size=0,
@@ -690,21 +751,84 @@ def _qwh_rows(draw):
         ),
         _qwh_rows(),
     )
-)
-@example([{1, 2, 3, 4, 5}, {1, 2}, {2, 3}])  # union 5 > 3 variables: padded
-@example([{1}, {1, 2}, {1, 2, 3}])  # probing x1 = 1 or x2 = 1 wipes out x0
-@example([{1, 2}, set()])  # an empty domain: no probes at all
-@example([])  # an empty scope
-@example([set(range(1, 70)), {1, 2}, {2, 3}])  # 69 rows: past the shared table
-def test_density_table_equals_rebuilt_row_reference(domains):
+    return settings(max_examples=400, deadline=None)(given(domain_lists)(test))
+
+
+def _table(domains):
     m = Model()
     xs = [m.new_variable(d or {0}) for d in domains]
-    c = AllDifferent(xs)
-    table = alldiff_density_table(c, domains)
+    return alldiff_density_table(AllDifferent(xs), domains)
+
+
+@_table_cases
+def test_density_table_equals_rebuilt_row_reference(domains):
+    """The probe-by-probe reference rounds each probe's sum on its own,
+    so the densities agree to within 1e-12; the count is the same
+    float."""
+    table = _table(domains)
     log_count, densities = _reference_density_table(domains)
-    # exact equality: a last-bit change can flip an exact tie in maxSD
     assert table.log_count == log_count
-    assert table.densities == densities
+    assert table.densities.keys() == densities.keys()
+    for key, sigma in densities.items():
+        assert abs(table.densities[key] - sigma) <= 1e-12, key
+
+
+@_table_cases
+def test_density_table_equals_per_value_reference(domains):
+    # exact equality: a last-bit change can flip an exact tie in maxSD
+    table = _table(domains)
+    assert (table.log_count, table.densities) == _per_value_density_table(domains)
+
+
+def test_density_table_depends_on_the_domains_alone():
+    """Permuting the scope, or rebuilding every domain set in reverse
+    insertion order, gives the same densities, compared with ``==``.  The
+    values are multiples of 8, which collide in a small set table, so the
+    rebuilt sets iterate in another order.  Each unbound position's
+    densities add up to 1 within 1e-12, or to 0 when a bound position
+    takes each of its values."""
+    rng = random.Random(38)
+    reordered = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        orders = [
+            [8 * v for v in sorted(dom)]
+            for dom in random_domains(rng, n, rng.randint(2, 2 * n + 2))
+        ]
+        forward = [set(order) for order in orders]
+        backward = [set(reversed(order)) for order in orders]
+        reordered += list(map(list, forward)) != list(map(list, backward))
+        m = Model()
+        xs = [m.new_variable(dom) for dom in forward]
+        perm = rng.sample(range(n), n)
+        table = alldiff_density_table(AllDifferent(xs), forward)
+        assert alldiff_density_table(AllDifferent(xs), backward).densities == (
+            table.densities
+        )
+        permuted = alldiff_density_table(
+            AllDifferent([xs[k] for k in perm]), [backward[k] for k in perm]
+        )
+        assert permuted.densities == table.densities
+        taken = {next(iter(dom)) for dom in forward if len(dom) == 1}
+        for x, dom in zip(xs, forward):
+            if len(dom) > 1:
+                total = math.fsum(table.densities[x.index, d] for d in dom)
+                assert abs(total - 1.0) <= 1e-12 or dom <= taken and total == 0.0
+    assert reordered > 200
+
+
+def test_density_table_of_a_long_scope_does_not_underflow():
+    """2,200 positions over {0, 1} and one over {5, 6}: each {0, 1} row's
+    weights are exp(-762) = 0.0 on the shift of the {5, 6} row, so those
+    rows are normalized on their own shift."""
+    m = Model()
+    xs = [m.new_variable({0, 1}) for _ in range(2200)] + [m.new_variable({5, 6})]
+    c = m.add(AllDifferent(xs, FORWARD_CHECKING))
+    assert m.propagate() == CONSISTENT
+    table = c.count_densities(m)
+    assert table.densities == {
+        (x.index, d): 0.5 for x in xs for d in m.domain(x)
+    }
 
 
 # ----------------------------------------------------------------------

@@ -393,6 +393,8 @@ def test_generated_instances_are_satisfiable(kind):
     ("magic", {"order": 4, "filled": -0.1}),  # preset 15 of 16 cells
     ("rostering", {"employees": 3, "periods": 5, "preset": -0.2}),  # 12 of 15
     ("rostering", {"employees": 3, "periods": 5, "preset": 1.2}),
+    ("nonogram", {"rows": 4, "cols": 4, "density": 1.7}),  # all filled
+    ("nonogram", {"rows": 4, "cols": 4, "density": -0.5}),  # all blank
 ])
 def test_generators_reject_a_cell_fraction_outside_0_1(kind, params):
     key = list(params)[-1]

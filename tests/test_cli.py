@@ -141,9 +141,11 @@ def test_malformed_file_is_usage_error(monkeypatch, capsys, tmp_path,
     ["marketsplit", "-p", "m=0"],  # no rows: a negative variable count
     ["marketsplit", "-p", "m=-2"],
     ["qwh", "-p", "order=5", "-p", "holes=-0.2"],  # a cell fraction outside [0, 1]
+    ["nonogram", "-p", "density=1.7"],  # a fill fraction outside [0, 1]
 ], ids=["unknown-key", "magic-order-6", "kprostering-shifts-1",
         "kprostering-too-many-forbidden", "multiknap-n-0", "rostering-periods-0",
-        "marketsplit-m-0", "marketsplit-m-negative", "qwh-holes-negative"])
+        "marketsplit-m-0", "marketsplit-m-negative", "qwh-holes-negative",
+        "nonogram-density-over-1"])
 def test_generate_rejected_params_are_usage_errors(tmp_path, args):
     out_dir = tmp_path / "gen"
     proc = subprocess.run(

@@ -14,8 +14,8 @@ the test that replays it (``test``, as the suite prints it, prefixed by
 its module when that is not this one), and every record is replayed,
 so a speed-up of
 counting, filtering or the search must reproduce them all, and a change
-that moves a decision is a re-pin: a data diff in that file, logged in
-CHANGES.md.
+that moves a decision is a re-pin: a data diff in that file, written by
+``repin.py`` and logged in CHANGES.md.
 
 maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  The records cover:
