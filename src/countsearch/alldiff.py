@@ -17,13 +17,12 @@ come from forward-checking local probes bounded by Bregman-Minc alone,
 per Algorithm 1's incremental factor updates.  An AllDifferent probe
 (i, d) scores a constant of row i plus one sum per value d, so
 ``alldiff_density_table`` takes one sum and one ``exp`` per value and
-normalizes each row as a softmax of those sums; the sums and totals are
-``math.fsum``s.  The pairing variant bounds the number of matchings of
-the contracted value graph.  ``probe_table`` normalizes per-position
-lists of probe scores into densities, for ``SymmetricAllDifferent`` and
-``GlobalCardinality``; its totals, like the count's, are added left to
-right (``engine.float_sum``, written out in its loop).  Either way each
-density is the same on every supported interpreter.
+normalizes each row as a softmax of those sums.  The pairing variant
+bounds the number of matchings of the contracted value graph.
+``probe_table`` normalizes per-position lists of probe scores into
+densities, for ``SymmetricAllDifferent`` and ``GlobalCardinality``.
+Every sum and total is a ``math.fsum`` (see ``engine``), so a table
+depends on the domains alone.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ import math
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
-from .engine import (
-    DOMAIN,
-    Constraint,
-    DensityTable,
-    Model,
-    float_sum,
-)
+from .engine import DOMAIN, Constraint, DensityTable, Model
 from .factors import bm_log_bound, bm_table, lb_log_bound
 
 
@@ -56,11 +49,10 @@ def probe_table(
     probe (i, d) in the same order: the log count bound once position i
     takes d.  The entries of bound positions are not read.  A bound
     variable has density 1 on its value.  An unbound one's scores are
-    normalized in one pass over the two lists: each score's ``exp`` is
-    taken once, relative to the largest, and the weights are added left
-    to right into the total that divides them.  A ``-inf`` score's weight
-    is exactly 0.0, so it adds nothing and gets density 0.0; when every
-    score is ``-inf`` every density is 0.0.
+    normalized over the two lists: each score's ``exp`` is taken once,
+    relative to the largest, and the weights' ``math.fsum`` divides them.
+    A ``-inf`` score's weight is exactly 0.0, so it adds nothing and gets
+    density 0.0; when every score is ``-inf`` every density is 0.0.
     """
     densities: dict[tuple[int, int], float] = {}
     exp = math.exp
@@ -74,12 +66,8 @@ def probe_table(
             for d in vals:
                 densities[vi, d] = 0.0
             continue
-        weights = []
-        total = 0.0
-        for s in row:
-            w = exp(s - top)
-            weights.append(w)
-            total += w
+        weights = [exp(s - top) for s in row]
+        total = math.fsum(weights)
         for d, w in zip(vals, weights):
             densities[vi, d] = w / total
     return DensityTable(constraint, log_count, densities)
@@ -125,11 +113,12 @@ def alldiff_density_table(
 
     One S_d and one ``exp`` are taken per value, on the largest S_d of
     the table as M, then one total per row and one division per entry.
-    S_d and each total are ``math.fsum``s, which are exactly rounded, so
-    a density depends on the domains alone, not on the scope order or the
-    order a domain set iterates in.  A row whose total on the table's
-    shift is below ``_TINY_TOTAL`` (its weights underflowed) is
-    normalized on its own largest S_d instead.
+    S_d, each total and both bounds of the count are ``math.fsum``s,
+    which are exactly rounded, so the count and every density depend on
+    the domains alone, not on the scope order or the order a domain set
+    iterates in.  A row whose total on the table's shift is below
+    ``_TINY_TOTAL`` (its weights underflowed) is normalized on its own
+    largest S_d instead.
     """
     # the factor steps of each value's unbound holders, and the values
     # that bound positions take
@@ -149,10 +138,8 @@ def alldiff_density_table(
     rows = list(map(len, domains)) + [u] * p
     if 0 in rows:
         return DensityTable(constraint, -math.inf, {})
-    pad_log = math.lgamma(p + 1)
-    bm = bm_table(u)
-    bm_root = float_sum(map(bm.__getitem__, rows)) - pad_log
-    log_count = min(bm_root, lb_log_bound(rows) - pad_log)
+    bm_root = math.fsum(map(bm_table(u).__getitem__, rows))
+    log_count = min(bm_root, lb_log_bound(rows)) - math.lgamma(p + 1)
 
     fsum = math.fsum
     exp = math.exp

@@ -21,6 +21,14 @@ a graph built below the level it returns to.  Each wipeout is reported
 once, from one place, to the ``on_wipeout`` listeners, with its culprit:
 the constraint whose ``propagate`` call failed, or None when a decision
 itself empties a domain.
+
+One summation rule holds in every module: each float total on a count,
+density or score path is a ``math.fsum``.  It is exactly rounded on
+every supported interpreter (``sum()`` compensates float sums only from
+CPython 3.12 on), so a total depends on its terms alone, not on their
+order, and a density table on its constraint's domains alone, not on
+the scope order or the order a domain set iterates in.  A last-bit
+change in a density can flip an exact tie between picks.
 """
 
 from __future__ import annotations
@@ -33,23 +41,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 CONSISTENT = "consistent"
 WIPEOUT = "wipeout"
-
-
-def float_sum(terms: Iterable[float]) -> float:
-    """The terms added left to right from 0.0.
-
-    ``sum()`` did exactly this up to CPython 3.11; 3.12 compensates float
-    sums, which changes last bits, and a last-bit change in a density can
-    flip a tie between picks.  Every float total on a density, bound or
-    score path goes through here, is written out the same way in a hot
-    loop, or is a ``math.fsum``, exactly rounded on every version (the
-    AllDifferent probe sums), so decisions are the same on every
-    supported interpreter.
-    """
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
 
 
 # consistency levels
@@ -294,7 +285,7 @@ class Model:
         return {v.name: self.value_of(v) for v in self.variables}
 
     def log_search_space(self) -> float:
-        return float_sum(math.log(len(d)) for d in self._domains)
+        return math.fsum(math.log(len(d)) for d in self._domains)
 
     # ------------------------------------------------------------------
     # mutation (trailed)
@@ -417,15 +408,15 @@ class Model:
 
     def push_decision(self, kind: str, var: Variable, value: int) -> str:
         """Open a level, apply assign/refute, propagate to fixpoint."""
+        if kind not in ("assign", "refute"):
+            raise ValueError(f"unknown decision kind {kind!r}")
         if value not in self._domains[var.index]:
             raise ValueError(f"value {value} not in domain of {var.name}")
         self.push_level()
         if kind == "assign":
             ok = self.assign(var, value)
-        elif kind == "refute":
-            ok = self.remove_value(var, value)
         else:
-            raise ValueError(f"unknown decision kind {kind!r}")
+            ok = self.remove_value(var, value)
         if not ok:
             return self._wipeout(None)
         return self.propagate()

@@ -4,7 +4,9 @@ Two classical upper bounds on the permanent of a 0-1 matrix are used:
 the Bregman-Minc bound, a product of per-row factors (r!)^(1/r), and the
 Liang-Bai bound, whose per-row factors depend on both the row sum and
 the row's position in ascending row-sum order.  Both are carried as sums
-of logarithms so that products over hundreds of rows cannot overflow.
+of logarithms so that products over hundreds of rows cannot overflow;
+each sum is a ``math.fsum``, so a bound depends on the multiset of its
+row sums alone.
 Bregman-Minc factors come from one shared list, ``bm_table``, grown to
 the largest row sum asked for; Liang-Bai factors from a fixed table up
 to ``LB_TABLE_SIZE`` rows, and from ``lb_log_factor`` above it.
@@ -51,19 +53,15 @@ def lb_log_factor(r: int, i: int) -> float:
 
 
 def bm_log_bound(row_sums) -> float:
-    """Bregman-Minc log upper bound for given row sums, added left to
-    right: 0.0 for no rows, ``-inf`` when some row is empty (no
-    assignment exists)."""
+    """Bregman-Minc log upper bound for given row sums: 0.0 for no rows,
+    ``-inf`` when some row is empty (no assignment exists)."""
     rows = list(row_sums)
-    if min(rows, default=0) < 0:
+    least = min(rows, default=1)
+    if least < 0:
         raise ValueError("row sum must be nonnegative")
-    table = bm_table(max(rows, default=0))
-    total = 0.0
-    for r in rows:
-        if not r:
-            return -math.inf
-        total += table[r]
-    return total
+    if least == 0:
+        return -math.inf
+    return math.fsum(map(bm_table(max(rows, default=0)).__getitem__, rows))
 
 
 #: matrix size up to which ``lb_log_bound`` reads one shared factor table;
@@ -101,12 +99,7 @@ def lb_log_bound(row_sums) -> float:
         raise ValueError("row sum must be nonnegative")
     if rows[0] == 0:
         return -math.inf
-    total = 0.0
     if max(len(rows), rows[-1]) <= LB_TABLE_SIZE:
         table = lb_table(LB_TABLE_SIZE)
-        for i, r in enumerate(rows, start=1):
-            total += table[r][i]
-    else:
-        for i, r in enumerate(rows, start=1):
-            total += lb_log_factor(r, i)
-    return total
+        return math.fsum([table[r][i] for i, r in enumerate(rows, start=1)])
+    return math.fsum([lb_log_factor(r, i) for i, r in enumerate(rows, start=1)])

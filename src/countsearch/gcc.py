@@ -17,14 +17,13 @@ bounds those rows.  The constraint's count, ``bound_parts`` and every
 density probe (Zanarini & Pesant, Constraints 14(3), 2009) go through
 the two: a probe does not rebuild the probed domains but moves only the
 rows its forward-checking step changes, giving the same rows, and so
-the same floats, as ``bound_parts`` on the probed domains.  When every
-residual lower bound is 0, unbound positions with equal domains share
-one probe per value (``count_densities``): the lower graph, whose
-Bregman-Minc sum runs over its rows in scope order, is then empty, and
-the residual rows are bounded sorted.  The tail
-bounds each padded matrix through one bounded memo keyed on its rows in
-order and its padding (``padded_log_bound``): a roster's tables ask for
-a few hundred distinct matrices tens of thousands of times.
+the same floats, as ``bound_parts`` on the probed domains.  Every bound
+is a ``math.fsum`` (see ``engine``), so it depends on the multiset of
+its rows alone, and unbound positions with equal domains share one
+probe per value (``count_densities``).  The tail bounds each padded
+matrix through one bounded memo keyed on its rows and its padding
+(``padded_log_bound``): a roster's tables ask for a few hundred
+distinct matrices tens of thousands of times.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from itertools import chain
 from typing import Sequence
 
 from .alldiff import forward_check, probe_table, regin_dead_arcs
-from .engine import DOMAIN, Constraint, DensityTable, Model, Variable, float_sum
+from .engine import DOMAIN, Constraint, DensityTable, Model, Variable
 from .factors import bm_log_bound, lb_log_bound
 
 
@@ -203,25 +202,19 @@ class GlobalCardinality(Constraint):
         ``log_count`` of ``_probe_domains`` would bound it, from one
         ``_Root`` pass that also gives the table's count.
 
-        When every residual lower bound l' is 0, the unbound positions
-        with equal domains share one list of probe scores: a probe keeps
-        every l' at 0, so its lower-graph term is 0.0, and its position
-        reaches the score only through the residual rows, which
-        ``_Root.parts`` sorts before bounding.  With a positive l' each
-        position is probed: the lower graph's Bregman-Minc sum runs over
-        the rows in scope order, so its last bits depend on which row a
-        probe removes."""
+        Unbound positions with equal domains share one list of probe
+        scores: the probes of two such positions leave the same multisets
+        of rows, and each bound depends on its multiset alone."""
         domains = self._domains(model)
         root = _Root(self, domains)
         values = [sorted(dom) for dom in domains]
-        share = root.total_low == 0
-        probed: dict[object, list[float]] = {}
+        probed: dict[tuple[int, ...], list[float]] = {}
         scores = []
         for i, vals in enumerate(values):
             if len(vals) == 1:
                 scores.append([])
                 continue
-            key = tuple(vals) if share else i
+            key = tuple(vals)
             row = probed.get(key)
             if row is None:
                 row = probed[key] = root.probes(i, vals)
@@ -235,8 +228,7 @@ def padded_log_bound(rows: tuple[int, ...], pad: int) -> float:
     """The tighter of Bregman-Minc and Liang-Bai on the row sums ``rows``,
     less log(pad!) for the ``pad`` fake rows or columns among them.
 
-    Memoized on the rows in their order, as Bregman-Minc adds its terms
-    left to right: a roster's tables bound the same few matrices over and
+    Memoized: a roster's tables bound the same few matrices over and
     over.  Each miss calls both kernels through this module's globals.
     """
     return min(bm_log_bound(rows), lb_log_bound(rows)) - math.lgamma(pad + 1)
@@ -276,9 +268,9 @@ class _Root:
         self.bad = [d for d, c in cap.items() if c < 0]  # residual bounds cross
         self.total_low = sum(low.values())
         self.n_cols = sum(cap.values())
-        # values whose term of the log denominator can be nonzero, sorted;
-        # lgamma(1) and lgamma(2) are 0.0, which leaves a float sum as is
-        self.heavy = sorted(d for d, l in low.items() if l > 1)
+        # values whose term of the log denominator can be nonzero:
+        # lgamma(1) and lgamma(2) are 0.0
+        self.heavy = [d for d, l in low.items() if l > 1]
         self.low_rows = [sum(low[d] for d in domains[k]) for k in unbound]
         self.cap_rows = [sum(cap[d] for d in domains[k]) for k in unbound]
 
@@ -315,7 +307,7 @@ class _Root:
         K = len(lows) - sum_low  # rows left over once every l' is met
         if K < 0:
             return -math.inf, -math.inf, 0.0
-        denom = float_sum(
+        denom = math.fsum(
             math.lgamma(l + 1)
             for l in (changed[e][0] if e in changed else low[e] for e in self.heavy)
             if l > 1

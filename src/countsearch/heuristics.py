@@ -15,8 +15,8 @@ two least keys, which the table keeps (``DensityTable.least_keys``), so
 a ``choose`` scans only the tables recounted since the last one, and
 reads each table's entries once, from ``densities.items()``;
 ``aAvgSD`` and ``wSCAvg`` average a pair over its tables and scan them
-all.  Their averages, like IBS's impact totals, are added left to right
-(``engine.float_sum``), so the picks are the same on every supported
+all.  Their averages, like IBS's variable impacts, are ``math.fsum``s
+(see ``engine``), so the picks are the same on every supported
 interpreter.
 
 dom/wdeg (``domWDeg``, Boussemart et al., ECAI 2004): every
@@ -42,7 +42,7 @@ import math
 import random
 from typing import Callable, Optional, Sequence
 
-from .engine import WIPEOUT, Constraint, DensityTable, Model, Variable, float_sum
+from .engine import WIPEOUT, Constraint, DensityTable, Model, Variable
 
 Pair = tuple[Variable, int]
 
@@ -152,10 +152,10 @@ def _weighted_average(
     for vi, entries in per_var.items():
         top = max(lw for _, lw in entries)
         weights = [(t, math.exp(lw - top)) for t, lw in entries]
-        denom = float_sum(w for _, w in weights)
+        denom = math.fsum(w for _, w in weights)
         var = model.variables[vi]
         for d in model.domain_sorted(var):
-            num = float_sum(w * t.density(var, d) for t, w in weights)
+            num = math.fsum(w * t.density(var, d) for t, w in weights)
             out.append((-num / denom, vi, d))
     return out
 
@@ -414,7 +414,7 @@ class Ibs(Heuristic):
 
     def _aggregate(self, model: Model, var: Variable) -> float:
         """Variable impact: total of its values' average impacts."""
-        return float_sum(self._avg(var.index, d) for d in model.domain_sorted(var))
+        return math.fsum(self._avg(var.index, d) for d in model.domain_sorted(var))
 
     def choose(self, model: Model, randomized: bool = False) -> Optional[Pair]:
         unbound = model.unbound_variables()

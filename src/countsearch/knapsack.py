@@ -8,9 +8,11 @@ deletes arcs as values leave the domains (Trick, CPAIOR 2003).  The
 Gaussian mode counts without the graph: it treats the sum of the other
 variables as approximately normal, computing the constraint-wide mean
 and variance once per table so each (variable, value) density costs
-O(1).  Filtering follows the consistency level: a Gaussian knapsack at
-``domain`` consistency filters on the exact graph; ``bench.apply_overrides``
-(the CLI's path) gives Gaussian knapsacks the graph-free bounds filter.
+O(1); the moments and each variable's total are ``math.fsum``s (see
+``engine``).  Filtering follows the consistency level: a Gaussian
+knapsack at ``domain`` consistency filters on the exact graph;
+``bench.apply_overrides`` (the CLI's path) gives Gaussian knapsacks the
+graph-free bounds filter.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import DOMAIN, DensityTable, Model, Variable, float_sum
+from .engine import DOMAIN, DensityTable, Model, Variable
 from .regular import GraphConstraint, LayeredGraph, layered_graph
 
 EXACT = "exact"
@@ -144,14 +146,14 @@ class Knapsack(GraphConstraint):
         M = (l+u)/2 - sum_j c_j mu_j and V = ((u-l+1)^2 - 1)/12 +
         sum_j c_j^2 sigma_j^2; both depend only on the current domains.
         """
-        m_total = (self.lower + self.upper) / 2.0
         width = self.upper - self.lower + 1
-        v_total = (width * width - 1) / 12.0
+        m_terms = [(self.lower + self.upper) / 2.0]
+        v_terms = [(width * width - 1) / 12.0]
         for c, dom in zip(self.coeffs, domains):
             mu, var = interval_moments(dom)
-            m_total -= c * mu
-            v_total += c * c * var
-        return m_total, v_total
+            m_terms.append(-c * mu)
+            v_terms.append(c * c * var)
+        return math.fsum(m_terms), math.fsum(v_terms)
 
     def gaussian_masses(
         self, domains: Sequence[set[int]], i: int, moments: tuple[float, float]
@@ -175,7 +177,7 @@ class Knapsack(GraphConstraint):
         raw = {}
         for d in dom:
             raw[d] = _phi((d + 0.5 - m) / s) - _phi((d - 0.5 - m) / s)
-        total = float_sum(raw.values())
+        total = math.fsum(raw.values())
         if total <= 0.0:
             # numeric underflow far in the tail: nearest value to m wins
             nearest = min(dom, key=lambda d: (abs(d - m), d))

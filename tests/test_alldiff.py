@@ -614,22 +614,13 @@ def _padded_rows(domains):
     return [len(d) for d in domains] + [u] * p, p, u
 
 
-def _fold(terms):
-    """Floats added left to right from 0.0, as ``sum`` did before CPython
-    3.12 compensated it."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
-
-
 def _reference_log_norm(raw):
     """Log-space scores to densities, taking each ``exp`` twice."""
     finite = [v for v in raw.values() if v > -math.inf]
     if not finite:
         return {d: 0.0 for d in raw}
     top = max(finite)
-    total = _fold(math.exp(v - top) for v in finite)
+    total = math.fsum(math.exp(v - top) for v in finite)
     return {
         d: (math.exp(v - top) / total if v > -math.inf else 0.0)
         for d, v in raw.items()
@@ -638,10 +629,9 @@ def _reference_log_norm(raw):
 
 def _reference_log_count(rows, p):
     """The tighter of Bregman-Minc and ``lb_log_bound`` on the root rows,
-    less the padding's log p!, the Bregman-Minc factors added left to
-    right."""
+    less the padding's log p!, the Bregman-Minc factors ``math.fsum``ed."""
     pad_log = math.lgamma(p + 1)
-    bm_root = _fold(bm_log_factor(r) for r in rows) - pad_log
+    bm_root = math.fsum(map(bm_log_factor, rows)) - pad_log
     return bm_root, min(bm_root, lb_log_bound(rows) - pad_log)
 
 
@@ -782,11 +772,11 @@ def test_density_table_equals_per_value_reference(domains):
 
 def test_density_table_depends_on_the_domains_alone():
     """Permuting the scope, or rebuilding every domain set in reverse
-    insertion order, gives the same densities, compared with ``==``.  The
-    values are multiples of 8, which collide in a small set table, so the
-    rebuilt sets iterate in another order.  Each unbound position's
-    densities add up to 1 within 1e-12, or to 0 when a bound position
-    takes each of its values."""
+    insertion order, gives the same count and densities, compared with
+    ``==``.  The values are multiples of 8, which collide in a small set
+    table, so the rebuilt sets iterate in another order.  Each unbound
+    position's densities add up to 1 within 1e-12, or to 0 when a bound
+    position takes each of its values."""
     rng = random.Random(38)
     reordered = 0
     for _ in range(300):
@@ -802,13 +792,13 @@ def test_density_table_depends_on_the_domains_alone():
         xs = [m.new_variable(dom) for dom in forward]
         perm = rng.sample(range(n), n)
         table = alldiff_density_table(AllDifferent(xs), forward)
-        assert alldiff_density_table(AllDifferent(xs), backward).densities == (
-            table.densities
-        )
+        rebuilt = alldiff_density_table(AllDifferent(xs), backward)
         permuted = alldiff_density_table(
             AllDifferent([xs[k] for k in perm]), [backward[k] for k in perm]
         )
-        assert permuted.densities == table.densities
+        for other in (rebuilt, permuted):
+            assert other.log_count == table.log_count
+            assert other.densities == table.densities
         taken = {next(iter(dom)) for dom in forward if len(dom) == 1}
         for x, dom in zip(xs, forward):
             if len(dom) > 1:
@@ -936,21 +926,21 @@ def test_sym_matching_bound_dominates_exact():
 
 
 def _written_out_sym_bound(adj, pair=()):
-    """The pairing bound with each Bregman-Minc factor halved and added
-    left to right."""
+    """The pairing bound: the ``math.fsum`` of the halved Bregman-Minc
+    factors."""
     if pair and pair[1] not in adj[pair[0]]:
         return -math.inf
     if (len(adj) - len(pair)) % 2 == 1:
         return -math.inf
-    total = 0.0
+    halved = []
     for k, neigh in enumerate(adj):
         if k in pair:
             continue
         deg = len(neigh) - len(neigh.intersection(pair))
         if deg == 0:
             return -math.inf
-        total += math.lgamma(deg + 1) / (2 * deg)
-    return total
+        halved.append(math.lgamma(deg + 1) / (2 * deg))
+    return math.fsum(halved)
 
 
 @settings(max_examples=300, deadline=None)

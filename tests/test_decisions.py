@@ -264,6 +264,17 @@ def test_pin_records_have_known_keys_and_unique_specs():
     assert [test for test, n in tests.items() if n > 1] == []
 
 
+def test_pin_file_keeps_the_repin_layout():
+    """The file is exactly what ``repin.py`` writes, one record per line,
+    so a hand edit that breaks the layout fails here, not as a rewrite of
+    every line at the next re-pin."""
+    import repin  # imports this module, so not at the top
+
+    with open(repin.PATH) as f:
+        text = f.read()
+    assert repin._dump(json.loads(text)) == text
+
+
 #: (status, backtracks, removal count, SHA-256 of the repr of the
 #: (variable index, value, cause cid) list, with None for a decision's
 #: removals) of ``dfs`` under domWDeg on qwh-15-s0, cap 30

@@ -418,6 +418,26 @@ def test_push_decision_rejects_absent_value():
         m.push_decision("assign", x, 7)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_push_decision_rejects_an_unknown_kind_before_it_opens_a_level(level):
+    """A bad kind raises before anything changes: the level, the trail and
+    every domain set stay as they were, so at level 0 the trail is not
+    cleared and no domain is compacted."""
+    m = Model()
+    x = m.new_variable({1, 2, 3})
+    y = m.new_variable({1, 2})
+    for _ in range(level):
+        m.push_level()
+    m.remove_value(x, 3)
+    trail, domains = len(m._trail), list(m._domains)
+    with pytest.raises(ValueError):
+        m.push_decision("asign", y, 1)
+    assert m.level == level
+    assert len(m._trail) == trail
+    assert all(now is before for now, before in zip(m._domains, domains))
+    assert m._domains == [{1, 2}, {1, 2}]
+
+
 def test_a_posted_constraint_cannot_be_posted_again():
     """A constraint's state follows the one model it serves.  Posted in a
     fresh model, an AllDifferent that closed position 0 in its first one

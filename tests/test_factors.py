@@ -97,13 +97,13 @@ def test_min_bound_never_above_components(rows):
 @given(st.lists(st.integers(0, 80), max_size=12))
 def test_lb_bound_equals_factor_loop(rows):
     # row sums may exceed the row count, as in GCC's value graphs, and
-    # the shared table's size
-    expected = 0.0
-    for i, r in enumerate(sorted(rows), start=1):
-        if r == 0:
-            expected = -math.inf
-            break
-        expected += lb_log_factor(r, i)
+    # the shared table's size; the factors' fsum, to the last bit
+    if 0 in rows:
+        expected = -math.inf
+    else:
+        expected = math.fsum(
+            lb_log_factor(r, i) for i, r in enumerate(sorted(rows), start=1)
+        )
     assert lb_log_bound(rows) == expected
 
 
@@ -112,15 +112,10 @@ def test_lb_bound_equals_factor_loop(rows):
 @example([511, 512, 513, 1])
 @example([3, 519, 0, 5])
 def test_bm_bound_equals_factor_loop(rows):
-    # row sums into the hundreds, summed left to right: the same float to
-    # the last bit
-    expected = 0.0
-    for r in rows:
-        if r == 0:
-            expected = -math.inf
-            break
-        expected += bm_log_factor(r)
-    assert bm_log_bound(rows) == expected
+    # row sums into the hundreds: the factors' fsum, to the last bit, in
+    # any row order
+    expected = -math.inf if 0 in rows else math.fsum(map(bm_log_factor, rows))
+    assert bm_log_bound(rows) == bm_log_bound(rows[::-1]) == expected
 
 
 def test_bm_bound_rejects_negative():
