@@ -12,6 +12,11 @@ family's format is one layout (``Family.layout``), which one reader and
 one writer follow.  The first five kinds are recognized by file
 extension, the last three by a self-describing kind tag on the first
 line.
+
+A qwh or magic hole starts with only the values that no preset in its
+AllDifferent lines takes (``_cells``).  Root propagation would remove
+them anyway, so this skips only its sweep of the presets: every domain
+after it, and every count, density and decision, stays the same.
 """
 
 from __future__ import annotations
@@ -253,10 +258,22 @@ def _validate_magic(payload):
         raise ParseError("magic square presets repeat a value")
 
 
-def _cells(m: Model, grid, values) -> list[list]:
-    """One variable per grid cell: its preset value, or else ``values``."""
+def _cells(m: Model, grid, values, whole: bool = False) -> list[list]:
+    """One variable per grid cell: its preset value (a nonzero entry), or
+    else the ``values`` (never 0) that no preset in its AllDifferent lines
+    takes: its row and its column, or with ``whole`` the whole (square)
+    grid.  Root propagation reaches the same fixpoint from these holes as
+    from full ones, since it starts between that fixpoint and the full
+    domains.  A hole whose lines preset every value keeps all of
+    ``values``, so that root propagation reports the wipeout."""
+    values = set(values)
+    if whole:
+        rows = cols = [values.difference(*grid)] * len(grid)
+    else:
+        rows = [values.difference(row) for row in grid]
+        cols = [values.difference(col) for col in zip(*grid)]
     return [
-        [m.new_variable({v} if v else values, f"x{r}_{c}")
+        [m.new_variable({v} if v else rows[r] & cols[c] or values, f"x{r}_{c}")
          for c, v in enumerate(row)]
         for r, row in enumerate(grid)
     ]
@@ -275,7 +292,7 @@ def _build_magic(payload: dict) -> Model:
     n = payload["n"]
     target = n * (n * n + 1) // 2
     m = Model()
-    cells = _cells(m, payload["grid"], range(1, n * n + 1))
+    cells = _cells(m, payload["grid"], range(1, n * n + 1), whole=True)
     flat = [v for row in cells for v in row]
     m.add(AllDifferent(flat))
     diagonals = [[row[i] for i, row in enumerate(cells)],
@@ -310,7 +327,13 @@ def _shuffled_cells(
     return cells[: int(fraction * rows * cols)]
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+
+
 def generate_qwh(order: int, holes: float = 0.42, seed: int = 0) -> Instance:
+    _check_order(order)
     rng = random.Random(seed)
     grid = _random_latin_square(order, rng)
     for r, c in _shuffled_cells(order, order, holes, "holes", rng):
@@ -348,6 +371,7 @@ def _magic_square(n: int) -> list[list[int]]:
 def generate_magic(
     order: int, filled: float = 0.10, seed: int = 0
 ) -> Instance:
+    _check_order(order)
     rng = random.Random(seed)
     full = _magic_square(order)
     grid = [[0] * order for _ in range(order)]
@@ -401,7 +425,8 @@ def nonogram_clue_dfa(clue: Sequence[int]) -> Automaton:
 def _build_nonogram(payload: dict) -> Model:
     rows, cols = payload["rows"], payload["cols"]
     m = Model()
-    cells = _cells(m, [[0] * cols] * rows, {0, 1})
+    cells = [[m.new_variable({0, 1}, f"x{r}_{c}") for c in range(cols)]
+             for r in range(rows)]
     for r, clue in enumerate(payload["row_clues"]):
         m.add(Regular(cells[r], nonogram_clue_dfa(clue)))
     for c, clue in enumerate(payload["col_clues"]):

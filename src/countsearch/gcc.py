@@ -316,7 +316,9 @@ class _Root:
         if sum_low == 0:
             lower_log = 0.0
         else:
-            rows = tuple([r + K for r in lows])
+            # sorted, as the bound depends on the multiset of rows alone,
+            # so probes that leave the same rows share one memo entry
+            rows = tuple(sorted([r + K for r in lows]))
             if 0 in rows:
                 return -math.inf, -math.inf, denom
             lower_log = padded_log_bound(rows, K)

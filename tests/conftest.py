@@ -73,3 +73,31 @@ def random_micro_model(rng: random.Random) -> Model:
         symbols = sorted(set().union(*(model.domain(v) for v in sub)))
         model.add(Regular(sub, random_automaton(rng, 3, symbols)))
     return model
+
+
+def full_domain_model(instance, model_class=Model) -> Model:
+    """A qwh or magic ``instance`` modelled as ``bench`` does, with the
+    same variables and constraints in the same order, but with every hole
+    over the family's whole value range (1..n, or 1..n² for magic), so
+    root propagation itself removes the values the hole's lines preset."""
+    n, grid = instance.payload["n"], instance.payload["grid"]
+    m = model_class()
+    values = range(1, (n if instance.kind == "qwh" else n * n) + 1)
+    cells = [
+        [m.new_variable([v] if v else values, f"x{r}_{c}") for c, v in enumerate(row)]
+        for r, row in enumerate(grid)
+    ]
+    lines = cells + [list(col) for col in zip(*cells)]
+    if instance.kind == "qwh":
+        for line in lines:
+            m.add(AllDifferent(line))
+        return m
+    target = n * (n * n + 1) // 2
+    m.add(AllDifferent([x for row in cells for x in row]))
+    diagonals = [
+        [row[i] for i, row in enumerate(cells)],
+        [row[n - 1 - i] for i, row in enumerate(cells)],
+    ]
+    for line in lines + diagonals:
+        m.add(Knapsack(line, [1] * n, target, target))
+    return m

@@ -31,10 +31,13 @@ from countsearch.bench import (
     write_instance,
     _clues_of,
 )
-from countsearch.knapsack import EXACT, Knapsack
+from countsearch.engine import CONSISTENT, LEVELS, WIPEOUT
+from countsearch.knapsack import EXACT, MODES, Knapsack
 from countsearch.heuristics import MaxSD, make_heuristic
 from countsearch.regular import Regular, build_layered_graph
 from countsearch.search import SAT, dfs
+
+from conftest import full_domain_model
 
 _GEN_ARGS = {
     "qwh": {"order": 5, "holes": 0.4},
@@ -371,6 +374,59 @@ def test_ttppv_model_structure():
         c for c in model.constraints if isinstance(c, SymmetricAllDifferent)
     ]
     assert len(sym) == 3  # one pairing constraint per round
+
+
+#: (kind, order) of the qwh and magic builds whose holes are checked
+_HOLE_ORDERS = [("qwh", n) for n in range(3, 26)] + [("magic", n) for n in (3, 4, 5)]
+
+
+def _hole_instances(kind, order):
+    """Three seeds at the generator's default fraction and at one more."""
+    key, fractions = ("holes", (0.42, 0.7)) if kind == "qwh" else ("filled", (0.1, 0.4))
+    for seed, fraction in product(range(3), fractions):
+        yield FAMILIES[kind].generate(order=order, seed=seed, **{key: fraction})
+
+
+@pytest.mark.parametrize("kind,order", _HOLE_ORDERS)
+def test_holes_leave_out_the_values_their_lines_preset(kind, order):
+    """A qwh hole starts without the values its row and its column preset,
+    a magic hole without every preset of the square (one AllDifferent)."""
+    for inst in _hole_instances(kind, order):
+        grid, model = inst.payload["grid"], build_model(inst)
+        everywhere = {v for row in grid for v in row}
+        for r, row in enumerate(grid):
+            for c, v in enumerate(row):
+                dom = model.domain(model.variables[r * order + c])
+                if v:
+                    assert dom == {v}
+                    continue
+                lines = set(row) | {line[c] for line in grid}
+                assert dom and not dom & (lines if kind == "qwh" else everywhere)
+
+
+@pytest.mark.parametrize("kind,order", _HOLE_ORDERS)
+def test_holes_reach_the_root_fixpoint_of_full_domains(kind, order):
+    """Root propagation from ``bench``'s holes ends where it ends from
+    holes over the whole value range, at every consistency level and, for
+    magic, in both knapsack modes: the same status and the same domains,
+    so the builder cannot move a decision."""
+    modes = MODES if kind == "magic" else (EXACT,)
+    for inst, consistency, mode in product(_hole_instances(kind, order), LEVELS, modes):
+        built, full = build_model(inst), full_domain_model(inst)
+        for model in (built, full):
+            apply_overrides(model, consistency, mode)
+        assert built.propagate() == full.propagate() == CONSISTENT
+        assert built._domains == full._domains, (inst.name, consistency, mode)
+
+
+def test_a_hole_whose_lines_preset_every_value_wipes_out_at_the_root():
+    """It keeps the whole range, so root propagation finds the conflict as
+    it does on the full-domain encoding, rather than the build failing on
+    an empty domain."""
+    inst = parse_instance("2\n1 0\n0 2\n", "qwh")
+    built, full = build_model(inst), full_domain_model(inst)
+    assert built.domain(built.variables[1]) == {1, 2}
+    assert built.propagate() == full.propagate() == WIPEOUT
 
 
 # ----------------------------------------------------------------------

@@ -142,10 +142,14 @@ def test_malformed_file_is_usage_error(monkeypatch, capsys, tmp_path,
     ["marketsplit", "-p", "m=-2"],
     ["qwh", "-p", "order=5", "-p", "holes=-0.2"],  # a cell fraction outside [0, 1]
     ["nonogram", "-p", "density=1.7"],  # a fill fraction outside [0, 1]
+    ["magic", "-p", "order=-3"],  # an order below 1
+    ["magic", "-p", "order=0"],
+    ["qwh", "-p", "order=-1"],
 ], ids=["unknown-key", "magic-order-6", "kprostering-shifts-1",
         "kprostering-too-many-forbidden", "multiknap-n-0", "rostering-periods-0",
         "marketsplit-m-0", "marketsplit-m-negative", "qwh-holes-negative",
-        "nonogram-density-over-1"])
+        "nonogram-density-over-1", "magic-order-negative", "magic-order-0",
+        "qwh-order-negative"])
 def test_generate_rejected_params_are_usage_errors(tmp_path, args):
     out_dir = tmp_path / "gen"
     proc = subprocess.run(

@@ -49,7 +49,9 @@ the last bit of a density can change the search.  The records cover:
   purpose, as a re-pin.
 
 One search is pinned by its removals instead: every (variable, value,
-cause) in order, root propagation included.
+cause) in order, root propagation included, once on a qwh encoding whose
+holes start over the full range (so the root's forward-checking sweep of
+the presets is pinned too) and once on ``bench``'s own.
 
 Leaving level 0 replaces the domain sets it shrank with fresh copies,
 which may iterate in another order.  So decisions must not depend on the
@@ -90,6 +92,7 @@ from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
 from countsearch.search import SAT, dfs, lds, restart_search
 
+from conftest import full_domain_model
 from test_alldiff import _CauseModel
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -277,7 +280,8 @@ def test_pin_file_keeps_the_repin_layout():
 
 #: (status, backtracks, removal count, SHA-256 of the repr of the
 #: (variable index, value, cause cid) list, with None for a decision's
-#: removals) of ``dfs`` under domWDeg on qwh-15-s0, cap 30
+#: removals) of ``dfs`` under domWDeg on qwh-15-s0, cap 30, with every
+#: hole over 1..15, so root propagation sweeps the presets out first
 GOLDEN_QWH15_REMOVALS = (
     SAT,
     1,
@@ -285,19 +289,37 @@ GOLDEN_QWH15_REMOVALS = (
     "6d49ae81b29c09682f7ee60ef002df5748cfca3476fa431c6f5d01a09e73f02a",
 )
 
+#: the same search on ``bench``'s own encoding, whose holes start without
+#: the values their lines preset
+GOLDEN_QWH15_BUILDER_REMOVALS = (
+    SAT,
+    1,
+    303,
+    "f4f61386983fdbf8df73af9d02b5dc394a3ae71da703719f755714129728b09e",
+)
 
-def test_domwdeg_removals_are_pinned(monkeypatch):
-    """Every removal of a search, root propagation included, in order and
-    with its cause: the qwh builder runs on a model that lists them."""
-    monkeypatch.setattr(bench, "Model", _CauseModel)
-    model = _qwh(15, 0)
+
+def _domwdeg_removals(model):
     stats = dfs(model, DomWdeg(model), backtrack_limit=30)
     removed = [
         (x, value, None if cause is None else cause.cid)
         for x, value, cause in model.removed
     ]
     digest = hashlib.sha256(repr(removed).encode()).hexdigest()
-    assert (stats.status, stats.backtracks, len(removed), digest) == GOLDEN_QWH15_REMOVALS
+    return stats.status, stats.backtracks, len(removed), digest
+
+
+def test_domwdeg_removals_are_pinned():
+    """Every removal of a search, root propagation included, in order and
+    with its cause, on a model that lists them: the order of the root's
+    forward-checking sweep is pinned too."""
+    model = full_domain_model(generate_qwh(15, 0.42, 0), _CauseModel)
+    assert _domwdeg_removals(model) == GOLDEN_QWH15_REMOVALS
+
+
+def test_domwdeg_removals_on_the_builders_encoding_are_pinned(monkeypatch):
+    monkeypatch.setattr(bench, "Model", _CauseModel)
+    assert _domwdeg_removals(_qwh(15, 0)) == GOLDEN_QWH15_BUILDER_REMOVALS
 
 
 # ----------------------------------------------------------------------

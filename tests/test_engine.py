@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
-from countsearch.bench import build_model, generate_qwh
+from countsearch.bench import generate_qwh
 from countsearch.engine import (
     CONSISTENT,
     DOMAIN,
@@ -17,6 +17,8 @@ from countsearch.engine import (
 from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
+
+from conftest import full_domain_model
 
 
 class Forbid(Constraint):
@@ -256,7 +258,7 @@ def test_leaving_level_zero_compacts_the_domains_it_shrank():
     domain that lost values at level 0 with a copy sized for what is
     left; the other domains keep their sets, and so does every domain at
     a later push from a level 0 that removed nothing."""
-    m = build_model(generate_qwh(15, 0.42, 0))
+    m = full_domain_model(generate_qwh(15, 0.42, 0))
     sizes = list(map(len, m._domains))
     assert m.propagate() == CONSISTENT
     root = list(m._domains)
