@@ -66,6 +66,15 @@ _model_options = _options(
                  default=EXACT, show_default=True),
 )
 
+
+def _seconds(ctx, param, value: float) -> float:
+    """``value`` if it is a time budget (inf included); NaN, which no
+    clock reading exceeds, and negative values are usage errors."""
+    if not value >= 0:
+        raise click.BadParameter(f"{value} is not a nonnegative number of seconds")
+    return value
+
+
 # keyword arguments of bench.run_job
 _search_options = _options(
     click.option("--traversal", type=click.Choice(["dfs", "restart", "lds"]),
@@ -76,6 +85,7 @@ _search_options = _options(
     click.option("--lds-skip", type=click.IntRange(min=1), default=1,
                  show_default=True, help="Discrepancies added per LDS wave."),
     click.option("--timeout", type=float, default=1200.0, show_default=True,
+                 callback=_seconds,
                  help="Time budget in seconds."),
     click.option("--backtracks", type=click.IntRange(min=0), default=None,
                  help="Backtrack budget."),

@@ -2,9 +2,8 @@
 
 The model owns all mutable state.  Domains are sets of integers with a
 removal trail tagged by decision level, so any earlier level can be
-restored bit-exactly; leaving level 0 compacts the domains that lost
-values there (``Model.push_level``), so no code holds a domain set
-across that push.  Constraints register a consistency level;
+restored bit-exactly; each domain is one set for the model's life.
+Constraints register a consistency level;
 per-constraint density tables are cached, a domain change empties the
 cache, and the cache is trailed together with the domains, so a cached
 table always describes the live domains of its scope; a table memoizes
@@ -73,9 +72,10 @@ class Variable:
 class DensityTable:
     """Solution-count estimate and per-pair solution densities.
 
-    ``log_count`` is the natural log of the count estimate (``-inf`` for
-    a wiped-out constraint).  ``densities`` maps ``(variable_index,
-    value)`` to a density in [0, 1]; for each unbound variable in the
+    ``log_count`` is the natural log of the count estimate: ``-inf`` for
+    a count of 0, and for a Gaussian knapsack, which has no count.
+    ``densities`` maps ``(variable_index, value)`` to a density in
+    [0, 1]; unless the count is 0, for each unbound variable in the
     scope the densities over its current domain sum to 1.  Every value of
     every domain in the scope has an entry, unless a domain is empty.
 
@@ -204,9 +204,7 @@ class Constraint:
         return repeats
 
     def _domains(self, model: "Model") -> list[set[int]]:
-        """The live domain sets of the scope, in scope order, for the
-        caller's call only: leaving level 0 may replace a domain set
-        (``Model.push_level``)."""
+        """The live domain sets of the scope, in scope order."""
         return [model._domains[v.index] for v in self.scope]
 
     def name(self) -> str:
@@ -390,18 +388,8 @@ class Model:
 
     def push_level(self) -> int:
         """Open a level.  Leaving level 0 empties the trail: no backtrack
-        goes below level 0, so nothing recorded there is ever undone.
-
-        It also replaces each domain that lost values at level 0 with a
-        copy sized for the values left: a set never shrinks its table,
-        and search iterates the domains at every node.  A domain that
-        lost nothing there keeps its set, so a push from a root that
-        nothing changed since the last one copies nothing.  No code may
-        hold a domain set across a push from level 0."""
+        goes below level 0, so nothing recorded there is ever undone."""
         if len(self._level_marks) == 1:
-            domains = self._domains
-            for vi in {e[1] for e in self._trail if e[0] == _T_REMOVE}:
-                domains[vi] = set(domains[vi])
             self._trail.clear()
         self._level_marks.append(len(self._trail))
         return self.level

@@ -42,12 +42,11 @@ def bm_log_factor(r: int) -> float:
     return bm_table(r)[r]
 
 
-@lru_cache(maxsize=None)
 def lb_log_factor(r: int, i: int) -> float:
     """log of sqrt(q * (r - q + 1)) for row sum ``r`` at 1-based position
     ``i``, with Liang-Bai's q = min(ceil((r + 1) / 2), ceil(i / 2));
-    memoized, as ``lb_log_bound`` calls it once per row above
-    ``LB_TABLE_SIZE``."""
+    ``lb_table`` holds it up to ``LB_TABLE_SIZE``, and above that
+    ``lb_log_bound`` computes it once per row."""
     q = min(r // 2 + 1, (i + 1) // 2)
     return 0.5 * math.log(q * (r - q + 1))
 

@@ -160,6 +160,8 @@ def _search(
         raise ValueError(
             f"backtrack limit must be nonnegative, got {backtrack_limit}"
         )
+    if timeout is not None and not timeout >= 0:  # NaN included
+        raise ValueError(f"timeout must be nonnegative, got {timeout}")
     stats = SearchStats()
     pick_hash = hashlib.sha256(b"[")
     start = time.perf_counter()

@@ -197,6 +197,27 @@ def test_backtracks_must_be_nonnegative(runner, tmp_path, command):
     assert "--backtracks" in result.output
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_timeout_must_be_a_nonnegative_number(monkeypatch, capsys, tmp_path,
+                                              command, value):
+    """No clock reading exceeds a NaN deadline, so NaN would remove the
+    time budget, and a negative one would report a timeout at once."""
+    path = _write(tmp_path, "full.qwh", FULL_SQUARE)
+    target = path if command == "solve" else str(tmp_path)
+    code, out, err = _main(monkeypatch, capsys, command, target, "--timeout", value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Invalid value for '--timeout'")
+
+
+def test_infinite_timeout_is_no_time_budget(runner, tmp_path):
+    path = _write(tmp_path, "full.qwh", FULL_SQUARE)
+    result = runner.invoke(cli, ["solve", path, "--timeout", "inf"])
+    assert result.exit_code == 0
+    assert "status:     sat" in result.output
+
+
 def test_solve_with_zero_backtracks_stops_at_first_failure(runner, tmp_path):
     path = _write(tmp_path, "nofit.qwh", NO_FIT_SQUARE)
     args = ["solve", path, "--consistency", "fc"]

@@ -53,12 +53,13 @@ cause) in order, root propagation included, once on a qwh encoding whose
 holes start over the full range (so the root's forward-checking sweep of
 the presets is pinned too) and once on ``bench``'s own.
 
-Leaving level 0 replaces the domain sets it shrank with fresh copies,
-which may iterate in another order.  So decisions must not depend on the
-order a domain set iterates in: models of every constraint kind whose
-values collide in small set tables, built once with values inserted in
-ascending order and once in descending order, must get the same
-decisions and the same wipeout causes under domWDeg and maxSD.
+A domain set's iteration order follows its history of removals and
+re-insertions, so equal domains may iterate in different orders.  So
+decisions must not depend on the order a domain set iterates in: models
+of every constraint kind whose values collide in small set tables, built
+once with values inserted in ascending order and once in descending
+order, must get the same decisions and the same wipeout causes under
+domWDeg and maxSD.
 """
 
 import functools
@@ -286,7 +287,7 @@ GOLDEN_QWH15_REMOVALS = (
     SAT,
     1,
     1380,
-    "6d49ae81b29c09682f7ee60ef002df5748cfca3476fa431c6f5d01a09e73f02a",
+    "a0136f259c79ec8c2990d61dbb951b122fbdd259d1f82941b940f6e720084b07",
 )
 
 #: the same search on ``bench``'s own encoding, whose holes start without
@@ -295,7 +296,7 @@ GOLDEN_QWH15_BUILDER_REMOVALS = (
     SAT,
     1,
     303,
-    "f4f61386983fdbf8df73af9d02b5dc394a3ae71da703719f755714129728b09e",
+    "547fb1c675cb86b7c85e1663483fcee7caeeb5d5b8e207e69237c83775d9961d",
 )
 
 
@@ -325,11 +326,11 @@ def test_domwdeg_removals_on_the_builders_encoding_are_pinned(monkeypatch):
 # ----------------------------------------------------------------------
 # decisions do not depend on the order a domain set iterates in
 # ----------------------------------------------------------------------
-# Leaving level 0 replaces each domain it shrank with a fresh copy
-# (``Model.push_level``), which can iterate in another order.  Values
-# that are multiples of 8 collide in a small set table, so a domain built
-# from them in ascending order iterates differently from one built in
-# descending order.  Each model below is built both ways; ``dfs`` must
+# A set's iteration order follows its history of removals and
+# re-insertions, so two equal domains can iterate in different orders.
+# Values that are multiples of 8 collide in a small set table, so a
+# domain built from them in ascending order iterates differently from
+# one built in descending order.  Each model below is built both ways; ``dfs`` must
 # make the same decisions on both, and domWDeg must blame the same
 # constraints for the same wipeouts.
 

@@ -7,15 +7,20 @@ consistency level, over a scope that may hold a variable twice.  Every
 name in ``HEURISTIC_NAMES`` then searches a fresh copy of the model under
 ``dfs``, ``lds`` and ``restart_search``; the status must agree with
 ``brute_force.exact_solve``, and a solution must pass every constraint's
-``check``.
+``check``.  A search that does not end on a solution, uncapped or cut
+off after 0, 1 or 2 backtracks, must leave every domain as root
+propagation left it; and at each consistent root, every density table
+must sum to 1 over each unbound variable's domain, or to 0 when the
+table has no count.
 """
 
+import math
 import random
 
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
-from countsearch.engine import DOMAIN, FORWARD_CHECKING, Model
+from countsearch.engine import CONSISTENT, DOMAIN, FORWARD_CHECKING, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import HEURISTIC_NAMES, make_heuristic
 from countsearch.knapsack import EXACT, GAUSSIAN, Knapsack
@@ -90,7 +95,7 @@ def _passes_every_check(model, solution):
 DRIVERS = {
     "dfs": dfs,
     "lds": lds,
-    "restart": lambda m, h: restart_search(m, h, scale=1),
+    "restart": lambda m, h, **budget: restart_search(m, h, scale=1, **budget),
 }
 
 
@@ -109,3 +114,41 @@ def test_every_heuristic_agrees_with_the_oracle(driver, seed):
         ):
             wrong.append((name, stats.status, stats.solution))
     assert not wrong, f"oracle says {'sat' if sat else 'unsat'}"
+
+
+def _domains(model):
+    return [model.domain(v) for v in model.variables]
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_a_search_that_does_not_end_sat_restores_the_root(driver, seed):
+    root = _random_model(seed)
+    root.propagate()
+    expected = _domains(root)
+    moved = []
+    for name in HEURISTIC_NAMES:
+        for cap in (None, 0, 1, 2):
+            model = _random_model(seed)
+            heuristic = make_heuristic(name, model, random.Random(seed))
+            stats = DRIVERS[driver](model, heuristic, backtrack_limit=cap)
+            if stats.status != SAT and _domains(model) != expected:
+                moved.append((name, cap, stats.status))
+    assert not moved
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_root_density_tables_sum_to_one_per_unbound_variable(seed):
+    model = _random_model(seed)
+    if model.propagate() != CONSISTENT:
+        return
+    for table in model.collect_densities():
+        # a count of 0 gives no value any density; a Gaussian knapsack's
+        # table has no count (also -inf) but normalized densities
+        no_count = table.log_count == -math.inf
+        for var in table.constraint.scope:
+            if not model.is_bound(var):
+                total = math.fsum(table.density(var, d) for d in model.domain(var))
+                assert abs(total - 1) <= 1e-9 or (no_count and total == 0), (
+                    table.constraint.name(), var, total
+                )

@@ -1,7 +1,5 @@
 """Core engine: trail, levels, propagation, density caches."""
 
-import sys
-
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
@@ -253,36 +251,21 @@ def test_leaving_level_zero_forgets_its_trail():
     assert m.domain(x) == {1, 2}
 
 
-def test_leaving_level_zero_compacts_the_domains_it_shrank():
-    """A set never shrinks its table, so the first push replaces each
-    domain that lost values at level 0 with a copy sized for what is
-    left; the other domains keep their sets, and so does every domain at
-    a later push from a level 0 that removed nothing."""
+def test_every_domain_keeps_its_set_for_the_model_life():
+    """Leaving level 0 replaces no domain set, not even one that root
+    propagation shrank: after a push, a decision and a backtrack to the
+    root, every domain is the set it was at the root, with its values."""
     m = full_domain_model(generate_qwh(15, 0.42, 0))
     sizes = list(map(len, m._domains))
     assert m.propagate() == CONSISTENT
     root = list(m._domains)
     values = [set(dom) for dom in root]
-    shrank = {i for i, dom in enumerate(root) if len(dom) < sizes[i]}
-    assert 0 < len(shrank) < len(root)
+    assert sum(len(dom) < size for dom, size in zip(root, sizes)) > 50
     m.push_level()
-    for i, (old, dom) in enumerate(zip(root, m._domains)):
-        assert dom == values[i]
-        if i in shrank:
-            assert dom is not old
-            assert sys.getsizeof(dom) == sys.getsizeof(set(dom))
-        else:
-            assert dom is old
-    assert any(sys.getsizeof(m._domains[i]) < sys.getsizeof(root[i]) for i in shrank)
-
-    compact = list(m._domains)
-    x = m.variables[min(shrank)]
-    assert m.assign(x, min(m.domain(x))) and m.propagate() == CONSISTENT
+    x = next(v for v in m.variables if not m.is_bound(v))
+    assert m.push_decision("assign", x, min(m.domain(x))) == CONSISTENT
     m.backtrack_to(0)
-    assert m._domains == values
-    m.push_level()
-    assert all(dom is old for dom, old in zip(m._domains, compact))
-    m.backtrack_to(0)
+    assert all(dom is old for dom, old in zip(m._domains, root))
     assert m._domains == values
 
 
@@ -424,7 +407,7 @@ def test_push_decision_rejects_absent_value():
 def test_push_decision_rejects_an_unknown_kind_before_it_opens_a_level(level):
     """A bad kind raises before anything changes: the level, the trail and
     every domain set stay as they were, so at level 0 the trail is not
-    cleared and no domain is compacted."""
+    cleared."""
     m = Model()
     x = m.new_variable({1, 2, 3})
     y = m.new_variable({1, 2})

@@ -1,6 +1,7 @@
 """Search drivers: DFS, geometric restarts, limited discrepancy search."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -334,6 +335,16 @@ def test_rejects_negative_backtrack_limit(driver):
     m = _pigeonhole()
     with pytest.raises(ValueError):
         DRIVERS[driver](m, Dom(m, random.Random(0)), backtrack_limit=-1)
+
+
+@pytest.mark.parametrize("timeout", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_rejects_negative_or_nan_timeout(driver, timeout):
+    # no clock reading exceeds a NaN deadline, so NaN would remove the
+    # time budget, and a negative one would time out at once
+    m = _pigeonhole()
+    with pytest.raises(ValueError, match="timeout"):
+        DRIVERS[driver](m, Dom(m, random.Random(0)), timeout=timeout)
 
 
 @pytest.mark.parametrize(
