@@ -234,6 +234,9 @@ class Model:
     # construction
     # ------------------------------------------------------------------
     def new_variable(self, values: Iterable[int], name: str = "") -> Variable:
+        """A variable over ``values``, named ``name`` or else ``x<index>``.
+        Names must be unique, as a solution maps each name to its value;
+        the search refuses a model whose names repeat."""
         idx = len(self.variables)
         var = Variable(idx, name or f"x{idx}")
         self.variables.append(var)

@@ -28,22 +28,29 @@ def exact_count_densities(
     """Exhaustive count and exact rational densities for one constraint.
 
     Keys of the density table are ``(variable_index, value)`` matching
-    the solver-side tables.
+    the solver-side tables.  A variable the scope holds more than once is
+    enumerated once, over the values all its positions allow, and every
+    position takes its value.
     """
+    scope = constraint.scope
+    # the values every position of a variable allows, by its index
+    allowed: dict[int, set[int]] = {}
+    for var, dom in zip(scope, domains):
+        allowed[var.index] = allowed.get(var.index, set(dom)) & set(dom)
     space = 1
-    for dom in domains:
-        space *= len(dom)
+    for values in allowed.values():
+        space *= len(values)
         if space > cap:
             raise OracleCapExceeded(f"{space} candidate tuples exceed cap {cap}")
-    scope = constraint.scope
+    place = {index: k for k, index in enumerate(allowed)}
+    where = [place[var.index] for var in scope]
+    repeats = len(allowed) < len(scope)
     count = 0
     hits: dict[tuple[int, int], int] = {}
-    ordered = [sorted(d) for d in domains]
-    for tup in itertools.product(*ordered):
-        if constraint.check(tup):
+    for tup in itertools.product(*(sorted(values) for values in allowed.values())):
+        if constraint.check([tup[k] for k in where] if repeats else tup):
             count += 1
-            for var, d in zip(scope, tup):
-                key = (var.index, d)
+            for key in zip(allowed, tup):
                 hits[key] = hits.get(key, 0) + 1
     densities = {
         key: Fraction(c, count) for key, c in hits.items()

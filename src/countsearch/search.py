@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Optional
@@ -162,6 +163,10 @@ def _search(
         )
     if timeout is not None and not timeout >= 0:  # NaN included
         raise ValueError(f"timeout must be nonnegative, got {timeout}")
+    if len({var.name for var in model.variables}) < len(model.variables):
+        names = Counter(var.name for var in model.variables)
+        repeated = ", ".join(name for name, n in names.items() if n > 1)
+        raise ValueError(f"variable names must be unique; repeated: {repeated}")
     stats = SearchStats()
     pick_hash = hashlib.sha256(b"[")
     start = time.perf_counter()

@@ -369,6 +369,23 @@ def test_bench_failed_job_prints_its_traceback(monkeypatch, runner, tmp_path,
     assert "RuntimeError: modelling failed" in result.stderr
 
 
+def test_bench_unwritable_output_is_usage_error_before_any_job(
+    monkeypatch, capsys, tmp_path
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(bench_mod, "run_job", never)
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ok.qwh").write_text(FULL_SQUARE)
+    target = str(tmp_path / "missing" / "out.csv")
+    code, out, err = _main(monkeypatch, capsys, "bench", str(inst_dir), "-o", target)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target}: ")
+
+
 def test_bench_empty_dir_is_usage_error(runner, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -1,21 +1,26 @@
 """Pinned decisions: the exact searches the drivers make on fixed instances.
 
-``decision_pins.json`` holds one record per job.  Its spec is the job (a
-``BUILDERS`` key, or the name of one of perfbench's jobs at seed 0), the
-heuristic, the driver (``dfs``, ``restart`` with its ``scale``, or
-``lds``) and the backtrack cap.  The spec maps to what the search
-reports in ``SearchStats`` (status, backtracks, nodes and the digest of
-its (variable index, value) picks) and to ``causes``, the same digest of
-the ``cid`` of each wipeout's cause in order, with None for a decision.
-Two keys are optional: ``rng``, the seed of the heuristic's
-``random.Random`` (0 when absent), and ``recounts``, the number of
-``count_densities`` calls per counting class.  Each record also names
-the test that replays it (``test``, as the suite prints it, prefixed by
-its module when that is not this one), and every record is replayed,
-so a speed-up of
-counting, filtering or the search must reproduce them all, and a change
-that moves a decision is a re-pin: a data diff in that file, written by
-``repin.py`` and logged in CHANGES.md.
+``decision_pins.json`` holds one record per job.  Its spec is the job,
+the heuristic, the driver (``dfs``, ``restart`` with its ``scale``, or
+``lds``) and the backtrack cap.  The job names its instance the way
+``countsearch generate KIND -p key=value`` does, with every generator
+keyword written out, so a changed default moves no record: e.g.
+``{"kind": "qwh", "order": 15, "holes": 0.42, "seed": 0}``, plus
+``consistency`` when not ``domain`` (see ``_model``).  The spec maps to
+what the search reports in ``SearchStats`` (status, backtracks, nodes
+and the digest of its (variable index, value) picks) and to ``causes``,
+the same digest of the ``cid`` of each wipeout's cause in order, with
+None for a decision.  Two keys are optional: ``rng``, the seed of the
+heuristic's ``random.Random`` (0 when absent), and ``recounts``, the
+number of ``count_densities`` calls per counting class.  Each record
+also names the test that replays it (``test``, as the suite prints it,
+prefixed by its module when that is not this one), and every record is
+replayed, so a speed-up of counting, filtering or the search must
+reproduce them all, and a change that moves a decision is a re-pin: a
+data diff in that file, written by ``repin.py`` and logged in
+CHANGES.md.  The ``test_perfbench_*`` records copy the jobs of
+``perfbench/workloads.py`` at seed 0, so a change to those jobs re-pins
+them.
 
 maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  The records cover:
@@ -62,13 +67,11 @@ order, must get the same decisions and the same wipeout causes under
 domWDeg and maxSD.
 """
 
-import functools
 import hashlib
-import importlib.util
+import inspect
 import json
 import os
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -79,7 +82,6 @@ from countsearch.bench import (
     apply_overrides,
     build_model,
     generate_magic,
-    generate_marketsplit,
     generate_qwh,
     generate_rostering,
     rostering_dfa,
@@ -99,22 +101,17 @@ from test_alldiff import _CauseModel
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
-def _qwh(order, seed, consistency=None):
-    model = build_model(generate_qwh(order, 0.42, seed))
-    if consistency is not None:
-        apply_overrides(model, consistency, "exact")
-    return model
-
-
 def _roster_gcc(
-    employees, periods, seed, required=0, scale=1, descending=False, consistency=DOMAIN
+    instance, required=0, scale=1, descending=False, consistency=DOMAIN
 ):
-    """Regular rows; each column lets a task appear at most once, and
-    tasks 1..required at least once (the planted schedule gives employee
-    e task e + 1 in every period).  Every task number is multiplied by
-    ``scale``, and the values go into each domain in ascending order, or
-    in descending order with ``descending``."""
-    payload = generate_rostering(employees, periods, seed=seed).payload
+    """The rostering ``instance`` with Regular rows; each column lets a
+    task appear at most once, and tasks 1..required at least once (the
+    planted schedule gives employee e task e + 1 in every period).  Every
+    task number is multiplied by ``scale``, and the values go into each
+    domain in ascending order, or in descending order with
+    ``descending``."""
+    payload = instance.payload
+    employees, periods = payload["employees"], payload["periods"]
     tasks, grid = payload["tasks"], payload["grid"]
     dfa = rostering_dfa(tasks)
     automaton = Automaton(
@@ -143,36 +140,25 @@ def _roster_gcc(
     return m
 
 
-BUILDERS = {
-    "qwh-17-s2": lambda: _qwh(17, 2),
-    "qwh-18-s2": lambda: _qwh(18, 2),
-    "qwh-20-s0": lambda: _qwh(20, 0),
-    "roster-6x10-s2": lambda: _roster_gcc(6, 10, 2),
-    "roster-6x10-s2-low4": lambda: _roster_gcc(6, 10, 2, required=4),
-    "qwh-20-s0-fc": lambda: _qwh(20, 0, FORWARD_CHECKING),
-    "magic-4-s1": lambda: build_model(generate_magic(4, seed=1)),
-    "qwh-15-s0": lambda: _qwh(15, 0),
-    "qwh-15-s1": lambda: _qwh(15, 1),
-    "magic-4-s0": lambda: build_model(generate_magic(4, seed=0)),
-    "marketsplit-3-s0": lambda: build_model(generate_marketsplit(3, 0)),
-    "marketsplit-3-s1": lambda: build_model(generate_marketsplit(3, 1)),
-}
+#: a roster with GCC columns, which no ``countsearch`` kind builds
+ROSTER_GCC = "rostering+gcc"
 
 
-@functools.cache
-def _perfbench_jobs():
-    """perfbench's jobs of every workload at seed 0, by name, from its
-    workload module loaded from the file (registered under its own name,
-    as its dataclasses look their module up)."""
-    name = "perfbench_workloads"
-    path = os.path.join(os.path.dirname(TESTS), "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return {
-        job.name: job for w in module.WORKLOADS for job in module.jobs_for(w, 0)
-    }
+def _model(job):
+    """The instance ``countsearch generate`` makes of the job's kind and
+    keywords, built by ``bench`` (or ``_roster_gcc``, with ``required``,
+    for ``ROSTER_GCC``), every constraint at the job's ``consistency``."""
+    params = dict(job)
+    kind = params.pop("kind")
+    consistency = params.pop("consistency", None)
+    if kind == ROSTER_GCC:
+        required = params.pop("required", 0)
+        model = _roster_gcc(generate_rostering(**params), required)
+    else:
+        model = build_model(bench.FAMILIES[kind].generate(**params))
+    if consistency is not None:
+        apply_overrides(model, consistency, "exact")
+    return model
 
 
 DRIVERS = {"dfs": dfs, "restart": restart_search, "lds": lds}
@@ -187,17 +173,10 @@ def _replay(pin, model=None):
     search that ``pin`` specifies, on ``model`` if given, else on its
     job's model; the heuristic draws from ``random.Random(pin["rng"])``,
     seed 0 when absent."""
+    if model is None:
+        model = _model(pin["job"])
     rng = random.Random(pin.get("rng", 0))
-    if model is not None:
-        heuristic = make_heuristic(pin["heuristic"], model, rng)
-    elif pin["job"] in BUILDERS:
-        model = BUILDERS[pin["job"]]()
-        heuristic = make_heuristic(pin["heuristic"], model, rng)
-    else:
-        job = _perfbench_jobs()[pin["job"]]
-        assert (job.heuristic, job.cap) == (pin["heuristic"], pin["cap"])
-        built = job.build()
-        model, heuristic = built.model, built.heuristic
+    heuristic = make_heuristic(pin["heuristic"], model, rng)
     causes = []
     model.on_wipeout(lambda c: causes.append(None if c is None else c.cid))
     # count_densities calls per class, the lazy recount of a ranked table too
@@ -255,14 +234,23 @@ for _name in sorted({p["test"].split("[")[0] for p in PINS}):
 
 
 def test_pin_records_have_known_keys_and_unique_specs():
-    """A misspelled optional key would make ``_replay`` skip a check."""
+    """A misspelled optional key would make ``_replay`` skip a check, and
+    a generator keyword left out would let a changed default move the
+    record's instance."""
     specs, tests = Counter(), Counter()
     for pin in PINS:
         assert {"test", *SPEC, *RESULT} <= pin.keys() <= {
             "test", *SPEC, *RESULT, *OPTIONAL
         }, pin
         assert ("scale" in pin) == (pin["driver"] == "restart"), pin
-        specs[(*(pin[key] for key in SPEC), pin.get("scale"), pin.get("rng", 0))] += 1
+        job = pin["job"]
+        kind = "rostering" if job["kind"] == ROSTER_GCC else job["kind"]
+        keywords = inspect.signature(bench.FAMILIES[kind].generate).parameters
+        assert job.keys() - {"kind", "consistency", "required"} == keywords.keys(), pin
+        assert job.get("consistency") != DOMAIN, pin
+        spec = {key: pin.get(key) for key in (*SPEC, "scale")}
+        spec["rng"] = pin.get("rng", 0)
+        specs[json.dumps(spec, sort_keys=True)] += 1
         tests[pin["test"]] += 1
     assert [spec for spec, n in specs.items() if n > 1] == []
     assert [test for test, n in tests.items() if n > 1] == []
@@ -320,7 +308,8 @@ def test_domwdeg_removals_are_pinned():
 
 def test_domwdeg_removals_on_the_builders_encoding_are_pinned(monkeypatch):
     monkeypatch.setattr(bench, "Model", _CauseModel)
-    assert _domwdeg_removals(_qwh(15, 0)) == GOLDEN_QWH15_BUILDER_REMOVALS
+    model = build_model(generate_qwh(15, 0.42, 0))
+    assert _domwdeg_removals(model) == GOLDEN_QWH15_BUILDER_REMOVALS
 
 
 # ----------------------------------------------------------------------
@@ -388,10 +377,11 @@ SET_ORDER_BUILDERS = {
     "alldifferent-fc-qwh-15": lambda d: _set_order_qwh(d, 15, 0, FORWARD_CHECKING),
     "knapsack-magic-4": _set_order_magic,
     "gcc-regular-roster-6x10-low4": lambda d: _roster_gcc(
-        6, 10, 2, required=4, scale=8, descending=d
+        generate_rostering(6, 10, seed=2), 4, scale=8, descending=d
     ),
     "gcc-fc-regular-roster-4x8-low4": lambda d: _roster_gcc(
-        4, 8, 1, required=4, scale=8, descending=d, consistency=FORWARD_CHECKING
+        generate_rostering(4, 8, seed=1), 4, scale=8, descending=d,
+        consistency=FORWARD_CHECKING,
     ),
     "symmetric-pairing-24": _set_order_pairing,
 }

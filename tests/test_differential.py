@@ -12,10 +12,17 @@ off after 0, 1 or 2 backtracks, must leave every domain as root
 propagation left it; and at each consistent root, every density table
 must sum to 1 over each unbound variable's domain, or to 0 when the
 table has no count.
+
+Models of one constraint whose scope holds a variable more than once
+check the oracle itself: its count and densities must be those of the
+solutions ``exact_solve`` lists, and every root table's count must be at
+least the exact count.
 """
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +31,7 @@ from countsearch.engine import CONSISTENT, DOMAIN, FORWARD_CHECKING, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import HEURISTIC_NAMES, make_heuristic
 from countsearch.knapsack import EXACT, GAUSSIAN, Knapsack
+from countsearch.oracle import exact_count_densities
 from countsearch.regular import Regular
 from countsearch.search import SAT, UNSAT, dfs, lds, restart_search
 
@@ -152,3 +160,53 @@ def test_root_density_tables_sum_to_one_per_unbound_variable(seed):
                 assert abs(total - 1) <= 1e-9 or (no_count and total == 0), (
                     table.constraint.name(), var, total
                 )
+
+
+# the kinds with an exact count: all but the Gaussian knapsack
+REPEATING = dict(
+    zip(("alldifferent", "gcc", "knapsack", "regular", "symmetric"),
+        KINDS[:3] + KINDS[4:])
+)
+
+
+def _repeating_model(kind, seed):
+    """One ``kind`` constraint, at domain consistency, over a scope of two
+    to four positions that holds each of one to three variables, at least
+    one of them twice (a SymmetricAllDifferent drops an odd last one)."""
+    rng = random.Random(seed)
+    model = Model()
+    xs = [
+        model.new_variable(rng.sample(VALUES, rng.randint(1, len(VALUES))), f"x{i}")
+        for i in range(rng.randint(1, 3))
+    ]
+    scope = xs + [rng.choice(xs) for _ in range(rng.randint(1, 4 - len(xs)))]
+    rng.shuffle(scope)
+    return model, model.add(REPEATING[kind](rng, scope, DOMAIN))
+
+
+@pytest.mark.parametrize("kind", REPEATING)
+def test_oracle_enumerates_a_repeated_variable_once(kind):
+    for seed in range(120):
+        model, c = _repeating_model(kind, seed)
+        count, densities = exact_count_densities(
+            c, [model.domain(v) for v in c.scope]
+        )
+        _, solutions = exact_solve(model, all_solutions=True)
+        variables = list(dict.fromkeys(c.scope))
+        tuples = {tuple(s[v.name] for v in variables) for s in solutions}
+        hits = Counter(
+            (v.index, d) for tup in tuples for v, d in zip(variables, tup)
+        )
+        assert count == len(tuples), seed
+        assert densities == {key: Fraction(n, count) for key, n in hits.items()}
+
+
+@pytest.mark.parametrize("kind", REPEATING)
+def test_count_bounds_hold_on_repeated_scopes(kind):
+    for seed in range(120):
+        model, c = _repeating_model(kind, seed)
+        if model.propagate() != CONSISTENT:
+            continue
+        count, _ = exact_count_densities(c, [model.domain(v) for v in c.scope])
+        for table in model.collect_densities():
+            assert math.exp(table.log_count) >= count * (1 - 1e-9), seed

@@ -337,6 +337,18 @@ def test_rejects_negative_backtrack_limit(driver):
         DRIVERS[driver](m, Dom(m, random.Random(0)), backtrack_limit=-1)
 
 
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_rejects_variables_that_share_a_name(driver):
+    # the second variable's default name is its index's, x1, so a solution
+    # would keep one of the two; refused before root propagation
+    m = Model()
+    xs = [m.new_variable({1}, "x1"), m.new_variable({1, 2})]
+    m.add(AllDifferent(xs))
+    with pytest.raises(ValueError, match="unique; repeated: x1$"):
+        DRIVERS[driver](m, Dom(m, random.Random(0)))
+    assert m.domain(xs[1]) == {1, 2}
+
+
 @pytest.mark.parametrize("timeout", [-1.0, math.nan], ids=["negative", "nan"])
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_rejects_negative_or_nan_timeout(driver, timeout):
