@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import traceback
-from contextlib import nullcontext
 
 import click
 
@@ -227,7 +226,7 @@ def _bench_job(args):
 @_search_options
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
               show_default=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
+@click.option("--output", "-o", type=click.File("w", lazy=False), default="-",
               help="CSV output path (default: stdout).")
 def bench_cmd(instance_dir, heuristics, seeds, jobs, output, **settings):
     """Sweep instances x heuristics x seeds; emit one CSV row per job."""
@@ -248,30 +247,24 @@ def bench_cmd(instance_dir, heuristics, seeds, jobs, output, **settings):
             click.echo(f"# skipped {path}: {exc}", err=True)
     if not instances:
         raise click.UsageError(f"no readable instances in {instance_dir}")
-    # opened before any job runs, so a path it cannot write loses no results
-    try:
-        out = open(output, "w", newline="") if output else nullcontext(sys.stdout)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {output}: {exc.strerror}") from None
     job_args = [
         (inst, h, seed, settings)
         for inst in instances
         for h in heuristics
         for seed in seed_list
     ]
-    with out as stream:
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_bench_job, job_args))
-        else:
-            results = [_bench_job(a) for a in job_args]
-        rows = [row for row, _ in results]
-        for _, error in results:
-            if error:
-                click.echo(error, err=True, nl=False)
-        writer = csv.DictWriter(stream, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_bench_job, job_args))
+    else:
+        results = [_bench_job(a) for a in job_args]
+    rows = [row for row, _ in results]
+    for _, error in results:
+        if error:
+            click.echo(error, err=True, nl=False)
+    writer = csv.DictWriter(output, fieldnames=CSV_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
     # cumulative solved summary per heuristic, on stderr to keep CSV clean
     for h in heuristics:
         solved = sum(

@@ -44,11 +44,10 @@ def exact_count_densities(
             raise OracleCapExceeded(f"{space} candidate tuples exceed cap {cap}")
     place = {index: k for k, index in enumerate(allowed)}
     where = [place[var.index] for var in scope]
-    repeats = len(allowed) < len(scope)
     count = 0
     hits: dict[tuple[int, int], int] = {}
     for tup in itertools.product(*(sorted(values) for values in allowed.values())):
-        if constraint.check([tup[k] for k in where] if repeats else tup):
+        if constraint.check([tup[k] for k in where]):
             count += 1
             for key in zip(allowed, tup):
                 hits[key] = hits.get(key, 0) + 1

@@ -20,7 +20,10 @@ reproduce them all, and a change that moves a decision is a re-pin: a
 data diff in that file, written by ``repin.py`` and logged in
 CHANGES.md.  The ``test_perfbench_*`` records copy the jobs of
 ``perfbench/workloads.py`` at seed 0, so a change to those jobs re-pins
-them.
+them.  Nothing here checks that copy against perfbench, which these
+tests do not import: a changed hole count, roster model or cap there
+passes every test while the benchmark measures another job, until
+perfbench builds its jobs from these specs (ROADMAP item 26).
 
 maxSD breaks exact score ties by (variable index, value), so a change in
 the last bit of a density can change the search.  The records cover:
