@@ -2,12 +2,14 @@
 
 AllDifferent filters by forward checking, which sweeps each newly bound
 value from the other domains through a worklist, and, at domain
-consistency, by Regin's matching filter, which works on the variables
-alone, each merged with its matched value, and sees only the unbound
-positions.  ``GlobalCardinality`` shares both: its forward checking is
-the same sweep (``forward_check``) with each value's upper bound as the
-quota of positions the value may fill, where AllDifferent's quota is 1,
-and its matching filter calls ``regin_dead_arcs``.
+consistency, by Regin's matching filter, which sees only the unbound
+positions and reads their domain sets as they are: the matching maps
+each value to its row in a dict, and the graph it leaves has one node
+per row, merged with its matched value.  ``GlobalCardinality`` shares
+both: its forward checking is the same sweep (``forward_check``) with
+each value's upper bound as the quota of positions the value may fill,
+where AllDifferent's quota is 1, and its matching filter calls
+``regin_dead_arcs`` on rows of value copies.
 Both look only at the scope positions still open: a position bound and
 swept by an earlier call is closed until a backtrack reopens it.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .engine import DOMAIN, Constraint, DensityTable, Model
 from .factors import bm_log_bound, bm_table, lb_log_bound
@@ -172,32 +174,36 @@ def alldiff_density_table(
 # ----------------------------------------------------------------------
 # matching machinery for domain-consistent filtering
 # ----------------------------------------------------------------------
-def _kuhn_matching(adj: list[list[int]], n_vals: int) -> tuple[list[int], list[int]]:
-    """Maximum bipartite matching; returns (match_of_var, match_of_val)."""
-    match_var = [-1] * len(adj)
-    match_val = [-1] * n_vals
+def _kuhn_matching(rows: Sequence[Iterable[Hashable]]) -> Optional[dict]:
+    """A matching that covers every row, as a dict from each matched value
+    to its row, or None when there is none.  A greedy pass takes each
+    row's first unmatched value; then each row left over looks for an
+    augmenting path, visiting the values of each row in its iteration
+    order and each value once."""
+    mate: dict = {}
 
-    def try_augment(x: int, seen: list[bool]) -> bool:
-        for v in adj[x]:
-            if not seen[v]:
-                seen[v] = True
-                if match_val[v] == -1 or try_augment(match_val[v], seen):
-                    match_var[x] = v
-                    match_val[v] = x
+    def try_augment(x: int, seen: set) -> bool:
+        for v in rows[x]:
+            if v not in seen:
+                seen.add(v)
+                y = mate.get(v, -1)
+                if y == -1 or try_augment(y, seen):
+                    mate[v] = x
                     return True
         return False
 
-    for x in range(len(adj)):
-        # greedy seed speeds up the augmenting passes
-        for v in adj[x]:
-            if match_val[v] == -1:
-                match_var[x] = v
-                match_val[v] = x
+    left = []
+    for x, row in enumerate(rows):
+        for v in row:
+            if v not in mate:
+                mate[v] = x
                 break
-    for x in range(len(adj)):
-        if match_var[x] == -1:
-            try_augment(x, [False] * n_vals)
-    return match_var, match_val
+        else:
+            left.append(x)
+    for x in left:
+        if not try_augment(x, set()):
+            return None
+    return mate
 
 
 def _closure(arcs: list[int], start: int) -> int:
@@ -215,61 +221,61 @@ def _closure(arcs: list[int], start: int) -> int:
 
 
 def regin_dead_arcs(
-    adj: list[list[int]], n_vals: int
-) -> Optional[list[tuple[int, int]]]:
-    """Arcs (x, v) of the variable/value graph ``adj`` that no matching
-    covering every variable uses (Regin, AAAI 1994), in scan order: by
-    x, then in ``adj[x]`` order.  None when no such matching exists.
+    rows: Sequence[Iterable[Hashable]],
+) -> Optional[list[tuple[int, Hashable]]]:
+    """The pairs (x, v), v a value of row x, that no matching covering
+    every row uses (Regin, AAAI 1994), in scan order: by x, then in row
+    x's iteration order.  None when no such matching exists.  A row is a
+    variable's domain, or any iterable of hashable values that iterates in
+    the same order each time; rows may repeat, as GCC's dummy rows do.
 
-    Given one such matching, each variable is merged with its matched
-    value (Gent, Miguel & Nightingale, AIJ 2008): one node per variable,
-    and an arc x -> y when x can take y's value v.  x can switch to v iff
-    y can then move on, along a path to a variable that can take a free
-    value or around a cycle back to x.  So (x, v) is dead iff y reaches
-    no free value (y is not *reached*) and y is not in x's strongly
-    connected component.  Each node keeps its successors and
-    predecessors as Python int bitmasks.  The reached set is one search
-    from the free values along predecessors.  An unreached variable's
-    arcs lead only to unreached ones, so nothing dies exactly when each
-    component of the unreached variables is closed, with no arc leaving
-    or entering it.  That is checked first, from one member per
-    component, whose searches along successors and along predecessors
-    must find the same variables; most calls end there.  Otherwise the
-    components come from one Kosaraju pass over the unreached variables,
-    since a component of an unreached variable holds only unreached
-    ones.  Each search expands a variable once.
+    The matching maps each value to its row, in a dict.  Given it, each
+    row is merged with its matched value (Gent, Miguel & Nightingale, AIJ
+    2008): one node per row, and an arc x -> y when x can take y's value
+    v.  x can switch to v iff y can then move on, along a path to a row
+    that can take a free value or around a cycle back to x.  So (x, v) is
+    dead iff y reaches no free value (y is not *reached*) and y is not in
+    x's strongly connected component.  Each node keeps its successors and
+    predecessors as Python int bitmasks, built in one pass over the rows
+    with the rows that can take a free value.  The reached set is one
+    search from those rows along predecessors.  An unreached row's arcs
+    lead only to unreached ones, so nothing dies exactly when each
+    component of the unreached rows is closed, with no arc leaving or
+    entering it.  That is checked first, from one member per component,
+    whose searches along successors and along predecessors must find the
+    same rows; most calls end there.  Otherwise the components come from
+    one Kosaraju pass over the unreached rows, since a component of an
+    unreached row holds only unreached ones.  Each search expands a row
+    once.
     """
-    n_vars = len(adj)
-    if n_vals < n_vars:
-        return None
-    match_var, match_val = _kuhn_matching(adj, n_vals)
-    if -1 in match_var:
+    mate = _kuhn_matching(rows)
+    if mate is None:
         return None
 
-    # holders[v]: the variables that can take v; succ[x]: the variables
-    # whose value x can take, x itself included (a free value adds no
-    # bit); pred[y]: the variables that can take y's value
-    owner = [0 if y == -1 else 1 << y for y in match_val]
-    holders = [0] * n_vals
+    # succ[x]: the rows whose value x can take, x itself included (a free
+    # value adds no bit); pred[y]: the rows that can take y's value;
+    # takers: the rows that can take a free value
+    n_rows = len(rows)
+    pred = [0] * n_rows
     succ = []
+    takers = 0
     bit = 1
-    for vs in adj:
+    for row in rows:
         mask = 0
-        for v in vs:
-            holders[v] |= bit
-            mask |= owner[v]
+        for v in row:
+            y = mate.get(v, -1)
+            if y == -1:
+                takers |= bit
+            else:
+                mask |= 1 << y
+                pred[y] |= bit
         succ.append(mask)
         bit <<= 1
-    pred = [holders[v] for v in match_var]
 
-    # the variables that can reach a free value, searched back from
-    # those that can take one
-    takers = 0
-    for v, y in enumerate(match_val):
-        if y == -1:
-            takers |= holders[v]
+    # the rows that can reach a free value, searched back from those that
+    # can take one
     reached = _closure(pred, takers)
-    rest = (1 << n_vars) - 1 & ~reached
+    rest = (1 << n_rows) - 1 & ~reached
 
     # nothing dies when every unreached component is closed both ways
     unchecked = rest
@@ -282,7 +288,7 @@ def regin_dead_arcs(
     else:
         return []
 
-    # Kosaraju over the unreached variables: finish order along succ,
+    # Kosaraju over the unreached rows: finish order along succ,
     # then components along pred in reverse finish order
     finished = []
     unvisited = rest
@@ -300,7 +306,7 @@ def regin_dead_arcs(
                 finished.append(stack.pop())
 
     # comp[y]: y's component, or -1 for a reached y
-    comp = [-1] * n_vars
+    comp = [-1] * n_rows
     unvisited = rest
     for root in reversed(finished):
         if comp[root] != -1:
@@ -318,12 +324,15 @@ def regin_dead_arcs(
                 comp[y] = root
                 stack.append(y)
 
-    # no arc leads from an unreached variable to a reached one, and only
-    # reached variables can take a free value: (x, v) is dead iff x and
-    # the owner of v lie in different classes of comp
-    val_comp = [-1 if y == -1 else comp[y] for y in match_val]
+    # no arc leads from an unreached row to a reached one, and only
+    # reached rows can take a free value: (x, v) is dead iff x and the
+    # owner of v lie in different classes of comp (a free value counts as
+    # owned by x, which then is reached)
     return [
-        (x, v) for x, vs in enumerate(adj) for v in vs if val_comp[v] != comp[x]
+        (x, v)
+        for x, row in enumerate(rows)
+        for v in row
+        if comp[mate.get(v, x)] != comp[x]
     ]
 
 
@@ -471,36 +480,23 @@ class AllDifferent(Constraint):
     ) -> bool:
         """Remove every value that no maximum matching uses.
 
-        The value graph holds the unbound positions ``free`` alone.  After
-        forward checking no other domain holds a bound position's value,
-        so such a position and its value form a component of their own,
-        whose one arc every matching uses: leaving it out changes neither
-        whether a matching covers every position nor which arcs are dead,
-        nor the order ``regin_dead_arcs`` lists them in.  One pass over the
-        free domains numbers the values as first seen and lists each row in
-        its domain's order.  The numbering may change which matching is
-        found, but not the dead arcs, which no maximum matching uses
-        whichever one is found, nor their order: by position, then row.
+        The value graph holds the unbound positions ``free`` alone, each
+        row its domain set as it is.  After forward checking no other
+        domain holds a bound position's value, so such a position and its
+        value form a component of their own, whose one arc every matching
+        uses: leaving it out changes neither whether a matching covers
+        every position nor which arcs are dead, nor the order
+        ``regin_dead_arcs`` lists them in, by position, then in each
+        domain's iteration order.
         """
         if not free:
             return True
-        val_idx: dict[int, int] = {}
-        adj = []
-        for k in free:
-            row = []
-            for d in doms[k]:
-                v = val_idx.get(d)
-                if v is None:
-                    v = val_idx[d] = len(val_idx)
-                row.append(v)
-            adj.append(row)
-        dead = regin_dead_arcs(adj, len(val_idx))
+        dead = regin_dead_arcs([doms[k] for k in free])
         if dead is None:
             return False
-        values = list(val_idx)
         scope = self.scope
-        for x, v in dead:
-            if not model.remove_value(scope[free[x]], values[v], self):
+        for x, d in dead:
+            if not model.remove_value(scope[free[x]], d, self):
                 return False
         return True
 

@@ -111,12 +111,14 @@ class GlobalCardinality(Constraint):
         puts each value's users on its required copies first, and the
         dummies take the optional copies left over.  Without required
         copies no dummies are needed: the copies a matching leaves free
-        keep alive what the dummies would.  The dummies share one row, so
-        ``regin_dead_arcs`` sees repeated rows; it merges each variable
-        and dummy with its matched copy and finds the dead arcs from the
-        strongly connected components of that graph.  (x, d) goes when
-        every arc from x to a copy of d is dead, so a value without copies
-        goes at once.
+        keep alive what the dummies would.  The copies are numbered in
+        ascending value order, each row lists them by its domain's
+        iteration order, and the dummies share one row, so
+        ``regin_dead_arcs`` sees repeated rows of copy numbers; it merges
+        each variable and dummy with its matched copy and finds the dead
+        arcs from the strongly connected components of that graph.  (x, d)
+        goes when every arc from x to a copy of d is dead, so a value
+        without copies goes at once.
         """
         doms = self._domains(model)
         holders = Counter(chain.from_iterable(doms))
@@ -135,7 +137,7 @@ class GlobalCardinality(Constraint):
         adj = [[c for d in dom for c in copies[d]] for dom in doms]
         if len(optional) < len(val_of):
             adj.extend([optional] * (len(val_of) - len(doms)))
-        dead = regin_dead_arcs(adj, len(val_of))
+        dead = regin_dead_arcs(adj)
         if dead is None:
             return False
         # removals follow the scope and each domain's iteration order;

@@ -1,11 +1,20 @@
-"""Shared helpers: random instance builders used across test modules."""
+"""Shared helpers: random instance builders used across test modules, and
+the one builder of a pinned job's model from its generator spec."""
 
 from __future__ import annotations
 
 import random
 
+from countsearch import bench
 from countsearch.alldiff import AllDifferent
-from countsearch.engine import Model
+from countsearch.bench import (
+    BREAK,
+    apply_overrides,
+    build_model,
+    generate_rostering,
+    rostering_dfa,
+)
+from countsearch.engine import DOMAIN, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.knapsack import Knapsack
 from countsearch.regular import Automaton, Regular
@@ -101,3 +110,63 @@ def full_domain_model(instance, model_class=Model) -> Model:
     for line in lines + diagonals:
         m.add(Knapsack(line, [1] * n, target, target))
     return m
+
+
+def roster_gcc(
+    instance, required=0, scale=1, descending=False, consistency=DOMAIN
+):
+    """The rostering ``instance`` with Regular rows; each column lets a
+    task appear at most once, and tasks 1..required at least once (the
+    planted schedule gives employee e task e + 1 in every period).  Every
+    task number is multiplied by ``scale``, and the values go into each
+    domain in ascending order, or in descending order with
+    ``descending``."""
+    payload = instance.payload
+    employees, periods = payload["employees"], payload["periods"]
+    tasks, grid = payload["tasks"], payload["grid"]
+    dfa = rostering_dfa(tasks)
+    automaton = Automaton(
+        {(q, scale * s): nxt for (q, s), nxt in dfa.transitions.items()},
+        dfa.initial,
+        dfa.accepting,
+    )
+    m = Model()
+    values = sorted((scale * v for v in range(tasks + 1)), reverse=descending)
+    cells = [
+        [
+            m.new_variable([scale * grid[i][j]] if grid[i][j] >= 0 else values)
+            for j in range(periods)
+        ]
+        for i in range(employees)
+    ]
+    for row in cells:
+        m.add(Regular(row, automaton))
+    upper = {scale * d: 1 for d in range(1, tasks + 1)}
+    upper[scale * BREAK] = employees
+    lower = {scale * d: 1 for d in range(1, required + 1)}
+    for j in range(periods):
+        m.add(
+            GlobalCardinality([row[j] for row in cells], lower, upper, consistency)
+        )
+    return m
+
+
+#: a roster with GCC columns, which no ``countsearch`` kind builds
+ROSTER_GCC = "rostering+gcc"
+
+
+def job_model(job):
+    """The instance ``countsearch generate`` makes of the job's kind and
+    keywords, built by ``bench`` (or ``roster_gcc``, with ``required``,
+    for ``ROSTER_GCC``), every constraint at the job's ``consistency``."""
+    params = dict(job)
+    kind = params.pop("kind")
+    consistency = params.pop("consistency", None)
+    if kind == ROSTER_GCC:
+        required = params.pop("required", 0)
+        model = roster_gcc(generate_rostering(**params), required)
+    else:
+        model = build_model(bench.FAMILIES[kind].generate(**params))
+    if consistency is not None:
+        apply_overrides(model, consistency, "exact")
+    return model

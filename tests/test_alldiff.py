@@ -157,13 +157,11 @@ def _reference_regin_filter(c, model, counts):
             continue
         scope.append(var)
         doms.append(dom)
-    values = list(counts)
-    val_idx = {v: i for i, v in enumerate(values)}
-    dead = regin_dead_arcs([[val_idx[d] for d in dom] for dom in doms], len(values))
+    dead = regin_dead_arcs(doms)
     if dead is None:
         return False
-    for x, v in dead:
-        if not model.remove_value(scope[x], values[v], c):
+    for x, d in dead:
+        if not model.remove_value(scope[x], d, c):
             return False
     return True
 
@@ -267,6 +265,46 @@ def test_alldifferent_is_the_gcc_whose_every_upper_bound_is_one(case):
         verdict = c.propagate(m)
         runs.append((verdict, [(x, v, cause is c) for x, v, cause in m.removed[mark:]]))
     assert runs[0] == runs[1]
+
+
+#: sparse, negative and huge labels for the values 0..7.  Each keeps its
+#: value's hash modulo 1024, so a domain set of labels, whose table has
+#: at most 1024 slots and no collision, iterates in the order of the set
+#: of the values it relabels
+_LABELS = {
+    0: 10 ** 12,
+    1: -1023,
+    2: 2 + 7 * (2 ** 61 - 1),
+    3: -7 * 1024 + 3,
+    4: 999 * 1024 + 4,
+    5: 2 ** 62 + 3,
+    6: 6 - 2 ** 50,
+    7: 1031,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_propagate_cases())
+@example(([{1, 2}, {1, 2}, {1, 2, 3}, {3, 4}], [0, 1, 2, 3], "domain", [(3, 4)]))
+@example(([{0, 1}, {1, 2}, {2}], [0, 1, 2], "domain", []))  # a chain
+def test_domain_filtering_does_not_depend_on_the_labels(case):
+    """At domain consistency, relabelling the values 0..7 to sparse,
+    negative and huge ints gives the same verdict and removes the
+    relabelled pairs (variable, value) in the same order."""
+    assert all(hash(label) % 1024 == v for v, label in _LABELS.items())
+    domains, scope, _, removals = case
+    runs = []
+    for label in (int, _LABELS.__getitem__):
+        m = _CauseModel()
+        xs = [m.new_variable(map(label, d)) for d in domains]
+        for x, value in removals:
+            if m.domain(xs[x]) != {label(value)}:
+                m.remove_value(xs[x], label(value))
+        c = AllDifferent([xs[k] for k in scope], "domain")
+        mark = len(m.removed)
+        runs.append((c.propagate(m), [(x, v) for x, v, _ in m.removed[mark:]]))
+    (verdict, removed), relabelled = runs
+    assert relabelled == (verdict, [(x, _LABELS[v]) for x, v in removed])
 
 
 def _open_positions(c):
@@ -419,30 +457,40 @@ def _covering_matchings(adj):
     return extend(0, frozenset())
 
 
+#: the values of a value graph: dense, sparse, negative (often -1, which
+#: the matching uses as its mark for no row) and above 2**62
+_GRAPH_VALUES = st.one_of(
+    st.integers(0, 8),
+    st.integers(-3, -1),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(2 ** 62, 2 ** 70),
+)
+
+
 @st.composite
 def _value_graphs(draw):
     """Up to 7 rows over up to 9 values, some rows repeated (the same
     list), as GCC's dummy variables are."""
-    n_vals = draw(st.integers(0, 9))
-    row = st.lists(st.integers(0, max(n_vals - 1, 0)), unique=True,
-                   max_size=n_vals)
+    values = draw(st.lists(_GRAPH_VALUES, unique=True, max_size=9))
+    row = st.lists(st.sampled_from(values), unique=True) if values else st.just([])
     rows = draw(st.lists(row, max_size=7))
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=7 - len(rows)))
-    return rows, n_vals
+    return rows
 
 
 @settings(max_examples=400, deadline=None)
 @given(_value_graphs())
-@example(([[0, 1], [1, 2], [2]], 3))  # a chain: every non-diagonal arc dies
-@example(([[0, 1], [1, 2], [2, 3]], 4))  # a free value at the end keeps all
-@example(([[0, 1], [0, 1], [1, 2, 3], [3, 4]], 5))  # a cycle and a path
-@example(([[0, 1], [0, 1], [0, 1]], 2))  # too few values
-@example(([[1, 2, 3], [0], [0]], 4))  # enough values, no covering matching
-@example(([], 0))
-def test_regin_dead_arcs_are_the_arcs_no_matching_uses(graph):
-    adj, n_vals = graph
-    assert regin_dead_arcs(adj, n_vals) == _unused_arcs(adj)
+@example([[0, 1], [1, 2], [2]])  # a chain: every non-diagonal arc dies
+@example([[0, 1], [1, 2], [2, 3]])  # a free value at the end keeps all
+@example([[0, 1], [0, 1], [1, 2, 3], [3, 4]])  # a cycle and a path
+@example([[0, 1], [0, 1], [0, 1]])  # too few values
+@example([[1, 2, 3], [0], [0]])  # enough values, no covering matching
+@example([[-1, 2 ** 63], [2 ** 63, -7], [-7]])  # the chain, relabelled
+@example([[-1, 10 ** 12], [-1, 10 ** 12], [2 ** 63, 10 ** 12, -1]])
+@example([])
+def test_regin_dead_arcs_are_the_arcs_no_matching_uses(adj):
+    assert regin_dead_arcs(adj) == _unused_arcs(adj)
 
 
 def _unused_arcs(adj):
@@ -479,9 +527,13 @@ _DUMMY = [2, 3]
 )
 def test_regin_dead_arcs_when_components_are_closed_or_entered(adj, n_vals, dead):
     # the first and fourth end at the closed-components check, the others
-    # go on to Kosaraju
+    # go on to Kosaraju; relabelling the values 0..n_vals - 1 to negative
+    # multiples of 2**62 relabels the dead arcs and keeps their order
     assert _unused_arcs(adj) == dead
-    assert regin_dead_arcs(adj, n_vals) == dead
+    assert regin_dead_arcs(adj) == dead
+    label = {v: (v - n_vals) * 2 ** 62 for v in range(n_vals)}
+    relabelled = [[label[v] for v in row] for row in adj]
+    assert regin_dead_arcs(relabelled) == [(x, label[v]) for x, v in dead]
 
 
 def test_regin_dead_arcs_on_long_chains():
@@ -489,8 +541,8 @@ def test_regin_dead_arcs_on_long_chains():
     # past the end: every variable reaches it
     n = 3000
     chain = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
-    assert regin_dead_arcs(chain, n) == [(i, i + 1) for i in range(n - 1)]
-    assert regin_dead_arcs([[i, i + 1] for i in range(n)], n + 1) == []
+    assert regin_dead_arcs(chain) == [(i, i + 1) for i in range(n - 1)]
+    assert regin_dead_arcs([[i, i + 1] for i in range(n)]) == []
 
 
 @pytest.mark.parametrize("kind", ["alldifferent", "gcc"])
@@ -512,13 +564,16 @@ def test_long_chain_binds_every_variable_in_one_propagate(kind):
 
 # _kuhn_matching's try_augment nests one call per step of an augmenting
 # path, so a path longer than the recursion limit raises.  An
-# explicit-stack search in the same visiting order fixes it, but it is
-# held back: the recursive one leaves a reference cycle per call, which
+# explicit-stack search in the same visiting order fixes it.  It was held
+# back because the recursive one leaves a reference cycle per call, which
 # keeps the cyclic collector making full collections, and perfbench's job
-# recorder holds each finished model in a cycle only those free.  With the
-# explicit stack, qwh-domWDeg peak_rss_mb rose from 29 to 39 MB, past its
-# bound.  It lands once that recorder no longer keeps models in a cycle
-# (ROADMAP.md, "One job path" and "the last known crash").
+# recorder holds each finished model in a cycle only those free: over the
+# int-array matching, the explicit stack raised qwh-domWDeg peak_rss_mb
+# from 29 to 39 MB, past its bound.  The value-keyed matching leaves a
+# smaller cycle per call: qwh-domWDeg peak_rss_mb reads 29.6 MB with it
+# against 27.0 MB with the int-array one (medians of 10 runs), and 30.1 MB
+# with an explicit stack on top (3 runs; ROADMAP.md, "the matching
+# without recursion").
 @pytest.mark.xfail(raises=RecursionError, strict=True)
 def test_long_augmenting_path_does_not_overflow_the_stack():
     # x_i in {8i, 8i+8} plus two variables over {0, 8n+8}: each domain

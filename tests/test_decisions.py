@@ -6,11 +6,11 @@ the heuristic, the driver (``dfs``, ``restart`` with its ``scale``, or
 ``countsearch generate KIND -p key=value`` does, with every generator
 keyword written out, so a changed default moves no record: e.g.
 ``{"kind": "qwh", "order": 15, "holes": 0.42, "seed": 0}``, plus
-``consistency`` when not ``domain`` (see ``_model``).  The spec maps to
-what the search reports in ``SearchStats`` (status, backtracks, nodes
-and the digest of its (variable index, value) picks) and to ``causes``,
-the same digest of the ``cid`` of each wipeout's cause in order, with
-None for a decision.  Two keys are optional: ``rng``, the seed of the
+``consistency`` when not ``domain`` (see ``conftest.job_model``).  The
+spec maps to what the search reports in ``SearchStats`` (status,
+backtracks, nodes and the digest of its (variable index, value) picks)
+and to ``causes``, the same digest of the ``cid`` of each wipeout's
+cause in order, with None for a decision.  Two keys are optional: ``rng``, the seed of the
 heuristic's ``random.Random`` (0 when absent), and ``recounts``, the
 number of ``count_densities`` calls per counting class.  Each record
 also names the test that replays it (``test``, as the suite prints it,
@@ -81,87 +81,22 @@ import pytest
 
 from countsearch import bench
 from countsearch.bench import (
-    BREAK,
-    apply_overrides,
     build_model,
     generate_magic,
     generate_qwh,
     generate_rostering,
-    rostering_dfa,
 )
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
 from countsearch.engine import Model
-from countsearch.gcc import GlobalCardinality
 from countsearch.engine import DOMAIN, FORWARD_CHECKING
 from countsearch.heuristics import DomWdeg, make_heuristic
 from countsearch.knapsack import Knapsack
-from countsearch.regular import Automaton, Regular
 from countsearch.search import SAT, dfs, lds, restart_search
 
-from conftest import full_domain_model
+from conftest import ROSTER_GCC, full_domain_model, job_model, roster_gcc
 from test_alldiff import _CauseModel
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-
-
-def _roster_gcc(
-    instance, required=0, scale=1, descending=False, consistency=DOMAIN
-):
-    """The rostering ``instance`` with Regular rows; each column lets a
-    task appear at most once, and tasks 1..required at least once (the
-    planted schedule gives employee e task e + 1 in every period).  Every
-    task number is multiplied by ``scale``, and the values go into each
-    domain in ascending order, or in descending order with
-    ``descending``."""
-    payload = instance.payload
-    employees, periods = payload["employees"], payload["periods"]
-    tasks, grid = payload["tasks"], payload["grid"]
-    dfa = rostering_dfa(tasks)
-    automaton = Automaton(
-        {(q, scale * s): nxt for (q, s), nxt in dfa.transitions.items()},
-        dfa.initial,
-        dfa.accepting,
-    )
-    m = Model()
-    values = sorted((scale * v for v in range(tasks + 1)), reverse=descending)
-    cells = [
-        [
-            m.new_variable([scale * grid[i][j]] if grid[i][j] >= 0 else values)
-            for j in range(periods)
-        ]
-        for i in range(employees)
-    ]
-    for row in cells:
-        m.add(Regular(row, automaton))
-    upper = {scale * d: 1 for d in range(1, tasks + 1)}
-    upper[scale * BREAK] = employees
-    lower = {scale * d: 1 for d in range(1, required + 1)}
-    for j in range(periods):
-        m.add(
-            GlobalCardinality([row[j] for row in cells], lower, upper, consistency)
-        )
-    return m
-
-
-#: a roster with GCC columns, which no ``countsearch`` kind builds
-ROSTER_GCC = "rostering+gcc"
-
-
-def _model(job):
-    """The instance ``countsearch generate`` makes of the job's kind and
-    keywords, built by ``bench`` (or ``_roster_gcc``, with ``required``,
-    for ``ROSTER_GCC``), every constraint at the job's ``consistency``."""
-    params = dict(job)
-    kind = params.pop("kind")
-    consistency = params.pop("consistency", None)
-    if kind == ROSTER_GCC:
-        required = params.pop("required", 0)
-        model = _roster_gcc(generate_rostering(**params), required)
-    else:
-        model = build_model(bench.FAMILIES[kind].generate(**params))
-    if consistency is not None:
-        apply_overrides(model, consistency, "exact")
-    return model
 
 
 DRIVERS = {"dfs": dfs, "restart": restart_search, "lds": lds}
@@ -177,7 +112,7 @@ def _replay(pin, model=None):
     job's model; the heuristic draws from ``random.Random(pin["rng"])``,
     seed 0 when absent."""
     if model is None:
-        model = _model(pin["job"])
+        model = job_model(pin["job"])
     rng = random.Random(pin.get("rng", 0))
     heuristic = make_heuristic(pin["heuristic"], model, rng)
     causes = []
@@ -379,10 +314,10 @@ SET_ORDER_BUILDERS = {
     "alldifferent-qwh-17": lambda d: _set_order_qwh(d, 17, 2, DOMAIN),
     "alldifferent-fc-qwh-15": lambda d: _set_order_qwh(d, 15, 0, FORWARD_CHECKING),
     "knapsack-magic-4": _set_order_magic,
-    "gcc-regular-roster-6x10-low4": lambda d: _roster_gcc(
+    "gcc-regular-roster-6x10-low4": lambda d: roster_gcc(
         generate_rostering(6, 10, seed=2), 4, scale=8, descending=d
     ),
-    "gcc-fc-regular-roster-4x8-low4": lambda d: _roster_gcc(
+    "gcc-fc-regular-roster-4x8-low4": lambda d: roster_gcc(
         generate_rostering(4, 8, seed=1), 4, scale=8, descending=d,
         consistency=FORWARD_CHECKING,
     ),

@@ -15,7 +15,6 @@ import weakref
 import pytest
 
 from countsearch.alldiff import AllDifferent, SymmetricAllDifferent
-from countsearch.bench import build_model, generate_magic, generate_qwh
 from countsearch.engine import _T_CACHE, CONSISTENT, Model
 from countsearch.gcc import GlobalCardinality
 from countsearch.heuristics import _sd_keys, make_heuristic
@@ -23,9 +22,12 @@ from countsearch.knapsack import GAUSSIAN, Knapsack
 from countsearch.regular import Automaton, Regular
 from countsearch.search import dfs
 
+from conftest import job_model
+
+#: the searched jobs, named as ``tests/decision_pins.json`` names them
 SEARCHES = {
-    "qwh-17-s2": lambda: build_model(generate_qwh(17, 0.42, 2)),
-    "magic-4-s0": lambda: build_model(generate_magic(4, seed=0)),
+    "qwh-17-s2": {"kind": "qwh", "order": 17, "holes": 0.42, "seed": 2},
+    "magic-4-s0": {"kind": "magic", "order": 4, "filled": 0.1, "seed": 0},
 }
 
 
@@ -33,10 +35,10 @@ def _trailed_tables(model):
     return [e[2] for e in model._trail if e[0] == _T_CACHE and e[2] is not None]
 
 
-def _search_checking_the_trail(make, heuristic_name, check):
-    """dfs under ``heuristic_name``, calling ``check(model)`` before each
-    pick; the search's backtracks."""
-    model = make()
+def _search_checking_the_trail(job, heuristic_name, check):
+    """dfs on ``job``'s model under ``heuristic_name``, calling
+    ``check(model)`` before each pick; the search's backtracks."""
+    model = job_model(job)
     heuristic = make_heuristic(heuristic_name, model, random.Random(0))
     choose = heuristic.choose
 
@@ -48,8 +50,8 @@ def _search_checking_the_trail(make, heuristic_name, check):
     return dfs(model, heuristic, backtrack_limit=200).backtracks
 
 
-@pytest.mark.parametrize("make", list(SEARCHES.values()), ids=list(SEARCHES))
-def test_maxsd_trails_ranked_tables_without_densities(make):
+@pytest.mark.parametrize("job", list(SEARCHES.values()), ids=list(SEARCHES))
+def test_maxsd_trails_ranked_tables_without_densities(job):
     ranked = []
 
     def check(model):
@@ -58,12 +60,12 @@ def test_maxsd_trails_ranked_tables_without_densities(make):
                 assert "densities" not in vars(table)
                 ranked.append(table)
 
-    assert _search_checking_the_trail(make, "maxSD", check) > 0
+    assert _search_checking_the_trail(job, "maxSD", check) > 0
     assert ranked
 
 
-@pytest.mark.parametrize("make", list(SEARCHES.values()), ids=list(SEARCHES))
-def test_aavgsd_trails_whole_tables(make):
+@pytest.mark.parametrize("job", list(SEARCHES.values()), ids=list(SEARCHES))
+def test_aavgsd_trails_whole_tables(job):
     seen = []
 
     def check(model):
@@ -72,7 +74,7 @@ def test_aavgsd_trails_whole_tables(make):
             assert "densities" in vars(table)
             seen.append(table)
 
-    _search_checking_the_trail(make, "aAvgSD", check)
+    _search_checking_the_trail(job, "aAvgSD", check)
     assert seen
 
 
@@ -119,7 +121,7 @@ def test_a_restored_copy_recounts_the_dropped_table(make):
 def test_the_copies_add_no_reference_cycle():
     """A searched model, with ranked copies on its trail, is freed by
     reference counting alone."""
-    model = build_model(generate_magic(4, seed=0))
+    model = job_model(SEARCHES["magic-4-s0"])
     heuristic = make_heuristic("maxSD", model, random.Random(0))
     enabled = gc.isenabled()
     gc.disable()
