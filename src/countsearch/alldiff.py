@@ -178,20 +178,9 @@ def _kuhn_matching(rows: Sequence[Iterable[Hashable]]) -> Optional[dict]:
     """A matching that covers every row, as a dict from each matched value
     to its row, or None when there is none.  A greedy pass takes each
     row's first unmatched value; then each row left over looks for an
-    augmenting path, visiting the values of each row in its iteration
-    order and each value once."""
+    augmenting path, depth first on an explicit stack, visiting the values
+    of each row in its iteration order and each value once."""
     mate: dict = {}
-
-    def try_augment(x: int, seen: set) -> bool:
-        for v in rows[x]:
-            if v not in seen:
-                seen.add(v)
-                y = mate.get(v, -1)
-                if y == -1 or try_augment(y, seen):
-                    mate[v] = x
-                    return True
-        return False
-
     left = []
     for x, row in enumerate(rows):
         for v in row:
@@ -201,7 +190,26 @@ def _kuhn_matching(rows: Sequence[Iterable[Hashable]]) -> Optional[dict]:
         else:
             left.append(x)
     for x in left:
-        if not try_augment(x, set()):
+        # each level of the path: its row, an iterator over the row's
+        # values not yet tried, and the value it takes
+        path, seen = [[x, iter(rows[x]), None]], set()
+        while path:
+            level = path[-1]
+            for v in level[1]:
+                if v not in seen:
+                    seen.add(v)
+                    break
+            else:
+                path.pop()
+                continue
+            level[2] = v
+            y = mate.get(v, -1)
+            if y == -1:
+                for row, _, value in path:
+                    mate[value] = row
+                break
+            path.append([y, iter(rows[y]), None])
+        else:
             return None
     return mate
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .alldiff import AllDifferent, SymmetricAllDifferent
-from .engine import FORWARD_CHECKING, Model, check_level
+from .engine import Model, check_level
 from .heuristics import make_heuristic
-from .knapsack import GAUSSIAN, Knapsack, check_mode
+from .knapsack import Knapsack, check_mode
 from .regular import Automaton, Regular
 from .search import SearchStats, dfs, lds, restart_search
 
@@ -208,17 +208,14 @@ def build_model(instance: Instance) -> Model:
 
 
 def apply_overrides(model: Model, consistency: str, knapsack_mode: str) -> None:
-    """Set every constraint's consistency, and every Knapsack's mode (the
-    Gaussian mode runs the bounds filter of forward checking); both are
-    checked even when no constraint takes them."""
+    """Set every constraint's consistency, and every Knapsack's mode;
+    both are checked even when no constraint takes them."""
     check_level(consistency)
     check_mode(knapsack_mode)
     for c in model.constraints:
         c.consistency = consistency
         if isinstance(c, Knapsack):
             c.mode = knapsack_mode
-            if knapsack_mode == GAUSSIAN:
-                c.consistency = FORWARD_CHECKING
 
 
 def run_job(

@@ -59,9 +59,9 @@ _model_options = _options(
                  default="domain", show_default=True,
                  help="Filtering level of every constraint.  'fc' is "
                       "forward checking for AllDifferent and "
-                      "GlobalCardinality and the bounds filter for "
-                      "Knapsack; Regular and SymmetricAllDifferent filter "
-                      "alike at both levels."),
+                      "GlobalCardinality and the bounds filter for an "
+                      "exact Knapsack; Regular, SymmetricAllDifferent and "
+                      "a Gaussian Knapsack filter alike at both levels."),
     click.option("--knapsack-mode", type=click.Choice(MODES),
                  default=EXACT, show_default=True),
 )

@@ -9,10 +9,9 @@ Gaussian mode counts without the graph: it treats the sum of the other
 variables as approximately normal, computing the constraint-wide mean
 and variance once per table so each (variable, value) density costs
 O(1); the moments and each variable's total are ``math.fsum``s (see
-``engine``).  Filtering follows the consistency level: a Gaussian
-knapsack at ``domain`` consistency filters on the exact graph;
-``bench.apply_overrides`` (the CLI's path) gives Gaussian knapsacks the
-graph-free bounds filter.
+``engine``).  Filtering follows the mode: an exact knapsack filters on
+its graph at ``domain`` consistency and by bounds at ``fc``; a Gaussian
+knapsack filters by bounds at both levels and never builds the graph.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class Knapsack(GraphConstraint):
     @property
     def idempotent(self) -> bool:
         # bounds filtering or a repeated variable may need a second call
-        return self.consistency == DOMAIN and not self.repeats()
+        return self.mode == EXACT and self.consistency == DOMAIN and not self.repeats()
 
     def name(self) -> str:
         return "knapsack"
@@ -109,7 +108,7 @@ class Knapsack(GraphConstraint):
         return build_sum_graph(self.coeffs, domains, self.lower, self.upper)
 
     def propagate(self, model: Model) -> bool:
-        if self.consistency == DOMAIN:
+        if self.mode == EXACT and self.consistency == DOMAIN:
             return self.graph_filter(model)
         return self._bounds_filter(model, self._domains(model))
 

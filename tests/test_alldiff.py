@@ -561,29 +561,20 @@ def test_long_chain_binds_every_variable_in_one_propagate(kind):
     assert [m.domain(x) for x in xs] == [{i} for i in range(n)]
 
 
-
-# _kuhn_matching's try_augment nests one call per step of an augmenting
-# path, so a path longer than the recursion limit raises.  An
-# explicit-stack search in the same visiting order fixes it.  It was held
-# back because the recursive one leaves a reference cycle per call, which
-# keeps the cyclic collector making full collections, and perfbench's job
-# recorder holds each finished model in a cycle only those free: over the
-# int-array matching, the explicit stack raised qwh-domWDeg peak_rss_mb
-# from 29 to 39 MB, past its bound.  The value-keyed matching leaves a
-# smaller cycle per call: qwh-domWDeg peak_rss_mb reads 29.6 MB with it
-# against 27.0 MB with the int-array one (medians of 10 runs), and 30.1 MB
-# with an explicit stack on top (3 runs; ROADMAP.md, "the matching
-# without recursion").
-@pytest.mark.xfail(raises=RecursionError, strict=True)
-def test_long_augmenting_path_does_not_overflow_the_stack():
+@pytest.mark.parametrize("kind", ["alldifferent", "gcc"])
+def test_long_augmenting_path_does_not_overflow_the_stack(kind):
     # x_i in {8i, 8i+8} plus two variables over {0, 8n+8}: each domain
     # iterates its smaller value first, so the greedy matching leaves one
-    # augmenting path through the whole chain (n = 900 solves)
+    # augmenting path through the whole chain, 1,100 rows deep
     n = 1100
     m = Model()
     xs = [m.new_variable({8 * i, 8 * i + 8}) for i in range(n - 1)]
     xs += [m.new_variable({0, 8 * n + 8}) for _ in range(2)]
-    c = m.add(AllDifferent(xs))
+    if kind == "alldifferent":
+        c = m.add(AllDifferent(xs))
+    else:
+        values = set().union(*(m.domain(x) for x in xs))
+        c = m.add(GlobalCardinality(xs, {}, {d: 1 for d in values}))
     stats = dfs(m, Dom(m, random.Random(0)))
     assert stats.status == SAT
     assert c.check([stats.solution[x.name] for x in xs])

@@ -13,9 +13,7 @@ from countsearch.alldiff import probe_table
 from countsearch.engine import CONSISTENT, FORWARD_CHECKING, WIPEOUT, Model
 from countsearch.factors import bm_log_bound, lb_log_bound
 from countsearch.gcc import GlobalCardinality
-from countsearch.heuristics import Dom
 from countsearch.oracle import exact_count_densities
-from countsearch.search import SAT, dfs
 
 from conftest import random_domains, random_gcc
 from test_alldiff import _CauseModel, _reference_forward_check
@@ -78,22 +76,6 @@ def test_domain_filtering_matches_oracle_supports():
             supported = {d for (vi, d) in dens if vi == x.index}
             assert m.domain(x) == supported
     assert consistent > 120
-
-
-def test_long_augmenting_path_does_not_overflow_the_stack():
-    # x_i in {8i, 8i+8} plus two variables over {0, 8n+8}, each value at
-    # most once: the spacing makes each domain iterate its smaller value
-    # first, so the greedy matching leaves one augmenting path through
-    # the whole chain
-    n = 900
-    m = Model()
-    xs = [m.new_variable({8 * i, 8 * i + 8}) for i in range(n - 1)]
-    xs += [m.new_variable({0, 8 * n + 8}) for _ in range(2)]
-    values = set().union(*(m.domain(x) for x in xs))
-    c = m.add(GlobalCardinality(xs, {}, {d: 1 for d in values}))
-    stats = dfs(m, Dom(m, random.Random(0)))
-    assert stats.status == SAT
-    assert c.check([stats.solution[x.name] for x in xs])
 
 
 def test_fc_level_saturation():

@@ -20,7 +20,7 @@ from countsearch.knapsack import (
     interval_moments,
 )
 from countsearch.oracle import exact_count_densities
-from countsearch.search import dfs
+from countsearch.search import SAT, dfs
 
 from conftest import random_domains
 
@@ -331,10 +331,11 @@ def test_gaussian_table_has_no_count():
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_only_the_overrides_keep_a_gaussian_knapsack_off_the_graph(monkeypatch):
-    """Gaussian counting never builds the graph, but a Gaussian knapsack
-    at ``domain`` consistency filters on it; ``apply_overrides``, the
-    CLI's path, switches it to the bounds filter, which builds none."""
+@pytest.mark.parametrize("consistency", [FORWARD_CHECKING, DOMAIN])
+@pytest.mark.parametrize("overridden", [False, True], ids=["posted", "overridden"])
+def test_a_gaussian_knapsack_never_builds_the_graph(monkeypatch, consistency, overridden):
+    """It filters by bounds and counts by moments at every level, posted
+    as it is or set by ``apply_overrides``, the CLI's path."""
     builds = []
 
     def counted(*args):
@@ -342,16 +343,15 @@ def test_only_the_overrides_keep_a_gaussian_knapsack_off_the_graph(monkeypatch):
         return build_sum_graph(*args)
 
     monkeypatch.setattr(knapsack, "build_sum_graph", counted)
-    for overridden, expected in ((True, 0), (False, 1)):
-        m = Model()
-        xs = [m.new_variable(range(4)) for _ in range(3)]
-        m.add(Knapsack(xs, [2, 3, 5], 8, 12, DOMAIN, GAUSSIAN))
-        if overridden:
-            apply_overrides(m, DOMAIN, GAUSSIAN)
-        builds.clear()
-        assert m.propagate() == CONSISTENT
-        m.collect_densities()
-        assert len(builds) == expected
+    m = Model()
+    xs = [m.new_variable(range(4)) for _ in range(3)]
+    m.add(Knapsack(xs, [2, 3, 5], 8, 12, consistency, GAUSSIAN))
+    if overridden:
+        apply_overrides(m, consistency, GAUSSIAN)
+    assert m.propagate() == CONSISTENT
+    m.collect_densities()
+    assert dfs(m, MaxSD(m)).status == SAT
+    assert builds == []
 
 
 def test_rejects_bad_arguments():

@@ -1,5 +1,6 @@
 """Search drivers: DFS, geometric restarts, limited discrepancy search."""
 
+import gc
 import hashlib
 import math
 import random
@@ -13,7 +14,7 @@ from countsearch.heuristics import Dom, Heuristic, MaxSD, make_heuristic
 from countsearch.search import SAT, TIMEOUT, UNSAT, dfs, lds, restart_search
 
 from brute_force import exact_solve
-from conftest import random_micro_model
+from conftest import ROSTER_GCC, job_model, random_micro_model
 
 
 def _check_solution(model, solution):
@@ -415,3 +416,37 @@ def test_failed_search_restores_the_root_tables(driver, status):
     assert m.level == 0
     assert all(c.cache is not None for c in m.constraints)
     assert _tables(m) == root
+
+
+#: jobs that post every constraint kind: AllDifferent (qwh), AllDifferent
+#: and Knapsack (magic), Regular and GlobalCardinality (roster),
+#: SymmetricAllDifferent, AllDifferent and Regular (ttppv), Regular alone
+#: (nonogram) and Knapsack alone (kprostering)
+GARBAGE_JOBS = {
+    "qwh": {"kind": "qwh", "order": 15, "holes": 0.42, "seed": 0},
+    "magic": {"kind": "magic", "order": 4, "filled": 0.1, "seed": 0},
+    "roster": {"kind": ROSTER_GCC, "employees": 6, "periods": 10, "tasks": 7,
+               "preset": 0.05, "seed": 2, "required": 4},
+    "ttppv": {"kind": "ttppv", "teams": 4, "seed": 0},
+    "nonogram": {"kind": "nonogram", "rows": 5, "cols": 5, "seed": 0},
+    "kprostering": {"kind": "kprostering", "employees": 2, "days": 6,
+                    "n_forbidden": 3, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("job", list(GARBAGE_JOBS.values()), ids=list(GARBAGE_JOBS))
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_a_search_leaves_no_cyclic_garbage(driver, job):
+    """Reference counting frees all a search makes and drops: with the
+    collector off and the model still alive, a collection finds nothing."""
+    model = job_model(job)
+    heuristic = make_heuristic("maxSD", model, random.Random(0))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        DRIVERS[driver](model, heuristic, backtrack_limit=20)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

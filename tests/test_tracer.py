@@ -1,7 +1,10 @@
-"""perfbench's tracer patches countsearch from outside and restores it."""
+"""perfbench from the tests: its tracer patches countsearch from outside
+and restores it, and its jobs are the ones the ``test_perfbench_*``
+decision pins copy."""
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -20,17 +23,24 @@ from countsearch.knapsack import Knapsack
 from countsearch.regular import Regular
 from countsearch.search import dfs
 
-TRACER = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
+from test_decisions import PINS, RESULT, _replay
+
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
 )
 #: every class and module the tracer may patch
 OWNERS = (Model, AllDifferent, GlobalCardinality, Regular, Knapsack,
           alldiff, engine, gcc, knapsack, regular)
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    """perfbench's module ``name``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
+    )
     module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -41,7 +51,7 @@ def _snapshot():
 
 def test_install_patches_entry_points_and_restores_them():
     before = _snapshot()
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     with tracer.install():
         during = _snapshot()
         patched = {
@@ -87,7 +97,7 @@ def test_install_patches_entry_points_and_restores_them():
 def test_traced_dfs_builds_each_graph_once(instance, kind, build, backtracks):
     """The tracer sees the layered-graph builds, one per graph constraint
     however long the search runs."""
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     with tracer.install():
         model = build_model(instance)
         stats = dfs(model, MaxSD(model), backtrack_limit=10)
@@ -101,7 +111,7 @@ def test_traced_dfs_builds_each_graph_once(instance, kind, build, backtracks):
 def test_alldiff_tables_take_liang_bai_once_each():
     """AllDifferent density probes use Bregman-Minc alone: the tracer's
     ``factors.lb_log_bound`` sees one call per table, for its count."""
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     with tracer.install():
         model = build_model(generate_qwh(12, seed=0))
         dfs(model, MaxSD(model), backtrack_limit=5)
@@ -109,3 +119,29 @@ def test_alldiff_tables_take_liang_bai_once_each():
     calls = tracer.calls()
     assert calls["alldiff.count"] > 10
     assert calls["factors.lb_log_bound"] == calls["alldiff.count"]
+
+
+#: the ``test_perfbench_*`` records by their ids, which are perfbench job names
+PERFBENCH_PINS = {
+    p["test"].split("[", 1)[1][:-1]: p
+    for p in PINS
+    if p["test"].startswith("test_perfbench_")
+}
+
+
+@pytest.mark.parametrize("name", list(PERFBENCH_PINS))
+def test_perfbench_pins_describe_the_benchmark_jobs(name):
+    """Each ``test_perfbench_*`` record of ``decision_pins.json`` copies
+    the job of ``perfbench/workloads.py`` at seed 0 that its id names:
+    the same heuristic, cap and driver, and the same search on the model
+    perfbench builds."""
+    workloads = _load_perfbench("workloads")
+    jobs = {
+        job.name: job
+        for workload in workloads.WORKLOADS
+        for job in workloads.jobs_for(workload, 0)
+    }
+    pin, job = PERFBENCH_PINS[name], jobs[name]
+    assert (pin["heuristic"], pin["cap"], pin["driver"]) == (job.heuristic, job.cap, "dfs")
+    result = _replay(pin, job.build().model)
+    assert {key: result[key] for key in RESULT} == {key: pin[key] for key in RESULT}
